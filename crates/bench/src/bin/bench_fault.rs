@@ -56,7 +56,9 @@
 use pga_bench::harness::{env_u64, env_usize, time_ms, FaultBench, FaultRecord};
 use pga_bench::trace::parse_trace;
 use pga_congest::primitives::FloodMax;
-use pga_congest::{FaultSpec, Metrics, ReliabilitySpec, RunConfig, Simulator};
+use pga_congest::{
+    FaultSpec, Metrics, ReliabilitySpec, RunConfig, SeededAdversary, Simulator, TraceAdversary,
+};
 use pga_core::mds::congest_g2::g2_mds_congest_cfg;
 use pga_core::mvc::congest::{g2_mvc_congest_cfg, LocalSolver};
 use pga_graph::cover::{is_dominating_set_on_square, is_vertex_cover_on_square};
@@ -426,17 +428,20 @@ fn floodmax_trace_cell(g: &Graph, cell: Cell) -> CellOutcome {
             .collect()
     };
     let record_cfg = RunConfig::new().sequential().max_rounds(cell.budget);
-    let ((traced, wall_ms), mut d) = (
-        time_ms(|| sim.run_traced(nodes(), cell.spec, &record_cfg)),
-        Digest::new(),
-    );
+    let record = || {
+        let recorder = SeededAdversary::recording(cell.spec);
+        let report = sim.run_adversary(nodes(), &record_cfg, &recorder)?;
+        Ok::<_, pga_congest::SimError>((report, recorder.into_trace(n)))
+    };
+    let ((traced, wall_ms), mut d) = (time_ms(record), Digest::new());
     match traced {
         Ok((report, trace)) => {
             d.eat_str(&format!("{:?}{:?}", report.outputs, report.metrics));
             let replay_cfg = RunConfig::new()
                 .parallel(cell.threads)
                 .max_rounds(cell.budget);
-            let replay_identical = match sim.run_replay(nodes(), &trace, &replay_cfg) {
+            let replay = TraceAdversary::new(&trace);
+            let replay_identical = match sim.run_adversary(nodes(), &replay_cfg, &replay) {
                 Ok(r) => r.outputs == report.outputs && r.metrics == report.metrics,
                 Err(_) => false,
             };
@@ -457,10 +462,7 @@ fn floodmax_trace_cell(g: &Graph, cell: Cell) -> CellOutcome {
         Err(e) => {
             d.eat_str(&format!("{e:?}"));
             // A starved recording must at least fail identically again.
-            let replay_identical = matches!(
-                sim.run_traced(nodes(), cell.spec, &record_cfg),
-                Err(ref e2) if *e2 == e
-            );
+            let replay_identical = matches!(record(), Err(ref e2) if *e2 == e);
             CellOutcome {
                 replay_identical,
                 ..CellOutcome::diverged(wall_ms, d.0)

@@ -22,7 +22,7 @@
 
 use pga_bench::harness::{env_u64, env_usize, time_ms, EngineTiming, MpcBench, MpcWorkloadRecord};
 use pga_congest::primitives::FloodMax;
-use pga_congest::Simulator;
+use pga_congest::{ProbeMode, RunConfig, Simulator};
 use pga_graph::{generators, Graph, NodeId};
 use pga_mpc::{
     g2_ruling_set_mpc, lex_first_g2_mis, recommended_memory_words,
@@ -49,13 +49,13 @@ fn adapter_workload(name: &str, graph: &str, g: &Graph, seed: u64) -> MpcWorkloa
     let memory_words = recommended_memory_words(g, pga_congest::default_bandwidth_bits(n));
     let (reference, ref_ms) = time_ms(|| {
         Simulator::congest(g)
-            .run(floodmax_states(n))
+            .run_cfg(floodmax_states(n), &RunConfig::new().probe(ProbeMode::Off))
             .expect("congest reference run")
     });
     let (adapter, mpc_ms) = time_ms(|| {
         CongestOnMpc::congest(g)
             .with_memory_words(memory_words)
-            .run(floodmax_states(n))
+            .run_cfg(floodmax_states(n), &RunConfig::new())
             .expect("adapter run")
     });
     let mut identical =
@@ -69,7 +69,7 @@ fn adapter_workload(name: &str, graph: &str, g: &Graph, seed: u64) -> MpcWorkloa
         let (par, par_ms) = time_ms(|| {
             CongestOnMpc::congest(g)
                 .with_memory_words(memory_words)
-                .run_with(floodmax_states(n), Engine::Parallel { threads })
+                .run_cfg(floodmax_states(n), &RunConfig::new().parallel(threads))
                 .expect("parallel adapter run")
         });
         identical &= par.outputs == reference.outputs

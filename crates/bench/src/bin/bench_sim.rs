@@ -51,7 +51,9 @@ use pga_bench::harness::{
     env_u64, env_usize, time_ms, EngineTiming, ShardLoad, SimBench, WorkloadRecord,
 };
 use pga_congest::primitives::FloodMax;
-use pga_congest::{Algorithm, Ctx, Metrics, MsgSize, Report, RunConfig, Scheduling, Simulator};
+use pga_congest::{
+    Algorithm, Ctx, Metrics, MsgCodec, MsgSize, ProbeMode, Report, RunConfig, Scheduling, Simulator,
+};
 use pga_core::mvc::clique_det::g2_mvc_clique_det_cfg;
 use pga_core::mvc::congest::LocalSolver;
 use pga_graph::bmm::{square_bmm, square_bmm_sharded};
@@ -68,6 +70,18 @@ struct Word(u64);
 impl MsgSize for Word {
     fn size_bits(&self, _id_bits: usize) -> usize {
         64
+    }
+}
+
+impl MsgCodec for Word {
+    type Word = u64;
+
+    fn encode(&self) -> u64 {
+        self.0
+    }
+
+    fn decode(w: u64) -> Word {
+        Word(w)
     }
 }
 
@@ -155,12 +169,15 @@ fn bench_workload<A, F>(
 ) -> WorkloadRecord
 where
     A: Algorithm + Send,
-    A::Msg: Send,
+    A::Msg: MsgCodec + Send,
     A::Output: PartialEq + std::fmt::Debug,
     F: Fn() -> Vec<A>,
 {
+    let cfg = RunConfig::new().probe(ProbeMode::Off);
     let (seq, seq_ms) = best_of(reps, &mk, |nodes| {
-        Simulator::congest(g).run(nodes).expect("sequential run")
+        Simulator::congest(g)
+            .run_cfg(nodes, &cfg)
+            .expect("sequential run")
     });
 
     let mut engines = vec![EngineTiming {
@@ -178,7 +195,7 @@ where
     for threads in sweep {
         let (par, par_ms) = best_of(reps, &mk, |nodes| {
             Simulator::congest(g)
-                .run_parallel(nodes, threads)
+                .run_cfg(nodes, &cfg.parallel(threads))
                 .expect("parallel run")
         });
         let same = par.outputs == seq.outputs && par.metrics == seq.metrics;
@@ -238,12 +255,13 @@ fn bench_tail_workload(g: &Graph, threads: usize, reps: usize) -> WorkloadRecord
     };
     let run = |scheduling: Scheduling, par: bool| {
         best_of(reps, &mk, |nodes| {
-            let sim = Simulator::congest(g).with_scheduling(scheduling);
-            if par {
-                sim.run_parallel(nodes, threads).expect("tail run")
-            } else {
-                sim.run(nodes).expect("tail run")
-            }
+            let cfg = RunConfig::new()
+                .probe(ProbeMode::Off)
+                .scheduling(scheduling);
+            let cfg = if par { cfg.parallel(threads) } else { cfg };
+            Simulator::congest(g)
+                .run_cfg(nodes, &cfg)
+                .expect("tail run")
         })
     };
     let (full, full_ms) = run(Scheduling::FullSweep, false);

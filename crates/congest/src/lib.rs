@@ -18,23 +18,28 @@
 //! node ids, and reports [`Metrics`] (rounds, messages, bits, and the
 //! per-round congestion profile).
 //!
-//! Two round executors are provided and are **bit-identical** for every
-//! thread count: the single-threaded reference engine ([`Simulator::run`])
-//! and the sharded multi-threaded engine ([`Simulator::run_parallel`]),
-//! which exploits the fact that rounds are barriers while nodes within a
-//! round are embarrassingly parallel. Select one per run with
-//! [`Simulator::run_with`] and [`Engine`].
+//! Every run goes through [`Simulator::run_cfg`], which hands the
+//! [`RunConfig`] to the shared `pga_runtime` kernel: the [`Engine`]
+//! picks one shard on the driving thread or several on worker threads
+//! (rounds are barriers, while nodes within a round are embarrassingly
+//! parallel), and every choice is **bit-identical**.
 //!
 //! # Example: flooding the maximum id (leader election)
 //!
 //! ```
-//! use pga_congest::{Algorithm, Ctx, MsgSize, Simulator, Topology};
+//! use pga_congest::{Algorithm, Ctx, MsgCodec, MsgSize, RunConfig, Simulator};
 //! use pga_graph::{generators, NodeId};
 //!
 //! #[derive(Clone)]
 //! struct Max(u32);
 //! impl MsgSize for Max {
 //!     fn size_bits(&self, id_bits: usize) -> usize { id_bits }
+//! }
+//! // The packed wire form multi-shard runs may move instead of the enum.
+//! impl MsgCodec for Max {
+//!     type Word = u32;
+//!     fn encode(&self) -> u32 { self.0 }
+//!     fn decode(w: u32) -> Max { Max(w) }
 //! }
 //!
 //! struct Flood { best: u32, changed: bool, quiet: bool }
@@ -57,7 +62,7 @@
 //! let g = generators::path(8);
 //! let sim = Simulator::congest(&g);
 //! let nodes = (0..8).map(|i| Flood { best: i, changed: false, quiet: false }).collect();
-//! let report = sim.run(nodes).unwrap();
+//! let report = sim.run_cfg(nodes, &RunConfig::new()).unwrap();
 //! assert!(report.outputs.iter().all(|&b| b == 7));
 //! // Information travels one hop per round: diameter rounds needed.
 //! assert!(report.metrics.rounds >= 7);
@@ -89,7 +94,9 @@ pub use pga_runtime::{
 /// Runtime-level message-plane vocabulary, re-exported so algorithm
 /// crates can implement packed codecs and build [`RunConfig`]s without
 /// depending on `pga-runtime` directly.
-pub use pga_runtime::{CodecFns, G2Prep, MsgCodec, MsgCost, RunConfig};
+pub use pga_runtime::{
+    Engine, G2Prep, MsgCodec, MsgCost, RunConfig, Scheduling, PARALLEL_MIN_NODES,
+};
 /// Telemetry-plane vocabulary ([`Probe`] and its stock
 /// implementations), re-exported so benches and tests can attach probes
 /// to [`Simulator::run_cfg_probed`] without depending on `pga-runtime`
@@ -99,6 +106,6 @@ pub use pga_runtime::{
     RunTelemetry, ShardTelemetry, SizeHist,
 };
 pub use sim::{
-    check_message, default_bandwidth_bits, id_bits, Algorithm, Ctx, Engine, MsgSize, Report,
-    Scheduling, SimError, Simulator, Topology, PARALLEL_MIN_NODES,
+    check_message, default_bandwidth_bits, id_bits, Algorithm, Ctx, MsgSize, Report, SimError,
+    Simulator, Topology,
 };

@@ -14,8 +14,9 @@
 //! not affect any asymptotic round count (leader election costs `O(D)`,
 //! dominated by every use of this primitive).
 
-use crate::sim::{Algorithm, Ctx, MsgCodec, MsgSize};
+use crate::sim::{Algorithm, Ctx, MsgSize};
 use pga_graph::NodeId;
+use pga_runtime::MsgCodec;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -129,7 +130,8 @@ where
 /// returns the response to broadcast.
 ///
 /// `Send + Sync` so [`GatherScatter`] states can be driven by the sharded
-/// multi-threaded engine ([`crate::Simulator::run_parallel`]) as well as
+/// multi-shard engine ([`crate::Simulator::run_cfg`] with
+/// [`RunConfig::parallel`](crate::RunConfig::parallel)) as well as
 /// the sequential one.
 pub type LeaderCompute<I, D> = Arc<dyn Fn(Vec<I>) -> Vec<D> + Send + Sync>;
 
@@ -435,6 +437,7 @@ mod tests {
     use super::*;
     use crate::sim::Simulator;
     use pga_graph::generators;
+    use pga_runtime::RunConfig;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -455,7 +458,9 @@ mod tests {
                 )
             })
             .collect();
-        let report = Simulator::congest(g).run(nodes).unwrap();
+        let report = Simulator::congest(g)
+            .run_cfg(nodes, &RunConfig::new())
+            .unwrap();
         (report.outputs, report.metrics)
     }
 
@@ -526,7 +531,9 @@ mod tests {
                 )
             })
             .collect();
-        let report = Simulator::congest(&g).run(nodes).unwrap();
+        let report = Simulator::congest(&g)
+            .run_cfg(nodes, &RunConfig::new())
+            .unwrap();
         for o in &report.outputs {
             assert_eq!(o.response.len(), 18);
             let values: Vec<u64> = o.response.iter().map(|d| d.value).collect();
@@ -560,7 +567,9 @@ mod tests {
         let nodes = (0..4)
             .map(|_| GatherScatter::new(Vec::new(), Arc::clone(&compute)))
             .collect();
-        let report = Simulator::congest(&g).run(nodes).unwrap();
+        let report = Simulator::congest(&g)
+            .run_cfg(nodes, &RunConfig::new())
+            .unwrap();
         assert!(report
             .outputs
             .iter()
@@ -588,7 +597,9 @@ mod tests {
                 .with_deadline(Some(1_000))
             })
             .collect();
-        let report = Simulator::congest(&g).run(nodes).unwrap();
+        let report = Simulator::congest(&g)
+            .run_cfg(nodes, &RunConfig::new())
+            .unwrap();
         let (clean, _) = run_sum(&g);
         assert_eq!(report.outputs, clean);
     }
@@ -616,7 +627,9 @@ mod tests {
                 .with_deadline(Some(2))
             })
             .collect();
-        let report = Simulator::congest(&g).run(nodes).unwrap();
+        let report = Simulator::congest(&g)
+            .run_cfg(nodes, &RunConfig::new())
+            .unwrap();
         // The root times out before the far end of the path reports.
         assert!(!report.outputs[0].complete);
         let full: u64 = (0..7).sum();
@@ -713,6 +726,7 @@ mod flood_tests {
     use crate::sim::Simulator;
     use pga_graph::generators;
     use pga_graph::traversal::diameter;
+    use pga_runtime::RunConfig;
 
     #[test]
     fn flood_max_elects_global_maximum() {
@@ -723,10 +737,11 @@ mod flood_tests {
         ] {
             let n = g.num_nodes();
             let report = Simulator::congest(&g)
-                .run(
+                .run_cfg(
                     (0..n)
                         .map(|i| FloodMax::new(NodeId::from_index(i)))
                         .collect(),
+                    &RunConfig::new(),
                 )
                 .unwrap();
             assert!(report
@@ -742,7 +757,7 @@ mod flood_tests {
     fn flood_max_on_single_vertex() {
         let g = pga_graph::Graph::empty(1);
         let report = Simulator::congest(&g)
-            .run(vec![FloodMax::new(NodeId(0))])
+            .run_cfg(vec![FloodMax::new(NodeId(0))], &RunConfig::new())
             .unwrap();
         assert_eq!(report.outputs[0], NodeId(0));
     }

@@ -10,11 +10,9 @@
 pub use crate::error::SimError;
 use crate::Metrics;
 use pga_graph::{Graph, NodeId};
-use pga_runtime::{CodecFns, ExecModel, FaultStats, KernelConfig, MsgSink, Poll, RoundProfile};
-
-pub use pga_runtime::{
-    Adversary, Engine, FaultSpec, FaultTrace, JsonlProbe, MsgCodec, NoopProbe, Probe, RunConfig,
-    Scheduling, SeededAdversary, TraceAdversary, PARALLEL_MIN_NODES,
+use pga_runtime::{
+    Adversary, ExecModel, FaultStats, JsonlProbe, MsgCodec, MsgSink, NoopProbe, Poll, Probe,
+    RoundProfile, RunConfig, DEFAULT_MAX_ROUNDS,
 };
 
 /// Communication topology of a simulation.
@@ -97,7 +95,7 @@ pub trait Algorithm {
 
     /// Whether the engine may *skip* this node's [`Algorithm::round`]
     /// call in rounds where its inbox is empty (the
-    /// [`Scheduling::ActiveSet`] policy).
+    /// [`Scheduling::ActiveSet`](crate::Scheduling::ActiveSet) policy).
     ///
     /// **Contract:** if `can_skip` returns `true` and the node's inbox
     /// is empty, `round` must be a pure no-op — no state mutation and an
@@ -118,35 +116,21 @@ pub trait Algorithm {
     fn output(&self, ctx: &Ctx) -> Self::Output;
 }
 
-/// Result of a completed run.
-#[derive(Debug)]
-pub struct Report<O> {
-    /// Output of every node, indexed by node id.
-    pub outputs: Vec<O>,
-    /// Communication metrics of the run.
-    pub metrics: Metrics,
-}
-
-impl<O> From<pga_runtime::Run<O, Metrics>> for Report<O> {
-    fn from(run: pga_runtime::Run<O, Metrics>) -> Self {
-        Report {
-            outputs: run.outputs,
-            metrics: run.metrics,
-        }
-    }
-}
+/// Result of a completed run: every node's output, indexed by node id,
+/// and the run's communication [`Metrics`].
+pub type Report<O> = pga_runtime::Run<O, Metrics>;
 
 /// The simulation driver.
 ///
-/// Construct with [`Simulator::congest`] or [`Simulator::congested_clique`]
-/// and tune with the builder-style setters.
+/// Construct with [`Simulator::congest`] or [`Simulator::congested_clique`],
+/// tune with the builder-style setters, and run with
+/// [`Simulator::run_cfg`].
 #[derive(Clone, Copy)]
 pub struct Simulator<'g> {
     g: &'g Graph,
     topology: Topology,
     bandwidth_bits: usize,
     max_rounds: usize,
-    scheduling: Scheduling,
 }
 
 /// Validates one outgoing message against the communication model and
@@ -223,20 +207,21 @@ pub fn id_bits(n: usize) -> usize {
 /// via [`check_message`], bit charging, and [`Metrics`] accumulation
 /// (including the per-round congestion profile).
 ///
-/// `W` is the packed word type of the message codec, `()` when the run
-/// uses the plain enum plane. When a codec is installed
-/// ([`Simulator::run_cfg`] with [`RunConfig::codec`] on), the kernel's
-/// counting-sort exchange moves `W` words through its CSR inbox arenas
-/// instead of cloned `A::Msg` enums; validation and charging still
-/// happen here on the decoded messages, so both planes are
-/// bit-identical by construction.
-struct CongestModel<'s, 'g, A: Algorithm, W = ()> {
+/// With `packs` set ([`Simulator::run_cfg`] with [`RunConfig::codec`]
+/// on), the kernel's counting-sort exchange moves the message codec's
+/// words through its CSR inbox arenas instead of cloned `A::Msg`
+/// enums; validation and charging still happen here on the decoded
+/// messages, so both planes are bit-identical by construction.
+struct CongestModel<'s, 'g, A> {
     sim: &'s Simulator<'g>,
-    codec: Option<CodecFns<A::Msg, W>>,
+    packs: bool,
     _algorithm: std::marker::PhantomData<fn(A)>,
 }
 
-impl<A: Algorithm, W: Copy + Send> ExecModel for CongestModel<'_, '_, A, W> {
+impl<A: Algorithm> ExecModel for CongestModel<'_, '_, A>
+where
+    A::Msg: MsgCodec,
+{
     type Id = NodeId;
     type Node = A;
     type Msg = A::Msg;
@@ -244,28 +229,25 @@ impl<A: Algorithm, W: Copy + Send> ExecModel for CongestModel<'_, '_, A, W> {
     type Error = SimError;
     type Metrics = Metrics;
     type SendScratch = Vec<NodeId>;
-    type Packed = W;
+    type Packed = <A::Msg as MsgCodec>::Word;
 
     fn packs(&self) -> bool {
-        self.codec.is_some()
+        self.packs
     }
 
-    fn pack(&self, msg: &A::Msg) -> W {
-        let c = self.codec.expect("pack called without an installed codec");
-        let word = (c.enc)(msg);
+    fn pack(&self, msg: &A::Msg) -> Self::Packed {
+        let word = msg.encode();
+        let bits = id_bits(self.sim.g.num_nodes());
         debug_assert_eq!(
-            (c.bits)(word, id_bits(self.sim.g.num_nodes())),
-            msg.size_bits(id_bits(self.sim.g.num_nodes())),
+            A::Msg::encoded_bits(word, bits),
+            msg.size_bits(bits),
             "MsgCodec::encoded_bits must agree with MsgCost::size_bits"
         );
         word
     }
 
-    fn unpack(&self, word: W) -> A::Msg {
-        (self
-            .codec
-            .expect("unpack called without an installed codec")
-            .dec)(word)
+    fn unpack(&self, word: Self::Packed) -> A::Msg {
+        A::Msg::decode(word)
     }
 
     fn actor_cost(&self, _node: &A, idx: usize) -> u64 {
@@ -363,8 +345,7 @@ impl<'g> Simulator<'g> {
             g,
             topology: Topology::Congest,
             bandwidth_bits: default_bandwidth_bits(g.num_nodes()),
-            max_rounds: 1_000_000,
-            scheduling: Scheduling::default(),
+            max_rounds: DEFAULT_MAX_ROUNDS,
         }
     }
 
@@ -382,30 +363,23 @@ impl<'g> Simulator<'g> {
         self
     }
 
-    /// Overrides the safety round budget (default one million).
+    /// Overrides the safety round budget (default one million); a
+    /// run's [`RunConfig::max_rounds`] overrides it in turn.
     pub fn with_max_rounds(mut self, max_rounds: usize) -> Self {
         self.max_rounds = max_rounds;
         self
     }
 
-    /// Overrides the round-scheduling policy (default
-    /// [`Scheduling::ActiveSet`]); both policies are bit-identical, see
-    /// [`Algorithm::can_skip`].
-    pub fn with_scheduling(mut self, scheduling: Scheduling) -> Self {
-        self.scheduling = scheduling;
-        self
-    }
-
-    /// The per-vertex cost estimate the sharded engine balances on:
+    /// The per-vertex cost estimate the sharded store balances on:
     /// `degree + 1` (a vertex's per-round message work is proportional
     /// to its adjacency; the constant covers poll/step overhead).
     pub fn vertex_cost(&self, idx: usize) -> u64 {
         self.g.degree(NodeId::from_index(idx)) as u64 + 1
     }
 
-    /// The contiguous shard boundaries [`Simulator::run_parallel`] will
-    /// use for an explicit `threads` count: the cost-balanced partition
-    /// of [`pga_runtime::balanced_partition`] over
+    /// The contiguous shard boundaries an explicit `threads` count
+    /// gives: the cost-balanced partition of
+    /// [`pga_runtime::balanced_partition`] over
     /// [`Simulator::vertex_cost`]. Exposed so benches and tests can
     /// inspect per-shard load; boundaries never affect outputs, only
     /// wall-clock balance.
@@ -428,200 +402,46 @@ impl<'g> Simulator<'g> {
         }
     }
 
-    fn kernel_config(&self) -> KernelConfig {
-        KernelConfig {
-            max_rounds: self.max_rounds,
-            scheduling: self.scheduling,
-        }
-    }
-
-    fn model<A: Algorithm>(&self) -> CongestModel<'_, 'g, A> {
-        CongestModel {
-            sim: self,
-            codec: None,
-            _algorithm: std::marker::PhantomData,
-        }
-    }
-
-    fn model_codec<A>(&self) -> CongestModel<'_, 'g, A, <A::Msg as MsgCodec>::Word>
+    /// The [`ExecModel`] this simulator runs `A` under, on the packed
+    /// message plane when `packs` is set: what [`pga_runtime::execute`]
+    /// and the deliberately naive [`pga_runtime::reference::run`]
+    /// oracle drive.
+    pub fn exec_model<A>(
+        &self,
+        packs: bool,
+    ) -> impl ExecModel<
+        Node = A,
+        Msg = A::Msg,
+        Output = A::Output,
+        Error = SimError,
+        Metrics = Metrics,
+    > + use<'_, 'g, A>
     where
         A: Algorithm,
         A::Msg: MsgCodec,
     {
         CongestModel {
             sim: self,
-            codec: Some(CodecFns::new()),
+            packs,
             _algorithm: std::marker::PhantomData,
         }
     }
 
-    fn assert_node_count<T>(&self, nodes: &[T]) {
-        assert_eq!(
-            nodes.len(),
-            self.g.num_nodes(),
-            "one algorithm state per vertex required"
-        );
-    }
-
     /// Runs `nodes` (one algorithm state per vertex, indexed by id) to
-    /// completion on the single-threaded reference engine.
+    /// completion under a [`RunConfig`] (see [`pga_runtime::execute`]).
+    /// Every configuration is bit-identical on a clean run: outputs,
+    /// [`Metrics`] (congestion profile included) and errors. With
+    /// [`RunConfig::codec`] on, multi-shard runs move packed
+    /// [`MsgCodec::Word`]s through the exchange, while validation
+    /// ([`check_message`]) and charging run on the decoded messages.
+    /// With [`RunConfig::probe`] at its default, the run streams a
+    /// trace to the path named by `PGA_TRACE`, if set.
     ///
     /// # Errors
     ///
     /// Returns a [`SimError`] if a node violates the communication model
-    /// or the round budget is exhausted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes.len()` differs from the graph size.
-    pub fn run<A: Algorithm>(&self, nodes: Vec<A>) -> Result<Report<A::Output>, SimError> {
-        self.assert_node_count(&nodes);
-        Ok(pga_runtime::run_sequential(&self.model::<A>(), nodes, self.kernel_config())?.into())
-    }
-
-    /// Runs `nodes` to completion on the sharded multi-threaded engine.
-    ///
-    /// Vertices are partitioned into at most `threads` contiguous
-    /// shards with degree-balanced boundaries
-    /// ([`Simulator::shard_boundaries`]) driven by the shared
-    /// [`pga_runtime`] kernel and its counting-sort exchange; outputs,
-    /// [`Metrics`] (profile included) and errors all match
-    /// [`Simulator::run`] exactly, for every thread count (see
-    /// [`pga_runtime::run_sharded`] for why the shard-order scatter
-    /// needs no sorting). A model
-    /// violation aborts with the first offending node's error, though
-    /// `round` callbacks of higher-id nodes in other shards may already
-    /// have executed by then.
-    ///
-    /// `threads == 0` selects one shard per available CPU. With one
-    /// thread (or fewer than two nodes per shard) the call falls through
-    /// to the sequential engine.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SimError`] if a node violates the communication model
-    /// or the round budget is exhausted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes.len()` differs from the graph size.
-    pub fn run_parallel<A>(
-        &self,
-        nodes: Vec<A>,
-        threads: usize,
-    ) -> Result<Report<A::Output>, SimError>
-    where
-        A: Algorithm + Send,
-        A::Msg: Send,
-    {
-        self.assert_node_count(&nodes);
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(1, |p| p.get())
-        } else {
-            threads
-        };
-        Ok(
-            pga_runtime::run_sharded(&self.model::<A>(), nodes, threads, self.kernel_config())?
-                .into(),
-        )
-    }
-
-    /// Runs `nodes` on the engine selected by `engine`.
-    ///
-    /// Both engines produce bit-identical [`Report`]s, so callers can be
-    /// ported to this entry point and choose the engine per run (the
-    /// experiment binaries default to [`Engine::parallel_auto`]).
-    ///
-    /// With the auto-threaded parallel engine (`threads == 0`), instances
-    /// below [`PARALLEL_MIN_NODES`] vertices run on the sequential engine
-    /// instead: the workers are spawned per round, and below that size
-    /// the per-round shard work is smaller than the spawn cost, so
-    /// parallelism would only add overhead. An explicit thread count
-    /// always gets the parallel executor (the determinism tests rely on
-    /// that).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SimError`] if a node violates the communication model
-    /// or the round budget is exhausted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes.len()` differs from the graph size.
-    pub fn run_with<A>(&self, nodes: Vec<A>, engine: Engine) -> Result<Report<A::Output>, SimError>
-    where
-        A: Algorithm + Send,
-        A::Msg: Send,
-    {
-        match engine {
-            Engine::Sequential => self.run(nodes),
-            Engine::Parallel { threads: 0 } if self.g.num_nodes() < PARALLEL_MIN_NODES => {
-                self.run(nodes)
-            }
-            Engine::Parallel { threads } => self.run_parallel(nodes, threads),
-        }
-    }
-
-    /// Runs `nodes` on the sharded multi-threaded engine with the
-    /// message codec of `A::Msg` installed: the kernel exchange moves
-    /// packed [`MsgCodec::Word`]s through its flat CSR inbox arenas
-    /// instead of cloned message enums.
-    ///
-    /// Validation ([`check_message`]) and bit charging still run on the
-    /// decoded messages, so outputs, [`Metrics`] (congestion profile
-    /// included) and errors are bit-identical to [`Simulator::run`] and
-    /// [`Simulator::run_parallel`] at every thread count. Debug builds
-    /// additionally assert that [`MsgCodec::encoded_bits`] agrees with
-    /// [`MsgSize::size_bits`](pga_runtime::MsgCost::size_bits) for every
-    /// packed message.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SimError`] if a node violates the communication model
-    /// or the round budget is exhausted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes.len()` differs from the graph size.
-    pub fn run_parallel_codec<A>(
-        &self,
-        nodes: Vec<A>,
-        threads: usize,
-    ) -> Result<Report<A::Output>, SimError>
-    where
-        A: Algorithm + Send,
-        A::Msg: MsgCodec + Send,
-    {
-        self.assert_node_count(&nodes);
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(1, |p| p.get())
-        } else {
-            threads
-        };
-        Ok(pga_runtime::run_sharded(
-            &self.model_codec::<A>(),
-            nodes,
-            threads,
-            self.kernel_config(),
-        )?
-        .into())
-    }
-
-    /// Runs `nodes` under a [`RunConfig`]: engine, scheduling policy and
-    /// codec selection in one value.
-    ///
-    /// The configured [`RunConfig::scheduling`] overrides this
-    /// simulator's policy for the run. Engine dispatch matches
-    /// [`Simulator::run_with`] (including the
-    /// [`PARALLEL_MIN_NODES`] auto-threads fallback); with
-    /// [`RunConfig::codec`] on, parallel runs go through
-    /// [`Simulator::run_parallel_codec`]. The sequential engine always
-    /// uses the enum plane — packing lives in the sharded exchange.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SimError`] if a node violates the communication model
-    /// or the round budget is exhausted.
+    /// or the round budget is exhausted (which adversarially starved
+    /// runs routinely do — bound it with [`RunConfig::max_rounds`]).
     ///
     /// # Panics
     ///
@@ -637,19 +457,15 @@ impl<'g> Simulator<'g> {
         }
     }
 
-    /// [`Simulator::run_cfg`] with an explicit [`Probe`] attached.
-    ///
-    /// The probe observes every executor this dispatch can select —
-    /// sequential, sharded (either plane), or adversarial — without
-    /// changing outputs, [`Metrics`], or errors (*observer neutrality*;
-    /// see [`pga_runtime::probe`]). Passing [`NoopProbe`] is exactly the
-    /// un-probed run: the kernel monomorphizes every callback and timer
-    /// away.
+    /// [`Simulator::run_cfg`] with an explicit [`Probe`] attached (and
+    /// [`RunConfig::probe`] ignored). The probe never changes outputs,
+    /// [`Metrics`], or errors (*observer neutrality*; see
+    /// [`pga_runtime::probe`]); [`NoopProbe`] compiles every callback
+    /// and timer away.
     ///
     /// # Errors
     ///
-    /// Returns a [`SimError`] if a node violates the communication model
-    /// or the round budget is exhausted.
+    /// Returns a [`SimError`] like [`Simulator::run_cfg`].
     ///
     /// # Panics
     ///
@@ -665,263 +481,21 @@ impl<'g> Simulator<'g> {
         A::Msg: MsgCodec + Send,
         P: Probe,
     {
-        self.assert_node_count(&nodes);
-        let mut sim = *self;
-        sim.scheduling = cfg.scheduling;
-        if let Some(max) = cfg.max_rounds {
-            sim.max_rounds = max;
-        }
-        if let Some(rel) = cfg.reliability {
-            // The reliable (ARQ) executor subsumes the adversary: with
-            // no fault armed it runs over a never-interfering one.
-            let adversary = SeededAdversary::new(cfg.fault.unwrap_or_else(FaultSpec::none));
-            let threads = sim.fault_threads(cfg.engine);
-            #[allow(clippy::disallowed_methods)] // the sanctioned wrapper
-            let run: Result<Report<A::Output>, SimError> = if cfg.codec {
-                pga_runtime::arq::run_reliable_probed(
-                    &sim.model_codec::<A>(),
-                    nodes,
-                    threads,
-                    sim.kernel_config(),
-                    rel,
-                    &adversary,
-                    probe,
-                )
-                .map(Into::into)
-            } else {
-                pga_runtime::arq::run_reliable_probed(
-                    &sim.model::<A>(),
-                    nodes,
-                    threads,
-                    sim.kernel_config(),
-                    rel,
-                    &adversary,
-                    probe,
-                )
-                .map(Into::into)
-            };
-            return run;
-        }
-        if let Some(spec) = cfg.fault {
-            let adversary = SeededAdversary::new(spec);
-            let threads = sim.fault_threads(cfg.engine);
-            #[allow(clippy::disallowed_methods)] // the sanctioned wrapper
-            let run: Result<Report<A::Output>, SimError> = if cfg.codec {
-                pga_runtime::fault::run_faulty_probed(
-                    &sim.model_codec::<A>(),
-                    nodes,
-                    threads,
-                    sim.kernel_config(),
-                    &adversary,
-                    probe,
-                )
-                .map(Into::into)
-            } else {
-                pga_runtime::fault::run_faulty_probed(
-                    &sim.model::<A>(),
-                    nodes,
-                    threads,
-                    sim.kernel_config(),
-                    &adversary,
-                    probe,
-                )
-                .map(Into::into)
-            };
-            return run;
-        }
-        let sequential = |nodes: Vec<A>| -> Result<Report<A::Output>, SimError> {
-            Ok(pga_runtime::run_sequential_probed(
-                &sim.model::<A>(),
-                nodes,
-                sim.kernel_config(),
-                probe,
-            )?
-            .into())
-        };
-        match cfg.engine {
-            Engine::Sequential => sequential(nodes),
-            Engine::Parallel { threads: 0 } if self.g.num_nodes() < PARALLEL_MIN_NODES => {
-                sequential(nodes)
-            }
-            Engine::Parallel { threads } => {
-                let threads = if threads == 0 {
-                    std::thread::available_parallelism().map_or(1, |p| p.get())
-                } else {
-                    threads
-                };
-                if cfg.codec {
-                    Ok(pga_runtime::run_sharded_probed(
-                        &sim.model_codec::<A>(),
-                        nodes,
-                        threads,
-                        sim.kernel_config(),
-                        probe,
-                    )?
-                    .into())
-                } else {
-                    Ok(pga_runtime::run_sharded_probed(
-                        &sim.model::<A>(),
-                        nodes,
-                        threads,
-                        sim.kernel_config(),
-                        probe,
-                    )?
-                    .into())
-                }
-            }
-        }
+        self.execute(nodes, cfg, None, probe)
     }
 
-    /// [`Simulator::run_cfg`] for algorithms whose message type has no
-    /// [`MsgCodec`] impl: [`RunConfig::codec`] is ignored and the run
-    /// always uses the enum plane.
+    /// [`Simulator::run_cfg`] under an explicit [`Adversary`] in place
+    /// of [`RunConfig::fault`] (and without a trace sink): custom
+    /// oracles, recording ([`crate::SeededAdversary::recording`]) and replay
+    /// ([`crate::TraceAdversary`]). Fault decisions are pure functions of
+    /// `(round, sender, seq)`, so the run is bit-identical for every
+    /// engine and codec, and a replayed trace reproduces its recording
+    /// bit for bit. [`RunConfig::reliability`] still applies, with the
+    /// ARQ plane running over `adversary`.
     ///
     /// # Errors
     ///
-    /// Returns a [`SimError`] if a node violates the communication model
-    /// or the round budget is exhausted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes.len()` differs from the graph size.
-    pub fn run_cfg_plain<A>(
-        &self,
-        nodes: Vec<A>,
-        cfg: &RunConfig,
-    ) -> Result<Report<A::Output>, SimError>
-    where
-        A: Algorithm + Send,
-        A::Msg: Send,
-    {
-        match JsonlProbe::from_run_config(cfg, "congest") {
-            Some(probe) => self.run_cfg_plain_probed(nodes, cfg, &probe),
-            None => self.run_cfg_plain_probed(nodes, cfg, &NoopProbe),
-        }
-    }
-
-    /// [`Simulator::run_cfg_plain`] with an explicit [`Probe`] attached
-    /// (enum plane only; see [`Simulator::run_cfg_probed`] for the
-    /// neutrality contract).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SimError`] if a node violates the communication model
-    /// or the round budget is exhausted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes.len()` differs from the graph size.
-    pub fn run_cfg_plain_probed<A, P>(
-        &self,
-        nodes: Vec<A>,
-        cfg: &RunConfig,
-        probe: &P,
-    ) -> Result<Report<A::Output>, SimError>
-    where
-        A: Algorithm + Send,
-        A::Msg: Send,
-        P: Probe,
-    {
-        self.assert_node_count(&nodes);
-        let mut sim = *self;
-        sim.scheduling = cfg.scheduling;
-        if let Some(max) = cfg.max_rounds {
-            sim.max_rounds = max;
-        }
-        if let Some(rel) = cfg.reliability {
-            let adversary = SeededAdversary::new(cfg.fault.unwrap_or_else(FaultSpec::none));
-            #[allow(clippy::disallowed_methods)] // the sanctioned wrapper
-            return Ok(pga_runtime::arq::run_reliable_probed(
-                &sim.model::<A>(),
-                nodes,
-                sim.fault_threads(cfg.engine),
-                sim.kernel_config(),
-                rel,
-                &adversary,
-                probe,
-            )?
-            .into());
-        }
-        if let Some(spec) = cfg.fault {
-            let adversary = SeededAdversary::new(spec);
-            #[allow(clippy::disallowed_methods)] // the sanctioned wrapper
-            return Ok(pga_runtime::fault::run_faulty_probed(
-                &sim.model::<A>(),
-                nodes,
-                sim.fault_threads(cfg.engine),
-                sim.kernel_config(),
-                &adversary,
-                probe,
-            )?
-            .into());
-        }
-        let sequential = |nodes: Vec<A>| -> Result<Report<A::Output>, SimError> {
-            Ok(pga_runtime::run_sequential_probed(
-                &sim.model::<A>(),
-                nodes,
-                sim.kernel_config(),
-                probe,
-            )?
-            .into())
-        };
-        match cfg.engine {
-            Engine::Sequential => sequential(nodes),
-            Engine::Parallel { threads: 0 } if self.g.num_nodes() < PARALLEL_MIN_NODES => {
-                sequential(nodes)
-            }
-            Engine::Parallel { threads } => {
-                let threads = if threads == 0 {
-                    std::thread::available_parallelism().map_or(1, |p| p.get())
-                } else {
-                    threads
-                };
-                Ok(pga_runtime::run_sharded_probed(
-                    &sim.model::<A>(),
-                    nodes,
-                    threads,
-                    sim.kernel_config(),
-                    probe,
-                )?
-                .into())
-            }
-        }
-    }
-
-    /// The thread count a fault run uses for `engine`: the adversarial
-    /// executor has no separate sequential/sharded split, so the engine
-    /// choice reduces to a thread count (with the same
-    /// [`PARALLEL_MIN_NODES`] auto-threads fallback as the clean
-    /// dispatch — and the same bit-identical results either way).
-    fn fault_threads(&self, engine: Engine) -> usize {
-        match engine {
-            Engine::Sequential => 1,
-            Engine::Parallel { threads: 0 } => {
-                if self.g.num_nodes() < PARALLEL_MIN_NODES {
-                    1
-                } else {
-                    std::thread::available_parallelism().map_or(1, |p| p.get())
-                }
-            }
-            Engine::Parallel { threads } => threads,
-        }
-    }
-
-    /// Runs `nodes` on the adversarial executor under an explicit
-    /// [`Adversary`] (enum message plane).
-    ///
-    /// Fault decisions are pure functions of `(round, sender, seq)`, so
-    /// the run is bit-identical for every `engine` choice, and an
-    /// adversary that never interferes reproduces [`Simulator::run`]
-    /// bit for bit. Most callers want [`Simulator::run_cfg`] with
-    /// [`RunConfig::adversary`] instead; this entry point exists for
-    /// custom [`Adversary`] implementations and replay tooling.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SimError`] if a node violates the communication
-    /// model or the round budget is exhausted (which adversarially
-    /// starved runs routinely do — bound the budget via
-    /// [`Simulator::with_max_rounds`] or [`RunConfig::max_rounds`]).
+    /// Returns a [`SimError`] like [`Simulator::run_cfg`].
     ///
     /// # Panics
     ///
@@ -929,124 +503,38 @@ impl<'g> Simulator<'g> {
     pub fn run_adversary<A>(
         &self,
         nodes: Vec<A>,
-        engine: Engine,
-        adversary: &dyn Adversary,
-    ) -> Result<Report<A::Output>, SimError>
-    where
-        A: Algorithm + Send,
-        A::Msg: Send,
-    {
-        self.assert_node_count(&nodes);
-        #[allow(clippy::disallowed_methods)] // the sanctioned wrapper
-        Ok(pga_runtime::fault::run_faulty(
-            &self.model::<A>(),
-            nodes,
-            self.fault_threads(engine),
-            self.kernel_config(),
-            adversary,
-        )?
-        .into())
-    }
-
-    /// [`Simulator::run_adversary`] with the message codec of `A::Msg`
-    /// installed: the adversarial executor moves packed
-    /// [`MsgCodec::Word`]s, with fates decided on exactly the same
-    /// `(round, sender, seq)` coordinates — both planes stay
-    /// bit-identical under any adversary.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SimError`] like [`Simulator::run_adversary`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes.len()` differs from the graph size.
-    pub fn run_adversary_codec<A>(
-        &self,
-        nodes: Vec<A>,
-        engine: Engine,
+        cfg: &RunConfig,
         adversary: &dyn Adversary,
     ) -> Result<Report<A::Output>, SimError>
     where
         A: Algorithm + Send,
         A::Msg: MsgCodec + Send,
     {
-        self.assert_node_count(&nodes);
-        #[allow(clippy::disallowed_methods)] // the sanctioned wrapper
-        Ok(pga_runtime::fault::run_faulty(
-            &self.model_codec::<A>(),
-            nodes,
-            self.fault_threads(engine),
-            self.kernel_config(),
-            adversary,
-        )?
-        .into())
+        self.execute(nodes, cfg, Some(adversary), &NoopProbe)
     }
 
-    /// Runs `nodes` under `spec` while recording every inflicted fault,
-    /// returning the report together with the [`FaultTrace`] that
-    /// [`Simulator::run_replay`] re-executes bit for bit.
-    ///
-    /// Engine, scheduling, and round budget come from `cfg`;
-    /// [`RunConfig::fault`] and [`RunConfig::codec`] are ignored (`spec`
-    /// is explicit, and the recording run uses the enum plane — the
-    /// planes are bit-identical, so the trace is valid for both).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SimError`] like [`Simulator::run_adversary`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes.len()` differs from the graph size.
-    pub fn run_traced<A>(
+    fn execute<A, P>(
         &self,
         nodes: Vec<A>,
-        spec: FaultSpec,
         cfg: &RunConfig,
-    ) -> Result<(Report<A::Output>, FaultTrace), SimError>
-    where
-        A: Algorithm + Send,
-        A::Msg: Send,
-    {
-        let mut sim = *self;
-        sim.scheduling = cfg.scheduling;
-        if let Some(max) = cfg.max_rounds {
-            sim.max_rounds = max;
-        }
-        let n = self.g.num_nodes();
-        let adversary = SeededAdversary::recording(spec);
-        let report = sim.run_adversary(nodes, cfg.engine, &adversary)?;
-        Ok((report, adversary.into_trace(n)))
-    }
-
-    /// Re-executes a recorded fault schedule: every coordinate in
-    /// `trace` gets its recorded fate, everything else is delivered
-    /// clean, so the run reproduces the recorded one bit for bit (same
-    /// outputs, same [`Metrics`], at any engine/thread choice).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SimError`] like [`Simulator::run_adversary`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes.len()` differs from the graph size.
-    pub fn run_replay<A>(
-        &self,
-        nodes: Vec<A>,
-        trace: &FaultTrace,
-        cfg: &RunConfig,
+        adversary: Option<&dyn Adversary>,
+        probe: &P,
     ) -> Result<Report<A::Output>, SimError>
     where
         A: Algorithm + Send,
-        A::Msg: Send,
+        A::Msg: MsgCodec + Send,
+        P: Probe,
     {
-        let mut sim = *self;
-        sim.scheduling = cfg.scheduling;
-        if let Some(max) = cfg.max_rounds {
-            sim.max_rounds = max;
-        }
-        sim.run_adversary(nodes, cfg.engine, &TraceAdversary::new(trace))
+        assert_eq!(
+            nodes.len(),
+            self.g.num_nodes(),
+            "one algorithm state per vertex required"
+        );
+        let cfg = RunConfig {
+            max_rounds: Some(cfg.max_rounds.unwrap_or(self.max_rounds)),
+            ..*cfg
+        };
+        let model = self.exec_model::<A>(cfg.codec);
+        pga_runtime::execute_under(&model, nodes, &cfg, adversary, probe)
     }
 }

@@ -7,7 +7,8 @@
 //! model.
 
 use pga_congest::{
-    balanced_partition, id_bits, Algorithm, Ctx, Engine, MsgSize, Scheduling, SimError, Simulator,
+    balanced_partition, id_bits, Algorithm, Ctx, Engine, MsgCodec, MsgSize, RunConfig, Scheduling,
+    SimError, Simulator,
 };
 use pga_graph::{generators, NodeId};
 
@@ -16,6 +17,15 @@ struct U32Msg(u32);
 impl MsgSize for U32Msg {
     fn size_bits(&self, id_bits: usize) -> usize {
         id_bits
+    }
+}
+impl MsgCodec for U32Msg {
+    type Word = u32;
+    fn encode(&self) -> u32 {
+        self.0
+    }
+    fn decode(w: u32) -> U32Msg {
+        U32Msg(w)
     }
 }
 
@@ -70,7 +80,7 @@ impl Algorithm for FloodMax {
 fn flood_max_on_path() {
     let g = generators::path(10);
     let report = Simulator::congest(&g)
-        .run((0..10).map(FloodMax::new).collect())
+        .run_cfg((0..10).map(FloodMax::new).collect(), &RunConfig::new())
         .unwrap();
     assert!(report.outputs.iter().all(|&b| b == 9));
     // Max id must travel 9 hops: at least 9 rounds.
@@ -111,13 +121,14 @@ fn flood_max_on_clique_topology_one_hop() {
         }
     }
     let report = Simulator::congested_clique(&g)
-        .run(
+        .run_cfg(
             (0..10)
                 .map(|i| Shout {
                     best: i as u32,
                     done: false,
                 })
                 .collect(),
+            &RunConfig::new(),
         )
         .unwrap();
     assert!(report.outputs.iter().all(|&b| b == 9));
@@ -144,7 +155,7 @@ fn illegal_destination_congest() {
         fn output(&self, _ctx: &Ctx) {}
     }
     let err = Simulator::congest(&g)
-        .run(vec![Bad, Bad, Bad, Bad])
+        .run_cfg(vec![Bad, Bad, Bad, Bad], &RunConfig::new())
         .unwrap_err();
     assert!(matches!(err, SimError::IllegalDestination { .. }));
 }
@@ -157,6 +168,13 @@ fn bandwidth_violation() {
     impl MsgSize for Huge {
         fn size_bits(&self, _id_bits: usize) -> usize {
             1 << 20
+        }
+    }
+    impl MsgCodec for Huge {
+        type Word = ();
+        fn encode(&self) {}
+        fn decode((): ()) -> Huge {
+            Huge
         }
     }
     struct Sender;
@@ -176,7 +194,7 @@ fn bandwidth_violation() {
         fn output(&self, _ctx: &Ctx) {}
     }
     let err = Simulator::congest(&g)
-        .run(vec![Sender, Sender])
+        .run_cfg(vec![Sender, Sender], &RunConfig::new())
         .unwrap_err();
     assert!(matches!(err, SimError::BandwidthExceeded { .. }));
 }
@@ -200,7 +218,9 @@ fn duplicate_message_rejected() {
         }
         fn output(&self, _ctx: &Ctx) {}
     }
-    let err = Simulator::congest(&g).run(vec![Dup, Dup]).unwrap_err();
+    let err = Simulator::congest(&g)
+        .run_cfg(vec![Dup, Dup], &RunConfig::new())
+        .unwrap_err();
     assert!(matches!(err, SimError::DuplicateMessage { .. }));
 }
 
@@ -224,7 +244,7 @@ fn round_limit() {
     }
     let err = Simulator::congest(&g)
         .with_max_rounds(10)
-        .run(vec![Chatter, Chatter])
+        .run_cfg(vec![Chatter, Chatter], &RunConfig::new())
         .unwrap_err();
     assert_eq!(err, SimError::RoundLimitExceeded { limit: 10 });
 }
@@ -243,11 +263,14 @@ fn parallel_matches_sequential_bit_identically() {
     for g in &graphs {
         let n = g.num_nodes();
         let seq = Simulator::congest(g)
-            .run((0..n).map(FloodMax::new).collect())
+            .run_cfg((0..n).map(FloodMax::new).collect(), &RunConfig::new())
             .unwrap();
         for threads in [1, 2, 3, 4, 8] {
             let par = Simulator::congest(g)
-                .run_parallel((0..n).map(FloodMax::new).collect(), threads)
+                .run_cfg(
+                    (0..n).map(FloodMax::new).collect(),
+                    &RunConfig::new().parallel(threads),
+                )
                 .unwrap();
             assert_eq!(par.outputs, seq.outputs, "outputs, t={threads}");
             assert_eq!(par.metrics, seq.metrics, "metrics, t={threads}");
@@ -268,11 +291,14 @@ fn parallel_matches_sequential_on_heavy_tail_and_lollipop() {
     for g in &graphs {
         let n = g.num_nodes();
         let seq = Simulator::congest(g)
-            .run((0..n).map(FloodMax::new).collect())
+            .run_cfg((0..n).map(FloodMax::new).collect(), &RunConfig::new())
             .unwrap();
         for threads in [1, 2, 3, 5, 8] {
             let par = Simulator::congest(g)
-                .run_parallel((0..n).map(FloodMax::new).collect(), threads)
+                .run_cfg(
+                    (0..n).map(FloodMax::new).collect(),
+                    &RunConfig::new().parallel(threads),
+                )
                 .unwrap();
             assert_eq!(par.outputs, seq.outputs, "outputs, t={threads}");
             assert_eq!(par.metrics, seq.metrics, "metrics, t={threads}");
@@ -320,20 +346,26 @@ fn scheduling_policies_match_bit_identically() {
     for g in &graphs {
         let n = g.num_nodes();
         let reference = Simulator::congest(g)
-            .with_scheduling(Scheduling::FullSweep)
-            .run((0..n).map(FloodMax::new).collect())
+            .run_cfg(
+                (0..n).map(FloodMax::new).collect(),
+                &RunConfig::new().scheduling(Scheduling::FullSweep),
+            )
             .unwrap();
         for scheduling in [Scheduling::FullSweep, Scheduling::ActiveSet] {
             let seq = Simulator::congest(g)
-                .with_scheduling(scheduling)
-                .run((0..n).map(FloodMax::new).collect())
+                .run_cfg(
+                    (0..n).map(FloodMax::new).collect(),
+                    &RunConfig::new().scheduling(scheduling),
+                )
                 .unwrap();
             assert_eq!(seq.outputs, reference.outputs, "{scheduling:?}");
             assert_eq!(seq.metrics, reference.metrics, "{scheduling:?}");
             for threads in [2, 3, 5] {
                 let par = Simulator::congest(g)
-                    .with_scheduling(scheduling)
-                    .run_parallel((0..n).map(FloodMax::new).collect(), threads)
+                    .run_cfg(
+                        (0..n).map(FloodMax::new).collect(),
+                        &RunConfig::new().scheduling(scheduling).parallel(threads),
+                    )
                     .unwrap();
                 assert_eq!(par.outputs, reference.outputs, "{scheduling:?} t={threads}");
                 assert_eq!(par.metrics, reference.metrics, "{scheduling:?} t={threads}");
@@ -373,10 +405,12 @@ fn parallel_congested_clique_matches() {
         }
     }
     let mk = || (0..12).map(|i| Shout(i as u32, false)).collect();
-    let seq = Simulator::congested_clique(&g).run(mk()).unwrap();
+    let seq = Simulator::congested_clique(&g)
+        .run_cfg(mk(), &RunConfig::new())
+        .unwrap();
     for threads in [2, 4, 6] {
         let par = Simulator::congested_clique(&g)
-            .run_parallel(mk(), threads)
+            .run_cfg(mk(), &RunConfig::new().parallel(threads))
             .unwrap();
         assert_eq!(par.outputs, seq.outputs);
         assert_eq!(par.metrics, seq.metrics);
@@ -405,11 +439,14 @@ fn parallel_errors_match_sequential() {
         fn output(&self, _ctx: &Ctx) {}
     }
     let seq = Simulator::congest(&g)
-        .run((0..8).map(|_| Bad).collect::<Vec<_>>())
+        .run_cfg((0..8).map(|_| Bad).collect::<Vec<_>>(), &RunConfig::new())
         .unwrap_err();
     for threads in [2, 4] {
         let par = Simulator::congest(&g)
-            .run_parallel((0..8).map(|_| Bad).collect::<Vec<_>>(), threads)
+            .run_cfg(
+                (0..8).map(|_| Bad).collect::<Vec<_>>(),
+                &RunConfig::new().parallel(threads),
+            )
             .unwrap_err();
         assert_eq!(par, seq, "t={threads}");
     }
@@ -443,7 +480,10 @@ fn parallel_round_limit_matches() {
     }
     let err = Simulator::congest(&g)
         .with_max_rounds(7)
-        .run_parallel((0..8).map(|_| Chatter).collect::<Vec<_>>(), 4)
+        .run_cfg(
+            (0..8).map(|_| Chatter).collect::<Vec<_>>(),
+            &RunConfig::new().parallel(4),
+        )
         .unwrap_err();
     assert_eq!(err, SimError::RoundLimitExceeded { limit: 7 });
 }
@@ -457,7 +497,10 @@ fn run_with_dispatches_both_engines() {
         Engine::parallel_auto(),
     ] {
         let report = Simulator::congest(&g)
-            .run_with((0..10).map(FloodMax::new).collect(), engine)
+            .run_cfg(
+                (0..10).map(FloodMax::new).collect(),
+                &RunConfig::new().engine(engine),
+            )
             .unwrap();
         assert!(report.outputs.iter().all(|&b| b == 9), "{engine:?}");
     }
@@ -467,7 +510,7 @@ fn run_with_dispatches_both_engines() {
 fn congestion_profile_invariants() {
     let g = generators::grid(4, 5);
     let report = Simulator::congest(&g)
-        .run((0..20).map(FloodMax::new).collect())
+        .run_cfg((0..20).map(FloodMax::new).collect(), &RunConfig::new())
         .unwrap();
     let m = &report.metrics;
     assert_eq!(m.congestion_profile.len(), m.rounds);
@@ -509,7 +552,9 @@ fn zero_round_algorithm() {
             true
         }
     }
-    let report = Simulator::congest(&g).run(vec![Lazy, Lazy, Lazy]).unwrap();
+    let report = Simulator::congest(&g)
+        .run_cfg(vec![Lazy, Lazy, Lazy], &RunConfig::new())
+        .unwrap();
     assert_eq!(report.metrics.messages, 0);
     assert!(report.outputs.iter().all(|&b| b));
 }

@@ -5,7 +5,9 @@
 //! planes, and a recorded trace must replay bit for bit.
 
 use pga_congest::primitives::FloodMax;
-use pga_congest::{FaultSpec, ReliabilitySpec, RunConfig, Simulator};
+use pga_congest::{
+    FaultSpec, ReliabilitySpec, RunConfig, SeededAdversary, Simulator, TraceAdversary,
+};
 use pga_graph::{generators, Graph, NodeId};
 use proptest::prelude::*;
 
@@ -53,7 +55,7 @@ proptest! {
     fn none_spec_is_bit_identical_to_clean_engines(g in arb_instance()) {
         let n = g.num_nodes();
         let sim = Simulator::congest(&g);
-        let clean = sim.run(flood(n)).unwrap();
+        let clean = sim.run_cfg(flood(n), &RunConfig::new()).unwrap();
         for threads in [1usize, 2, 4, 8] {
             for codec in [false, true] {
                 let cfg = RunConfig::new()
@@ -126,7 +128,7 @@ proptest! {
     fn arq_without_faults_reproduces_clean_outputs(g in arb_instance()) {
         let n = g.num_nodes();
         let sim = Simulator::congest(&g);
-        let clean = sim.run(flood(n)).unwrap();
+        let clean = sim.run_cfg(flood(n), &RunConfig::new()).unwrap();
         let base_cfg = RunConfig::new().sequential().reliability(ReliabilitySpec::arq());
         let base = sim.run_cfg(flood(n), &base_cfg).unwrap();
         prop_assert_eq!(&base.outputs, &clean.outputs);
@@ -152,7 +154,7 @@ proptest! {
     fn arq_drop_only_recovers_clean_outputs(g in arb_instance(), seed in any::<u64>()) {
         let n = g.num_nodes();
         let sim = Simulator::congest(&g);
-        let clean = sim.run(flood(n)).unwrap();
+        let clean = sim.run_cfg(flood(n), &RunConfig::new()).unwrap();
         let spec = FaultSpec::seeded(seed).drop(0.10);
         let base_cfg = RunConfig::new()
             .sequential()
@@ -212,8 +214,8 @@ proptest! {
         }
     }
 
-    /// Record-and-replay: `run_traced` captures every inflicted fault,
-    /// and `run_replay` of that trace reproduces the recorded run bit
+    /// Record-and-replay: a recording adversary captures every inflicted
+    /// fault, and replaying that trace reproduces the recorded run bit
     /// for bit — including on a different engine and thread count.
     #[test]
     fn trace_replay_is_bit_identical(g in arb_instance(), seed in any::<u64>()) {
@@ -221,18 +223,23 @@ proptest! {
         let sim = Simulator::congest(&g);
         let spec = hostile(seed);
         let cfg = RunConfig::new().sequential().max_rounds(300);
-        let Ok((recorded, trace)) = sim.run_traced(flood(n), spec, &cfg) else {
+        let record = || {
+            let recorder = SeededAdversary::recording(spec);
+            let report = sim.run_adversary(flood(n), &cfg, &recorder)?;
+            Ok::<_, pga_congest::SimError>((report, recorder.into_trace(n)))
+        };
+        let Ok((recorded, trace)) = record() else {
             // Adversarially starved run: recording it again must at
             // least reproduce the same error deterministically.
-            let a = sim.run_traced(flood(n), spec, &cfg).map(|_| ()).unwrap_err();
-            let b = sim.run_traced(flood(n), spec, &cfg).map(|_| ()).unwrap_err();
+            let a = record().map(|_| ()).unwrap_err();
+            let b = record().map(|_| ()).unwrap_err();
             prop_assert_eq!(a, b);
             return Ok(());
         };
         prop_assert_eq!(trace.spec, spec);
         for threads in [1usize, 4] {
             let replay_cfg = RunConfig::new().parallel(threads).max_rounds(300);
-            let replayed = sim.run_replay(flood(n), &trace, &replay_cfg).unwrap();
+            let replayed = sim.run_adversary(flood(n), &replay_cfg, &TraceAdversary::new(&trace)).unwrap();
             prop_assert_eq!(&replayed.outputs, &recorded.outputs, "threads {}", threads);
             prop_assert_eq!(&replayed.metrics, &recorded.metrics, "threads {}", threads);
         }

@@ -2,7 +2,7 @@
 //! primitive.
 
 use pga_congest::primitives::{FloodMax, GatherScatter, LeaderCompute, SizedU64};
-use pga_congest::{Algorithm, Ctx, MsgSize, Simulator};
+use pga_congest::{Algorithm, Ctx, MsgCodec, MsgSize, RunConfig, Simulator};
 use pga_graph::traversal::{bfs_distances, diameter};
 use pga_graph::{generators, Graph, NodeId};
 use proptest::prelude::*;
@@ -49,6 +49,13 @@ impl MsgSize for Ping {
         1
     }
 }
+impl MsgCodec for Ping {
+    type Word = ();
+    fn encode(&self) {}
+    fn decode((): ()) -> Ping {
+        Ping
+    }
+}
 
 impl Algorithm for Layer {
     type Msg = Ping;
@@ -86,7 +93,7 @@ proptest! {
     fn flooding_matches_bfs(g in arb_connected()) {
         let n = g.num_nodes();
         let report = Simulator::congest(&g)
-            .run((0..n).map(|_| Layer { dist: None, announce: false }).collect())
+            .run_cfg((0..n).map(|_| Layer { dist: None, announce: false }).collect(), &RunConfig::new())
             .unwrap();
         let bfs = bfs_distances(&g, NodeId(0));
         for (v, &dist) in bfs.iter().enumerate() {
@@ -113,7 +120,7 @@ proptest! {
                 )
             })
             .collect();
-        let report = Simulator::congest(&g).run(nodes).unwrap();
+        let report = Simulator::congest(&g).run_cfg(nodes, &RunConfig::new()).unwrap();
         let expect: u64 = (0..n as u64).map(|i| i * i).sum();
         for o in &report.outputs {
             prop_assert_eq!(o.response.len(), 1);
@@ -138,7 +145,7 @@ proptest! {
                 )
             })
             .collect();
-        let report = Simulator::congest(&g).run(nodes).unwrap();
+        let report = Simulator::congest(&g).run_cfg(nodes, &RunConfig::new()).unwrap();
         let k = n * per_node;
         let d = diameter(&g).unwrap();
         prop_assert!(
@@ -154,7 +161,7 @@ proptest! {
     }
 
     /// Determinism of the sharded engine: for random graphs and every
-    /// thread count, `run_parallel(t)` produces outputs AND metrics
+    /// thread count, `parallel(t)` produces outputs AND metrics
     /// bit-identical to the sequential reference engine.
     #[test]
     fn parallel_engine_is_bit_identical(g in arb_connected(), t_idx in 0usize..4) {
@@ -163,18 +170,18 @@ proptest! {
 
         // Workload 1: BFS layers (sparse, data-dependent quiescence).
         let seq = Simulator::congest(&g)
-            .run((0..n).map(|_| Layer { dist: None, announce: false }).collect())
+            .run_cfg((0..n).map(|_| Layer { dist: None, announce: false }).collect(), &RunConfig::new())
             .unwrap();
         let par = Simulator::congest(&g)
-            .run_parallel((0..n).map(|_| Layer { dist: None, announce: false }).collect(), threads)
+            .run_cfg((0..n).map(|_| Layer { dist: None, announce: false }).collect(), &RunConfig::new().parallel(threads))
             .unwrap();
         prop_assert_eq!(&par.outputs, &seq.outputs, "Layer outputs, t={}", threads);
         prop_assert_eq!(&par.metrics, &seq.metrics, "Layer metrics, t={}", threads);
 
         // Workload 2: flood-max leader election (dense message flow).
         let mk = || (0..n).map(|i| FloodMax::new(NodeId::from_index(i))).collect();
-        let seq = Simulator::congest(&g).run(mk()).unwrap();
-        let par = Simulator::congest(&g).run_parallel(mk(), threads).unwrap();
+        let seq = Simulator::congest(&g).run_cfg(mk(), &RunConfig::new()).unwrap();
+        let par = Simulator::congest(&g).run_cfg(mk(), &RunConfig::new().parallel(threads)).unwrap();
         prop_assert_eq!(&par.outputs, &seq.outputs, "FloodMax outputs, t={}", threads);
         prop_assert_eq!(&par.metrics, &seq.metrics, "FloodMax metrics, t={}", threads);
     }
@@ -197,8 +204,8 @@ proptest! {
                 )
             })
             .collect();
-        let seq = Simulator::congest(&g).run(mk()).unwrap();
-        let par = Simulator::congest(&g).run_parallel(mk(), threads).unwrap();
+        let seq = Simulator::congest(&g).run_cfg(mk(), &RunConfig::new()).unwrap();
+        let par = Simulator::congest(&g).run_cfg(mk(), &RunConfig::new().parallel(threads)).unwrap();
         prop_assert_eq!(&par.outputs, &seq.outputs, "outputs, t={}", threads);
         prop_assert_eq!(&par.metrics, &seq.metrics, "metrics, t={}", threads);
     }
@@ -223,23 +230,19 @@ proptest! {
             .collect::<Vec<_>>();
 
         let full = Simulator::congest(&g)
-            .with_scheduling(Scheduling::FullSweep)
-            .run(mk_layer())
+            .run_cfg(mk_layer(), &RunConfig::new().scheduling(Scheduling::FullSweep))
             .unwrap();
         let active = Simulator::congest(&g)
-            .with_scheduling(Scheduling::ActiveSet)
-            .run_parallel(mk_layer(), threads)
+            .run_cfg(mk_layer(), &RunConfig::new().scheduling(Scheduling::ActiveSet).parallel(threads))
             .unwrap();
         prop_assert_eq!(&active.outputs, &full.outputs, "Layer outputs, t={}", threads);
         prop_assert_eq!(&active.metrics, &full.metrics, "Layer metrics, t={}", threads);
 
         let full = Simulator::congest(&g)
-            .with_scheduling(Scheduling::FullSweep)
-            .run(mk_gs())
+            .run_cfg(mk_gs(), &RunConfig::new().scheduling(Scheduling::FullSweep))
             .unwrap();
         let active = Simulator::congest(&g)
-            .with_scheduling(Scheduling::ActiveSet)
-            .run_parallel(mk_gs(), threads)
+            .run_cfg(mk_gs(), &RunConfig::new().scheduling(Scheduling::ActiveSet).parallel(threads))
             .unwrap();
         prop_assert_eq!(&active.outputs, &full.outputs, "GS outputs, t={}", threads);
         prop_assert_eq!(&active.metrics, &full.metrics, "GS metrics, t={}", threads);
@@ -266,17 +269,17 @@ proptest! {
         prop_assert_eq!(covered, n);
     }
 
-    /// Under the counting-sort exchange, `run_parallel` stays
-    /// bit-identical to `run` across thread counts {1, 2, 3, 5, 8} on
+    /// Under the counting-sort exchange, `parallel(t)` stays
+    /// bit-identical to the sequential run across thread counts {1, 2, 3, 5, 8} on
     /// uniform gnm, heavy-tailed Barabási–Albert, and quiescent-tail
     /// lollipop instances.
     #[test]
     fn counting_sort_exchange_bit_identical(g in arb_exchange_instance()) {
         let n = g.num_nodes();
         let mk = || (0..n).map(|i| FloodMax::new(NodeId::from_index(i))).collect::<Vec<_>>();
-        let seq = Simulator::congest(&g).run(mk()).unwrap();
+        let seq = Simulator::congest(&g).run_cfg(mk(), &RunConfig::new()).unwrap();
         for threads in [1usize, 2, 3, 5, 8] {
-            let par = Simulator::congest(&g).run_parallel(mk(), threads).unwrap();
+            let par = Simulator::congest(&g).run_cfg(mk(), &RunConfig::new().parallel(threads)).unwrap();
             prop_assert_eq!(&par.outputs, &seq.outputs, "outputs, t={}", threads);
             prop_assert_eq!(&par.metrics, &seq.metrics, "metrics, t={}", threads);
         }
@@ -287,7 +290,7 @@ proptest! {
     fn metrics_consistency(g in arb_connected()) {
         let n = g.num_nodes();
         let report = Simulator::congest(&g)
-            .run((0..n).map(|_| Layer { dist: None, announce: false }).collect())
+            .run_cfg((0..n).map(|_| Layer { dist: None, announce: false }).collect(), &RunConfig::new())
             .unwrap();
         let m = &report.metrics;
         prop_assert!(m.bits >= m.messages, "each Ping is ≥1 bit");

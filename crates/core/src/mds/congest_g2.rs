@@ -31,9 +31,7 @@
 //! makes progress exactly as in \[CD18\].
 
 use crate::mds::estimator::{estimate_from_minima, exp_sample};
-use pga_congest::{
-    Algorithm, Ctx, Engine, Metrics, MsgCodec, MsgSize, RunConfig, SimError, Simulator,
-};
+use pga_congest::{Algorithm, Ctx, Metrics, MsgCodec, MsgSize, RunConfig, SimError, Simulator};
 use pga_graph::{Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -416,21 +414,6 @@ impl G2MdsResult {
 /// ```
 pub fn g2_mds_congest(g: &Graph, sample_factor: usize, seed: u64) -> Result<G2MdsResult, SimError> {
     g2_mds_congest_cfg(g, sample_factor, seed, &RunConfig::new())
-}
-
-/// [`g2_mds_congest`] on an explicit simulation [`Engine`].
-///
-/// # Errors
-///
-/// Propagates [`SimError`] like [`g2_mds_congest`].
-#[deprecated(since = "0.1.0", note = "use g2_mds_congest_cfg with a RunConfig")]
-pub fn g2_mds_congest_with(
-    g: &Graph,
-    sample_factor: usize,
-    seed: u64,
-    engine: Engine,
-) -> Result<G2MdsResult, SimError> {
-    g2_mds_congest_cfg(g, sample_factor, seed, &RunConfig::new().engine(engine))
 }
 
 /// [`g2_mds_congest`] under an explicit [`RunConfig`] (engine, thread

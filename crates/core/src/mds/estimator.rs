@@ -11,7 +11,7 @@
 //! This module provides both the bare math ([`estimate_from_minima`]) and
 //! the distributed algorithm ([`TwoHopEstimator`]).
 
-use pga_congest::{Algorithm, Ctx, Engine, MsgCodec, MsgSize, RunConfig, Simulator};
+use pga_congest::{Algorithm, Ctx, MsgCodec, MsgSize, RunConfig, Simulator};
 use pga_graph::{Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -166,26 +166,6 @@ pub fn estimate_two_hop_sizes(g: &Graph, in_u: &[bool], r: usize, seed: u64) -> 
     estimate_two_hop_sizes_cfg(g, in_u, r, seed, &RunConfig::new())
 }
 
-/// [`estimate_two_hop_sizes`] on an explicit simulation [`Engine`].
-///
-/// # Panics
-///
-/// Panics if the simulation violates the model (it cannot, by
-/// construction) — surfaced as an `expect` for API simplicity.
-#[deprecated(
-    since = "0.1.0",
-    note = "use estimate_two_hop_sizes_cfg with a RunConfig"
-)]
-pub fn estimate_two_hop_sizes_with(
-    g: &Graph,
-    in_u: &[bool],
-    r: usize,
-    seed: u64,
-    engine: Engine,
-) -> Vec<f64> {
-    estimate_two_hop_sizes_cfg(g, in_u, r, seed, &RunConfig::new().engine(engine))
-}
-
 /// [`estimate_two_hop_sizes`] under an explicit [`RunConfig`] (engine,
 /// thread count, scheduling policy, packed message plane).
 ///
@@ -295,7 +275,9 @@ mod tests {
         let nodes = (0..10)
             .map(|i| TwoHopEstimator::new(true, 25, 3, i))
             .collect::<Vec<_>>();
-        let report = Simulator::congest(&g).run(nodes).unwrap();
+        let report = Simulator::congest(&g)
+            .run_cfg(nodes, &RunConfig::new())
+            .unwrap();
         assert!(
             report.metrics.rounds <= 2 * 25 + 2,
             "{} rounds",

@@ -18,8 +18,7 @@ use pga_congest::primitives::{GatherScatter, LeaderCompute};
 use pga_congest::{default_bandwidth_bits, Metrics, SimError};
 use pga_graph::{Graph, NodeId};
 use pga_mpc::{
-    adapter_vertex_cost, recommended_memory_words, CongestOnMpc, Engine, MpcError, MpcMetrics,
-    RunConfig,
+    adapter_vertex_cost, recommended_memory_words, CongestOnMpc, MpcError, MpcMetrics, RunConfig,
 };
 use std::sync::Arc;
 
@@ -81,29 +80,6 @@ pub fn g2_mvc_congest_mpc(
 ) -> Result<MpcExecution<G2MvcResult>, MpcError> {
     let budget = budget_for::<Phase1>(g).max(budget_for::<GatherScatter<FEdge, CoverId>>(g));
     g2_mvc_congest_mpc_cfg(g, eps, solver, budget, &RunConfig::new())
-}
-
-/// [`g2_mvc_congest_mpc`] with an explicit memory budget `S` (words)
-/// and MPC [`Engine`].
-///
-/// # Errors
-///
-/// Returns an [`MpcError`] like [`g2_mvc_congest_mpc`].
-#[deprecated(since = "0.1.0", note = "use g2_mvc_congest_mpc_cfg with a RunConfig")]
-pub fn g2_mvc_congest_mpc_with(
-    g: &Graph,
-    eps: f64,
-    solver: LocalSolver,
-    memory_words: usize,
-    engine: Engine,
-) -> Result<MpcExecution<G2MvcResult>, MpcError> {
-    g2_mvc_congest_mpc_cfg(
-        g,
-        eps,
-        solver,
-        memory_words,
-        &RunConfig::new().engine(engine),
-    )
 }
 
 /// [`g2_mvc_congest_mpc`] with an explicit memory budget `S` (words)
@@ -226,29 +202,6 @@ pub fn g2_mds_congest_mpc(
 ) -> Result<MpcExecution<G2MdsResult>, MpcError> {
     let budget = budget_for::<crate::mds::congest_g2::Theorem28Node>(g);
     g2_mds_congest_mpc_cfg(g, sample_factor, seed, budget, &RunConfig::new())
-}
-
-/// [`g2_mds_congest_mpc`] with an explicit memory budget `S` (words)
-/// and MPC [`Engine`].
-///
-/// # Errors
-///
-/// Returns an [`MpcError`] like [`g2_mvc_congest_mpc`].
-#[deprecated(since = "0.1.0", note = "use g2_mds_congest_mpc_cfg with a RunConfig")]
-pub fn g2_mds_congest_mpc_with(
-    g: &Graph,
-    sample_factor: usize,
-    seed: u64,
-    memory_words: usize,
-    engine: Engine,
-) -> Result<MpcExecution<G2MdsResult>, MpcError> {
-    g2_mds_congest_mpc_cfg(
-        g,
-        sample_factor,
-        seed,
-        memory_words,
-        &RunConfig::new().engine(engine),
-    )
 }
 
 /// [`g2_mds_congest_mpc`] with an explicit memory budget `S` (words)

@@ -13,8 +13,7 @@ use crate::mvc::phase1_direct::run_phase1_with_prep;
 use crate::mvc::remainder::{f_edges_for_node, solve_remainder, FEdge, LocalSolver};
 use pga_congest::primitives::GsPack;
 use pga_congest::{
-    default_cap_words, Algorithm, Ctx, Engine, Metrics, MsgCodec, MsgSize, RunConfig, SimError,
-    Simulator,
+    default_cap_words, Algorithm, Ctx, Metrics, MsgCodec, MsgSize, RunConfig, SimError, Simulator,
 };
 use pga_graph::{Graph, NodeId};
 use std::collections::VecDeque;
@@ -277,21 +276,6 @@ pub fn g2_mvc_clique_det(
     solver: LocalSolver,
 ) -> Result<G2MvcResult, SimError> {
     g2_mvc_clique_det_cfg(g, eps, solver, &RunConfig::new())
-}
-
-/// [`g2_mvc_clique_det`] on an explicit simulation [`Engine`].
-///
-/// # Errors
-///
-/// Propagates [`SimError`] like [`g2_mvc_clique_det`].
-#[deprecated(since = "0.1.0", note = "use g2_mvc_clique_det_cfg with a RunConfig")]
-pub fn g2_mvc_clique_det_with(
-    g: &Graph,
-    eps: f64,
-    solver: LocalSolver,
-    engine: Engine,
-) -> Result<G2MvcResult, SimError> {
-    g2_mvc_clique_det_cfg(g, eps, solver, &RunConfig::new().engine(engine))
 }
 
 /// [`g2_mvc_clique_det`] under an explicit [`RunConfig`] (engine, thread

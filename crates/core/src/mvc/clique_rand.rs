@@ -22,8 +22,8 @@ use crate::mvc::phase1::P1Output;
 use crate::mvc::phase1_direct::merge_metrics;
 use crate::mvc::remainder::LocalSolver;
 use pga_congest::{
-    clique_bmm, default_cap_words, Algorithm, Ctx, Engine, G2Prep, Metrics, MsgCodec, MsgSize,
-    RunConfig, SimError, Simulator,
+    clique_bmm, default_cap_words, Algorithm, Ctx, G2Prep, Metrics, MsgCodec, MsgSize, RunConfig,
+    SimError, Simulator,
 };
 use pga_graph::{Graph, NodeId};
 use rand::rngs::StdRng;
@@ -261,22 +261,6 @@ pub fn g2_mvc_clique_rand(
     seed: u64,
 ) -> Result<G2MvcResult, SimError> {
     g2_mvc_clique_rand_cfg(g, eps, solver, seed, &RunConfig::new())
-}
-
-/// [`g2_mvc_clique_rand`] on an explicit simulation [`Engine`].
-///
-/// # Errors
-///
-/// Propagates [`SimError`] like [`g2_mvc_clique_rand`].
-#[deprecated(since = "0.1.0", note = "use g2_mvc_clique_rand_cfg with a RunConfig")]
-pub fn g2_mvc_clique_rand_with(
-    g: &Graph,
-    eps: f64,
-    solver: LocalSolver,
-    seed: u64,
-    engine: Engine,
-) -> Result<G2MvcResult, SimError> {
-    g2_mvc_clique_rand_cfg(g, eps, solver, seed, &RunConfig::new().engine(engine))
 }
 
 /// [`g2_mvc_clique_rand`] under an explicit [`RunConfig`] (engine,

@@ -19,7 +19,7 @@
 use crate::mvc::phase1::Phase1;
 use crate::mvc::remainder::{f_edges_for_node, solve_remainder, CoverId, FEdge};
 use pga_congest::primitives::{GatherScatter, LeaderCompute};
-use pga_congest::{Engine, Metrics, RunConfig, SimError, Simulator};
+use pga_congest::{Metrics, RunConfig, SimError, Simulator};
 use pga_graph::{Graph, NodeId};
 use std::sync::Arc;
 
@@ -84,21 +84,6 @@ pub(crate) fn threshold_for_eps(eps: f64) -> usize {
 /// ```
 pub fn g2_mvc_congest(g: &Graph, eps: f64, solver: LocalSolver) -> Result<G2MvcResult, SimError> {
     g2_mvc_congest_cfg(g, eps, solver, &RunConfig::new())
-}
-
-/// [`g2_mvc_congest`] on an explicit simulation [`Engine`].
-///
-/// # Errors
-///
-/// Propagates [`SimError`] like [`g2_mvc_congest`].
-#[deprecated(since = "0.1.0", note = "use g2_mvc_congest_cfg with a RunConfig")]
-pub fn g2_mvc_congest_with(
-    g: &Graph,
-    eps: f64,
-    solver: LocalSolver,
-    engine: Engine,
-) -> Result<G2MvcResult, SimError> {
-    g2_mvc_congest_cfg(g, eps, solver, &RunConfig::new().engine(engine))
 }
 
 /// [`g2_mvc_congest`] under an explicit [`RunConfig`] (engine, thread
@@ -282,10 +267,10 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_wrapper_matches_cfg_form() {
+    fn sequential_cfg_matches_default_cfg() {
         let g = generators::clique_chain(3, 4);
-        #[allow(deprecated, clippy::disallowed_methods)]
-        let old = g2_mvc_congest_with(&g, 0.5, LocalSolver::Exact, Engine::Sequential).unwrap();
+        let cfg = RunConfig::new().sequential();
+        let old = g2_mvc_congest_cfg(&g, 0.5, LocalSolver::Exact, &cfg).unwrap();
         let new = g2_mvc_congest_cfg(&g, 0.5, LocalSolver::Exact, &RunConfig::new()).unwrap();
         assert_eq!(old.cover, new.cover);
         assert_eq!(old.phase1_metrics, new.phase1_metrics);

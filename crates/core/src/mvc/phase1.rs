@@ -275,12 +275,14 @@ impl Algorithm for Phase1 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pga_congest::Simulator;
+    use pga_congest::{RunConfig, Simulator};
     use pga_graph::{generators, Graph};
 
     fn run_phase1(g: &Graph, threshold: usize) -> (Vec<P1Output>, pga_congest::Metrics) {
         let nodes = (0..g.num_nodes()).map(|_| Phase1::new(threshold)).collect();
-        let report = Simulator::congest(g).run(nodes).unwrap();
+        let report = Simulator::congest(g)
+            .run_cfg(nodes, &RunConfig::new())
+            .unwrap();
         (report.outputs, report.metrics)
     }
 

@@ -315,7 +315,9 @@ mod tests {
 
     fn run_relay(g: &Graph, threshold: usize) -> (Vec<P1Output>, Metrics) {
         let nodes = (0..g.num_nodes()).map(|_| Phase1::new(threshold)).collect();
-        let r = Simulator::congested_clique(g).run(nodes).unwrap();
+        let r = Simulator::congested_clique(g)
+            .run_cfg(nodes, &RunConfig::new())
+            .unwrap();
         (r.outputs, r.metrics)
     }
 
@@ -326,7 +328,9 @@ mod tests {
             .nodes()
             .map(|v| DirectPhase1::new(threshold, g2.neighbors(v).to_vec()))
             .collect();
-        let r = Simulator::congested_clique(g).run(nodes).unwrap();
+        let r = Simulator::congested_clique(g)
+            .run_cfg(nodes, &RunConfig::new())
+            .unwrap();
         (r.outputs, r.metrics)
     }
 

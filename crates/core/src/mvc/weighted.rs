@@ -19,9 +19,7 @@
 
 use crate::mvc::remainder::{f_edges_for_node, solve_remainder_weighted, CoverId, FEdge};
 use pga_congest::primitives::{GatherScatter, LeaderCompute};
-use pga_congest::{
-    Algorithm, Ctx, Engine, Metrics, MsgCodec, MsgSize, RunConfig, SimError, Simulator,
-};
+use pga_congest::{Algorithm, Ctx, Metrics, MsgCodec, MsgSize, RunConfig, SimError, Simulator};
 use pga_graph::{Graph, NodeId, VertexWeights};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -364,21 +362,6 @@ impl Algorithm for WPhase1 {
 /// ```
 pub fn g2_mwvc_congest(g: &Graph, w: &VertexWeights, eps: f64) -> Result<G2MwvcResult, SimError> {
     g2_mwvc_congest_cfg(g, w, eps, &RunConfig::new())
-}
-
-/// [`g2_mwvc_congest`] on an explicit simulation [`Engine`].
-///
-/// # Errors
-///
-/// Propagates [`SimError`] like [`g2_mwvc_congest`].
-#[deprecated(since = "0.1.0", note = "use g2_mwvc_congest_cfg with a RunConfig")]
-pub fn g2_mwvc_congest_with(
-    g: &Graph,
-    w: &VertexWeights,
-    eps: f64,
-    engine: Engine,
-) -> Result<G2MwvcResult, SimError> {
-    g2_mwvc_congest_cfg(g, w, eps, &RunConfig::new().engine(engine))
 }
 
 /// [`g2_mwvc_congest`] under an explicit [`RunConfig`] (engine, thread

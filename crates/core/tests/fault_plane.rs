@@ -46,6 +46,12 @@ fn recovery() -> ReliabilitySpec {
         .with_phase_timeouts(2)
 }
 
+/// The adapter's recommended budget for `g`: small enough that the
+/// instances here span several machines.
+fn mpc_budget(g: &Graph) -> usize {
+    pga_mpc::recommended_memory_words(g, pga_congest::default_bandwidth_bits(g.num_nodes()))
+}
+
 fn hostile_cfg(seed: u64, threads: usize, codec: bool) -> RunConfig {
     let base = if threads == 0 {
         RunConfig::new().sequential()
@@ -134,16 +140,14 @@ proptest! {
 
     /// The MPC-executed pipeline under the hostile schedule applied to
     /// the cross-machine exchange: valid cover, deterministic across
-    /// engines and batch planes.
+    /// engines and batch planes. The recommended budget spreads these
+    /// graphs over several machines, so there is an exchange to fault.
     #[test]
     fn mpc_mvc_timeout_fallback_is_always_valid(g in arb_instance(), seed in any::<u64>()) {
-        let budget = pga_mpc::recommended_memory_words(
-            &g,
-            pga_congest::default_bandwidth_bits(g.num_nodes()),
-        ) * 2
-            + 4096;
+        let budget = mpc_budget(&g);
         let base = g2_mvc_congest_mpc_cfg(&g, 0.4, LocalSolver::Exact, budget, &hostile_cfg(seed, 0, false))
             .unwrap();
+        prop_assert!(base.machines >= 2, "machines {}", base.machines);
         prop_assert!(is_vertex_cover_on_square(&g, &base.result.cover));
         for threads in [1usize, 4] {
             let r = g2_mvc_congest_mpc_cfg(&g, 0.4, LocalSolver::Exact, budget, &hostile_cfg(seed, threads, true))
@@ -151,4 +155,36 @@ proptest! {
             prop_assert_eq!(&r.result.cover, &base.result.cover, "threads {}", threads);
         }
     }
+}
+
+/// The hostile schedule really reaches the MPC exchange: over a fixed
+/// set of seeds the machines see drops, duplicates, delays and
+/// retransmits, and every cover stays valid.
+#[test]
+fn mpc_faults_are_inflicted_on_the_exchange() {
+    use rand::SeedableRng;
+    let mut total = pga_congest::FaultStats::default();
+    for seed in 0..6u64 {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let g = generators::connected_gnm(11, 18, &mut rng);
+        let run = g2_mvc_congest_mpc_cfg(
+            &g,
+            0.4,
+            LocalSolver::Exact,
+            mpc_budget(&g),
+            &hostile_cfg(seed, 0, false),
+        )
+        .unwrap();
+        assert!(run.machines >= 2, "seed {seed}: {} machines", run.machines);
+        assert!(
+            is_vertex_cover_on_square(&g, &run.result.cover),
+            "seed {seed}"
+        );
+        total.absorb(&run.mpc_metrics.fault);
+    }
+    assert!(
+        total.dropped > 0 && total.duplicated > 0 && total.delayed > 0,
+        "{total:?}"
+    );
+    assert!(total.retransmitted > 0, "{total:?}");
 }

@@ -13,7 +13,7 @@
 //! machine. Messages between co-hosted vertices stay machine-local and
 //! cost no MPC communication.
 //!
-//! The adapter is **bit-identical** to `Simulator::run`: same per-node
+//! The adapter is **bit-identical** to `Simulator::run_cfg`: same per-node
 //! outputs, same CONGEST [`Metrics`] (messages, bits, per-round
 //! congestion profile), same round count, same error on a model
 //! violation — property-tested for FloodMax and the paper's `G²` entry
@@ -21,11 +21,10 @@
 //! machine memory against the budget `S`, and per-round send/receive
 //! volume against the same `S`.
 
-use crate::engine::{Engine, Machine, MachineId, MpcCtx, MpcError, MpcSimulator, WordSize};
+use crate::engine::{Machine, MachineId, MpcCtx, MpcError, MpcSimulator, WordSize};
 use crate::metrics::MpcMetrics;
 use pga_congest::{
-    check_message, id_bits, Algorithm, CodecFns, Ctx, Metrics, MsgCodec, RunConfig, Scheduling,
-    Topology,
+    check_message, id_bits, Algorithm, Ctx, Metrics, MsgCodec, NoopProbe, RunConfig, Topology,
 };
 use pga_graph::{Graph, NodeId};
 use std::sync::Arc;
@@ -39,25 +38,24 @@ const NODE_OVERHEAD_WORDS: usize = 4;
 /// order, with the total word size precomputed at send time (word
 /// accounting needs `id_bits`, which only the sender knows).
 ///
-/// When the hosting shards carry a message codec
-/// ([`CongestOnMpc::run_cfg`] with [`RunConfig::codec`] on), the
-/// payloads travel as packed [`MsgCodec::Word`]s `W` instead of cloned
-/// message enums. The charged word size is computed from the declared
+/// When the hosting shards pack ([`CongestOnMpc::run_cfg`] with
+/// [`RunConfig::codec`] on), the payloads travel as packed
+/// [`MsgCodec::Word`]s instead of cloned message enums. The charged word size is computed from the declared
 /// bit sizes *before* encoding, so both representations account
 /// identically and [`MpcMetrics`] stays bit-identical across planes.
-pub struct RoutedBatch<M, W = ()> {
-    repr: BatchRepr<M, W>,
+pub struct RoutedBatch<M: MsgCodec> {
+    repr: BatchRepr<M>,
     words: usize,
 }
 
-enum BatchRepr<M, W> {
+enum BatchRepr<M: MsgCodec> {
     /// Cloned message enums — the default plane.
     Plain(Vec<(NodeId, NodeId, M)>),
     /// Codec-packed fixed-width words.
-    Packed(Vec<(NodeId, NodeId, W)>),
+    Packed(Vec<(NodeId, NodeId, M::Word)>),
 }
 
-impl<M: Clone, W: Clone> Clone for RoutedBatch<M, W> {
+impl<M: MsgCodec + Clone> Clone for RoutedBatch<M> {
     fn clone(&self) -> Self {
         RoutedBatch {
             repr: match &self.repr {
@@ -69,7 +67,7 @@ impl<M: Clone, W: Clone> Clone for RoutedBatch<M, W> {
     }
 }
 
-impl<M, W> WordSize for RoutedBatch<M, W> {
+impl<M: MsgCodec> WordSize for RoutedBatch<M> {
     fn size_bits(&self, _id_bits: usize) -> usize {
         64 * self.words
     }
@@ -87,10 +85,7 @@ fn entry_words(bits: usize) -> usize {
 }
 
 /// One MPC machine hosting the CONGEST nodes `starts[id]..starts[id+1]`.
-///
-/// `W` is the packed word type of the message codec, `()` when the run
-/// uses the plain enum plane (see [`RoutedBatch`]).
-pub struct CongestShard<'g, A: Algorithm, W = ()> {
+pub struct CongestShard<'g, A: Algorithm> {
     g: &'g Graph,
     /// First hosted vertex index.
     lo: usize,
@@ -110,11 +105,12 @@ pub struct CongestShard<'g, A: Algorithm, W = ()> {
     metrics: Metrics,
     /// Cached `Σ deg(v)` over hosted vertices.
     adjacency_words: usize,
-    /// Message codec for cross-machine batches, if the run packs.
-    codec: Option<CodecFns<A::Msg, W>>,
+    /// Whether cross-machine batches carry packed words (see
+    /// [`RoutedBatch`]).
+    packs: bool,
 }
 
-impl<'g, A: Algorithm, W> CongestShard<'g, A, W> {
+impl<'g, A: Algorithm> CongestShard<'g, A> {
     fn hosted(&self) -> usize {
         self.nodes.len()
     }
@@ -140,8 +136,11 @@ impl<'g, A: Algorithm, W> CongestShard<'g, A, W> {
     }
 }
 
-impl<A: Algorithm, W: Copy + Send> Machine for CongestShard<'_, A, W> {
-    type Msg = RoutedBatch<A::Msg, W>;
+impl<A: Algorithm> Machine for CongestShard<'_, A>
+where
+    A::Msg: MsgCodec,
+{
+    type Msg = RoutedBatch<A::Msg>;
     type Output = (Vec<A::Output>, Metrics);
 
     fn round(
@@ -162,11 +161,8 @@ impl<A: Algorithm, W: Copy + Send> Machine for CongestShard<'_, A, W> {
                     }
                 }
                 BatchRepr::Packed(entries) => {
-                    let c = self
-                        .codec
-                        .expect("packed batch delivered to a shard without a codec");
                     for &(from, to, w) in entries {
-                        node_inboxes[to.index() - self.lo].push((from, (c.dec)(w)));
+                        node_inboxes[to.index() - self.lo].push((from, A::Msg::decode(w)));
                     }
                 }
             }
@@ -219,25 +215,23 @@ impl<A: Algorithm, W: Copy + Send> Machine for CongestShard<'_, A, W> {
             .into_sorted()
             .into_iter()
             .map(|(j, entries, words)| {
-                let repr = match self.codec {
-                    Some(c) => {
-                        let idb = id_bits(self.g.num_nodes());
-                        BatchRepr::Packed(
-                            entries
-                                .into_iter()
-                                .map(|(from, to, msg)| {
-                                    let w = (c.enc)(&msg);
-                                    debug_assert_eq!(
-                                        (c.bits)(w, idb),
-                                        msg.size_bits(idb),
-                                        "MsgCodec::encoded_bits must agree with MsgCost::size_bits"
-                                    );
-                                    (from, to, w)
-                                })
-                                .collect(),
-                        )
-                    }
-                    None => BatchRepr::Plain(entries),
+                let idb = id_bits(self.g.num_nodes());
+                let repr = if self.packs {
+                    BatchRepr::Packed(
+                        (entries.into_iter())
+                            .map(|(from, to, msg)| {
+                                let w = msg.encode();
+                                debug_assert_eq!(
+                                    A::Msg::encoded_bits(w, idb),
+                                    msg.size_bits(idb),
+                                    "MsgCodec::encoded_bits must agree with MsgCost::size_bits"
+                                );
+                                (from, to, w)
+                            })
+                            .collect(),
+                    )
+                } else {
+                    BatchRepr::Plain(entries)
                 };
                 (MachineId::from_index(j), RoutedBatch { repr, words })
             })
@@ -283,10 +277,10 @@ impl<A: Algorithm, W: Copy + Send> Machine for CongestShard<'_, A, W> {
 #[derive(Debug)]
 pub struct AdapterReport<O> {
     /// Output of every CONGEST node, indexed by node id — identical to
-    /// `Simulator::run(..).outputs`.
+    /// `Simulator::run_cfg(..).outputs` on a clean run.
     pub outputs: Vec<O>,
     /// CONGEST-level metrics, merged across machines — identical to
-    /// `Simulator::run(..).metrics`.
+    /// `Simulator::run_cfg(..).metrics` on a clean run.
     pub congest: Metrics,
     /// MPC-level resource metrics of the same execution.
     pub mpc: MpcMetrics,
@@ -298,8 +292,7 @@ pub struct AdapterReport<O> {
 ///
 /// Mirrors the `Simulator` builder: construct with
 /// [`CongestOnMpc::congest`] (or [`CongestOnMpc::congested_clique`]),
-/// tune budgets with the setters, then [`CongestOnMpc::run`] /
-/// [`CongestOnMpc::run_with`].
+/// tune budgets with the setters, then [`CongestOnMpc::run_cfg`].
 pub struct CongestOnMpc<'g> {
     g: &'g Graph,
     topology: Topology,
@@ -430,64 +423,24 @@ impl<'g> CongestOnMpc<'g> {
     }
 
     /// Runs `nodes` (one CONGEST state per vertex, indexed by id)
-    /// through the adapter on the sequential MPC engine.
+    /// through the adapter under a [`RunConfig`].
+    ///
+    /// The whole config reaches the MPC run: engine and thread count,
+    /// scheduling, round budget, and the fault and reliability planes,
+    /// which then act on the cross-machine exchange. With
+    /// [`RunConfig::codec`] on, cross-machine [`RoutedBatch`]es carry
+    /// packed [`MsgCodec::Word`]s instead of cloned message enums. Word
+    /// charging happens on the declared bit sizes before encoding, so
+    /// outputs, CONGEST [`Metrics`], [`MpcMetrics`] (I/O profile
+    /// included) and errors are bit-identical to the enum plane. The
+    /// adapter never writes a trace: the MPC run always gets the
+    /// [`NoopProbe`](pga_congest::NoopProbe).
     ///
     /// # Errors
     ///
     /// [`MpcError::Congest`] wraps the exact `SimError` the CONGEST
     /// engines would raise on a model violation; the other variants
     /// report MPC budget violations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes.len()` differs from the graph size.
-    pub fn run<A>(&self, nodes: Vec<A>) -> Result<AdapterReport<A::Output>, MpcError>
-    where
-        A: Algorithm + Send,
-        A::Msg: Send,
-    {
-        self.run_with(nodes, Engine::Sequential)
-    }
-
-    /// [`CongestOnMpc::run`] on an explicit MPC [`Engine`] (both engines
-    /// are bit-identical).
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`MpcError`] like [`CongestOnMpc::run`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes.len()` differs from the graph size.
-    pub fn run_with<A>(
-        &self,
-        nodes: Vec<A>,
-        engine: Engine,
-    ) -> Result<AdapterReport<A::Output>, MpcError>
-    where
-        A: Algorithm + Send,
-        A::Msg: Send,
-    {
-        self.run_impl(
-            nodes,
-            engine,
-            Scheduling::default(),
-            None::<CodecFns<A::Msg, ()>>,
-        )
-    }
-
-    /// Runs `nodes` under a [`RunConfig`]: engine, scheduling policy and
-    /// codec selection in one value.
-    ///
-    /// With [`RunConfig::codec`] on, cross-machine [`RoutedBatch`]es
-    /// carry packed [`MsgCodec::Word`]s instead of cloned message enums.
-    /// Word charging happens on the declared bit sizes before encoding,
-    /// so outputs, CONGEST [`Metrics`], [`MpcMetrics`] (I/O profile
-    /// included) and errors are bit-identical to the enum plane.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`MpcError`] like [`CongestOnMpc::run`].
     ///
     /// # Panics
     ///
@@ -501,37 +454,13 @@ impl<'g> CongestOnMpc<'g> {
         A: Algorithm + Send,
         A::Msg: MsgCodec + Send,
     {
-        if cfg.codec {
-            self.run_impl(nodes, cfg.engine, cfg.scheduling, Some(CodecFns::new()))
-        } else {
-            self.run_impl(
-                nodes,
-                cfg.engine,
-                cfg.scheduling,
-                None::<CodecFns<A::Msg, ()>>,
-            )
-        }
-    }
-
-    fn run_impl<A, W>(
-        &self,
-        nodes: Vec<A>,
-        engine: Engine,
-        scheduling: Scheduling,
-        codec: Option<CodecFns<A::Msg, W>>,
-    ) -> Result<AdapterReport<A::Output>, MpcError>
-    where
-        A: Algorithm + Send,
-        A::Msg: Send,
-        W: Copy + Send,
-    {
         let n = self.g.num_nodes();
         assert_eq!(nodes.len(), n, "one algorithm state per vertex required");
         let starts = Arc::new(self.partition(std::mem::size_of::<A>().div_ceil(8))?);
         let num_machines = starts.len() - 1;
 
         let mut nodes = nodes;
-        let mut machines: Vec<CongestShard<'_, A, W>> = Vec::with_capacity(num_machines);
+        let mut machines: Vec<CongestShard<'_, A>> = Vec::with_capacity(num_machines);
         for k in (0..num_machines).rev() {
             let (lo, hi) = (starts[k], starts[k + 1]);
             let hosted: Vec<A> = nodes.split_off(lo);
@@ -546,15 +475,14 @@ impl<'g> CongestOnMpc<'g> {
                 local_words: 0,
                 metrics: Metrics::default(),
                 adjacency_words: (lo..hi).map(|v| self.g.degree(NodeId::from_index(v))).sum(),
-                codec,
+                packs: cfg.codec,
             });
         }
         machines.reverse();
 
-        let sim = MpcSimulator::new(self.memory_words)
+        let report = MpcSimulator::new(self.memory_words)
             .with_max_rounds(self.max_rounds)
-            .with_scheduling(scheduling);
-        let report = sim.run_with(machines, engine)?;
+            .run_cfg_probed(machines, cfg, &NoopProbe)?;
 
         let mut outputs = Vec::with_capacity(n);
         let mut congest = Metrics::default();
@@ -596,7 +524,7 @@ impl<'g> CongestOnMpc<'g> {
 mod tests {
     use super::*;
     use pga_congest::primitives::FloodMax;
-    use pga_congest::Simulator;
+    use pga_congest::{Engine, MsgCodec, Simulator};
     use pga_graph::generators;
 
     fn floodmax_states(n: usize) -> Vec<FloodMax> {
@@ -614,10 +542,12 @@ mod tests {
             generators::clique_chain(4, 6),
         ] {
             let n = g.num_nodes();
-            let reference = Simulator::congest(&g).run(floodmax_states(n)).unwrap();
+            let reference = Simulator::congest(&g)
+                .run_cfg(floodmax_states(n), &RunConfig::new())
+                .unwrap();
             let adapter = CongestOnMpc::congest(&g)
                 .with_memory_words(512)
-                .run(floodmax_states(n))
+                .run_cfg(floodmax_states(n), &RunConfig::new())
                 .unwrap();
             assert_eq!(adapter.outputs, reference.outputs, "{g:?}");
             assert_eq!(adapter.congest, reference.metrics, "{g:?}");
@@ -645,7 +575,7 @@ mod tests {
         let g = generators::star(40);
         let err = CongestOnMpc::congest(&g)
             .with_memory_words(64)
-            .run(floodmax_states(40))
+            .run_cfg(floodmax_states(40), &RunConfig::new())
             .unwrap_err();
         assert!(matches!(err, MpcError::PreconditionViolated { .. }));
     }
@@ -658,6 +588,13 @@ mod tests {
         impl MsgSize for Ping {
             fn size_bits(&self, _id_bits: usize) -> usize {
                 1
+            }
+        }
+        impl MsgCodec for Ping {
+            type Word = ();
+            fn encode(&self) {}
+            fn decode((): ()) -> Ping {
+                Ping
             }
         }
         struct Bad;
@@ -678,10 +615,10 @@ mod tests {
         }
         let g = generators::path(8);
         let reference = Simulator::congest(&g)
-            .run((0..8).map(|_| Bad).collect::<Vec<_>>())
+            .run_cfg((0..8).map(|_| Bad).collect::<Vec<_>>(), &RunConfig::new())
             .unwrap_err();
         let adapter = CongestOnMpc::congest(&g)
-            .run((0..8).map(|_| Bad).collect::<Vec<_>>())
+            .run_cfg((0..8).map(|_| Bad).collect::<Vec<_>>(), &RunConfig::new())
             .unwrap_err();
         assert_eq!(adapter, MpcError::Congest(reference.clone()));
         assert!(matches!(
@@ -701,6 +638,15 @@ mod tests {
         impl MsgSize for Val {
             fn size_bits(&self, id_bits: usize) -> usize {
                 id_bits
+            }
+        }
+        impl MsgCodec for Val {
+            type Word = u32;
+            fn encode(&self) -> u32 {
+                self.0
+            }
+            fn decode(w: u32) -> Val {
+                Val(w)
             }
         }
         struct Shout {
@@ -740,8 +686,12 @@ mod tests {
                 })
                 .collect::<Vec<_>>()
         };
-        let reference = Simulator::congested_clique(&g).run(mk()).unwrap();
-        let adapter = CongestOnMpc::congested_clique(&g).run(mk()).unwrap();
+        let reference = Simulator::congested_clique(&g)
+            .run_cfg(mk(), &RunConfig::new())
+            .unwrap();
+        let adapter = CongestOnMpc::congested_clique(&g)
+            .run_cfg(mk(), &RunConfig::new())
+            .unwrap();
         assert_eq!(adapter.outputs, reference.outputs);
         assert_eq!(adapter.congest, reference.metrics);
     }
@@ -750,11 +700,16 @@ mod tests {
     fn parallel_engine_matches_sequential_adapter() {
         let g = generators::grid(7, 9);
         let n = g.num_nodes();
-        let driver = CongestOnMpc::congest(&g).with_memory_words(400);
-        let seq = driver.run(floodmax_states(n)).unwrap();
+        let on_mpc = CongestOnMpc::congest(&g).with_memory_words(400);
+        let seq = on_mpc
+            .run_cfg(floodmax_states(n), &RunConfig::new())
+            .unwrap();
         for threads in [2, 4] {
-            let par = driver
-                .run_with(floodmax_states(n), Engine::Parallel { threads })
+            let par = on_mpc
+                .run_cfg(
+                    floodmax_states(n),
+                    &RunConfig::new().engine(Engine::Parallel { threads }),
+                )
                 .unwrap();
             assert_eq!(par.outputs, seq.outputs, "t={threads}");
             assert_eq!(par.congest, seq.congest, "t={threads}");
@@ -766,7 +721,7 @@ mod tests {
     fn empty_graph_trivial() {
         let g = Graph::empty(0);
         let report = CongestOnMpc::congest(&g)
-            .run(Vec::<FloodMax>::new())
+            .run_cfg(Vec::<FloodMax>::new(), &RunConfig::new())
             .unwrap();
         assert!(report.outputs.is_empty());
         assert_eq!(report.congest, Metrics::default());
@@ -794,7 +749,7 @@ mod tests {
             local_words: 0,
             metrics: Metrics::default(),
             adjacency_words: (lo..hi).map(|v| g.degree(NodeId::from_index(v))).sum(),
-            codec: None,
+            packs: false,
         }
     }
 
@@ -805,7 +760,9 @@ mod tests {
         let g = generators::path(40);
         let starts = Arc::new(vec![0, 40]);
         let shard = raw_shard(&g, 0, floodmax_states(40), &starts, 64);
-        let err = MpcSimulator::new(64).run(vec![shard]).unwrap_err();
+        let err = MpcSimulator::new(64)
+            .run_cfg(vec![shard], &RunConfig::new())
+            .unwrap_err();
         assert!(
             matches!(
                 err,
@@ -830,6 +787,13 @@ mod tests {
         impl MsgSize for Fat {
             fn size_bits(&self, _id_bits: usize) -> usize {
                 4096
+            }
+        }
+        impl MsgCodec for Fat {
+            type Word = ();
+            fn encode(&self) {}
+            fn decode((): ()) -> Fat {
+                Fat
             }
         }
         struct Hub {
@@ -863,7 +827,9 @@ mod tests {
         );
         // Hub memory: 19 + 5 words; leaves: 19 + 19·5 words — both fit
         // S = 300, but the hub's round-0 batch is 19·(1 + 64) = 1235 words.
-        let err = MpcSimulator::new(300).run(vec![hub, leaves]).unwrap_err();
+        let err = MpcSimulator::new(300)
+            .run_cfg(vec![hub, leaves], &RunConfig::new())
+            .unwrap_err();
         assert_eq!(
             err,
             MpcError::SendVolumeExceeded {

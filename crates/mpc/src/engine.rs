@@ -15,14 +15,11 @@
 
 use crate::MpcMetrics;
 use pga_congest::SimError;
-use pga_runtime::{ActorId, ExecModel, FaultStats, KernelConfig, MsgSink, Poll, RoundProfile};
-use std::fmt;
-
-pub use pga_congest::{Engine, Scheduling};
-pub use pga_runtime::{
-    Adversary, FaultSpec, FaultTrace, JsonlProbe, NoopProbe, Probe, RunConfig, SeededAdversary,
-    TraceAdversary,
+use pga_runtime::{
+    ActorId, Adversary, ExecModel, FaultStats, JsonlProbe, MsgSink, NoopProbe, Poll, Probe,
+    RoundProfile, RunConfig, DEFAULT_MAX_ROUNDS,
 };
+use std::fmt;
 
 /// Identifier of a machine in an MPC execution.
 ///
@@ -152,7 +149,7 @@ pub trait Machine {
 
     /// Whether the engine may *skip* this machine's [`Machine::round`]
     /// call in rounds where its inbox is empty (the
-    /// [`Scheduling::ActiveSet`] policy).
+    /// [`Scheduling::ActiveSet`](pga_runtime::Scheduling::ActiveSet) policy).
     ///
     /// **Contract:** if `can_skip` returns `true` and the machine's
     /// inbox is empty, `round` must be a pure no-op — no state mutation
@@ -174,23 +171,9 @@ pub trait Machine {
     fn output(&self, ctx: &MpcCtx) -> Self::Output;
 }
 
-/// Result of a completed MPC run.
-#[derive(Debug)]
-pub struct MpcReport<O> {
-    /// Output of every machine, indexed by machine id.
-    pub outputs: Vec<O>,
-    /// Resource metrics of the run.
-    pub metrics: MpcMetrics,
-}
-
-impl<O> From<pga_runtime::Run<O, MpcMetrics>> for MpcReport<O> {
-    fn from(run: pga_runtime::Run<O, MpcMetrics>) -> Self {
-        MpcReport {
-            outputs: run.outputs,
-            metrics: run.metrics,
-        }
-    }
-}
+/// Result of a completed MPC run: every machine's output, indexed by
+/// machine id, and the run's resource [`MpcMetrics`].
+pub type MpcReport<O> = pga_runtime::Run<O, MpcMetrics>;
 
 /// Errors that abort an MPC execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -337,15 +320,12 @@ pub fn low_space_words(n: usize, delta: f64) -> usize {
 
 /// The MPC execution driver.
 ///
-/// Construct with [`MpcSimulator::new`] and tune with the builder-style
-/// setters; run machine programs with [`MpcSimulator::run`] (sequential
-/// reference engine), [`MpcSimulator::run_parallel`] (sharded
-/// multi-threaded engine, bit-identical), or [`MpcSimulator::run_with`].
+/// Construct with [`MpcSimulator::new`], tune with the builder-style
+/// setters, and run machine programs with [`MpcSimulator::run_cfg`].
 #[derive(Clone, Copy, Debug)]
 pub struct MpcSimulator {
     memory_words: usize,
     max_rounds: usize,
-    scheduling: Scheduling,
 }
 
 /// The [`ExecModel`] instantiation that turns the shared round kernel
@@ -561,22 +541,14 @@ impl MpcSimulator {
     pub fn new(memory_words: usize) -> Self {
         MpcSimulator {
             memory_words,
-            max_rounds: 1_000_000,
-            scheduling: Scheduling::default(),
+            max_rounds: DEFAULT_MAX_ROUNDS,
         }
     }
 
-    /// Overrides the safety round budget (default one million).
+    /// Overrides the safety round budget (default one million); a
+    /// run's [`RunConfig::max_rounds`] overrides it in turn.
     pub fn with_max_rounds(mut self, max_rounds: usize) -> Self {
         self.max_rounds = max_rounds;
-        self
-    }
-
-    /// Overrides the round-scheduling policy (default
-    /// [`Scheduling::ActiveSet`]); both policies are bit-identical, see
-    /// [`Machine::can_skip`].
-    pub fn with_scheduling(mut self, scheduling: Scheduling) -> Self {
-        self.scheduling = scheduling;
         self
     }
 
@@ -585,25 +557,30 @@ impl MpcSimulator {
         self.memory_words
     }
 
-    /// The contiguous shard boundaries [`MpcSimulator::run_parallel`]
-    /// will use for an explicit `threads` count: the cost-balanced
-    /// partition of [`pga_runtime::balanced_partition`] over each
-    /// machine's declared resident words. Exposed so benches and tests
-    /// can inspect per-shard load; boundaries never affect outputs,
-    /// only wall-clock balance.
+    /// The contiguous shard boundaries an explicit `threads` count
+    /// gives: the cost-balanced partition of
+    /// [`pga_runtime::balanced_partition`] over each machine's declared
+    /// resident words. Exposed so benches and tests can inspect
+    /// per-shard load; boundaries never affect outputs, only wall-clock
+    /// balance.
     pub fn shard_boundaries<A: Machine>(&self, machines: &[A], threads: usize) -> Vec<usize> {
         let costs: Vec<u64> = machines.iter().map(machine_cost).collect();
         pga_runtime::balanced_partition(&costs, threads)
     }
 
-    fn kernel_config(&self) -> KernelConfig {
-        KernelConfig {
-            max_rounds: self.max_rounds,
-            scheduling: self.scheduling,
-        }
-    }
-
-    fn model<A: Machine>(&self, machines: usize) -> MpcModel<'_, A> {
+    /// The [`ExecModel`] this simulator runs `machines` programs of type
+    /// `A` under: what [`pga_runtime::execute`] and the deliberately
+    /// naive [`pga_runtime::reference::run`] oracle drive.
+    pub fn exec_model<A: Machine>(
+        &self,
+        machines: usize,
+    ) -> impl ExecModel<
+        Node = A,
+        Msg = A::Msg,
+        Output = A::Output,
+        Error = MpcError,
+        Metrics = MpcMetrics,
+    > + use<'_, A> {
         MpcModel {
             sim: self,
             machines,
@@ -611,94 +588,20 @@ impl MpcSimulator {
         }
     }
 
-    /// Runs `machines` (one program state per machine, indexed by id) to
-    /// completion on the single-threaded reference engine.
+    /// Runs `machines` (one program state per machine, indexed by id)
+    /// to completion under a [`RunConfig`] (see
+    /// [`pga_runtime::execute`]). Every configuration is bit-identical
+    /// on a clean run: outputs, [`MpcMetrics`] and errors.
+    /// [`RunConfig::codec`] has no effect: the MPC plane keeps the enum
+    /// exchange. With [`RunConfig::probe`] at its default, the run
+    /// streams a trace to the path named by `PGA_TRACE`, if set.
     ///
     /// # Errors
     ///
     /// Returns an [`MpcError`] if a machine violates the memory or I/O
-    /// budget, a program aborts, or the round budget is exhausted.
-    pub fn run<A: Machine>(&self, machines: Vec<A>) -> Result<MpcReport<A::Output>, MpcError> {
-        let m = machines.len();
-        Ok(
-            pga_runtime::run_sequential(&self.model::<A>(m), machines, self.kernel_config())?
-                .into(),
-        )
-    }
-
-    /// Runs `machines` to completion on the sharded multi-threaded
-    /// engine — the same [`pga_runtime`] kernel that drives
-    /// `pga_congest::Simulator::run_parallel`, sharded over machines.
-    ///
-    /// **Bit-identical** to [`MpcSimulator::run`]: same outputs, same
-    /// [`MpcMetrics`], same [`MpcError`] on violations, for every
-    /// thread count. A violation aborts with the first offending
-    /// machine's error, though `round` callbacks of higher-id machines
-    /// in other shards may already have executed by then.
-    ///
-    /// `threads == 0` selects one shard per available CPU. With one
-    /// thread (or fewer than two machines per shard) the call falls
-    /// through to the sequential engine.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`MpcError`] like [`MpcSimulator::run`].
-    pub fn run_parallel<A>(
-        &self,
-        machines: Vec<A>,
-        threads: usize,
-    ) -> Result<MpcReport<A::Output>, MpcError>
-    where
-        A: Machine + Send,
-        A::Msg: Send,
-    {
-        let m = machines.len();
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(1, |p| p.get())
-        } else {
-            threads
-        };
-        Ok(
-            pga_runtime::run_sharded(&self.model::<A>(m), machines, threads, self.kernel_config())?
-                .into(),
-        )
-    }
-
-    /// Runs `machines` on the engine selected by `engine` (the same
-    /// [`Engine`] enum the CONGEST simulator dispatches on). Both engines
-    /// produce bit-identical [`MpcReport`]s.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`MpcError`] like [`MpcSimulator::run`].
-    pub fn run_with<A>(
-        &self,
-        machines: Vec<A>,
-        engine: Engine,
-    ) -> Result<MpcReport<A::Output>, MpcError>
-    where
-        A: Machine + Send,
-        A::Msg: Send,
-    {
-        match engine {
-            Engine::Sequential => self.run(machines),
-            Engine::Parallel { threads } => self.run_parallel(machines, threads),
-        }
-    }
-
-    /// Runs `machines` under a [`RunConfig`]: engine, scheduling
-    /// policy, round budget, and fault plan in one value.
-    ///
-    /// The configured [`RunConfig::scheduling`] and
-    /// [`RunConfig::max_rounds`] override this simulator's settings for
-    /// the run; with [`RunConfig::fault`] set the run goes through the
-    /// adversarial executor ([`MpcSimulator::run_adversary`]).
-    /// [`RunConfig::codec`] is ignored — the MPC plane keeps the enum
-    /// exchange at kernel level (see the `Packed` note on the model).
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`MpcError`] like [`MpcSimulator::run`].
+    /// budget, a program aborts, or the round budget is exhausted
+    /// (which adversarially starved runs routinely do — bound it with
+    /// [`RunConfig::max_rounds`]).
     pub fn run_cfg<A>(
         &self,
         machines: Vec<A>,
@@ -714,18 +617,15 @@ impl MpcSimulator {
         }
     }
 
-    /// [`MpcSimulator::run_cfg`] with an explicit [`Probe`] attached.
-    ///
-    /// The probe observes every executor this dispatch can select —
-    /// sequential, sharded, or adversarial — without changing outputs,
-    /// [`MpcMetrics`], or errors (*observer neutrality*; see
-    /// [`pga_runtime::probe`]). Passing [`NoopProbe`] is exactly the
-    /// un-probed run: the kernel monomorphizes every callback and timer
-    /// away.
+    /// [`MpcSimulator::run_cfg`] with an explicit [`Probe`] attached
+    /// (and [`RunConfig::probe`] ignored). The probe never changes
+    /// outputs, [`MpcMetrics`], or errors (*observer neutrality*; see
+    /// [`pga_runtime::probe`]); [`NoopProbe`] compiles every callback
+    /// and timer away.
     ///
     /// # Errors
     ///
-    /// Returns an [`MpcError`] like [`MpcSimulator::run`].
+    /// Returns an [`MpcError`] like [`MpcSimulator::run_cfg`].
     pub fn run_cfg_probed<A, P>(
         &self,
         machines: Vec<A>,
@@ -737,170 +637,49 @@ impl MpcSimulator {
         A::Msg: Send,
         P: Probe,
     {
-        let mut sim = *self;
-        sim.scheduling = cfg.scheduling;
-        if let Some(max) = cfg.max_rounds {
-            sim.max_rounds = max;
-        }
-        let m = machines.len();
-        if let Some(rel) = cfg.reliability {
-            // The reliable (ARQ) executor subsumes the adversary: with
-            // no fault armed it runs over a never-interfering one.
-            let adversary = SeededAdversary::new(cfg.fault.unwrap_or_else(FaultSpec::none));
-            #[allow(clippy::disallowed_methods)] // the sanctioned wrapper
-            return Ok(pga_runtime::arq::run_reliable_probed(
-                &sim.model::<A>(m),
-                machines,
-                Self::fault_threads(cfg.engine),
-                sim.kernel_config(),
-                rel,
-                &adversary,
-                probe,
-            )?
-            .into());
-        }
-        if let Some(spec) = cfg.fault {
-            let adversary = SeededAdversary::new(spec);
-            #[allow(clippy::disallowed_methods)] // the sanctioned wrapper
-            return Ok(pga_runtime::fault::run_faulty_probed(
-                &sim.model::<A>(m),
-                machines,
-                Self::fault_threads(cfg.engine),
-                sim.kernel_config(),
-                &adversary,
-                probe,
-            )?
-            .into());
-        }
-        match cfg.engine {
-            Engine::Sequential => Ok(pga_runtime::run_sequential_probed(
-                &sim.model::<A>(m),
-                machines,
-                sim.kernel_config(),
-                probe,
-            )?
-            .into()),
-            Engine::Parallel { threads } => {
-                let threads = if threads == 0 {
-                    std::thread::available_parallelism().map_or(1, |p| p.get())
-                } else {
-                    threads
-                };
-                Ok(pga_runtime::run_sharded_probed(
-                    &sim.model::<A>(m),
-                    machines,
-                    threads,
-                    sim.kernel_config(),
-                    probe,
-                )?
-                .into())
-            }
-        }
+        self.execute(machines, cfg, None, probe)
     }
 
-    /// The thread count a fault run uses for `engine` (the adversarial
-    /// executor has no separate sequential/sharded split — results are
-    /// bit-identical either way).
-    fn fault_threads(engine: Engine) -> usize {
-        match engine {
-            Engine::Sequential => 1,
-            Engine::Parallel { threads: 0 } => {
-                std::thread::available_parallelism().map_or(1, |p| p.get())
-            }
-            Engine::Parallel { threads } => threads,
-        }
-    }
-
-    /// Runs `machines` on the adversarial executor under an explicit
-    /// [`Adversary`]. Fault decisions are pure functions of
-    /// `(round, sender, seq)`, so the run is bit-identical for every
-    /// `engine` choice, and an adversary that never interferes
-    /// reproduces [`MpcSimulator::run`] bit for bit. Most callers want
-    /// [`MpcSimulator::run_cfg`] with [`RunConfig::adversary`]; this
-    /// entry point exists for custom [`Adversary`] implementations and
-    /// replay tooling.
+    /// [`MpcSimulator::run_cfg`] under an explicit [`Adversary`] in
+    /// place of [`RunConfig::fault`] (and without a trace sink): custom
+    /// oracles, recording ([`pga_runtime::SeededAdversary::recording`])
+    /// and replay ([`pga_runtime::TraceAdversary`]), bit-identical for
+    /// every engine. [`RunConfig::reliability`] still applies, with the
+    /// ARQ plane running over `adversary`.
     ///
     /// # Errors
     ///
-    /// Returns an [`MpcError`] if a machine violates the memory or I/O
-    /// budget, a program aborts, or the round budget is exhausted
-    /// (which adversarially starved runs routinely do — bound the
-    /// budget via [`MpcSimulator::with_max_rounds`] or
-    /// [`RunConfig::max_rounds`]).
+    /// Returns an [`MpcError`] like [`MpcSimulator::run_cfg`].
     pub fn run_adversary<A>(
         &self,
         machines: Vec<A>,
-        engine: Engine,
+        cfg: &RunConfig,
         adversary: &dyn Adversary,
     ) -> Result<MpcReport<A::Output>, MpcError>
     where
         A: Machine + Send,
         A::Msg: Send,
     {
-        let m = machines.len();
-        #[allow(clippy::disallowed_methods)] // the sanctioned wrapper
-        Ok(pga_runtime::fault::run_faulty(
-            &self.model::<A>(m),
-            machines,
-            Self::fault_threads(engine),
-            self.kernel_config(),
-            adversary,
-        )?
-        .into())
+        self.execute(machines, cfg, Some(adversary), &NoopProbe)
     }
 
-    /// Runs `machines` under `spec` while recording every inflicted
-    /// fault, returning the report together with the [`FaultTrace`]
-    /// that [`MpcSimulator::run_replay`] re-executes bit for bit.
-    ///
-    /// Engine, scheduling, and round budget come from `cfg`;
-    /// [`RunConfig::fault`] is ignored (`spec` is explicit).
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`MpcError`] like [`MpcSimulator::run_adversary`].
-    pub fn run_traced<A>(
+    fn execute<A, P>(
         &self,
         machines: Vec<A>,
-        spec: FaultSpec,
         cfg: &RunConfig,
-    ) -> Result<(MpcReport<A::Output>, FaultTrace), MpcError>
-    where
-        A: Machine + Send,
-        A::Msg: Send,
-    {
-        let mut sim = *self;
-        sim.scheduling = cfg.scheduling;
-        if let Some(max) = cfg.max_rounds {
-            sim.max_rounds = max;
-        }
-        let m = machines.len();
-        let adversary = SeededAdversary::recording(spec);
-        let report = sim.run_adversary(machines, cfg.engine, &adversary)?;
-        Ok((report, adversary.into_trace(m)))
-    }
-
-    /// Re-executes a recorded fault schedule bit for bit (same outputs,
-    /// same [`MpcMetrics`], at any engine/thread choice).
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`MpcError`] like [`MpcSimulator::run_adversary`].
-    pub fn run_replay<A>(
-        &self,
-        machines: Vec<A>,
-        trace: &FaultTrace,
-        cfg: &RunConfig,
+        adversary: Option<&dyn Adversary>,
+        probe: &P,
     ) -> Result<MpcReport<A::Output>, MpcError>
     where
         A: Machine + Send,
         A::Msg: Send,
+        P: Probe,
     {
-        let mut sim = *self;
-        sim.scheduling = cfg.scheduling;
-        if let Some(max) = cfg.max_rounds {
-            sim.max_rounds = max;
-        }
-        sim.run_adversary(machines, cfg.engine, &TraceAdversary::new(trace))
+        let cfg = RunConfig {
+            max_rounds: Some(cfg.max_rounds.unwrap_or(self.max_rounds)),
+            ..*cfg
+        };
+        let model = self.exec_model::<A>(machines.len());
+        pga_runtime::execute_under(&model, machines, &cfg, adversary, probe)
     }
 }

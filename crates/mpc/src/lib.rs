@@ -14,13 +14,12 @@
 //!   each capped at `S` words per machine. Violations are typed
 //!   [`MpcError`]s, mirroring `pga_congest::SimError`; delivery order is
 //!   deterministic; [`MpcMetrics`] accounts rounds, peak machine memory,
-//!   and total communication. Two bit-identical round executors are
-//!   provided ([`MpcSimulator::run`] and the sharded multi-threaded
-//!   [`MpcSimulator::run_parallel`], reusing the `std::thread::scope`
-//!   pattern of `pga-congest`).
+//!   and total communication. Runs go through [`MpcSimulator::run_cfg`]
+//!   and the round kernel `pga-congest` uses, bit-identical at every
+//!   engine and thread count.
 //! * [`CongestOnMpc`] — the adapter: vertex-partitions any existing
 //!   [`pga_congest::Algorithm`] across machines and routes its messages
-//!   through the MPC exchange, bit-identical to `Simulator::run`
+//!   through the MPC exchange, bit-identical to `Simulator::run_cfg`
 //!   (outputs, CONGEST metrics, and errors) while additionally
 //!   accounting the run against the MPC budgets.
 //! * [`ruling_set`] — a native MPC algorithm: the greedy 2-ruling set of
@@ -31,15 +30,16 @@
 //!
 //! ```
 //! use pga_congest::primitives::FloodMax;
-//! use pga_congest::Simulator;
+//! use pga_congest::{RunConfig, Simulator};
 //! use pga_graph::{generators, NodeId};
 //! use pga_mpc::CongestOnMpc;
 //!
 //! let g = generators::grid(4, 5);
 //! let states = || (0..20).map(|i| FloodMax::new(NodeId::from_index(i))).collect();
 //!
-//! let congest = Simulator::congest(&g).run(states()).unwrap();
-//! let mpc = CongestOnMpc::congest(&g).run(states()).unwrap();
+//! let cfg = RunConfig::new();
+//! let congest = Simulator::congest(&g).run_cfg(states(), &cfg).unwrap();
+//! let mpc = CongestOnMpc::congest(&g).run_cfg(states(), &cfg).unwrap();
 //!
 //! // Same outputs, same CONGEST metrics — plus MPC accounting.
 //! assert_eq!(mpc.outputs, congest.outputs);
@@ -62,8 +62,7 @@ pub use adapter::{
     RoutedBatch,
 };
 pub use engine::{
-    low_space_words, Engine, Machine, MachineId, MpcCtx, MpcError, MpcReport, MpcSimulator,
-    Scheduling, WordSize,
+    low_space_words, Machine, MachineId, MpcCtx, MpcError, MpcReport, MpcSimulator, WordSize,
 };
 pub use metrics::MpcMetrics;
 /// Fault-injection vocabulary of the adversarial execution plane
@@ -75,7 +74,7 @@ pub use pga_congest::{
 /// Runtime-level message-plane vocabulary (shared with `pga-congest`),
 /// re-exported so adapter callers can implement packed codecs and build
 /// [`RunConfig`]s without another dependency edge.
-pub use pga_congest::{CodecFns, MsgCodec, MsgCost, RunConfig};
+pub use pga_congest::{Engine, MsgCodec, MsgCost, RunConfig, Scheduling};
 /// Telemetry-plane vocabulary (shared with `pga-congest`), re-exported
 /// so benches and tests can attach probes to
 /// [`MpcSimulator::run_cfg_probed`] without another dependency edge.

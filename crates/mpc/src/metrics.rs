@@ -66,11 +66,7 @@ impl MpcMetrics {
         self.peak_memory_words = self.peak_memory_words.max(other.peak_memory_words);
         self.peak_round_io_words = self.peak_round_io_words.max(other.peak_round_io_words);
         self.io_profile.extend_from_slice(&other.io_profile);
-        self.fault.delivered += other.fault.delivered;
-        self.fault.dropped += other.fault.dropped;
-        self.fault.duplicated += other.fault.duplicated;
-        self.fault.delayed += other.fault.delayed;
-        self.fault.crashed += other.fault.crashed;
+        self.fault.absorb(&other.fault);
     }
 }
 

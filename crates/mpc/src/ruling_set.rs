@@ -32,10 +32,11 @@
 //! slice, and per-round I/O is bounded by the boundary size — both
 //! enforced by the engine against the budget `S`.
 
-use crate::engine::{Engine, Machine, MachineId, MpcCtx, MpcError, MpcSimulator, WordSize};
+use crate::engine::{Machine, MachineId, MpcCtx, MpcError, MpcSimulator, WordSize};
 use crate::metrics::MpcMetrics;
 use crate::util::{greedy_partition, SparseBuckets};
 use crate::RunConfig;
+use pga_congest::Engine;
 use pga_graph::{Graph, NodeId};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;

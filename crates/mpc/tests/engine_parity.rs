@@ -3,8 +3,8 @@
 //! executors (and of both scheduling policies) across thread counts.
 
 use pga_mpc::{
-    low_space_words, Engine, Machine, MachineId, MpcCtx, MpcError, MpcSimulator, Scheduling,
-    WordSize,
+    low_space_words, Engine, Machine, MachineId, MpcCtx, MpcError, MpcSimulator, RunConfig,
+    Scheduling, WordSize,
 };
 
 /// A plain word-counted payload.
@@ -82,7 +82,9 @@ fn ring(m: usize, laps: usize) -> Vec<Ring> {
 
 #[test]
 fn ring_completes_and_counts() {
-    let report = MpcSimulator::new(64).run(ring(5, 1)).unwrap();
+    let report = MpcSimulator::new(64)
+        .run_cfg(ring(5, 1), &RunConfig::new())
+        .unwrap();
     assert_eq!(report.metrics.rounds, 6);
     assert_eq!(report.metrics.messages, 5);
     assert_eq!(report.outputs[0], 5);
@@ -92,10 +94,12 @@ fn ring_completes_and_counts() {
 
 #[test]
 fn parallel_matches_sequential_bit_identically() {
-    let seq = MpcSimulator::new(64).run(ring(16, 3)).unwrap();
+    let seq = MpcSimulator::new(64)
+        .run_cfg(ring(16, 3), &RunConfig::new())
+        .unwrap();
     for threads in [1, 2, 3, 5, 8] {
         let par = MpcSimulator::new(64)
-            .run_parallel(ring(16, 3), threads)
+            .run_cfg(ring(16, 3), &RunConfig::new().parallel(threads))
             .unwrap();
         assert_eq!(par.outputs, seq.outputs, "t={threads}");
         assert_eq!(par.metrics, seq.metrics, "t={threads}");
@@ -121,10 +125,12 @@ fn skewed_ring(m: usize, laps: usize) -> Vec<Ring> {
 
 #[test]
 fn cost_balanced_sharding_stays_bit_identical() {
-    let seq = MpcSimulator::new(64).run(skewed_ring(16, 3)).unwrap();
+    let seq = MpcSimulator::new(64)
+        .run_cfg(skewed_ring(16, 3), &RunConfig::new())
+        .unwrap();
     for threads in [1, 2, 3, 5, 8] {
         let par = MpcSimulator::new(64)
-            .run_parallel(skewed_ring(16, 3), threads)
+            .run_cfg(skewed_ring(16, 3), &RunConfig::new().parallel(threads))
             .unwrap();
         assert_eq!(par.outputs, seq.outputs, "t={threads}");
         assert_eq!(par.metrics, seq.metrics, "t={threads}");
@@ -153,20 +159,23 @@ fn scheduling_policies_match_bit_identically() {
     // Most ring machines sit "done" between token visits, so the
     // active-set policy skips them; the run must not notice.
     let reference = MpcSimulator::new(64)
-        .with_scheduling(Scheduling::FullSweep)
-        .run(ring(16, 3))
+        .run_cfg(
+            ring(16, 3),
+            &RunConfig::new().scheduling(Scheduling::FullSweep),
+        )
         .unwrap();
     for scheduling in [Scheduling::FullSweep, Scheduling::ActiveSet] {
         let seq = MpcSimulator::new(64)
-            .with_scheduling(scheduling)
-            .run(ring(16, 3))
+            .run_cfg(ring(16, 3), &RunConfig::new().scheduling(scheduling))
             .unwrap();
         assert_eq!(seq.outputs, reference.outputs, "{scheduling:?}");
         assert_eq!(seq.metrics, reference.metrics, "{scheduling:?}");
         for threads in [2, 5] {
             let par = MpcSimulator::new(64)
-                .with_scheduling(scheduling)
-                .run_parallel(ring(16, 3), threads)
+                .run_cfg(
+                    ring(16, 3),
+                    &RunConfig::new().scheduling(scheduling).parallel(threads),
+                )
                 .unwrap();
             assert_eq!(par.outputs, reference.outputs, "{scheduling:?} t={threads}");
             assert_eq!(par.metrics, reference.metrics, "{scheduling:?} t={threads}");
@@ -195,7 +204,9 @@ fn memory_violation_detected() {
         }
         fn output(&self, _ctx: &MpcCtx) {}
     }
-    let err = MpcSimulator::new(64).run(vec![Hog, Hog]).unwrap_err();
+    let err = MpcSimulator::new(64)
+        .run_cfg(vec![Hog, Hog], &RunConfig::new())
+        .unwrap_err();
     assert_eq!(
         err,
         MpcError::MemoryExceeded {
@@ -235,7 +246,10 @@ fn send_volume_violation_detected() {
         fn output(&self, _ctx: &MpcCtx) {}
     }
     let err = MpcSimulator::new(64)
-        .run(vec![Blaster { fired: false }, Blaster { fired: true }])
+        .run_cfg(
+            vec![Blaster { fired: false }, Blaster { fired: true }],
+            &RunConfig::new(),
+        )
         .unwrap_err();
     assert!(matches!(
         err,
@@ -270,7 +284,10 @@ fn recv_volume_violation_detected() {
         fn output(&self, _ctx: &MpcCtx) {}
     }
     let err = MpcSimulator::new(64)
-        .run((0..4).map(|_| Shouter).collect::<Vec<_>>())
+        .run_cfg(
+            (0..4).map(|_| Shouter).collect::<Vec<_>>(),
+            &RunConfig::new(),
+        )
         .unwrap_err();
     assert_eq!(
         err,
@@ -307,7 +324,9 @@ fn illegal_machine_detected() {
         }
         fn output(&self, _ctx: &MpcCtx) {}
     }
-    let err = MpcSimulator::new(64).run(vec![Stray, Stray]).unwrap_err();
+    let err = MpcSimulator::new(64)
+        .run_cfg(vec![Stray, Stray], &RunConfig::new())
+        .unwrap_err();
     assert!(matches!(
         err,
         MpcError::IllegalMachine {
@@ -321,7 +340,7 @@ fn illegal_machine_detected() {
 fn round_limit_detected() {
     let err = MpcSimulator::new(64)
         .with_max_rounds(3)
-        .run(ring(4, 1000))
+        .run_cfg(ring(4, 1000), &RunConfig::new())
         .unwrap_err();
     assert_eq!(err, MpcError::RoundLimitExceeded { limit: 3 });
 }
@@ -353,10 +372,12 @@ fn parallel_errors_match_sequential() {
         fn output(&self, _ctx: &MpcCtx) {}
     }
     let mk = || (0..8).map(|_| Stray { id_to_err: 6 }).collect::<Vec<_>>();
-    let seq = MpcSimulator::new(64).run(mk()).unwrap_err();
+    let seq = MpcSimulator::new(64)
+        .run_cfg(mk(), &RunConfig::new())
+        .unwrap_err();
     for threads in [2, 4] {
         let par = MpcSimulator::new(64)
-            .run_parallel(mk(), threads)
+            .run_cfg(mk(), &RunConfig::new().parallel(threads))
             .unwrap_err();
         assert_eq!(par, seq, "t={threads}");
     }
@@ -364,7 +385,9 @@ fn parallel_errors_match_sequential() {
 
 #[test]
 fn zero_machines_trivial() {
-    let report = MpcSimulator::new(64).run(Vec::<Ring>::new()).unwrap();
+    let report = MpcSimulator::new(64)
+        .run_cfg(Vec::<Ring>::new(), &RunConfig::new())
+        .unwrap();
     assert_eq!(report.metrics.rounds, 0);
     assert!(report.outputs.is_empty());
 }
@@ -383,7 +406,9 @@ fn run_with_dispatches_both_engines() {
         Engine::Parallel { threads: 3 },
         Engine::parallel_auto(),
     ] {
-        let report = MpcSimulator::new(64).run_with(ring(8, 2), engine).unwrap();
+        let report = MpcSimulator::new(64)
+            .run_cfg(ring(8, 2), &RunConfig::new().engine(engine))
+            .unwrap();
         assert_eq!(report.outputs[0], 16, "{engine:?}");
     }
 }

@@ -8,7 +8,8 @@
 use pga_graph::{generators, Graph};
 use pga_mpc::{
     g2_ruling_set_mpc, g2_ruling_set_mpc_cfg, recommended_ruling_set_memory_words, FaultSpec,
-    Machine, MachineId, MpcCtx, MpcError, MpcSimulator, ReliabilitySpec, RunConfig, WordSize,
+    Machine, MachineId, MpcCtx, MpcError, MpcSimulator, ReliabilitySpec, RunConfig,
+    SeededAdversary, TraceAdversary, WordSize,
 };
 use proptest::prelude::*;
 
@@ -108,7 +109,7 @@ proptest! {
     #[test]
     fn none_spec_is_bit_identical_to_clean_engines(m in 2usize..16) {
         let sim = MpcSimulator::new(256);
-        let clean = sim.run(gossip(m)).unwrap();
+        let clean = sim.run_cfg(gossip(m), &RunConfig::new()).unwrap();
         for threads in [1usize, 2, 4, 8] {
             let cfg = RunConfig::new().parallel(threads).adversary(FaultSpec::none());
             let r = sim.run_cfg(gossip(m), &cfg).unwrap();
@@ -159,24 +160,29 @@ proptest! {
         }
     }
 
-    /// Record-and-replay on the MPC plane: `run_replay` of a recorded
-    /// trace reproduces the recorded run bit for bit, including on a
+    /// Record-and-replay on the MPC plane: replaying a recorded trace
+    /// reproduces the recorded run bit for bit, including on a
     /// different thread count.
     #[test]
     fn trace_replay_is_bit_identical(m in 2usize..16, seed in any::<u64>()) {
         let sim = MpcSimulator::new(256);
         let spec = hostile(seed);
         let cfg = RunConfig::new().sequential().max_rounds(200);
-        let Ok((recorded, trace)) = sim.run_traced(gossip(m), spec, &cfg) else {
-            let a = sim.run_traced(gossip(m), spec, &cfg).map(|_| ()).unwrap_err();
-            let b = sim.run_traced(gossip(m), spec, &cfg).map(|_| ()).unwrap_err();
+        let record = || {
+            let recorder = SeededAdversary::recording(spec);
+            let report = sim.run_adversary(gossip(m), &cfg, &recorder)?;
+            Ok::<_, MpcError>((report, recorder.into_trace(m)))
+        };
+        let Ok((recorded, trace)) = record() else {
+            let a = record().map(|_| ()).unwrap_err();
+            let b = record().map(|_| ()).unwrap_err();
             prop_assert_eq!(a, b);
             return Ok(());
         };
         prop_assert_eq!(trace.spec, spec);
         for threads in [1usize, 4] {
             let replay_cfg = RunConfig::new().parallel(threads).max_rounds(200);
-            let replayed = sim.run_replay(gossip(m), &trace, &replay_cfg).unwrap();
+            let replayed = sim.run_adversary(gossip(m), &replay_cfg, &TraceAdversary::new(&trace)).unwrap();
             prop_assert_eq!(&replayed.outputs, &recorded.outputs, "threads {}", threads);
             prop_assert_eq!(&replayed.metrics, &recorded.metrics, "threads {}", threads);
         }
@@ -188,7 +194,7 @@ proptest! {
     #[test]
     fn arq_without_faults_reproduces_clean_outputs(m in 2usize..16) {
         let sim = MpcSimulator::new(256);
-        let clean = sim.run(gossip(m)).unwrap();
+        let clean = sim.run_cfg(gossip(m), &RunConfig::new()).unwrap();
         let base = sim
             .run_cfg(gossip(m), &RunConfig::new().sequential().reliability(ReliabilitySpec::arq()))
             .unwrap();
@@ -207,7 +213,7 @@ proptest! {
     #[test]
     fn arq_drop_only_recovers_clean_outputs(m in 2usize..16, seed in any::<u64>()) {
         let sim = MpcSimulator::new(256);
-        let clean = sim.run(gossip(m)).unwrap();
+        let clean = sim.run_cfg(gossip(m), &RunConfig::new()).unwrap();
         let spec = FaultSpec::seeded(seed).drop(0.10);
         let base_cfg = RunConfig::new()
             .sequential()

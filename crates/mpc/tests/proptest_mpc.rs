@@ -4,7 +4,7 @@
 //! match its sequential oracle.
 
 use pga_congest::primitives::FloodMax;
-use pga_congest::Simulator;
+use pga_congest::{RunConfig, Simulator};
 use pga_graph::{generators, Graph, NodeId};
 use pga_mpc::{g2_ruling_set_mpc, lex_first_g2_mis, CongestOnMpc, Engine};
 use proptest::prelude::*;
@@ -35,21 +35,21 @@ fn floodmax_states(n: usize) -> Vec<FloodMax> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The adapter reproduces `Simulator::run` bit for bit — outputs and
+    /// The adapter reproduces `Simulator::run_cfg` bit for bit — outputs and
     /// full CONGEST metrics (congestion profile included) — for FloodMax
     /// on random connected graphs, across memory budgets (machine
     /// counts) and both MPC engines.
     #[test]
     fn adapter_floodmax_bit_identical(g in arb_connected(), budget_scale in 0usize..3) {
         let n = g.num_nodes();
-        let reference = Simulator::congest(&g).run(floodmax_states(n)).unwrap();
+        let reference = Simulator::congest(&g).run_cfg(floodmax_states(n), &RunConfig::new()).unwrap();
         let base = pga_mpc::recommended_memory_words(
             &g,
             pga_congest::default_bandwidth_bits(n),
         );
-        let driver = CongestOnMpc::congest(&g).with_memory_words(base << budget_scale);
+        let on_mpc = CongestOnMpc::congest(&g).with_memory_words(base << budget_scale);
         for engine in [Engine::Sequential, Engine::Parallel { threads: 3 }] {
-            let adapter = driver.run_with(floodmax_states(n), engine).unwrap();
+            let adapter = on_mpc.run_cfg(floodmax_states(n), &RunConfig::new().engine(engine)).unwrap();
             prop_assert_eq!(&adapter.outputs, &reference.outputs);
             prop_assert_eq!(&adapter.congest, &reference.metrics);
             prop_assert!(adapter.mpc.rounds == reference.metrics.rounds);
@@ -83,11 +83,11 @@ proptest! {
         );
         let coarse = CongestOnMpc::congest(&g)
             .with_memory_words(4 * base)
-            .run(floodmax_states(n))
+            .run_cfg(floodmax_states(n), &RunConfig::new())
             .unwrap();
         let fine = CongestOnMpc::congest(&g)
             .with_memory_words(base)
-            .run(floodmax_states(n))
+            .run_cfg(floodmax_states(n), &RunConfig::new())
             .unwrap();
         prop_assert!(fine.machines >= coarse.machines);
         prop_assert_eq!(&fine.outputs, &coarse.outputs);

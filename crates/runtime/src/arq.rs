@@ -2,19 +2,20 @@
 //! between the [`ExecModel`] round loop and the [`Adversary`]-faulted
 //! network.
 //!
-//! [`run_reliable`] adds a fourth executor family next to the clean
-//! engines and [`run_faulty`](crate::fault::run_faulty). Every
-//! application message rides a per-link (sender → receiver) **sequence
-//! number**; receivers accept frames in order (buffering out-of-order
-//! arrivals), flag a **cumulative ack** back to the sender, and senders
-//! **retransmit** frames unacknowledged for
+//! ARQ is one of the kernel's delivery planes, selected by
+//! [`RunConfig::reliability`](crate::RunConfig::reliability) and layered
+//! over the run's adversary. Every application message rides a per-link
+//! (sender → receiver) **sequence number**; receivers accept frames in
+//! order (buffering out-of-order arrivals), flag a **cumulative ack**
+//! back to the sender, and senders **retransmit** frames unacknowledged
+//! for
 //! [`ReliabilitySpec::ack_timeout_rounds`] kernel ticks, up to
 //! [`ReliabilitySpec::max_retries`] times — after which the link is
 //! declared **dead** and its traffic abandoned.
 //!
 //! # Ticks vs. application rounds
 //!
-//! The executor decouples the **kernel tick** (the unit the adversary,
+//! The plane decouples the **kernel tick** (the unit the adversary,
 //! the round budget, the metrics, and the probe plane are clocked on)
 //! from the **application round** (the `round` the actors observe). A
 //! global barrier advances the application clock only when every frame
@@ -31,7 +32,7 @@
 //!
 //! The model charges each logical send once at `step` time, exactly
 //! like the clean engines (first transmission, payload lane). The
-//! executor additionally charges, per actual transmission: the
+//! plane additionally charges, per actual transmission: the
 //! fixed-width control lane ([`ExecModel::arq_header_charge`]) on
 //! every data copy, full payload + header for every retransmission and
 //! duplicated copy, and [`ExecModel::arq_ack_charge`] per ack frame.
@@ -52,12 +53,9 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use crate::fault::{sweep_faulty, Adversary, Fate, FaultStats};
-use crate::probe::{NoopProbe, Probe, RoundObs};
-use crate::{
-    balanced_partition, outputs, split_by_bounds, ActorId, ExecModel, KernelConfig, MsgSink,
-    PackedModel, RoundProfile, Run,
-};
+use crate::fault::{crash_table, halt_due, Adversary, Fate, FaultStats};
+use crate::kernel::{Plane, Route, Store};
+use crate::{ActorId, ExecModel, MsgSink, RoundProfile};
 
 /// Knobs of the reliable delivery plane, consumed via
 /// [`RunConfig::reliability`](crate::RunConfig::reliability).
@@ -225,130 +223,9 @@ enum Payload<M: ExecModel> {
     Ack { cum: u64 },
 }
 
-/// The staging sink of the reliable executor: raw sends are collected
-/// per shard (in outbox order) and handed to the driving-thread ARQ
-/// pump; the model charges each logical send once, exactly like the
-/// clean sinks.
-struct ReliableSink<'a, M: ExecModel> {
-    out: &'a mut Vec<(u32, M::Id, M::Msg)>,
-}
-
-impl<M: ExecModel> MsgSink<M> for ReliableSink<'_, M> {
-    #[inline]
-    fn deliver(&mut self, _model: &M, to: M::Id, from: M::Id, msg: M::Msg) -> u32 {
-        self.out.push((to.index() as u32, from, msg));
-        1
-    }
-}
-
-/// Per-shard staging reused across ticks.
-struct ShardStage<M: ExecModel> {
-    out: Vec<(u32, M::Id, M::Msg)>,
-    scratch: M::SendScratch,
-}
-
-impl<M: ExecModel> ShardStage<M> {
-    fn new() -> Self {
-        ShardStage {
-            out: Vec::new(),
-            scratch: M::SendScratch::default(),
-        }
-    }
-}
-
-/// Runs `nodes` to completion on the reliable (ARQ) executor under
-/// `adversary`.
-///
-/// See the module docs for the tick/application-round split, the
-/// accounting contract, and the determinism guarantees. A run under a
-/// never-interfering adversary produces the clean executors' outputs
-/// with a constant tick tail (the final ack drain); under drop, delay,
-/// and duplicate faults the outputs stay bit-identical to the clean
-/// run and only the metrics stretch; dead links (retry exhaustion or
-/// crashes) degrade delivery like permanent drops.
-///
-/// # Errors
-///
-/// Returns the model's error exactly like the other executors: the
-/// lowest-indexed actor's violation, or the round-limit error when the
-/// **tick** budget runs out.
-pub fn run_reliable<M>(
-    model: &M,
-    nodes: Vec<M::Node>,
-    threads: usize,
-    cfg: KernelConfig,
-    spec: ReliabilitySpec,
-    adversary: &dyn Adversary,
-) -> Result<Run<M::Output, M::Metrics>, M::Error>
-where
-    M: ExecModel,
-    M::Node: Send,
-    M::Msg: Send,
-    M::Error: Send,
-{
-    #[allow(clippy::disallowed_methods)] // the probed twin of this wrapper
-    run_reliable_probed(model, nodes, threads, cfg, spec, adversary, &NoopProbe)
-}
-
-/// [`run_reliable`] with a [`Probe`] attached: identical outputs,
-/// metrics, and errors (observer neutrality), plus per-tick telemetry
-/// including retransmit/ack counters in the fault-stat deltas handed
-/// to [`Probe::on_fault_event`].
-///
-/// # Errors
-///
-/// Returns the model's error like [`run_reliable`].
-pub fn run_reliable_probed<M, P>(
-    model: &M,
-    nodes: Vec<M::Node>,
-    threads: usize,
-    cfg: KernelConfig,
-    spec: ReliabilitySpec,
-    adversary: &dyn Adversary,
-    probe: &P,
-) -> Result<Run<M::Output, M::Metrics>, M::Error>
-where
-    M: ExecModel,
-    M::Node: Send,
-    M::Msg: Send,
-    M::Error: Send,
-    P: Probe,
-{
-    if model.packs() {
-        run_reliable_inner(
-            &PackedModel(model),
-            nodes,
-            threads,
-            cfg,
-            spec,
-            adversary,
-            probe,
-        )
-    } else {
-        run_reliable_inner(model, nodes, threads, cfg, spec, adversary, probe)
-    }
-}
-
-/// Central ARQ bookkeeping of one run (driving thread only).
-struct ArqState<M: ExecModel> {
-    /// Directional link table, keyed `(sender index, receiver index)`.
-    links: BTreeMap<(u32, u32), LinkState<M>>,
-    /// Copies in flight on the faulted network.
-    wire: Vec<InFlight<M>>,
-    /// Receivers owing a cumulative ack, keyed
-    /// `(receiver index, sender index)`.
-    ack_pending: BTreeSet<(u32, u32)>,
-    /// Frames sent by the application and not yet accepted or
-    /// abandoned — the global barrier is open iff this is zero.
-    outstanding: u64,
-    /// Transmitted frames awaiting acknowledgment, across all links.
-    unacked_total: u64,
-    stats: FaultStats,
-}
-
 /// Rolls the adversary for one transmission and places the surviving
 /// copies on the wire. Returns the number of copies. A free function
-/// over the disjoint [`ArqState`] fields so the link pump can call it
+/// over the disjoint [`ArqPlane`] fields so the link pump can call it
 /// while iterating the link table.
 #[allow(clippy::too_many_arguments)]
 fn transmit<M: ExecModel>(
@@ -363,184 +240,197 @@ fn transmit<M: ExecModel>(
 ) -> u32 {
     let k = tx_seq[from as usize];
     tx_seq[from as usize] += 1;
-    match adversary.fate(tick as u32, from, k) {
+    let (arrive, copies) = match adversary.fate(tick as u32, from, k) {
         Fate::Drop => {
             stats.dropped += 1;
-            0
+            return 0;
         }
-        Fate::Deliver => {
-            wire.push(InFlight {
-                arrive: tick + 1,
-                from,
-                to,
-                payload,
-            });
-            1
-        }
+        Fate::Deliver => (tick + 1, 1),
         Fate::Duplicate => {
             stats.duplicated += 1;
-            let copy = match &payload {
-                Payload::Data { from_id, seq, msg } => Payload::Data {
-                    from_id: *from_id,
-                    seq: *seq,
-                    msg: msg.clone(),
-                },
-                Payload::Ack { cum } => Payload::Ack { cum: *cum },
-            };
-            wire.push(InFlight {
-                arrive: tick + 1,
-                from,
-                to,
-                payload: copy,
-            });
-            wire.push(InFlight {
-                arrive: tick + 1,
-                from,
-                to,
-                payload,
-            });
-            2
+            (tick + 1, 2)
         }
         Fate::Delay(d) => {
             stats.delayed += 1;
-            wire.push(InFlight {
-                arrive: tick + 1 + d.max(1) as usize,
-                from,
-                to,
-                payload,
-            });
-            1
+            (tick + 1 + d.max(1) as usize, 1)
+        }
+    };
+    if copies == 2 {
+        let copy = match &payload {
+            Payload::Data { from_id, seq, msg } => Payload::Data {
+                from_id: *from_id,
+                seq: *seq,
+                msg: msg.clone(),
+            },
+            Payload::Ack { cum } => Payload::Ack { cum: *cum },
+        };
+        wire.push(InFlight {
+            arrive,
+            from,
+            to,
+            payload: copy,
+        });
+    }
+    wire.push(InFlight {
+        arrive,
+        from,
+        to,
+        payload,
+    });
+    copies
+}
+
+/// The ARQ plane's routing half: every send is captured, in outbox
+/// order, for the driving thread's link pump.
+pub(crate) struct Capture;
+
+impl<M: ExecModel> Route<M> for Capture
+where
+    M::Msg: Send,
+{
+    type Shard = Vec<(u32, M::Id, M::Msg)>;
+
+    #[inline]
+    fn route<S: MsgSink<M>>(
+        &self,
+        out: &mut Self::Shard,
+        _base: &mut S,
+        _model: &M,
+        _round: u32,
+        to: M::Id,
+        from: M::Id,
+        msg: M::Msg,
+    ) -> u32 {
+        out.push((to.index() as u32, from, msg));
+        1
+    }
+}
+
+/// The ARQ delivery plane (driving thread only): links, the faulted
+/// wire, and the barrier. `begin` delivers the tick's arrivals and
+/// opens the barrier when no frame is outstanding, releasing the
+/// accepted mail into the store; `settle` ingests the step phase's
+/// captured sends and pumps every link.
+pub(crate) struct ArqPlane<'a, M: ExecModel> {
+    spec: ReliabilitySpec,
+    header: u64,
+    ack_charge: u64,
+    adversary: &'a dyn Adversary,
+    crash: Vec<Option<u32>>,
+    crashed: Vec<bool>,
+    /// Directional link table, keyed `(sender index, receiver index)`.
+    links: BTreeMap<(u32, u32), LinkState<M>>,
+    /// Copies in flight on the faulted network.
+    wire: Vec<InFlight<M>>,
+    /// Receivers owing a cumulative ack, keyed
+    /// `(receiver index, sender index)`.
+    ack_pending: BTreeSet<(u32, u32)>,
+    /// Frames sent by the application and not yet accepted or
+    /// abandoned — the global barrier is open iff this is zero.
+    outstanding: u64,
+    /// Transmitted frames awaiting acknowledgment, across all links.
+    unacked_total: u64,
+    stats: FaultStats,
+    /// Per-sender transmit index within the tick (the adversary's
+    /// `seq` coordinate).
+    tx_seq: Vec<u32>,
+    /// Accepted mail waiting for the barrier, in acceptance order.
+    staging: Vec<(u32, M::Id, M::Msg)>,
+    /// Frames accepted at the start of this tick.
+    delivered_now: u64,
+}
+
+impl<'a, M: ExecModel> ArqPlane<'a, M> {
+    pub(crate) fn new(
+        model: &M,
+        n: usize,
+        spec: ReliabilitySpec,
+        adversary: &'a dyn Adversary,
+    ) -> Self {
+        ArqPlane {
+            spec,
+            header: model.arq_header_charge(),
+            ack_charge: model.arq_ack_charge(),
+            adversary,
+            crash: crash_table(adversary, n),
+            crashed: vec![false; n],
+            links: BTreeMap::new(),
+            wire: Vec::new(),
+            ack_pending: BTreeSet::new(),
+            outstanding: 0,
+            unacked_total: 0,
+            stats: FaultStats::default(),
+            tx_seq: vec![0; n],
+            staging: Vec::new(),
+            delivered_now: 0,
         }
     }
 }
 
-#[allow(clippy::too_many_lines)]
-fn run_reliable_inner<M, P>(
-    model: &M,
-    mut nodes: Vec<M::Node>,
-    threads: usize,
-    cfg: KernelConfig,
-    spec: ReliabilitySpec,
-    adversary: &dyn Adversary,
-    probe: &P,
-) -> Result<Run<M::Output, M::Metrics>, M::Error>
+impl<'a, M: ExecModel> Plane<M> for ArqPlane<'a, M>
 where
-    M: ExecModel,
-    M::Node: Send,
     M::Msg: Send,
-    M::Error: Send,
-    P: Probe,
 {
-    let n = nodes.len();
-    let mut metrics = M::Metrics::default();
-    model.pre_run(&nodes, &mut metrics)?;
+    type Route = Capture;
+    const HOLDS: bool = true;
 
-    let window = spec.window.max(1) as usize;
-    let ack_timeout = spec.ack_timeout_rounds.max(1) as usize;
-    let header = model.arq_header_charge();
-    let ack_charge = model.arq_ack_charge();
-
-    // Crash table fixed up front, exactly like the adversarial
-    // executor (tick clock): a crash severs every link of the actor,
-    // in-flight mail included.
-    let crash: Vec<Option<u32>> = (0..n).map(|i| adversary.crash_round(i as u32)).collect();
-    let mut crashed = vec![false; n];
-
-    let (bounds, costs) = if threads > 1 && n >= 2 * threads {
-        let costs: Vec<u64> = nodes
-            .iter()
-            .enumerate()
-            .map(|(i, node)| model.actor_cost(node, i))
-            .collect();
-        (balanced_partition(&costs, threads), costs)
-    } else {
-        (vec![0, n], Vec::new())
-    };
-    let num_shards = bounds.len() - 1;
-    let run_start = P::ENABLED.then(std::time::Instant::now);
-    if P::ENABLED {
-        probe.on_run_start(n, &bounds, &costs);
+    fn route(&self) -> &Capture {
+        &Capture
     }
 
-    let mut inboxes: Vec<Vec<(M::Id, M::Msg)>> = (0..n).map(|_| Vec::new()).collect();
-    let mut staging: Vec<Vec<(M::Id, M::Msg)>> = (0..n).map(|_| Vec::new()).collect();
-    let mut recv: Vec<usize> = if M::TRACK_RECV {
-        vec![0; n]
-    } else {
-        Vec::new()
-    };
-    let mut active = vec![true; n];
-    let mut dormant = vec![false; n];
-    let mut shard_state: Vec<ShardStage<M>> = (0..num_shards).map(|_| ShardStage::new()).collect();
-    let mut arq: ArqState<M> = ArqState {
-        links: BTreeMap::new(),
-        wire: Vec::new(),
-        ack_pending: BTreeSet::new(),
-        outstanding: 0,
-        unacked_total: 0,
-        stats: FaultStats::default(),
-    };
-    let mut tx_seq = vec![0u32; n];
-    let mut fault_seen = FaultStats::default();
-    let mut tick = 0usize;
-    let mut app_round = 0usize;
-    let mut delivered: u64 = 0;
-    let mut convergence = 0usize;
-
-    loop {
+    fn begin<S: Store<M>>(
+        &mut self,
+        model: &M,
+        tick: usize,
+        store: &mut S,
+        recv: &mut [usize],
+    ) -> bool {
         // Crash activation (tick clock): sever the victim's links.
-        for i in 0..n {
-            if !crashed[i] && matches!(crash[i], Some(r) if (r as usize) <= tick) {
-                crashed[i] = true;
-                arq.stats.crashed += 1;
-                let v = i as u32;
-                for (&(a, b), link) in arq.links.iter_mut() {
-                    if (a == v || b == v) && !link.dead {
-                        let abandoned = link.kill();
-                        arq.outstanding -= abandoned;
-                        arq.unacked_total = arq.unacked_total.saturating_sub(abandoned);
-                    }
+        let mut fired = false;
+        let (links, stats, outstanding) = (&mut self.links, &mut self.stats, &mut self.outstanding);
+        halt_due(&self.crash, &mut self.crashed, tick, |i| {
+            fired = true;
+            stats.crashed += 1;
+            let v = i as u32;
+            for (&(a, b), link) in links.iter_mut() {
+                if (a == v || b == v) && !link.dead {
+                    *outstanding -= link.kill();
                 }
             }
-        }
-        // Fix the per-link unacked totals after a kill sweep: `kill`
-        // drains unacked wholesale, so recompute the global tally from
-        // the surviving links only when a crash actually fired. (The
-        // dead-link path below adjusts incrementally.)
-        if arq.stats.crashed > fault_seen.crashed || tick == 0 {
-            arq.unacked_total = arq
-                .links
-                .values()
-                .map(|l| l.unacked.len() as u64)
-                .sum::<u64>();
+        });
+        // `kill` drains unacked wholesale, so recompute the global tally
+        // from the surviving links when a crash fired. (The dead-link
+        // path in the pump adjusts incrementally.)
+        if fired {
+            self.unacked_total = self.links.values().map(|l| l.unacked.len() as u64).sum();
         }
 
         // Wire delivery: copies transmitted earlier whose arrival tick
         // is now.
-        let mut delivered_now = 0u64;
+        self.delivered_now = 0;
         let mut i = 0;
-        while i < arq.wire.len() {
-            if arq.wire[i].arrive != tick {
+        while i < self.wire.len() {
+            if self.wire[i].arrive != tick {
                 i += 1;
                 continue;
             }
             let InFlight {
                 from, to, payload, ..
-            } = arq.wire.swap_remove(i);
+            } = self.wire.swap_remove(i);
             match payload {
                 Payload::Data { from_id, seq, msg } => {
-                    let link = arq
+                    let link = self
                         .links
                         .entry((from, to))
                         .or_insert_with(LinkState::<M>::new);
-                    if link.dead || crashed[to as usize] {
-                        arq.stats.dropped += 1;
+                    if link.dead || self.crashed[to as usize] {
+                        self.stats.dropped += 1;
                         continue;
                     }
                     if seq < link.expected || link.reorder.contains_key(&seq) {
                         // Stale or duplicate copy: the cumulative ack
                         // was lost — re-flag it.
-                        arq.ack_pending.insert((to, from));
+                        self.ack_pending.insert((to, from));
                         continue;
                     }
                     link.reorder.insert(seq, msg);
@@ -548,231 +438,110 @@ where
                         if M::TRACK_RECV {
                             recv[to as usize] += model.recv_charge(&m);
                         }
-                        staging[to as usize].push((from_id, m));
+                        self.staging.push((to, from_id, m));
                         link.expected += 1;
-                        arq.outstanding -= 1;
-                        delivered_now += 1;
+                        self.outstanding -= 1;
+                        self.delivered_now += 1;
                     }
-                    arq.ack_pending.insert((to, from));
+                    self.ack_pending.insert((to, from));
                 }
                 Payload::Ack { cum } => {
                     // Ack for the reversed link: `from` here is the
                     // receiver acknowledging `to`'s data.
-                    if let Some(link) = arq.links.get_mut(&(to, from)) {
+                    if let Some(link) = self.links.get_mut(&(to, from)) {
                         while link.unacked.front().is_some_and(|f| f.seq < cum) {
                             link.unacked.pop_front();
-                            arq.unacked_total -= 1;
+                            self.unacked_total -= 1;
                         }
                     }
                 }
             }
         }
 
-        // Barrier: the application clock advances only when every
-        // frame of the previous application round is resolved.
-        let barrier_open = arq.outstanding == 0;
-        let mut quiescent = false;
-        if barrier_open {
-            for (i, stage) in staging.iter_mut().enumerate() {
-                if !stage.is_empty() {
-                    // Acceptance order can interleave senders across
-                    // ticks; the stable per-sender sort restores the
-                    // sequential executor's inbox order (per-link
-                    // frames are already in send order).
-                    stage.sort_by_key(|(from, _)| from.index());
-                    std::mem::swap(&mut inboxes[i], stage);
-                    stage.clear();
-                }
-            }
-            quiescent = sweep_faulty(
-                model,
-                &nodes,
-                &inboxes,
-                &crashed,
-                app_round,
-                cfg.scheduling,
-                &mut active,
-                &mut dormant,
-            );
-            if quiescent
-                && arq.wire.is_empty()
-                && arq.unacked_total == 0
-                && arq.ack_pending.is_empty()
-            {
-                break;
-            }
+        // Barrier: the application clock advances only when every frame
+        // of the previous application round is resolved. Acceptance
+        // order can interleave senders across ticks; the stable sort by
+        // (receiver, sender) restores the clean inbox order (per-link
+        // frames are already in send order).
+        let open = self.outstanding == 0;
+        if open && !self.staging.is_empty() {
+            let mut mail = std::mem::take(&mut self.staging);
+            mail.sort_by_key(|&(to, from, _)| (to, from.index()));
+            store.load(model, mail);
         }
-        if tick >= cfg.max_rounds {
-            return Err(model.round_limit_error(cfg.max_rounds));
-        }
+        open
+    }
 
-        let round_start = P::ENABLED.then(std::time::Instant::now);
-        if P::ENABLED {
-            probe.on_round_start(tick);
-        }
-        let mut acc = RoundProfile::for_probe::<P>();
+    fn halted(&self, i: usize) -> bool {
+        self.crashed[i]
+    }
 
-        // Phase A: step one application round (sharded), staging raw
-        // sends — only when the barrier is open and someone is live.
-        let stepped = barrier_open && !quiescent;
-        if stepped {
-            if num_shards == 1 {
-                let shard_start = P::ENABLED.then(std::time::Instant::now);
-                let st = &mut shard_state[0];
-                let mut sink = ReliableSink::<M> { out: &mut st.out };
-                for (i, node) in nodes.iter_mut().enumerate() {
-                    if !active[i] {
-                        continue;
-                    }
-                    model.step(
-                        node,
-                        i,
-                        app_round,
-                        &inboxes[i],
-                        &mut st.scratch,
-                        &mut acc,
-                        &mut sink,
-                    )?;
-                    inboxes[i].clear();
-                }
-                if P::ENABLED {
-                    probe.on_shard(
-                        tick,
-                        0,
-                        shard_start.map_or(0, |t| t.elapsed().as_nanos() as u64),
-                        acc.messages,
-                        acc.volume,
-                    );
-                }
-            } else {
-                type ShardOut<M> = (Result<RoundProfile, <M as ExecModel>::Error>, u64);
-                let shard_results: Vec<Option<ShardOut<M>>> = {
-                    let bounds = &bounds;
-                    let active = &active;
-                    std::thread::scope(|s| {
-                        let handles: Vec<_> = split_by_bounds(&mut nodes, bounds)
-                            .into_iter()
-                            .zip(split_by_bounds(&mut inboxes, bounds))
-                            .zip(shard_state.iter_mut())
-                            .enumerate()
-                            .map(|(si, ((shard_nodes, shard_inboxes), st))| {
-                                let base = bounds[si];
-                                let act = &active[base..bounds[si + 1]];
-                                if !act.iter().any(|&a| a) {
-                                    return None;
-                                }
-                                Some(s.spawn(move || {
-                                    let shard_start = P::ENABLED.then(std::time::Instant::now);
-                                    let mut acc = RoundProfile::for_probe::<P>();
-                                    let mut sink = ReliableSink::<M> { out: &mut st.out };
-                                    let mut stepped = Ok(());
-                                    for (k, node) in shard_nodes.iter_mut().enumerate() {
-                                        if !act[k] {
-                                            continue;
-                                        }
-                                        if let Err(e) = model.step(
-                                            node,
-                                            base + k,
-                                            app_round,
-                                            &shard_inboxes[k],
-                                            &mut st.scratch,
-                                            &mut acc,
-                                            &mut sink,
-                                        ) {
-                                            stepped = Err(e);
-                                            break;
-                                        }
-                                        shard_inboxes[k].clear();
-                                    }
-                                    let ns =
-                                        shard_start.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                                    (stepped.map(|()| acc), ns)
-                                }))
-                            })
-                            .collect();
-                        handles
-                            .into_iter()
-                            .map(|h| {
-                                h.map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                            })
-                            .collect()
-                    })
-                };
-                for (si, r) in shard_results.into_iter().enumerate() {
-                    let Some((r, shard_ns)) = r else { continue };
-                    let p = r?;
-                    if P::ENABLED {
-                        probe.on_shard(tick, si, shard_ns, p.messages, p.volume);
-                    }
-                    acc.merge(&p);
-                }
-            }
-            app_round += 1;
-        }
+    fn idle(&self) -> bool {
+        self.wire.is_empty() && self.unacked_total == 0 && self.ack_pending.is_empty()
+    }
 
-        // Phase B (driving thread): ingest fresh sends in shard order
-        // — ascending sender order — then pump every link.
-        let exchange_start = P::ENABLED.then(std::time::Instant::now);
-        tx_seq.fill(0);
-        for st in shard_state.iter_mut() {
-            for (to, from_id, msg) in st.out.drain(..) {
-                let from = from_id.index() as u32;
-                let link = arq
-                    .links
-                    .entry((from, to))
-                    .or_insert_with(LinkState::<M>::new);
-                if link.dead || crashed[to as usize] {
-                    // Permanent loss: the frame is charged (it left the
-                    // sender) but never traverses.
-                    arq.stats.dropped += 1;
-                    continue;
-                }
-                let seq = link.next_seq;
-                link.next_seq += 1;
-                link.queued.push_back((seq, msg));
-                arq.outstanding += 1;
+    fn settle<S: Store<M>>(
+        &mut self,
+        model: &M,
+        tick: usize,
+        shards: &mut [Vec<(u32, M::Id, M::Msg)>],
+        _store: &mut S,
+        _recv: &mut [usize],
+        acc: &mut RoundProfile,
+    ) -> u64 {
+        let window = self.spec.window.max(1) as usize;
+        let ack_timeout = self.spec.ack_timeout_rounds.max(1) as usize;
+        let (header, ack_charge, adversary) = (self.header, self.ack_charge, self.adversary);
+        // Ingest fresh sends in shard order — ascending sender order.
+        self.tx_seq.fill(0);
+        for (to, from_id, msg) in shards.iter_mut().flat_map(|out| out.drain(..)) {
+            let from = from_id.index() as u32;
+            let link = self
+                .links
+                .entry((from, to))
+                .or_insert_with(LinkState::<M>::new);
+            if link.dead || self.crashed[to as usize] {
+                // Permanent loss: the frame is charged (it left the
+                // sender) but never traverses.
+                self.stats.dropped += 1;
+                continue;
             }
+            let seq = link.next_seq;
+            link.next_seq += 1;
+            link.queued.push_back((seq, msg));
+            self.outstanding += 1;
         }
         // Pump: retransmit due frames, declare dead links, then open
         // the window for fresh frames — in deterministic link order.
-        let mut killed: Vec<(u32, u32)> = Vec::new();
-        for (&(from, to), link) in arq.links.iter_mut() {
+        for (&(from, to), link) in self.links.iter_mut() {
             if link.dead {
                 continue;
             }
             let mut give_up = false;
-            for fi in 0..link.unacked.len() {
-                let due = {
-                    let f = &link.unacked[fi];
-                    tick - f.last_tx >= ack_timeout
-                };
-                if !due {
+            for f in link.unacked.iter_mut() {
+                if tick - f.last_tx < ack_timeout {
                     continue;
                 }
-                if link.unacked[fi].retries >= spec.max_retries {
+                if f.retries >= self.spec.max_retries {
                     give_up = true;
                     break;
                 }
-                link.unacked[fi].retries += 1;
-                link.unacked[fi].last_tx = tick;
-                let (seq, msg) = {
-                    let f = &link.unacked[fi];
-                    (f.seq, f.msg.clone())
-                };
-                arq.stats.retransmitted += 1;
-                let wire_cost = model.wire_charge(&msg);
+                f.retries += 1;
+                f.last_tx = tick;
+                self.stats.retransmitted += 1;
+                let wire_cost = model.wire_charge(&f.msg);
                 let copies = transmit(
-                    &mut arq.wire,
-                    &mut arq.stats,
+                    &mut self.wire,
+                    &mut self.stats,
                     adversary,
                     tick,
-                    &mut tx_seq,
+                    &mut self.tx_seq,
                     from,
                     to,
                     Payload::Data {
                         from_id: M::Id::from_index(from as usize),
-                        seq,
-                        msg,
+                        seq: f.seq,
+                        msg: f.msg.clone(),
                     },
                 );
                 acc.messages += 1 + u64::from(copies.saturating_sub(1));
@@ -782,10 +551,9 @@ where
             if give_up {
                 let before_unacked = link.unacked.len() as u64;
                 let abandoned = link.kill();
-                arq.outstanding -= abandoned;
-                arq.unacked_total -= before_unacked;
-                arq.stats.dead_links += 1;
-                killed.push((to, from));
+                self.outstanding -= abandoned;
+                self.unacked_total -= before_unacked;
+                self.stats.dead_links += 1;
                 continue;
             }
             while link.unacked.len() < window {
@@ -794,11 +562,11 @@ where
                 };
                 let wire_cost = model.wire_charge(&msg);
                 let copies = transmit(
-                    &mut arq.wire,
-                    &mut arq.stats,
+                    &mut self.wire,
+                    &mut self.stats,
                     adversary,
                     tick,
-                    &mut tx_seq,
+                    &mut self.tx_seq,
                     from,
                     to,
                     Payload::Data {
@@ -808,7 +576,7 @@ where
                     },
                 );
                 // The model charged this frame's payload at step time;
-                // the executor adds the control lane and any extra
+                // the plane adds the control lane and any extra
                 // adversary copy.
                 acc.volume += u64::from(copies.max(1)) * header;
                 if copies > 1 {
@@ -822,23 +590,22 @@ where
                     last_tx: tick,
                     retries: 0,
                 });
-                arq.unacked_total += 1;
+                self.unacked_total += 1;
             }
         }
         // Acks: one cumulative control frame per flagged (receiver,
         // sender) pair, in deterministic order.
-        let pending: Vec<(u32, u32)> = std::mem::take(&mut arq.ack_pending).into_iter().collect();
-        for (to, from) in pending {
+        for (to, from) in std::mem::take(&mut self.ack_pending) {
             // `to` acknowledges data it received from `from` — the ack
             // travels to → from.
-            let cum = arq.links.get(&(from, to)).map_or(0, |l| l.expected);
-            arq.stats.acks += 1;
+            let cum = self.links.get(&(from, to)).map_or(0, |l| l.expected);
+            self.stats.acks += 1;
             let copies = transmit(
-                &mut arq.wire,
-                &mut arq.stats,
+                &mut self.wire,
+                &mut self.stats,
                 adversary,
                 tick,
-                &mut tx_seq,
+                &mut self.tx_seq,
                 to,
                 from,
                 Payload::Ack { cum },
@@ -846,70 +613,14 @@ where
             acc.messages += 1;
             acc.volume += u64::from(copies.max(1)) * ack_charge;
         }
-        let _ = killed;
-        if P::ENABLED {
-            probe.on_exchange(
-                tick,
-                exchange_start.map_or(0, |t| t.elapsed().as_nanos() as u64),
-            );
-        }
-
-        if M::TRACK_RECV {
-            model.check_recv(&recv, tick)?;
-        }
-        if delivered_now > 0 {
-            convergence = tick + 2;
-        }
-        delivered += delivered_now;
-        model.end_round(&acc, &recv, tick, &mut metrics);
-        if P::ENABLED {
-            let now = arq.stats;
-            let delta = FaultStats {
-                delivered: delivered_now,
-                dropped: now.dropped - fault_seen.dropped,
-                duplicated: now.duplicated - fault_seen.duplicated,
-                delayed: now.delayed - fault_seen.delayed,
-                crashed: now.crashed - fault_seen.crashed,
-                retransmitted: now.retransmitted - fault_seen.retransmitted,
-                acks: now.acks - fault_seen.acks,
-                dead_links: now.dead_links - fault_seen.dead_links,
-                degraded: 0,
-            };
-            probe.on_fault_event(tick, &delta, arq.wire.len());
-            fault_seen = now;
-            probe.on_round_end(&RoundObs {
-                round: tick,
-                wall_ns: round_start.map_or(0, |t| t.elapsed().as_nanos() as u64),
-                messages: acc.messages,
-                volume: acc.volume,
-                peak_link: acc.peak_link,
-                active: active.iter().filter(|&&a| a).count(),
-                sizes: acc.sizes.as_deref(),
-            });
-        } else {
-            fault_seen = arq.stats;
-        }
-        if M::TRACK_RECV {
-            recv.fill(0);
-        }
-        tick += 1;
+        self.delivered_now
     }
 
-    let mut stats = arq.stats;
-    stats.delivered = delivered;
-    model.finish(&mut metrics, &stats, convergence);
-    if P::ENABLED {
-        if stats.crashed > fault_seen.crashed {
-            let residual = FaultStats {
-                crashed: stats.crashed - fault_seen.crashed,
-                ..FaultStats::default()
-            };
-            probe.on_fault_event(tick, &residual, arq.wire.len());
-        }
-        probe.on_run_end(tick, run_start.map_or(0, |t| t.elapsed().as_nanos() as u64));
+    fn stats(&self) -> FaultStats {
+        self.stats
     }
-    Ok(Run {
-        outputs: outputs(model, &nodes, app_round),
-        metrics,
-    })
+
+    fn depth(&self) -> usize {
+        self.wire.len()
+    }
 }

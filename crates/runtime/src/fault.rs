@@ -1,16 +1,15 @@
 //! The adversarial execution plane: seeded fault injection with
 //! deterministic replay.
 //!
-//! This module adds a third executor family next to
-//! [`run_sequential`](crate::run_sequential) and
-//! [`run_sharded`](crate::run_sharded): [`run_faulty`] drives the same
-//! [`ExecModel`] round loop, but routes every validated message through
-//! an [`Adversary`] that may **drop**, **duplicate**, or **delay** it,
-//! and halts actors at adversary-chosen **crash** rounds. The plane
-//! composes with both model wrappers (CONGEST and MPC) and with the
-//! packed-codec exchange, because the interception happens at the
-//! kernel's [`MsgSink`] layer — below the models, above the wire
-//! representation.
+//! The adversary is one of the kernel's delivery planes (selected by
+//! [`RunConfig::fault`](crate::RunConfig::fault), or given explicitly
+//! to [`execute_under`](crate::execute_under)). It routes every
+//! validated message through an [`Adversary`] that may **drop**,
+//! **duplicate**, or **delay** it, and halts actors at adversary-chosen
+//! **crash** rounds. It composes with both models (CONGEST and MPC),
+//! both inbox stores, and the packed-codec exchange, because the
+//! interception happens at the kernel's [`MsgSink`] layer — below the
+//! models, above the store and the wire representation.
 //!
 //! # Determinism and replay
 //!
@@ -47,11 +46,8 @@ use std::sync::Mutex;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::probe::{NoopProbe, Probe, RoundObs};
-use crate::{
-    balanced_partition, outputs, split_by_bounds, ActorId, ExecModel, KernelConfig, MsgSink,
-    PackedModel, RoundProfile, Run, Scheduling,
-};
+use crate::kernel::{Plane, Route, Store};
+use crate::{ActorId, ExecModel, MsgSink, RoundProfile};
 
 /// Probabilities are stored in parts-per-million so [`FaultSpec`] stays
 /// `Copy + Eq + Hash`-able and every decision is exact integer
@@ -168,7 +164,7 @@ pub enum Fate {
     Delay(u32),
 }
 
-/// A deterministic fault oracle consulted by [`run_faulty`].
+/// A deterministic fault oracle consulted by the adversary plane.
 ///
 /// Implementations must be pure: the same arguments must always return
 /// the same verdicts, independent of call order or thread interleaving
@@ -433,53 +429,90 @@ impl FaultStats {
         self.dead_links += other.dead_links;
         self.degraded += other.degraded;
     }
+
+    /// The counter-wise difference `self - earlier` of two cumulative
+    /// tallies (`delivered` is not cumulative in the kernel's tallies
+    /// and comes out 0).
+    pub(crate) fn since(&self, earlier: &FaultStats) -> FaultStats {
+        FaultStats {
+            delivered: 0,
+            dropped: self.dropped - earlier.dropped,
+            duplicated: self.duplicated - earlier.duplicated,
+            delayed: self.delayed - earlier.delayed,
+            crashed: self.crashed - earlier.crashed,
+            retransmitted: self.retransmitted - earlier.retransmitted,
+            acks: self.acks - earlier.acks,
+            dead_links: self.dead_links - earlier.dead_links,
+            degraded: self.degraded - earlier.degraded,
+        }
+    }
+}
+
+/// The crash table of a run over `n` actors: one pure oracle call per
+/// actor, fixed up front so mail to a future victim can be dropped at
+/// send time.
+pub(crate) fn crash_table(adversary: &dyn Adversary, n: usize) -> Vec<Option<u32>> {
+    (0..n).map(|i| adversary.crash_round(i as u32)).collect()
+}
+
+/// Halts every actor whose crash round has come by `round`, calling
+/// `on_halt` with each newly halted index.
+pub(crate) fn halt_due(
+    table: &[Option<u32>],
+    halted: &mut [bool],
+    round: usize,
+    mut on_halt: impl FnMut(usize),
+) {
+    for (i, (at, h)) in table.iter().zip(halted.iter_mut()).enumerate() {
+        if !*h && matches!(at, Some(r) if *r as usize <= round) {
+            *h = true;
+            on_halt(i);
+        }
+    }
 }
 
 /// A message parked in the delay queue: joins `to`'s inbox for round
 /// `consume_round`.
-struct Parked<M: ExecModel> {
+pub(crate) struct Parked<M: ExecModel> {
     consume_round: u32,
     to: u32,
     from: M::Id,
     msg: M::Msg,
 }
 
-/// Per-shard fault state, reused across rounds.
-struct ShardFault<M: ExecModel> {
-    /// Fresh deliveries of this round, in outbox order.
-    out: Vec<(u32, M::Id, M::Msg)>,
+/// Per-shard routing state of the adversary plane, reused across
+/// rounds.
+pub(crate) struct FaultShard<M: ExecModel> {
     /// Messages parked this round.
     parked: Vec<Parked<M>>,
     stats: FaultStats,
-    scratch: M::SendScratch,
+    /// Copies handed to the store this round.
+    fresh: u64,
+    /// The current sender's running deliver index.
+    seq: u32,
 }
 
-impl<M: ExecModel> ShardFault<M> {
-    fn new() -> Self {
-        ShardFault {
-            out: Vec::new(),
+impl<M: ExecModel> Default for FaultShard<M> {
+    fn default() -> Self {
+        FaultShard {
             parked: Vec::new(),
             stats: FaultStats::default(),
-            scratch: M::SendScratch::default(),
+            fresh: 0,
+            seq: 0,
         }
     }
 }
 
-/// The adversarial [`MsgSink`]: consults the [`Adversary`] per message
-/// and stages survivors into the shard's delivery buffer (or the delay
-/// queue), reporting the charged copy count back to the model.
-struct FaultSink<'a, M: ExecModel> {
+/// The adversary plane's routing half (the fault sink): consults the
+/// [`Adversary`] per message and hands survivors to the store's sink
+/// (or the delay queue), reporting the charged copy count back to the
+/// model.
+pub(crate) struct FaultRoute<'a> {
     adversary: &'a dyn Adversary,
-    crash: &'a [Option<u32>],
-    round: u32,
-    /// The sender's running deliver index; reset per stepped actor.
-    seq: u32,
-    out: &'a mut Vec<(u32, M::Id, M::Msg)>,
-    parked: &'a mut Vec<Parked<M>>,
-    stats: &'a mut FaultStats,
+    crash: Vec<Option<u32>>,
 }
 
-impl<M: ExecModel> FaultSink<'_, M> {
+impl FaultRoute<'_> {
     /// Whether `to` is crashed at (the start of) `round` — mail
     /// consumed then is dropped in flight.
     #[inline]
@@ -488,489 +521,145 @@ impl<M: ExecModel> FaultSink<'_, M> {
     }
 }
 
-impl<M: ExecModel> MsgSink<M> for FaultSink<'_, M> {
-    fn deliver(&mut self, _model: &M, to: M::Id, from: M::Id, msg: M::Msg) -> u32 {
-        let seq = self.seq;
-        self.seq += 1;
-        let to_idx = to.index();
-        match self.adversary.fate(self.round, from.index() as u32, seq) {
+impl<M: ExecModel> Route<M> for FaultRoute<'_>
+where
+    M::Msg: Send,
+{
+    type Shard = FaultShard<M>;
+
+    fn route<S: MsgSink<M>>(
+        &self,
+        st: &mut FaultShard<M>,
+        base: &mut S,
+        model: &M,
+        round: u32,
+        to: M::Id,
+        from: M::Id,
+        msg: M::Msg,
+    ) -> u32 {
+        let seq = st.seq;
+        st.seq += 1;
+        let fate = self.adversary.fate(round, from.index() as u32, seq);
+        let consume = match fate {
             Fate::Drop => {
-                self.stats.dropped += 1;
-                0
+                st.stats.dropped += 1;
+                return 0;
             }
-            Fate::Deliver => {
-                if self.dead_at(to_idx, self.round + 1) {
-                    self.stats.dropped += 1;
-                    return 0;
-                }
-                self.out.push((to_idx as u32, from, msg));
-                1
-            }
+            Fate::Delay(d) => round + 1 + d.max(1),
+            Fate::Deliver | Fate::Duplicate => round + 1,
+        };
+        if self.dead_at(to.index(), consume) {
+            st.stats.dropped += 1;
+            return 0;
+        }
+        match fate {
             Fate::Duplicate => {
-                if self.dead_at(to_idx, self.round + 1) {
-                    self.stats.dropped += 1;
-                    return 0;
-                }
-                self.stats.duplicated += 1;
-                self.out.push((to_idx as u32, from, msg.clone()));
-                self.out.push((to_idx as u32, from, msg));
-                2
+                st.stats.duplicated += 1;
+                st.fresh += 2;
+                base.deliver(model, to, from, msg.clone()) + base.deliver(model, to, from, msg)
             }
-            Fate::Delay(d) => {
-                let consume = self.round + 1 + d.max(1);
-                if self.dead_at(to_idx, consume) {
-                    self.stats.dropped += 1;
-                    return 0;
-                }
-                self.stats.delayed += 1;
-                self.parked.push(Parked {
+            Fate::Delay(_) => {
+                st.stats.delayed += 1;
+                st.parked.push(Parked {
                     consume_round: consume,
-                    to: to_idx as u32,
+                    to: to.index() as u32,
                     from,
                     msg,
                 });
                 1
             }
-        }
-    }
-}
-
-/// Runs `nodes` to completion under `adversary` on the adversarial
-/// executor.
-///
-/// Mechanically this is the sequential executor's round loop with the
-/// sharded executor's parallel stepping grafted on: each round, up to
-/// `threads` contiguous cost-balanced shards step their active actors
-/// concurrently, staging surviving messages into per-shard buffers that
-/// the driving thread merges **in shard order** — which is ascending
-/// sender order, the sequential delivery order — before releasing any
-/// delay-queue mail due this round. Fault decisions are pure functions
-/// of `(round, sender, seq)`, so outputs, metrics, and errors are
-/// **bit-identical at every thread count**, and a run under
-/// [`FaultSpec::none`] is bit-identical to the clean executors.
-///
-/// Callers resolve `threads` (0 is treated as 1); the clean engines'
-/// small-instance fallbacks apply at the call sites.
-///
-/// # Errors
-///
-/// Returns the model's error exactly like the clean executors: the
-/// lowest-indexed actor's violation, or the round-limit error when the
-/// budget runs out (which adversarially starved runs routinely do).
-pub fn run_faulty<M>(
-    model: &M,
-    nodes: Vec<M::Node>,
-    threads: usize,
-    cfg: KernelConfig,
-    adversary: &dyn Adversary,
-) -> Result<Run<M::Output, M::Metrics>, M::Error>
-where
-    M: ExecModel,
-    M::Node: Send,
-    M::Msg: Send,
-    M::Error: Send,
-{
-    #[allow(clippy::disallowed_methods)] // the probed twin of this wrapper
-    run_faulty_probed(model, nodes, threads, cfg, adversary, &NoopProbe)
-}
-
-/// [`run_faulty`] with a [`Probe`] attached: identical outputs,
-/// metrics, and errors (observer neutrality), plus per-round telemetry
-/// including the round's fault-stat delta and the delay-queue depth
-/// ([`Probe::on_fault_event`]). With [`NoopProbe`] this monomorphizes
-/// to exactly [`run_faulty`].
-///
-/// # Errors
-///
-/// Returns the model's error like [`run_faulty`].
-pub fn run_faulty_probed<M, P>(
-    model: &M,
-    nodes: Vec<M::Node>,
-    threads: usize,
-    cfg: KernelConfig,
-    adversary: &dyn Adversary,
-    probe: &P,
-) -> Result<Run<M::Output, M::Metrics>, M::Error>
-where
-    M: ExecModel,
-    M::Node: Send,
-    M::Msg: Send,
-    M::Error: Send,
-    P: Probe,
-{
-    if model.packs() {
-        run_faulty_inner(&PackedModel(model), nodes, threads, cfg, adversary, probe)
-    } else {
-        run_faulty_inner(model, nodes, threads, cfg, adversary, probe)
-    }
-}
-
-/// The crash-aware sweep: crashed actors count as terminated and are
-/// never stepped; everything else matches the clean kernel sweep
-/// (including the active-set dormancy cache).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn sweep_faulty<M: ExecModel>(
-    model: &M,
-    nodes: &[M::Node],
-    inboxes: &[Vec<(M::Id, M::Msg)>],
-    crashed: &[bool],
-    round: usize,
-    scheduling: Scheduling,
-    active: &mut [bool],
-    dormant: &mut [bool],
-) -> bool {
-    let mut all_done = true;
-    let mut in_flight = false;
-    for (i, node) in nodes.iter().enumerate() {
-        if crashed[i] {
-            // Halted: terminated by definition, with no mail (messages
-            // to crashed actors are dropped in flight).
-            active[i] = false;
-            continue;
-        }
-        let has_mail = !inboxes[i].is_empty();
-        if dormant[i] && !has_mail {
-            active[i] = false;
-            continue;
-        }
-        let poll = model.poll(node, i, round);
-        all_done &= poll.done;
-        in_flight |= has_mail;
-        match scheduling {
-            Scheduling::ActiveSet => {
-                active[i] = has_mail || !poll.skippable;
-                dormant[i] = poll.done && poll.skippable && !has_mail;
-            }
-            Scheduling::FullSweep => active[i] = true,
-        }
-    }
-    all_done && !in_flight
-}
-
-fn run_faulty_inner<M, P>(
-    model: &M,
-    mut nodes: Vec<M::Node>,
-    threads: usize,
-    cfg: KernelConfig,
-    adversary: &dyn Adversary,
-    probe: &P,
-) -> Result<Run<M::Output, M::Metrics>, M::Error>
-where
-    M: ExecModel,
-    M::Node: Send,
-    M::Msg: Send,
-    M::Error: Send,
-    P: Probe,
-{
-    let n = nodes.len();
-    let mut metrics = M::Metrics::default();
-    model.pre_run(&nodes, &mut metrics)?;
-
-    // The crash table is fixed up front (one pure oracle call per
-    // actor), so in-flight mail to future crash victims can be dropped
-    // at send time without any cross-round bookkeeping.
-    let crash: Vec<Option<u32>> = (0..n).map(|i| adversary.crash_round(i as u32)).collect();
-    let mut crashed = vec![false; n];
-
-    let (bounds, costs) = if threads > 1 && n >= 2 * threads {
-        let costs: Vec<u64> = nodes
-            .iter()
-            .enumerate()
-            .map(|(i, node)| model.actor_cost(node, i))
-            .collect();
-        (balanced_partition(&costs, threads), costs)
-    } else {
-        (vec![0, n], Vec::new())
-    };
-    let num_shards = bounds.len() - 1;
-    let run_start = P::ENABLED.then(std::time::Instant::now);
-    if P::ENABLED {
-        probe.on_run_start(n, &bounds, &costs);
-    }
-
-    let mut inboxes: Vec<Vec<(M::Id, M::Msg)>> = (0..n).map(|_| Vec::new()).collect();
-    let mut staging: Vec<Vec<(M::Id, M::Msg)>> = (0..n).map(|_| Vec::new()).collect();
-    let mut recv: Vec<usize> = if M::TRACK_RECV {
-        vec![0; n]
-    } else {
-        Vec::new()
-    };
-    let mut active = vec![true; n];
-    let mut dormant = vec![false; n];
-    let mut shard_state: Vec<ShardFault<M>> = (0..num_shards).map(|_| ShardFault::new()).collect();
-    let mut delay: Vec<Parked<M>> = Vec::new();
-    let mut stats = FaultStats::default();
-    // Previous round's cumulative fault snapshot, so the probe can be
-    // handed per-round deltas (probed runs only).
-    let mut fault_seen = FaultStats::default();
-    let mut round = 0;
-    let mut delivered: u64 = 0;
-    let mut convergence = 0usize;
-
-    loop {
-        // Activate this round's crash set before the sweep, so freshly
-        // crashed actors already count as terminated.
-        for i in 0..n {
-            if !crashed[i] && matches!(crash[i], Some(r) if (r as usize) <= round) {
-                crashed[i] = true;
-                stats.crashed += 1;
-                debug_assert!(
-                    inboxes[i].is_empty(),
-                    "mail to a crash victim must be dropped in flight"
-                );
+            _ => {
+                st.fresh += 1;
+                base.deliver(model, to, from, msg)
             }
         }
+    }
 
-        if sweep_faulty(
-            model,
-            &nodes,
-            &inboxes,
-            &crashed,
-            round,
-            cfg.scheduling,
-            &mut active,
-            &mut dormant,
-        ) && delay.is_empty()
-        {
-            break;
-        }
-        if round >= cfg.max_rounds {
-            return Err(model.round_limit_error(cfg.max_rounds));
-        }
+    fn next_actor(st: &mut FaultShard<M>) {
+        st.seq = 0;
+    }
+}
 
-        let round_start = P::ENABLED.then(std::time::Instant::now);
-        if P::ENABLED {
-            probe.on_round_start(round);
-        }
+/// The adversary delivery plane: the fault sink on the step phase, the
+/// crash table on the sweep, and the delay queue released into the
+/// store after each round's fresh mail (queue order: park round, then
+/// shard, then sender, then outbox position). Termination additionally
+/// requires an empty delay queue.
+pub(crate) struct AdversaryPlane<'a, M: ExecModel> {
+    route: FaultRoute<'a>,
+    halted: Vec<bool>,
+    delay: Vec<Parked<M>>,
+    stats: FaultStats,
+}
 
-        // Phase A: shards step their active actors concurrently,
-        // staging surviving messages per shard (single-sharded runs
-        // step inline on the driving thread).
-        let mut acc = RoundProfile::for_probe::<P>();
-        if num_shards == 1 {
-            let shard_start = P::ENABLED.then(std::time::Instant::now);
-            let st = &mut shard_state[0];
-            let mut sink = FaultSink::<M> {
+impl<'a, M: ExecModel> AdversaryPlane<'a, M> {
+    pub(crate) fn new(adversary: &'a dyn Adversary, n: usize) -> Self {
+        AdversaryPlane {
+            route: FaultRoute {
                 adversary,
-                crash: &crash,
-                round: round as u32,
-                seq: 0,
-                out: &mut st.out,
-                parked: &mut st.parked,
-                stats: &mut st.stats,
-            };
-            for (i, node) in nodes.iter_mut().enumerate() {
-                if !active[i] {
-                    continue;
-                }
-                sink.seq = 0;
-                model.step(
-                    node,
-                    i,
-                    round,
-                    &inboxes[i],
-                    &mut st.scratch,
-                    &mut acc,
-                    &mut sink,
-                )?;
-                // Consumed in place; the cleared buffer keeps its
-                // capacity and becomes next round's staging after the
-                // swap.
-                inboxes[i].clear();
-            }
-            if P::ENABLED {
-                probe.on_shard(
-                    round,
-                    0,
-                    shard_start.map_or(0, |t| t.elapsed().as_nanos() as u64),
-                    acc.messages,
-                    acc.volume,
-                );
-            }
-        } else {
-            type ShardOut<M> = (Result<RoundProfile, <M as ExecModel>::Error>, u64);
-            let shard_results: Vec<Option<ShardOut<M>>> = {
-                let bounds = &bounds;
-                let active = &active;
-                let crash = &crash;
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = split_by_bounds(&mut nodes, bounds)
-                        .into_iter()
-                        .zip(split_by_bounds(&mut inboxes, bounds))
-                        .zip(shard_state.iter_mut())
-                        .enumerate()
-                        .map(|(si, ((shard_nodes, shard_inboxes), st))| {
-                            let base = bounds[si];
-                            let act = &active[base..bounds[si + 1]];
-                            if !act.iter().any(|&a| a) {
-                                return None;
-                            }
-                            Some(s.spawn(move || {
-                                let shard_start = P::ENABLED.then(std::time::Instant::now);
-                                let mut acc = RoundProfile::for_probe::<P>();
-                                let mut sink = FaultSink::<M> {
-                                    adversary,
-                                    crash,
-                                    round: round as u32,
-                                    seq: 0,
-                                    out: &mut st.out,
-                                    parked: &mut st.parked,
-                                    stats: &mut st.stats,
-                                };
-                                let mut stepped = Ok(());
-                                for (k, node) in shard_nodes.iter_mut().enumerate() {
-                                    if !act[k] {
-                                        continue;
-                                    }
-                                    sink.seq = 0;
-                                    if let Err(e) = model.step(
-                                        node,
-                                        base + k,
-                                        round,
-                                        &shard_inboxes[k],
-                                        &mut st.scratch,
-                                        &mut acc,
-                                        &mut sink,
-                                    ) {
-                                        stepped = Err(e);
-                                        break;
-                                    }
-                                    shard_inboxes[k].clear();
-                                }
-                                let ns = shard_start.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                                (stepped.map(|()| acc), ns)
-                            }))
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| {
-                            h.map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                        })
-                        .collect()
-                })
-            };
-            // Lowest shard's error = lowest actor's error, exactly like
-            // the clean sharded executor.
-            for (si, r) in shard_results.into_iter().enumerate() {
-                let Some((r, shard_ns)) = r else { continue };
-                let p = r?;
-                if P::ENABLED {
-                    probe.on_shard(round, si, shard_ns, p.messages, p.volume);
-                }
-                acc.merge(&p);
-            }
+                crash: crash_table(adversary, n),
+            },
+            halted: vec![false; n],
+            delay: Vec::new(),
+            stats: FaultStats::default(),
         }
+    }
+}
 
-        // Phase B (driving thread): merge shard buffers in shard order
-        // — ascending sender order, the sequential delivery order —
-        // then append delay-queue releases due next round.
-        let exchange_start = P::ENABLED.then(std::time::Instant::now);
-        let mut delivered_now = 0u64;
-        for st in shard_state.iter_mut() {
-            for (to, from, msg) in st.out.drain(..) {
-                if M::TRACK_RECV {
-                    recv[to as usize] += model.recv_charge(&msg);
-                }
-                staging[to as usize].push((from, msg));
-                delivered_now += 1;
-            }
-            delay.append(&mut st.parked);
-        }
-        let consume = (round + 1) as u32;
-        delay.retain_mut(|p| {
-            if p.consume_round != consume {
-                return true;
-            }
-            let msg = p.msg.clone();
-            if M::TRACK_RECV {
-                recv[p.to as usize] += model.recv_charge(&msg);
-            }
-            staging[p.to as usize].push((p.from, msg));
-            delivered_now += 1;
-            false
-        });
-        if P::ENABLED {
-            probe.on_exchange(
-                round,
-                exchange_start.map_or(0, |t| t.elapsed().as_nanos() as u64),
-            );
-        }
+impl<'a, M: ExecModel> Plane<M> for AdversaryPlane<'a, M>
+where
+    M::Msg: Send,
+{
+    type Route = FaultRoute<'a>;
 
-        if M::TRACK_RECV {
-            model.check_recv(&recv, round)?;
-        }
-        if delivered_now > 0 {
-            // Mail staged now is consumed next round, so the plane can
-            // only be quiet from the round after that.
-            convergence = round + 2;
-        }
-        delivered += delivered_now;
-        model.end_round(&acc, &recv, round, &mut metrics);
-        if P::ENABLED {
-            // Per-round fault tallies are the delta between this round's
-            // cumulative snapshot and the last one handed to the probe.
-            let mut now = FaultStats::default();
-            for st in &shard_state {
-                now.absorb(&st.stats);
-            }
-            now.crashed += stats.crashed;
-            let delta = FaultStats {
-                delivered: delivered_now,
-                dropped: now.dropped - fault_seen.dropped,
-                duplicated: now.duplicated - fault_seen.duplicated,
-                delayed: now.delayed - fault_seen.delayed,
-                crashed: now.crashed - fault_seen.crashed,
-                ..FaultStats::default()
-            };
-            probe.on_fault_event(round, &delta, delay.len());
-            fault_seen = now;
-            probe.on_round_end(&RoundObs {
-                round,
-                wall_ns: round_start.map_or(0, |t| t.elapsed().as_nanos() as u64),
-                messages: acc.messages,
-                volume: acc.volume,
-                peak_link: acc.peak_link,
-                active: active.iter().filter(|&&a| a).count(),
-                sizes: acc.sizes.as_deref(),
-            });
-        }
-        if M::TRACK_RECV {
-            recv.fill(0);
-        }
-        std::mem::swap(&mut inboxes, &mut staging);
-        round += 1;
+    fn route(&self) -> &FaultRoute<'a> {
+        &self.route
     }
 
-    for st in &shard_state {
-        stats.absorb(&st.stats);
+    fn begin<S: Store<M>>(&mut self, _: &M, tick: usize, _: &mut S, _: &mut [usize]) -> bool {
+        // Crashes activate before the sweep, so fresh victims already
+        // count as terminated.
+        let crashed = &mut self.stats.crashed;
+        halt_due(&self.route.crash, &mut self.halted, tick, |_| *crashed += 1);
+        true
     }
-    // Every staged copy was charged at transmit (drops 0, duplicates 2,
-    // delayed mail 1), and the run cannot end with a non-empty delay
-    // queue, so this equals the models' whole-run message count.
-    stats.delivered = delivered;
-    model.finish(&mut metrics, &stats, convergence);
-    if P::ENABLED {
-        // Crashes activate at the top of the loop, so an actor whose
-        // crash round is the quiescence check itself is tallied in the
-        // metrics without any round having run. Hand the probe that
-        // residual delta (only `crashed` can move between the last
-        // round event and here) so its whole-run tally matches the
-        // metrics.
-        if stats.crashed > fault_seen.crashed {
-            let residual = FaultStats {
-                crashed: stats.crashed - fault_seen.crashed,
-                ..FaultStats::default()
-            };
-            probe.on_fault_event(round, &residual, delay.len());
+
+    fn halted(&self, i: usize) -> bool {
+        self.halted[i]
+    }
+
+    fn idle(&self) -> bool {
+        self.delay.is_empty()
+    }
+
+    fn settle<S: Store<M>>(
+        &mut self,
+        model: &M,
+        tick: usize,
+        shards: &mut [FaultShard<M>],
+        store: &mut S,
+        recv: &mut [usize],
+        _acc: &mut RoundProfile,
+    ) -> u64 {
+        let mut delivered = 0;
+        for st in shards.iter_mut() {
+            self.stats.absorb(&std::mem::take(&mut st.stats));
+            delivered += std::mem::take(&mut st.fresh);
+            self.delay.append(&mut st.parked);
         }
-        probe.on_run_end(
-            round,
-            run_start.map_or(0, |t| t.elapsed().as_nanos() as u64),
-        );
+        let consume = (tick + 1) as u32;
+        for p in self.delay.extract_if(.., |p| p.consume_round == consume) {
+            store.inject(model, p.to as usize, p.from, p.msg, recv);
+            delivered += 1;
+        }
+        delivered
     }
-    Ok(Run {
-        outputs: outputs(model, &nodes, round),
-        metrics,
-    })
+
+    fn stats(&self) -> FaultStats {
+        self.stats
+    }
+
+    fn depth(&self) -> usize {
+        self.delay.len()
+    }
 }

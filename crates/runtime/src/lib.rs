@@ -7,17 +7,41 @@
 //! message-passing rounds: deliver each actor's inbox, collect its
 //! outbox, validate every message against the model, account metrics,
 //! exchange, repeat until global quiescence. This crate holds that loop
-//! **once**, in two bit-identical flavors (the single-threaded
-//! [`run_sequential`] and the sharded multi-threaded [`run_sharded`]),
-//! parameterized by an [`ExecModel`] that supplies only the pieces that
-//! actually differ between models: per-message validation and charging,
-//! metrics accumulation, the error type, addressing, and the per-actor
-//! cost estimate that drives load-balanced sharding.
+//! **once**, behind one dispatcher, [`execute`], parameterized by an
+//! [`ExecModel`] that supplies only the pieces that actually differ
+//! between models: per-message validation and charging, metrics
+//! accumulation, the error type, addressing, and the per-actor cost
+//! estimate that drives load-balanced sharding.
+//!
+//! # One loop, two choices
+//!
+//! [`execute`] reads a [`RunConfig`] and makes two choices, each from
+//! something the run can observe:
+//!
+//! * **The inbox store, by shard count.** The engine and thread count
+//!   give a cost-balanced contiguous partition of the actors. With one
+//!   shard the actors keep per-actor `Vec` inboxes and step inline on
+//!   the driving thread. With two or more, each shard steps on its own
+//!   worker thread and mail moves through the counting-sort exchange
+//!   below.
+//! * **The delivery plane, by configuration.** The clean plane is a
+//!   zero-sized pass-through that compiles away. The adversary plane
+//!   ([`fault`]) drops, duplicates and delays messages and crashes
+//!   actors. The ARQ plane ([`arq`]) captures every send, runs a
+//!   sliding-window link protocol on the driving thread, and holds the
+//!   application clock at a barrier until the network has delivered
+//!   every frame.
+//!
+//! Every combination is **bit-identical** on the clean plane: the same
+//! outputs, the same metrics (per-round profiles included) and the same
+//! error at every thread count, scheduling policy and codec. The
+//! deliberately naive [`reference::run`] executor is the test oracle
+//! for that claim.
 //!
 //! # The message plane: counting-sort exchange and flat inbox arenas
 //!
-//! The sharded executor's exchange is a two-pass counting sort, in the
-//! flat-array/prefix-sum style of bulk-synchronous graph engines:
+//! With two or more shards the exchange is a two-pass counting sort, in
+//! the flat-array/prefix-sum style of bulk-synchronous graph engines:
 //!
 //! 1. **Stage (columnar lanes)** — while a worker steps its shard's
 //!    actors, every validated outgoing message is appended to the *lane*
@@ -34,15 +58,16 @@
 //!    flat inbox arena: for every destination actor, in ascending
 //!    sender-shard order, the lane's pre-grouped range is drained into
 //!    the arena, and the actor's inbox becomes a CSR slice
-//!    `arena[offs[v]..offs[v + 1]]`. No per-actor `Vec` is ever pushed;
-//!    each round reuses the same arena allocation.
+//!    `arena[offs[v]..offs[v + 1]]`. Mail a plane hands over from the
+//!    driving thread (released delays) rides one more lane, drained
+//!    last.
 //!
 //! **Determinism.** Within one destination's inbox the delivery order is
 //! (sender shard ascending, then outbox order within the shard). Shards
 //! cover ascending contiguous id ranges and each worker visits its
 //! actors in id order, so that order is exactly ascending sender id then
-//! outbox order — the same order the sequential executor produces —
-//! which keeps every engine bit-identical without any comparison sort.
+//! outbox order — the same order the one-shard store produces — which
+//! keeps every shard count bit-identical without any comparison sort.
 //!
 //! # Packed-word lanes ([`MsgCodec`])
 //!
@@ -60,8 +85,8 @@
 //! ([`MsgCodec`]'s contract), so the packed plane is bit-identical to
 //! the enum plane — same outputs, same metrics (congestion and I/O
 //! profiles included), same errors — at every thread count. Models that
-//! do not pack set `Packed = ()` and keep the enum plane; the sequential
-//! executor always uses the enum plane (it has no exchange to compress).
+//! do not pack set `Packed = ()` and keep the enum plane; one-shard
+//! runs always use the enum plane (they have no exchange to compress).
 //!
 //! # Load-balanced sharding
 //!
@@ -76,22 +101,14 @@
 //! bit-identity (see above), so balancing is purely a performance
 //! choice.
 //!
-//! # Performance: arenas and quiescence
+//! # Performance
 //!
-//! * **Arena-backed message staging** — inbox storage is owned by the
-//!   kernel and reused across rounds (the sequential executor swaps
-//!   per-actor buffers; the sharded executor reuses its lanes and flat
-//!   inbox arenas), so steady-state rounds perform no per-actor buffer
-//!   allocation.
-//! * **Batched round accounting** — each worker accumulates one
-//!   [`RoundProfile`] for its whole shard and the kernel folds the
-//!   shard profiles once per round (in shard order), instead of
-//!   touching shared metrics per message.
-//! * **Quiescence-aware scheduling** — under the default
-//!   [`Scheduling::ActiveSet`] policy a round only invokes the `round`
-//!   callback of actors that received a message or are not yet
-//!   skippable (see below), collapsing the long quiescent tails of
-//!   flooding-style runs where most actors finished early.
+//! Both stores reuse their buffers across rounds (per-actor buffers
+//! swap; lanes and arenas clear in place), each shard folds one
+//! [`RoundProfile`] per round instead of touching shared metrics per
+//! message, and the default [`Scheduling::ActiveSet`] policy skips
+//! quiescent actors (see below), collapsing the long quiet tails of
+//! flooding-style runs.
 //!
 //! # The scheduling rule
 //!
@@ -102,8 +119,8 @@
 //! reports itself skippable and its inbox is empty, its `round` callback
 //! must be a pure no-op — no state mutation, no outgoing messages, no
 //! error.* Skipping a call that would have done nothing cannot change
-//! outputs, metrics, or errors, so both scheduling policies (and both
-//! executors, at every thread count) remain bit-identical.
+//! outputs, metrics, or errors, so both scheduling policies (at every
+//! shard count) remain bit-identical.
 //!
 //! The user-facing traits (`pga_congest::Algorithm::can_skip`,
 //! `pga_mpc::Machine::can_skip`) default `skippable` to the actor's own
@@ -128,13 +145,15 @@
 
 pub mod arq;
 pub mod fault;
+mod kernel;
 pub mod probe;
+pub mod reference;
 
-pub use arq::{run_reliable, ReliabilitySpec};
+pub use arq::ReliabilitySpec;
 pub use fault::{
-    run_faulty, Adversary, Fate, FaultEvent, FaultSpec, FaultStats, FaultTrace, SeededAdversary,
-    TraceAdversary,
+    Adversary, Fate, FaultEvent, FaultSpec, FaultStats, FaultTrace, SeededAdversary, TraceAdversary,
 };
+pub use kernel::{execute, execute_under, DEFAULT_MAX_ROUNDS};
 pub use probe::{
     JsonlProbe, NoopProbe, Probe, ProbeMode, RecordingProbe, RoundObs, RoundTelemetry,
     RunTelemetry, ShardTelemetry, SizeHist,
@@ -185,7 +204,7 @@ pub trait MsgCost {
 
 /// A fixed-width packed wire representation for a message type.
 ///
-/// Implementing `MsgCodec` lets the sharded executor move `Copy` words
+/// Implementing `MsgCodec` lets the sharded store move `Copy` words
 /// through its counting-sort lanes and flat CSR inbox arenas instead of
 /// cloned enums (see the crate docs). The **contract**:
 ///
@@ -215,67 +234,20 @@ pub trait MsgCodec: MsgCost + Sized {
     }
 }
 
-/// A function-pointer vtable over a [`MsgCodec`] implementation.
+/// Selects how many shards (worker threads) drive a run.
 ///
-/// Model wrappers store an `Option<CodecFns<…>>` to make packing a
-/// per-run choice without an extra trait bound on every generic
-/// executor path: `CodecFns::new::<M>()` captures the codec of a
-/// message type once, and the wrapper dispatches through plain function
-/// pointers thereafter.
-pub struct CodecFns<M, W> {
-    /// [`MsgCodec::encode`].
-    pub enc: fn(&M) -> W,
-    /// [`MsgCodec::decode`].
-    pub dec: fn(W) -> M,
-    /// [`MsgCodec::encoded_bits`].
-    pub bits: fn(W, usize) -> usize,
-}
-
-impl<M, W> Clone for CodecFns<M, W> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<M, W> Copy for CodecFns<M, W> {}
-
-impl<M, W> std::fmt::Debug for CodecFns<M, W> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("CodecFns { .. }")
-    }
-}
-
-impl<M: MsgCodec> CodecFns<M, M::Word> {
-    /// The vtable of `M`'s [`MsgCodec`] implementation.
-    pub fn new() -> Self {
-        CodecFns {
-            enc: M::encode,
-            dec: M::decode,
-            bits: M::encoded_bits,
-        }
-    }
-}
-
-impl<M: MsgCodec> Default for CodecFns<M, M::Word> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Selects which round executor drives a run.
-///
-/// Both executors are **bit-identical**: for the same actor states they
-/// produce the same outputs, the same metrics (per-round profiles
-/// included), and the same error on model violations, regardless of
-/// thread count. The sequential executor is the reference oracle; the
-/// sharded one exists to make large instances run as fast as the
-/// hardware allows.
+/// Every choice is **bit-identical**: for the same actor states it
+/// produces the same outputs, the same metrics (per-round profiles
+/// included), and the same error on model violations. Sharding exists
+/// to make large instances run as fast as the hardware allows.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// The single-threaded reference executor ([`run_sequential`]).
+    /// One shard, stepped on the driving thread.
     #[default]
     Sequential,
-    /// The sharded multi-threaded executor ([`run_sharded`]).
+    /// Up to `threads` cost-balanced shards, each stepped on its own
+    /// worker thread (one shard when there are fewer than two actors
+    /// per shard).
     Parallel {
         /// Number of worker shards; `0` means one per available CPU.
         threads: usize,
@@ -290,7 +262,7 @@ impl Engine {
 }
 
 /// Below this actor count, [`Engine::parallel_auto`] (threads = 0)
-/// falls back to the sequential executor: worker threads are spawned
+/// falls back to one shard, for every model: worker threads are spawned
 /// per round, and on small instances that fixed cost exceeds the
 /// per-round compute. Explicit thread counts are always honored.
 pub const PARALLEL_MIN_NODES: usize = 1024;
@@ -319,25 +291,20 @@ pub struct RunConfig {
     /// implement [`MsgCodec`], and is bit-identical to the enum plane).
     pub codec: bool,
     /// Seeded fault-injection plan for the run (default `None` = the
-    /// clean executors). `Some(spec)` routes the run through the
-    /// adversarial executor ([`fault::run_faulty`]) — even
-    /// [`FaultSpec::none`], which that executor reproduces bit-for-bit
-    /// against the clean engines.
+    /// clean delivery plane). `Some(spec)` routes the run through the
+    /// adversary plane ([`fault`]) — even [`FaultSpec::none`], which
+    /// that plane reproduces bit-for-bit against the clean one.
     pub fault: Option<FaultSpec>,
-    /// Overrides the simulator's round budget for this run (default
-    /// `None` keeps the simulator's own limit). Fault sweeps set a
+    /// Overrides the round budget for this run (default `None` keeps
+    /// the simulator's own limit, [`DEFAULT_MAX_ROUNDS`] unless set). Fault sweeps set a
     /// small budget so runs that an adversary starves into livelock
     /// abort quickly with the model's round-limit error.
     pub max_rounds: Option<usize>,
     /// Reliable-delivery plan for the run (default `None` = raw
-    /// delivery). `Some(spec)` routes the run through the ARQ executor
-    /// ([`arq::run_reliable`]), which sequences, acknowledges, and
-    /// retransmits every application message over the (possibly
-    /// faulted) network — composable with [`RunConfig::fault`]: with no
-    /// adversary armed the ARQ run reproduces the clean outputs with a
-    /// constant round tail, and under drop/delay/duplicate faults the
-    /// outputs stay bit-identical to the clean run while the metrics
-    /// record the price of reliability.
+    /// delivery). `Some(spec)` routes the run through the ARQ plane
+    /// ([`arq`]), layered over [`RunConfig::fault`]'s adversary: outputs
+    /// match the clean run while the metrics record the price of
+    /// reliability.
     pub reliability: Option<ReliabilitySpec>,
     /// Trace-sink activation policy (default [`ProbeMode::Env`]: the
     /// run streams a [`JsonlProbe`] trace to the path named by the
@@ -383,23 +350,23 @@ impl RunConfig {
         Self::default()
     }
 
-    /// Selects the executor.
+    /// Selects the engine.
     pub fn engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
         self
     }
 
-    /// Selects the single-threaded reference executor.
+    /// Selects one shard on the driving thread.
     pub fn sequential(self) -> Self {
         self.engine(Engine::Sequential)
     }
 
-    /// Selects the sharded executor with an explicit thread count.
+    /// Selects sharded execution with an explicit thread count.
     pub fn parallel(self, threads: usize) -> Self {
         self.engine(Engine::Parallel { threads })
     }
 
-    /// Selects the sharded executor with one shard per available CPU.
+    /// Selects sharded execution with one shard per available CPU.
     pub fn parallel_auto(self) -> Self {
         self.engine(Engine::parallel_auto())
     }
@@ -479,19 +446,9 @@ pub enum Scheduling {
     FullSweep,
 }
 
-/// Kernel tuning knobs, supplied by the model wrappers.
-#[derive(Clone, Copy, Debug)]
-pub struct KernelConfig {
-    /// Abort with [`ExecModel::round_limit_error`] after this many rounds.
-    pub max_rounds: usize,
-    /// The round-scheduling policy.
-    pub scheduling: Scheduling,
-}
-
 /// One round's merged accounting, shared by both models.
 ///
-/// Each executor accumulates one `RoundProfile` per shard (the
-/// sequential executor is a single shard), folds the shard profiles in
+/// The kernel accumulates one `RoundProfile` per shard, folds the shard profiles in
 /// shard order once per round, and hands the merge to
 /// [`ExecModel::end_round`]; the model maps the fields onto its own
 /// metrics type. Field semantics are model-defined: CONGEST charges bits
@@ -525,7 +482,7 @@ pub struct RoundProfile {
 impl RoundProfile {
     /// A profile whose size histogram is allocated iff the probe `P` is
     /// enabled — the executors' per-round accumulator constructor.
-    fn for_probe<P: Probe>() -> Self {
+    pub(crate) fn for_probe<P: Probe>() -> Self {
         RoundProfile {
             sizes: P::ENABLED.then(Box::default),
             ..Self::default()
@@ -577,8 +534,8 @@ pub struct Poll {
 /// Where [`ExecModel::step`] stages validated outgoing messages.
 ///
 /// The kernel provides the implementations: a direct-delivery sink for
-/// the sequential executor and a columnar lane-staging sink for the
-/// sharded one. `step` must call [`MsgSink::deliver`] once per validated
+/// the one-shard store and a columnar lane-staging sink for the
+/// sharded one, each behind the run's delivery plane. `step` must call [`MsgSink::deliver`] once per validated
 /// message, in outbox order, *after* the message passed the model's
 /// checks.
 pub trait MsgSink<M: ExecModel + ?Sized> {
@@ -587,7 +544,7 @@ pub trait MsgSink<M: ExecModel + ?Sized> {
     /// network — the factor the model must charge its round accounting
     /// by.
     ///
-    /// The kernel's clean sinks always return 1; the fault executor's
+    /// The kernel's clean sinks always return 1; the adversary plane's
     /// sink returns 0 for a message the adversary drops (so dropped
     /// messages are charged at actual delivery — i.e. not at all), 2
     /// for a duplicated message, and 1 for a delayed one (a delayed
@@ -634,7 +591,7 @@ pub trait ExecModel: Sync {
     /// does not, and the tally is compiled out).
     const TRACK_RECV: bool = false;
 
-    /// Whether [`run_sharded`] should move [`ExecModel::Packed`] words
+    /// Whether multi-shard runs should move [`ExecModel::Packed`] words
     /// through its lanes and arenas instead of cloned [`ExecModel::Msg`]
     /// enums. Consulted once per run; the default keeps the enum plane.
     fn packs(&self) -> bool {
@@ -668,7 +625,7 @@ pub trait ExecModel: Sync {
     }
 
     /// The actor's relative per-round cost estimate, consulted once per
-    /// run by [`run_sharded`] to draw cost-balanced contiguous shard
+    /// run by [`execute`] to draw cost-balanced contiguous shard
     /// boundaries (see [`balanced_partition`]).
     ///
     /// CONGEST charges a vertex its adjacency degree (message work is
@@ -719,22 +676,22 @@ pub trait ExecModel: Sync {
 
     /// The payload cost of one wire copy of `msg` in the model's volume
     /// unit (bits for CONGEST, words for MPC) — what the reliable
-    /// executor charges for each *re*transmission, matching what the
+    /// ARQ plane charges for each *re*transmission, matching what the
     /// model charged the first transmission at `step` time. Only
-    /// consulted by [`arq::run_reliable`].
+    /// consulted by the ARQ plane ([`arq`]).
     fn wire_charge(&self, _msg: &Self::Msg) -> u64 {
         1
     }
 
     /// The fixed-width ARQ control-lane cost (sequence number) that
     /// rides beside every data copy, in the model's volume unit. Only
-    /// consulted by [`arq::run_reliable`].
+    /// consulted by the ARQ plane ([`arq`]).
     fn arq_header_charge(&self) -> u64 {
         0
     }
 
     /// The cost of one cumulative-ack control frame, in the model's
-    /// volume unit. Only consulted by [`arq::run_reliable`].
+    /// volume unit. Only consulted by the ARQ plane ([`arq`]).
     fn arq_ack_charge(&self) -> u64 {
         1
     }
@@ -762,7 +719,7 @@ pub trait ExecModel: Sync {
 
     /// Folds the whole-run fault statistics and the convergence round
     /// into the metrics after the final round (called once per
-    /// successful run, by every executor).
+    /// successful run, on every delivery plane).
     ///
     /// `fault` carries the adversary's tally — all zeros except
     /// [`FaultStats::delivered`] on a clean run — and
@@ -775,8 +732,7 @@ pub trait ExecModel: Sync {
     }
 }
 
-/// Result of a completed kernel run; the model wrappers repackage it
-/// into their public report types.
+/// Result of a completed run (the simulators' `Report` and `MpcReport`).
 #[derive(Debug)]
 pub struct Run<O, M> {
     /// Per-actor outputs, indexed by actor id.
@@ -786,521 +742,15 @@ pub struct Run<O, M> {
 }
 
 /// Cost-balanced contiguous shard boundaries; the load balancer of
-/// [`run_sharded`].
+/// [`execute`].
 ///
 /// The implementation lives in the graph substrate
 /// ([`pga_graph::partition`]) so its blocked-BMM kernel can shard along
 /// the same boundaries; re-exported here unchanged for the engines and
-/// every existing call site. [`run_sharded`] preserves bit-identity for
+/// every existing call site. The kernel preserves bit-identity for
 /// *any* contiguous partition — boundaries only affect wall-clock
 /// balance.
 pub use pga_graph::partition::balanced_partition;
-
-/// Inbox buffers of the sequential executor: one `Vec<(from, msg)>` per
-/// actor, reused across rounds.
-type Inboxes<M> = Vec<Vec<(<M as ExecModel>::Id, <M as ExecModel>::Msg)>>;
-
-/// The direct-delivery sink of the sequential executor: messages go
-/// straight into the staging inboxes (and the receive tally).
-struct DirectSink<'a, M: ExecModel> {
-    staging: &'a mut [Vec<(M::Id, M::Msg)>],
-    recv: &'a mut [usize],
-}
-
-impl<M: ExecModel> MsgSink<M> for DirectSink<'_, M> {
-    #[inline]
-    fn deliver(&mut self, model: &M, to: M::Id, from: M::Id, msg: M::Msg) -> u32 {
-        if M::TRACK_RECV {
-            self.recv[to.index()] += model.recv_charge(&msg);
-        }
-        self.staging[to.index()].push((from, msg));
-        1
-    }
-}
-
-/// The fixed shard layout of one sharded run: boundary offsets plus the
-/// actor → shard map the staging sink uses for O(1) lane routing.
-struct ShardMeta {
-    /// Boundary offsets from [`balanced_partition`] (`starts.len() - 1`
-    /// shards; shard `j` covers `starts[j]..starts[j + 1]`).
-    starts: Vec<usize>,
-    /// Destination shard of every actor index.
-    shard_of: Vec<u32>,
-}
-
-impl ShardMeta {
-    fn new(starts: Vec<usize>) -> Self {
-        let n = *starts.last().unwrap();
-        let mut shard_of = vec![0u32; n];
-        for (j, w) in starts.windows(2).enumerate() {
-            shard_of[w[0]..w[1]].fill(j as u32);
-        }
-        ShardMeta { starts, shard_of }
-    }
-
-    fn num_shards(&self) -> usize {
-        self.starts.len() - 1
-    }
-
-    fn len_of(&self, j: usize) -> usize {
-        self.starts[j + 1] - self.starts[j]
-    }
-}
-
-/// One sender shard's columnar staging for one destination shard:
-/// destination indices and `(sender, payload)` pairs in parallel
-/// arrays, appended in outbox order and counting-sorted by destination
-/// before the scatter. All three buffers are reused across rounds.
-struct Lane<M: ExecModel> {
-    /// Shard-local destination index of each staged message.
-    to: Vec<u32>,
-    /// `(sender, payload)` of each staged message, parallel to `to`.
-    pay: Vec<(M::Id, M::Msg)>,
-    /// After grouping: CSR offsets into `pay` per local destination
-    /// (`dest_len + 1` entries). Only meaningful while `pay` is
-    /// non-empty.
-    offs: Vec<u32>,
-}
-
-impl<M: ExecModel> Lane<M> {
-    fn new() -> Self {
-        Lane {
-            to: Vec::new(),
-            pay: Vec::new(),
-            offs: Vec::new(),
-        }
-    }
-}
-
-/// One destination shard's flat inbox arena: every message delivered to
-/// the shard, grouped by destination actor, plus CSR offsets — actor
-/// `local` reads `data[offs[local]..offs[local + 1]]`. Reused across
-/// rounds; `dirty` tracks whether a previous round left content that a
-/// quiet round must clear.
-struct Arena<M: ExecModel> {
-    data: Vec<(M::Id, M::Msg)>,
-    offs: Vec<usize>,
-    dirty: bool,
-}
-
-impl<M: ExecModel> Arena<M> {
-    fn new(len: usize) -> Self {
-        Arena {
-            data: Vec::new(),
-            offs: vec![0; len + 1],
-            dirty: false,
-        }
-    }
-
-    #[inline]
-    fn slice(&self, local: usize) -> &[(M::Id, M::Msg)] {
-        &self.data[self.offs[local]..self.offs[local + 1]]
-    }
-
-    #[inline]
-    fn has_mail(&self, local: usize) -> bool {
-        self.offs[local + 1] > self.offs[local]
-    }
-
-    fn clear(&mut self) {
-        self.data.clear();
-        self.offs.fill(0);
-        self.dirty = false;
-    }
-}
-
-/// The lane-staging sink of the sharded executor: messages are appended
-/// to the columnar lane of their destination shard.
-struct LaneSink<'a, M: ExecModel> {
-    lanes: &'a mut [Lane<M>],
-    starts: &'a [usize],
-    shard_of: &'a [u32],
-}
-
-impl<M: ExecModel> MsgSink<M> for LaneSink<'_, M> {
-    #[inline]
-    fn deliver(&mut self, _model: &M, to: M::Id, from: M::Id, msg: M::Msg) -> u32 {
-        let j = self.shard_of[to.index()] as usize;
-        let lane = &mut self.lanes[j];
-        lane.to.push((to.index() - self.starts[j]) as u32);
-        lane.pay.push((from, msg));
-        1
-    }
-}
-
-/// Reusable per-worker scratch: the model's validation scratch plus the
-/// counting-sort arrays of the lane-grouping pass.
-struct WorkerScratch<M: ExecModel> {
-    send: M::SendScratch,
-    /// Per-destination counters, then running cursors (counting sort
-    /// pass 1); sized to the largest destination shard.
-    counts: Vec<u32>,
-    /// Final position of each staged message (counting sort pass 2).
-    pos: Vec<u32>,
-}
-
-impl<M: ExecModel> WorkerScratch<M> {
-    fn new() -> Self {
-        WorkerScratch {
-            send: M::SendScratch::default(),
-            counts: Vec::new(),
-            pos: Vec::new(),
-        }
-    }
-}
-
-/// Stable counting sort of one lane by destination: fills `lane.offs`
-/// with the per-destination CSR offsets and permutes `lane.pay` into
-/// destination-grouped order in place (cycle-walking swaps; stability
-/// follows from assigning positions in scan order).
-fn group_lane_by_destination<M: ExecModel>(
-    lane: &mut Lane<M>,
-    dest_len: usize,
-    counts: &mut Vec<u32>,
-    pos: &mut Vec<u32>,
-) {
-    if counts.len() < dest_len {
-        counts.resize(dest_len, 0);
-    }
-    let counts = &mut counts[..dest_len];
-    counts.fill(0);
-    for &t in &lane.to {
-        counts[t as usize] += 1;
-    }
-    // Prefix-sum the counts into CSR offsets, leaving `counts` holding
-    // each destination's running write cursor.
-    lane.offs.clear();
-    lane.offs.reserve(dest_len + 1);
-    lane.offs.push(0);
-    let mut run = 0u32;
-    for c in counts.iter_mut() {
-        let start = run;
-        run += *c;
-        *c = start;
-        lane.offs.push(run);
-    }
-    // Final slot of each message, assigned in scan order (stable).
-    pos.clear();
-    pos.extend(lane.to.iter().map(|&t| {
-        let p = counts[t as usize];
-        counts[t as usize] += 1;
-        p
-    }));
-    // Apply the permutation in place: ≤ len swaps, moves only.
-    let pay = &mut lane.pay[..];
-    for i in 0..pay.len() {
-        while pos[i] as usize != i {
-            let j = pos[i] as usize;
-            pay.swap(i, j);
-            pos.swap(i, j);
-        }
-    }
-    lane.to.clear();
-}
-
-/// The per-round sweep: polls every actor, refreshes the activity mask,
-/// and reports global termination. Runs on the driving thread in both
-/// executors — it is allocation-free and branch-cheap, so even with the
-/// active-set policy the termination semantics stay exactly those of
-/// the classic loop. `has_mail` reports whether the actor's inbox for
-/// this round is non-empty (per-actor buffers in the sequential
-/// executor, arena CSR offsets in the sharded one).
-///
-/// Under [`Scheduling::ActiveSet`] the sweep additionally maintains a
-/// *dormancy* cache: an actor observed done **and** skippable with an
-/// empty inbox is not re-polled in later rounds until a message arrives.
-/// This is sound because a skipped actor's state is frozen (the no-op
-/// contract), so by the skip contract its `done`/`skippable` verdicts
-/// cannot change until mail wakes it; the quiescent tail of a run then
-/// costs two flag reads per actor per round instead of a model poll.
-fn sweep<M: ExecModel>(
-    model: &M,
-    nodes: &[M::Node],
-    has_mail: impl Fn(usize) -> bool,
-    round: usize,
-    scheduling: Scheduling,
-    active: &mut [bool],
-    dormant: &mut [bool],
-) -> bool {
-    let mut all_done = true;
-    let mut in_flight = false;
-    for (i, node) in nodes.iter().enumerate() {
-        let has_mail = has_mail(i);
-        if dormant[i] && !has_mail {
-            // Frozen, done, and still unmailed: counts as done without
-            // a fresh poll.
-            active[i] = false;
-            continue;
-        }
-        let poll = model.poll(node, i, round);
-        all_done &= poll.done;
-        in_flight |= has_mail;
-        match scheduling {
-            Scheduling::ActiveSet => {
-                active[i] = has_mail || !poll.skippable;
-                dormant[i] = poll.done && poll.skippable && !has_mail;
-            }
-            Scheduling::FullSweep => active[i] = true,
-        }
-    }
-    all_done && !in_flight
-}
-
-/// Collects every actor's output at the final `round`.
-fn outputs<M: ExecModel>(model: &M, nodes: &[M::Node], round: usize) -> Vec<M::Output> {
-    nodes
-        .iter()
-        .enumerate()
-        .map(|(i, node)| model.output(node, i, round))
-        .collect()
-}
-
-/// Runs `nodes` to completion on the single-threaded reference
-/// executor.
-///
-/// # Errors
-///
-/// Returns the model's error if an actor violates the model, a program
-/// aborts, or the round budget is exhausted.
-pub fn run_sequential<M: ExecModel>(
-    model: &M,
-    nodes: Vec<M::Node>,
-    cfg: KernelConfig,
-) -> Result<Run<M::Output, M::Metrics>, M::Error> {
-    run_sequential_probed(model, nodes, cfg, &NoopProbe)
-}
-
-/// [`run_sequential`] with a [`Probe`] attached: identical outputs,
-/// metrics, and errors (observer neutrality), plus per-round telemetry
-/// callbacks on the driving thread. With [`NoopProbe`] this
-/// monomorphizes to exactly [`run_sequential`].
-///
-/// # Errors
-///
-/// Returns the model's error like [`run_sequential`].
-pub fn run_sequential_probed<M: ExecModel, P: Probe>(
-    model: &M,
-    mut nodes: Vec<M::Node>,
-    cfg: KernelConfig,
-    probe: &P,
-) -> Result<Run<M::Output, M::Metrics>, M::Error> {
-    let n = nodes.len();
-    let mut metrics = M::Metrics::default();
-    model.pre_run(&nodes, &mut metrics)?;
-    let run_start = P::ENABLED.then(std::time::Instant::now);
-    if P::ENABLED {
-        probe.on_run_start(n, &[0, n], &[]);
-    }
-
-    let mut inboxes: Inboxes<M> = (0..n).map(|_| Vec::new()).collect();
-    let mut staging: Inboxes<M> = (0..n).map(|_| Vec::new()).collect();
-    let mut recv: Vec<usize> = if M::TRACK_RECV {
-        vec![0; n]
-    } else {
-        Vec::new()
-    };
-    let mut active = vec![true; n];
-    let mut dormant = vec![false; n];
-    let mut scratch = M::SendScratch::default();
-    let mut round = 0;
-    let mut delivered: u64 = 0;
-    let mut convergence = 0usize;
-
-    loop {
-        if sweep(
-            model,
-            &nodes,
-            |i| !inboxes[i].is_empty(),
-            round,
-            cfg.scheduling,
-            &mut active,
-            &mut dormant,
-        ) {
-            break;
-        }
-        if round >= cfg.max_rounds {
-            return Err(model.round_limit_error(cfg.max_rounds));
-        }
-
-        let round_start = P::ENABLED.then(std::time::Instant::now);
-        if P::ENABLED {
-            probe.on_round_start(round);
-        }
-        let mut acc = RoundProfile::for_probe::<P>();
-        for (i, node) in nodes.iter_mut().enumerate() {
-            if !active[i] {
-                continue;
-            }
-            let mut sink = DirectSink::<M> {
-                staging: &mut staging,
-                recv: &mut recv,
-            };
-            model.step(
-                node,
-                i,
-                round,
-                &inboxes[i],
-                &mut scratch,
-                &mut acc,
-                &mut sink,
-            )?;
-            // Consumed in place; the cleared buffer keeps its capacity
-            // and becomes next round's staging arena after the swap.
-            inboxes[i].clear();
-        }
-
-        if M::TRACK_RECV {
-            model.check_recv(&recv, round)?;
-        }
-        if acc.messages > 0 {
-            // Messages staged this round are consumed next round, so
-            // the plane can only be quiet from the round after that.
-            convergence = round + 2;
-        }
-        delivered += acc.messages;
-        model.end_round(&acc, &recv, round, &mut metrics);
-        if M::TRACK_RECV {
-            recv.fill(0);
-        }
-        std::mem::swap(&mut inboxes, &mut staging);
-        if P::ENABLED {
-            probe.on_round_end(&RoundObs {
-                round,
-                wall_ns: round_start.map_or(0, |t| t.elapsed().as_nanos() as u64),
-                messages: acc.messages,
-                volume: acc.volume,
-                peak_link: acc.peak_link,
-                active: active.iter().filter(|&&a| a).count(),
-                sizes: acc.sizes.as_deref(),
-            });
-        }
-        round += 1;
-    }
-
-    model.finish(
-        &mut metrics,
-        &FaultStats {
-            delivered,
-            ..FaultStats::default()
-        },
-        convergence,
-    );
-    if P::ENABLED {
-        probe.on_run_end(
-            round,
-            run_start.map_or(0, |t| t.elapsed().as_nanos() as u64),
-        );
-    }
-    Ok(Run {
-        outputs: outputs(model, &nodes, round),
-        metrics,
-    })
-}
-
-/// Splits `slice` into the contiguous chunks delimited by `bounds`
-/// (boundary offsets as produced by [`balanced_partition`]).
-fn split_by_bounds<'a, T>(mut slice: &'a mut [T], bounds: &[usize]) -> Vec<&'a mut [T]> {
-    let mut out = Vec::with_capacity(bounds.len().saturating_sub(1));
-    for w in bounds.windows(2) {
-        let (head, tail) = slice.split_at_mut(w[1] - w[0]);
-        out.push(head);
-        slice = tail;
-    }
-    out
-}
-
-/// Executes one round for the shard whose first actor is `base`:
-/// steps every active actor against its arena inbox slice, stages
-/// outgoing messages into the shard's columnar lanes, and
-/// counting-sorts each lane by destination so the scatter phase can
-/// drain it sequentially.
-#[allow(clippy::too_many_arguments)]
-fn run_shard_round<M: ExecModel, P: Probe>(
-    model: &M,
-    base: usize,
-    shard_nodes: &mut [M::Node],
-    arena: &Arena<M>,
-    shard_active: &[bool],
-    lanes: &mut [Lane<M>],
-    meta: &ShardMeta,
-    scratch: &mut WorkerScratch<M>,
-    round: usize,
-) -> Result<RoundProfile, M::Error> {
-    let mut acc = RoundProfile::for_probe::<P>();
-    {
-        let mut sink = LaneSink::<M> {
-            lanes,
-            starts: &meta.starts,
-            shard_of: &meta.shard_of,
-        };
-        for (k, node) in shard_nodes.iter_mut().enumerate() {
-            if !shard_active[k] {
-                continue;
-            }
-            model.step(
-                node,
-                base + k,
-                round,
-                arena.slice(k),
-                &mut scratch.send,
-                &mut acc,
-                &mut sink,
-            )?;
-        }
-    }
-    for (j, lane) in lanes.iter_mut().enumerate() {
-        if !lane.pay.is_empty() {
-            group_lane_by_destination(lane, meta.len_of(j), &mut scratch.counts, &mut scratch.pos);
-        }
-    }
-    Ok(acc)
-}
-
-/// Scatter phase for one destination shard: rebuilds the shard's flat
-/// inbox arena from its incoming (pre-grouped) lanes. For every
-/// destination actor, lanes are drained in ascending sender-shard
-/// order, so each inbox ends up sorted exactly as the sequential
-/// executor delivers. Also accumulates the receive tally when the model
-/// tracks it.
-/// One incoming lane viewed by the scatter: its CSR offsets and a
-/// draining cursor over its pre-grouped payloads.
-type LanePart<'a, M> = (
-    &'a [u32],
-    std::vec::Drain<'a, (<M as ExecModel>::Id, <M as ExecModel>::Msg)>,
-);
-
-fn merge_shard<M: ExecModel>(
-    model: &M,
-    arena: &mut Arena<M>,
-    column: Vec<&mut Lane<M>>,
-    shard_len: usize,
-    mut recv_dst: Option<&mut [usize]>,
-) {
-    arena.data.clear();
-    // Split each incoming lane into its CSR offsets and a draining
-    // cursor over the pre-grouped payloads (disjoint fields of the same
-    // lane, so the borrows coexist).
-    let mut parts: Vec<LanePart<'_, M>> = column
-        .into_iter()
-        .filter(|lane| !lane.pay.is_empty())
-        .map(|lane| (&lane.offs[..], lane.pay.drain(..)))
-        .collect();
-    for local in 0..shard_len {
-        arena.offs[local] = arena.data.len();
-        for (offs, drain) in parts.iter_mut() {
-            let cnt = (offs[local + 1] - offs[local]) as usize;
-            for _ in 0..cnt {
-                let (from, msg) = drain.next().expect("lane CSR covers its payloads");
-                if let Some(recv) = recv_dst.as_deref_mut() {
-                    recv[local] += model.recv_charge(&msg);
-                }
-                arena.data.push((from, msg));
-            }
-        }
-    }
-    arena.offs[shard_len] = arena.data.len();
-    arena.dirty = true;
-}
 
 /// Per-worker scratch of the packed wrapper: the inner model's own
 /// validation scratch plus the decode buffer the wrapper rebuilds for
@@ -1320,8 +770,8 @@ impl<M: ExecModel> Default for PackScratch<M> {
 }
 
 /// The enum→packed adapter: an [`ExecModel`] whose message type is the
-/// inner model's [`ExecModel::Packed`] word. [`run_sharded`] wraps a
-/// packing model in this once per run, so the whole exchange — lanes,
+/// inner model's [`ExecModel::Packed`] word. [`execute`] wraps a
+/// packing model in this once per multi-shard run, so the whole exchange — lanes,
 /// counting sort, scatter, arenas — moves `Copy` words; `step` decodes
 /// the inbox slice into a reusable scratch buffer, runs the inner
 /// model's step (validation and charging happen there, on the decoded
@@ -1447,328 +897,14 @@ where
     }
 }
 
-/// Runs `nodes` to completion on the sharded multi-threaded executor.
-///
-/// Actors are partitioned into at most `threads` contiguous shards with
-/// cost-balanced boundaries ([`balanced_partition`] over
-/// [`ExecModel::actor_cost`]); every round each shard executes its
-/// actors' `round` callbacks on its own worker thread, staging outgoing
-/// messages into columnar per-destination-shard lanes, and the exchange
-/// counting-sorts and scatters the lanes into per-shard flat inbox
-/// arenas (see the crate docs for the two-pass layout). Because shards
-/// cover ascending id ranges, each shard visits its actors in id order,
-/// and the scatter drains sender shards in ascending order per
-/// destination, every inbox is delivered in exactly the sequential
-/// executor's order — **bit-identical** outputs, metrics, and errors at
-/// every thread count, without any sorting.
-///
-/// When the model enables its packed codec ([`ExecModel::packs`]), the
-/// exchange moves [`ExecModel::Packed`] words instead of cloned enums
-/// — same outputs, metrics, and errors by the codec contract (see the
-/// crate docs on packed lanes).
-///
-/// A model violation aborts with the lowest-indexed shard's error,
-/// which is the lowest-indexed actor's error, matching the sequential
-/// executor (though `round` callbacks of higher-id actors in other
-/// shards may already have executed by then). Shards whose actors are
-/// all inactive this round are not spawned at all.
-///
-/// Callers are expected to route `threads <= 1` (or shard sizes below
-/// two actors) to [`run_sequential`]; this function falls back by
-/// itself if they do not.
-///
-/// # Errors
-///
-/// Returns the model's error like [`run_sequential`].
-pub fn run_sharded<M>(
-    model: &M,
-    nodes: Vec<M::Node>,
-    threads: usize,
-    cfg: KernelConfig,
-) -> Result<Run<M::Output, M::Metrics>, M::Error>
-where
-    M: ExecModel,
-    M::Node: Send,
-    M::Msg: Send,
-    M::Error: Send,
-{
-    run_sharded_probed(model, nodes, threads, cfg, &NoopProbe)
-}
-
-/// [`run_sharded`] with a [`Probe`] attached: identical outputs,
-/// metrics, and errors (observer neutrality), plus per-round and
-/// per-shard telemetry callbacks on the driving thread (workers only
-/// *time* their own shard). With [`NoopProbe`] this monomorphizes to
-/// exactly [`run_sharded`].
-///
-/// # Errors
-///
-/// Returns the model's error like [`run_sequential`].
-pub fn run_sharded_probed<M, P>(
-    model: &M,
-    nodes: Vec<M::Node>,
-    threads: usize,
-    cfg: KernelConfig,
-    probe: &P,
-) -> Result<Run<M::Output, M::Metrics>, M::Error>
-where
-    M: ExecModel,
-    M::Node: Send,
-    M::Msg: Send,
-    M::Error: Send,
-    P: Probe,
-{
-    if model.packs() {
-        run_sharded_inner(&PackedModel(model), nodes, threads, cfg, probe)
-    } else {
-        run_sharded_inner(model, nodes, threads, cfg, probe)
-    }
-}
-
-/// The sharded round loop proper, over whichever wire representation
-/// ([`run_sharded_probed`]'s dispatch) the run uses.
-fn run_sharded_inner<M, P>(
-    model: &M,
-    mut nodes: Vec<M::Node>,
-    threads: usize,
-    cfg: KernelConfig,
-    probe: &P,
-) -> Result<Run<M::Output, M::Metrics>, M::Error>
-where
-    M: ExecModel,
-    M::Node: Send,
-    M::Msg: Send,
-    M::Error: Send,
-    P: Probe,
-{
-    let n = nodes.len();
-    if threads <= 1 || n < 2 * threads {
-        return run_sequential_probed(model, nodes, cfg, probe);
-    }
-    let costs: Vec<u64> = nodes
-        .iter()
-        .enumerate()
-        .map(|(i, node)| model.actor_cost(node, i))
-        .collect();
-    let meta = ShardMeta::new(balanced_partition(&costs, threads));
-    let num_shards = meta.num_shards();
-    if num_shards <= 1 {
-        return run_sequential_probed(model, nodes, cfg, probe);
-    }
-
-    let mut metrics = M::Metrics::default();
-    model.pre_run(&nodes, &mut metrics)?;
-    let run_start = P::ENABLED.then(std::time::Instant::now);
-    if P::ENABLED {
-        probe.on_run_start(n, &meta.starts, &costs);
-    }
-
-    let mut recv: Vec<usize> = if M::TRACK_RECV {
-        vec![0; n]
-    } else {
-        Vec::new()
-    };
-    let mut active = vec![true; n];
-    let mut dormant = vec![false; n];
-    // Per-shard state, all reused across rounds: flat inbox arenas, one
-    // row of outgoing lanes per sending shard, and worker scratch.
-    let mut arenas: Vec<Arena<M>> = (0..num_shards)
-        .map(|j| Arena::new(meta.len_of(j)))
-        .collect();
-    let mut lane_rows: Vec<Vec<Lane<M>>> = (0..num_shards)
-        .map(|_| (0..num_shards).map(|_| Lane::new()).collect())
-        .collect();
-    let mut scratches: Vec<WorkerScratch<M>> =
-        (0..num_shards).map(|_| WorkerScratch::new()).collect();
-    let mut round = 0;
-    let mut delivered: u64 = 0;
-    let mut convergence = 0usize;
-
-    loop {
-        if sweep(
-            model,
-            &nodes,
-            |i| {
-                let j = meta.shard_of[i] as usize;
-                arenas[j].has_mail(i - meta.starts[j])
-            },
-            round,
-            cfg.scheduling,
-            &mut active,
-            &mut dormant,
-        ) {
-            break;
-        }
-        if round >= cfg.max_rounds {
-            return Err(model.round_limit_error(cfg.max_rounds));
-        }
-
-        let round_start = P::ENABLED.then(std::time::Instant::now);
-        if P::ENABLED {
-            probe.on_round_start(round);
-        }
-
-        // Phase A: every shard with at least one active actor steps its
-        // actors on a worker thread and pre-groups its outgoing lanes.
-        // Workers time their own shard (probed runs only); callbacks
-        // stay on the driving thread.
-        type ShardOut<M> = (Result<RoundProfile, <M as ExecModel>::Error>, u64);
-        let shard_results: Vec<Option<ShardOut<M>>> = {
-            let meta = &meta;
-            let active = &active;
-            std::thread::scope(|s| {
-                let handles: Vec<_> = split_by_bounds(&mut nodes, &meta.starts)
-                    .into_iter()
-                    .zip(arenas.iter_mut())
-                    .zip(lane_rows.iter_mut())
-                    .zip(scratches.iter_mut())
-                    .enumerate()
-                    .map(|(si, (((shard_nodes, arena), lanes), scratch))| {
-                        let act = &active[meta.starts[si]..meta.starts[si + 1]];
-                        if act.iter().any(|&a| a) {
-                            Some(s.spawn(move || {
-                                let shard_start = P::ENABLED.then(std::time::Instant::now);
-                                let r = run_shard_round::<M, P>(
-                                    model,
-                                    meta.starts[si],
-                                    shard_nodes,
-                                    arena,
-                                    act,
-                                    lanes,
-                                    meta,
-                                    scratch,
-                                    round,
-                                );
-                                let ns = shard_start.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                                (r, ns)
-                            }))
-                        } else {
-                            None
-                        }
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))))
-                    .collect()
-            })
-        };
-
-        // The lowest-indexed shard's error is the lowest-indexed
-        // actor's error, exactly like the sequential executor.
-        let mut acc = RoundProfile::default();
-        for (si, r) in shard_results.into_iter().enumerate() {
-            let Some((r, shard_ns)) = r else { continue };
-            let p = r?;
-            if P::ENABLED {
-                probe.on_shard(round, si, shard_ns, p.messages, p.volume);
-            }
-            acc.merge(&p);
-        }
-
-        // Phase B: scatter the lanes into the destination arenas, one
-        // worker per destination shard with incoming mail; quiet shards
-        // only clear leftover content. The gate is executor-owned (lane
-        // emptiness), so it cannot drift from whatever the model counts
-        // in `acc.messages`.
-        let mut incoming = vec![false; num_shards];
-        for row in &lane_rows {
-            for (j, lane) in row.iter().enumerate() {
-                incoming[j] |= !lane.pay.is_empty();
-            }
-        }
-        let exchange_start = P::ENABLED.then(std::time::Instant::now);
-        if incoming.iter().any(|&b| b) || arenas.iter().any(|a| a.dirty) {
-            let mut columns: Vec<Vec<&mut Lane<M>>> = (0..num_shards)
-                .map(|_| Vec::with_capacity(num_shards))
-                .collect();
-            for row in lane_rows.iter_mut() {
-                for (j, lane) in row.iter_mut().enumerate() {
-                    columns[j].push(lane);
-                }
-            }
-            let recv_chunks: Vec<&mut [usize]> = if M::TRACK_RECV {
-                split_by_bounds(&mut recv, &meta.starts)
-            } else {
-                Vec::new()
-            };
-            std::thread::scope(|s| {
-                let mut recv_chunks = recv_chunks.into_iter();
-                for (j, (arena, column)) in arenas.iter_mut().zip(columns).enumerate() {
-                    let recv_dst = recv_chunks.next();
-                    if !incoming[j] {
-                        if arena.dirty {
-                            arena.clear();
-                        }
-                        continue;
-                    }
-                    let shard_len = meta.len_of(j);
-                    s.spawn(move || merge_shard(model, arena, column, shard_len, recv_dst));
-                }
-            });
-        }
-        if P::ENABLED {
-            probe.on_exchange(
-                round,
-                exchange_start.map_or(0, |t| t.elapsed().as_nanos() as u64),
-            );
-        }
-
-        if M::TRACK_RECV {
-            model.check_recv(&recv, round)?;
-        }
-        if acc.messages > 0 {
-            convergence = round + 2;
-        }
-        delivered += acc.messages;
-        model.end_round(&acc, &recv, round, &mut metrics);
-        if M::TRACK_RECV {
-            recv.fill(0);
-        }
-        if P::ENABLED {
-            probe.on_round_end(&RoundObs {
-                round,
-                wall_ns: round_start.map_or(0, |t| t.elapsed().as_nanos() as u64),
-                messages: acc.messages,
-                volume: acc.volume,
-                peak_link: acc.peak_link,
-                active: active.iter().filter(|&&a| a).count(),
-                sizes: acc.sizes.as_deref(),
-            });
-        }
-        round += 1;
-    }
-
-    model.finish(
-        &mut metrics,
-        &FaultStats {
-            delivered,
-            ..FaultStats::default()
-        },
-        convergence,
-    );
-    if P::ENABLED {
-        probe.on_run_end(
-            round,
-            run_start.map_or(0, |t| t.elapsed().as_nanos() as u64),
-        );
-    }
-    Ok(Run {
-        outputs: outputs(model, &nodes, round),
-        metrics,
-    })
-}
-
 #[cfg(test)]
-// The tests exercise the fault executor itself, below the sanctioned
-// `run_cfg` wrappers the rest of the workspace is steered to.
-#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
 
     /// A toy model used to exercise the kernel directly: actors pass a
     /// token around a ring for a fixed number of hops; message charge is
     /// the payload value, capped by the model.
+    #[derive(Clone, Copy)]
     struct RingModel {
         n: usize,
         charge_cap: usize,
@@ -1954,24 +1090,30 @@ mod tests {
         }
     }
 
-    fn packed_model(n: usize) -> RingModel {
-        RingModel {
-            packed: true,
-            ..model(n)
-        }
+    fn cfg(s: Scheduling) -> RunConfig {
+        RunConfig::new().scheduling(s).max_rounds(1_000)
     }
 
-    fn cfg(s: Scheduling) -> KernelConfig {
-        KernelConfig {
-            max_rounds: 1_000,
-            scheduling: s,
-        }
+    type RingRun = Result<Run<usize, RingMetrics>, RingError>;
+
+    fn run(m: &RingModel, nodes: Vec<RingNode>, threads: usize) -> RingRun {
+        let cfg = cfg(Scheduling::ActiveSet).parallel(threads);
+        execute(m, nodes, &cfg, &NoopProbe)
+    }
+
+    fn run_faulty(
+        m: &RingModel,
+        nodes: Vec<RingNode>,
+        threads: usize,
+        adversary: &dyn Adversary,
+    ) -> RingRun {
+        let cfg = cfg(Scheduling::ActiveSet).parallel(threads);
+        execute_under(m, nodes, &cfg, Some(adversary), &NoopProbe)
     }
 
     #[test]
     fn sequential_completes_and_counts() {
-        let run =
-            run_sequential(&model(5), ring_nodes(5, 7, 2), cfg(Scheduling::ActiveSet)).unwrap();
+        let run = run(&model(5), ring_nodes(5, 7, 2), 1).unwrap();
         // 8 sends total (the origin's plus 7 forwards), one per round,
         // plus a final send-free round consuming the last token.
         assert_eq!(run.metrics.messages, 8);
@@ -1983,74 +1125,56 @@ mod tests {
         assert_eq!(run.outputs.iter().sum::<usize>(), 8);
     }
 
-    #[test]
-    fn schedulings_and_executors_are_bit_identical() {
-        let baseline = run_sequential(
-            &model(16),
-            ring_nodes(16, 40, 3),
-            cfg(Scheduling::FullSweep),
-        )
-        .unwrap();
-        for scheduling in [Scheduling::FullSweep, Scheduling::ActiveSet] {
-            let seq = run_sequential(&model(16), ring_nodes(16, 40, 3), cfg(scheduling)).unwrap();
-            assert_eq!(seq.outputs, baseline.outputs, "{scheduling:?}");
-            assert_eq!(seq.metrics.rounds, baseline.metrics.rounds);
-            assert_eq!(seq.metrics.profile, baseline.metrics.profile);
-            for threads in [2, 3, 5, 8] {
-                let par = run_sharded(&model(16), ring_nodes(16, 40, 3), threads, cfg(scheduling))
-                    .unwrap();
-                assert_eq!(par.outputs, baseline.outputs, "{scheduling:?} t={threads}");
-                assert_eq!(par.metrics.rounds, baseline.metrics.rounds);
-                assert_eq!(par.metrics.messages, baseline.metrics.messages);
-                assert_eq!(par.metrics.volume, baseline.metrics.volume);
-                assert_eq!(par.metrics.profile, baseline.metrics.profile);
+    /// Asserts that every shard count, scheduling policy, cost skew and
+    /// wire plane, on the clean plane and under the never-interfering
+    /// adversary, reproduces the reference executor on `base` — and
+    /// that the reference ends in `error`.
+    fn assert_matches_reference(
+        base: RingModel,
+        nodes: impl Fn() -> Vec<RingNode>,
+        budget: usize,
+        error: Option<RingError>,
+    ) {
+        let oracle = reference::run(&base, nodes(), budget);
+        assert_eq!(oracle.as_ref().err(), error.as_ref());
+        let none = SeededAdversary::new(FaultSpec::none());
+        for (skewed_costs, packed) in [(false, false), (true, false), (false, true)] {
+            let m = RingModel {
+                skewed_costs,
+                packed,
+                ..base
+            };
+            for i in 0..20 {
+                let scheduling = [Scheduling::ActiveSet, Scheduling::FullSweep][i % 2];
+                let adversary = (i % 4 >= 2).then_some(&none as &dyn Adversary);
+                let threads = [1, 2, 3, 5, 8][i / 4];
+                let at = format!("{scheduling:?} t={threads} skew={skewed_costs} packed={packed}");
+                let cfg = cfg(scheduling).max_rounds(budget).parallel(threads);
+                match (
+                    &oracle,
+                    execute_under(&m, nodes(), &cfg, adversary, &NoopProbe),
+                ) {
+                    (Ok(want), Ok(got)) => {
+                        assert_eq!(got.outputs, want.outputs, "{at} {i}");
+                        assert_eq!(got.metrics, want.metrics, "{at} {i}");
+                    }
+                    (Err(want), Err(got)) => assert_eq!(&got, want, "{at} {i}"),
+                    (want, got) => panic!("{at} {i}: {:?} vs {:?}", want.is_ok(), got.is_ok()),
+                }
             }
         }
     }
 
     #[test]
-    fn skewed_actor_costs_stay_bit_identical() {
-        // A cost-skewed model shifts the shard boundaries; outputs,
-        // metrics, and errors must not notice.
-        let mk_model = |skewed| RingModel {
-            skewed_costs: skewed,
-            ..model(16)
-        };
-        let baseline = run_sequential(
-            &mk_model(false),
-            ring_nodes(16, 40, 3),
-            cfg(Scheduling::ActiveSet),
-        )
-        .unwrap();
-        for threads in [2, 3, 5, 8] {
-            let par = run_sharded(
-                &mk_model(true),
-                ring_nodes(16, 40, 3),
-                threads,
-                cfg(Scheduling::ActiveSet),
-            )
-            .unwrap();
-            assert_eq!(par.outputs, baseline.outputs, "t={threads}");
-            assert_eq!(par.metrics.profile, baseline.metrics.profile, "t={threads}");
-        }
+    fn schedulings_and_executors_are_bit_identical() {
+        assert_matches_reference(model(16), || ring_nodes(16, 40, 3), 1_000, None);
     }
 
     #[test]
     fn step_errors_match_across_executors() {
         // Charge 99 exceeds the cap at the origin in round 0.
-        let seq = run_sequential(&model(8), ring_nodes(8, 3, 99), cfg(Scheduling::ActiveSet))
-            .unwrap_err();
-        assert_eq!(seq, RingError::TooBig { at: 0, round: 0 });
-        for threads in [2, 4] {
-            let par = run_sharded(
-                &model(8),
-                ring_nodes(8, 3, 99),
-                threads,
-                cfg(Scheduling::ActiveSet),
-            )
-            .unwrap_err();
-            assert_eq!(par, seq, "t={threads}");
-        }
+        let error = RingError::TooBig { at: 0, round: 0 };
+        assert_matches_reference(model(8), || ring_nodes(8, 3, 99), 1_000, Some(error));
     }
 
     #[test]
@@ -2061,90 +1185,14 @@ mod tests {
             recv_cap: 4,
             ..model(8)
         };
-        let seq =
-            run_sequential(&tight, ring_nodes(8, 2, 5), cfg(Scheduling::ActiveSet)).unwrap_err();
-        assert_eq!(seq, RingError::RecvOverflow { at: 1, round: 0 });
-        for threads in [2, 4] {
-            let par = run_sharded(
-                &tight,
-                ring_nodes(8, 2, 5),
-                threads,
-                cfg(Scheduling::ActiveSet),
-            )
-            .unwrap_err();
-            assert_eq!(par, seq, "t={threads}");
-        }
+        let error = RingError::RecvOverflow { at: 1, round: 0 };
+        assert_matches_reference(tight, || ring_nodes(8, 2, 5), 1_000, Some(error));
     }
 
     #[test]
     fn round_limit_errors_match() {
-        let tight = KernelConfig {
-            max_rounds: 3,
-            scheduling: Scheduling::ActiveSet,
-        };
-        let seq = run_sequential(&model(8), ring_nodes(8, 100, 1), tight).unwrap_err();
-        assert_eq!(seq, RingError::RoundLimit { limit: 3 });
-        let par = run_sharded(&model(8), ring_nodes(8, 100, 1), 4, tight).unwrap_err();
-        assert_eq!(par, seq);
-    }
-
-    #[test]
-    fn packed_plane_is_bit_identical_to_enum_plane() {
-        let baseline = run_sequential(
-            &model(16),
-            ring_nodes(16, 40, 3),
-            cfg(Scheduling::ActiveSet),
-        )
-        .unwrap();
-        for threads in [2, 3, 5, 8] {
-            let packed = run_sharded(
-                &packed_model(16),
-                ring_nodes(16, 40, 3),
-                threads,
-                cfg(Scheduling::ActiveSet),
-            )
-            .unwrap();
-            assert_eq!(packed.outputs, baseline.outputs, "t={threads}");
-            assert_eq!(packed.metrics.rounds, baseline.metrics.rounds);
-            assert_eq!(packed.metrics.messages, baseline.metrics.messages);
-            assert_eq!(packed.metrics.volume, baseline.metrics.volume);
-            assert_eq!(packed.metrics.profile, baseline.metrics.profile);
-        }
-    }
-
-    #[test]
-    fn packed_plane_step_and_recv_errors_match() {
-        // Step error (charge over the cap) and the receive-volume error
-        // must surface identically on the packed plane.
-        let seq = run_sequential(&model(8), ring_nodes(8, 3, 99), cfg(Scheduling::ActiveSet))
-            .unwrap_err();
-        let packed = run_sharded(
-            &packed_model(8),
-            ring_nodes(8, 3, 99),
-            4,
-            cfg(Scheduling::ActiveSet),
-        )
-        .unwrap_err();
-        assert_eq!(packed, seq);
-
-        let tight = RingModel {
-            recv_cap: 4,
-            ..model(8)
-        };
-        let tight_packed = RingModel {
-            recv_cap: 4,
-            ..packed_model(8)
-        };
-        let seq =
-            run_sequential(&tight, ring_nodes(8, 2, 5), cfg(Scheduling::ActiveSet)).unwrap_err();
-        let packed = run_sharded(
-            &tight_packed,
-            ring_nodes(8, 2, 5),
-            4,
-            cfg(Scheduling::ActiveSet),
-        )
-        .unwrap_err();
-        assert_eq!(packed, seq);
+        let error = RingError::RoundLimit { limit: 3 };
+        assert_matches_reference(model(8), || ring_nodes(8, 100, 1), 3, Some(error));
     }
 
     #[test]
@@ -2167,8 +1215,30 @@ mod tests {
     }
 
     #[test]
+    fn arq_recovers_the_clean_outputs_under_drops() {
+        let clean = run(&model(16), ring_nodes(16, 40, 3), 1).unwrap();
+        let spec = FaultSpec::seeded(5).drop(0.3).delay(0.2, 2);
+        for threads in [1, 4] {
+            let run = execute(
+                &model(16),
+                ring_nodes(16, 40, 3),
+                &cfg(Scheduling::ActiveSet)
+                    .max_rounds(100_000)
+                    .parallel(threads)
+                    .adversary(spec)
+                    .reliability(ReliabilitySpec::arq()),
+                &NoopProbe,
+            )
+            .unwrap();
+            assert_eq!(run.outputs, clean.outputs, "t={threads}");
+            let f = &run.metrics.fault;
+            assert!(f.dropped > 0 && f.retransmitted > 0, "{f:?}");
+        }
+    }
+
+    #[test]
     fn zero_actors_trivial() {
-        let run = run_sequential(&model(1), Vec::new(), cfg(Scheduling::ActiveSet)).unwrap();
+        let run = run(&model(1), Vec::new(), 1).unwrap();
         assert_eq!(run.metrics.rounds, 0);
         assert!(run.outputs.is_empty());
     }
@@ -2176,13 +1246,7 @@ mod tests {
     #[test]
     fn sharded_falls_back_to_sequential_on_tiny_inputs() {
         // 4 actors on 8 threads: shards would hold under two actors.
-        let run = run_sharded(
-            &model(4),
-            ring_nodes(4, 5, 1),
-            8,
-            cfg(Scheduling::ActiveSet),
-        )
-        .unwrap();
+        let run = run(&model(4), ring_nodes(4, 5, 1), 8).unwrap();
         assert_eq!(run.metrics.messages, 6);
     }
 
@@ -2229,39 +1293,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_none_is_bit_identical_to_clean_engines() {
-        for packed in [false, true] {
-            let mk = || RingModel {
-                packed,
-                ..model(16)
-            };
-            for scheduling in [Scheduling::ActiveSet, Scheduling::FullSweep] {
-                let baseline =
-                    run_sequential(&mk(), ring_nodes(16, 40, 3), cfg(scheduling)).unwrap();
-                let adversary = SeededAdversary::new(FaultSpec::none());
-                for threads in [1, 2, 4, 8] {
-                    let faulty = run_faulty(
-                        &mk(),
-                        ring_nodes(16, 40, 3),
-                        threads,
-                        cfg(scheduling),
-                        &adversary,
-                    )
-                    .unwrap();
-                    assert_eq!(
-                        faulty.outputs, baseline.outputs,
-                        "packed={packed} {scheduling:?} t={threads}"
-                    );
-                    assert_eq!(
-                        faulty.metrics, baseline.metrics,
-                        "packed={packed} {scheduling:?} t={threads}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn fault_runs_bit_identical_across_threads_and_planes() {
         let spec = FaultSpec::seeded(7)
             .drop(0.15)
@@ -2269,14 +1300,7 @@ mod tests {
             .delay(0.1, 3)
             .crash(0.1, 6);
         let adversary = SeededAdversary::new(spec);
-        let baseline = run_faulty(
-            &model(16),
-            ring_nodes(16, 40, 3),
-            1,
-            cfg(Scheduling::ActiveSet),
-            &adversary,
-        )
-        .unwrap();
+        let baseline = run_faulty(&model(16), ring_nodes(16, 40, 3), 1, &adversary).unwrap();
         // The adversary must have actually interfered for this test to
         // mean anything.
         let f = &baseline.metrics.fault;
@@ -2286,17 +1310,11 @@ mod tests {
         );
         for packed in [false, true] {
             for threads in [1, 2, 4, 8] {
-                let run = run_faulty(
-                    &RingModel {
-                        packed,
-                        ..model(16)
-                    },
-                    ring_nodes(16, 40, 3),
-                    threads,
-                    cfg(Scheduling::ActiveSet),
-                    &adversary,
-                )
-                .unwrap();
+                let m = RingModel {
+                    packed,
+                    ..model(16)
+                };
+                let run = run_faulty(&m, ring_nodes(16, 40, 3), threads, &adversary).unwrap();
                 assert_eq!(run.outputs, baseline.outputs, "packed={packed} t={threads}");
                 assert_eq!(run.metrics, baseline.metrics, "packed={packed} t={threads}");
             }
@@ -2307,26 +1325,12 @@ mod tests {
     fn trace_replay_is_bit_identical() {
         let spec = FaultSpec::seeded(21).drop(0.2).duplicate(0.1).delay(0.1, 2);
         let recorder = SeededAdversary::recording(spec);
-        let recorded = run_faulty(
-            &model(16),
-            ring_nodes(16, 40, 3),
-            4,
-            cfg(Scheduling::ActiveSet),
-            &recorder,
-        )
-        .unwrap();
+        let recorded = run_faulty(&model(16), ring_nodes(16, 40, 3), 4, &recorder).unwrap();
         let trace = recorder.into_trace(16);
         assert!(trace.fault_count() > 0);
         let replayer = TraceAdversary::new(&trace);
         for threads in [1, 4] {
-            let replay = run_faulty(
-                &model(16),
-                ring_nodes(16, 40, 3),
-                threads,
-                cfg(Scheduling::ActiveSet),
-                &replayer,
-            )
-            .unwrap();
+            let replay = run_faulty(&model(16), ring_nodes(16, 40, 3), threads, &replayer).unwrap();
             assert_eq!(replay.outputs, recorded.outputs, "t={threads}");
             assert_eq!(replay.metrics, recorded.metrics, "t={threads}");
         }
@@ -2334,40 +1338,19 @@ mod tests {
 
     #[test]
     fn crashing_terminated_or_unreached_actors_changes_nothing() {
-        let clean = run_faulty(
-            &model(8),
-            ring_nodes(8, 3, 2),
-            1,
-            cfg(Scheduling::ActiveSet),
-            &deliver_all(8),
-        )
-        .unwrap();
+        let clean = run_faulty(&model(8), ring_nodes(8, 3, 2), 1, &deliver_all(8)).unwrap();
         // The token visits actors 1..=3; the run lasts 5 rounds. A
         // crash scheduled long after termination never activates.
         let mut late = deliver_all(8);
         late.crash[5] = Some(90);
-        let unreached = run_faulty(
-            &model(8),
-            ring_nodes(8, 3, 2),
-            1,
-            cfg(Scheduling::ActiveSet),
-            &late,
-        )
-        .unwrap();
+        let unreached = run_faulty(&model(8), ring_nodes(8, 3, 2), 1, &late).unwrap();
         assert_eq!(unreached.outputs, clean.outputs);
         assert_eq!(unreached.metrics, clean.metrics);
         // Crashing an actor that already finished its part mid-run
         // alters nothing but the crash counter.
         let mut done = deliver_all(8);
         done.crash[1] = Some(4);
-        let crashed_done = run_faulty(
-            &model(8),
-            ring_nodes(8, 3, 2),
-            1,
-            cfg(Scheduling::ActiveSet),
-            &done,
-        )
-        .unwrap();
+        let crashed_done = run_faulty(&model(8), ring_nodes(8, 3, 2), 1, &done).unwrap();
         assert_eq!(crashed_done.outputs, clean.outputs);
         assert_eq!(crashed_done.metrics.fault.crashed, 1);
         assert_eq!(crashed_done.metrics.messages, clean.metrics.messages);
@@ -2380,14 +1363,7 @@ mod tests {
         // dropped and the ring goes quiet instead of wrapping forever.
         let mut adv = deliver_all(8);
         adv.crash[3] = Some(2);
-        let run = run_faulty(
-            &model(8),
-            ring_nodes(8, 40, 2),
-            2,
-            cfg(Scheduling::ActiveSet),
-            &adv,
-        )
-        .unwrap();
+        let run = run_faulty(&model(8), ring_nodes(8, 40, 2), 2, &adv).unwrap();
         assert_eq!(run.metrics.fault.crashed, 1);
         assert_eq!(run.metrics.fault.dropped, 1);
         assert_eq!(run.outputs[3], 0, "the victim never saw the token");
@@ -2400,14 +1376,7 @@ mod tests {
             fate0: Fate::Drop,
             crash: vec![None; 8],
         };
-        let run = run_faulty(
-            &model(8),
-            ring_nodes(8, 5, 2),
-            1,
-            cfg(Scheduling::ActiveSet),
-            &adv,
-        )
-        .unwrap();
+        let run = run_faulty(&model(8), ring_nodes(8, 5, 2), 1, &adv).unwrap();
         assert_eq!(run.metrics.messages, 0, "dropped mail is never charged");
         assert_eq!(run.metrics.volume, 0);
         assert_eq!(run.metrics.fault.dropped, 1);
@@ -2417,26 +1386,12 @@ mod tests {
 
     #[test]
     fn duplicated_mail_is_charged_twice_and_delivered_twice() {
-        let clean = run_faulty(
-            &model(8),
-            ring_nodes(8, 1, 2),
-            1,
-            cfg(Scheduling::ActiveSet),
-            &deliver_all(8),
-        )
-        .unwrap();
+        let clean = run_faulty(&model(8), ring_nodes(8, 1, 2), 1, &deliver_all(8)).unwrap();
         let adv = ScriptAdversary {
             fate0: Fate::Duplicate,
             crash: vec![None; 8],
         };
-        let run = run_faulty(
-            &model(8),
-            ring_nodes(8, 1, 2),
-            1,
-            cfg(Scheduling::ActiveSet),
-            &adv,
-        )
-        .unwrap();
+        let run = run_faulty(&model(8), ring_nodes(8, 1, 2), 1, &adv).unwrap();
         assert_eq!(run.metrics.fault.duplicated, 1);
         // Round 0 charges two copies of the origin's send.
         assert_eq!(run.metrics.profile[0], 2 * clean.metrics.profile[0]);
@@ -2449,26 +1404,12 @@ mod tests {
 
     #[test]
     fn delayed_mail_arrives_late_but_intact() {
-        let clean = run_faulty(
-            &model(8),
-            ring_nodes(8, 3, 2),
-            1,
-            cfg(Scheduling::ActiveSet),
-            &deliver_all(8),
-        )
-        .unwrap();
+        let clean = run_faulty(&model(8), ring_nodes(8, 3, 2), 1, &deliver_all(8)).unwrap();
         let adv = ScriptAdversary {
             fate0: Fate::Delay(3),
             crash: vec![None; 8],
         };
-        let run = run_faulty(
-            &model(8),
-            ring_nodes(8, 3, 2),
-            1,
-            cfg(Scheduling::ActiveSet),
-            &adv,
-        )
-        .unwrap();
+        let run = run_faulty(&model(8), ring_nodes(8, 3, 2), 1, &adv).unwrap();
         assert_eq!(run.outputs, clean.outputs, "a delayed token still lands");
         assert_eq!(run.metrics.rounds, clean.metrics.rounds + 3);
         assert_eq!(run.metrics.fault.delayed, 1);
@@ -2498,11 +1439,15 @@ mod tests {
     fn fault_round_limit_error_matches_model() {
         // A 100% delay loop can still exceed a tight round budget.
         let adv = SeededAdversary::new(FaultSpec::seeded(3).delay(1.0, 8));
-        let tight = KernelConfig {
-            max_rounds: 2,
-            scheduling: Scheduling::ActiveSet,
-        };
-        let err = run_faulty(&model(8), ring_nodes(8, 40, 2), 1, tight, &adv).unwrap_err();
+        let tight = cfg(Scheduling::ActiveSet).max_rounds(2);
+        let err = execute_under(
+            &model(8),
+            ring_nodes(8, 40, 2),
+            &tight,
+            Some(&adv),
+            &NoopProbe,
+        )
+        .unwrap_err();
         assert_eq!(err, RingError::RoundLimit { limit: 2 });
     }
 }

@@ -1,11 +1,9 @@
 //! The kernel telemetry plane: zero-overhead round/shard probes and
 //! structured trace emission.
 //!
-//! Every executor family ([`run_sequential`](crate::run_sequential),
-//! [`run_sharded`](crate::run_sharded), and the adversarial
-//! [`run_faulty`](crate::fault::run_faulty)) has a `*_probed` variant
-//! that threads a [`Probe`] — a read-only trace sink — through the
-//! round loop. The probe observes what each round and each shard
+//! [`execute`](crate::execute) threads a [`Probe`] — a read-only trace
+//! sink — through the round loop, on every inbox store and delivery
+//! plane. The probe observes what each round and each shard
 //! actually did (wall time, message counts, charged volume, delay-queue
 //! depth, fault tallies) without being able to influence the run:
 //!
@@ -16,10 +14,9 @@
 //!   (proptest-enforced in the simulator crates).
 //! * **Zero overhead when disabled.** [`NoopProbe`] is a zero-sized
 //!   type whose [`Probe::ENABLED`] is `false`; every timing read and
-//!   every callback in the executors is gated on that associated
+//!   every callback in the kernel is gated on that associated
 //!   `const`, so the disabled path monomorphizes to exactly the
-//!   pre-probe code. The public non-`_probed` entry points are thin
-//!   [`NoopProbe`] wrappers.
+//!   pre-probe code. Unprobed runs pass [`NoopProbe`].
 //! * **Driving-thread discipline.** All callbacks fire on the thread
 //!   that drives the round loop (worker threads only *time* their own
 //!   shard), so probes need no `Sync` bound and may use plain interior
@@ -56,7 +53,7 @@ pub enum ProbeMode {
     Off,
 }
 
-/// Everything the executors report about one completed round, handed to
+/// Everything the kernel reports about one completed round, handed to
 /// [`Probe::on_round_end`].
 #[derive(Debug)]
 pub struct RoundObs<'a> {
@@ -80,32 +77,33 @@ pub struct RoundObs<'a> {
     pub sizes: Option<&'a SizeHist>,
 }
 
-/// A read-only trace sink threaded through the `*_probed` executors.
+/// A read-only trace sink threaded through the round loop.
 ///
 /// All callbacks default to no-ops and fire **on the driving thread
 /// only**, in a fixed per-round order: [`Probe::on_round_start`], then
-/// one [`Probe::on_shard`] per stepped shard (ascending shard index),
-/// then [`Probe::on_exchange`], then (fault executor only)
+/// one [`Probe::on_shard`] per stepped shard (ascending shard index)
+/// and [`Probe::on_exchange`] (runs with two or more shards only), then
+/// (adversary and ARQ planes only)
 /// [`Probe::on_fault_event`], then [`Probe::on_round_end`].
 /// [`Probe::on_run_start`] and [`Probe::on_run_end`] bracket the whole
 /// run; a run that aborts with a model error ends without
-/// `on_run_end`. The fault executor may additionally fire one trailing
+/// `on_run_end`. Those planes may additionally fire one trailing
 /// [`Probe::on_fault_event`] right before `on_run_end`, carrying
 /// crashes activated by the final quiescence check (no round ran for
 /// them, so there is no `on_round_end` to attach them to).
 ///
 /// The associated [`Probe::ENABLED`] const gates every timing read in
-/// the executors: implementations that actually observe keep the
+/// the kernel: implementations that actually observe keep the
 /// default `true`; [`NoopProbe`] overrides it to `false` so the
 /// disabled path compiles down to the probe-free loop.
 pub trait Probe {
-    /// Whether the executors should measure wall times and invoke the
+    /// Whether the kernel should measure wall times and invoke the
     /// callbacks at all. `false` monomorphizes the whole plane away.
     const ENABLED: bool = true;
 
     /// The run begins: `actors` actor states, partitioned at the
     /// boundary offsets `bounds` (`[0, n]` for single-shard runs), with
-    /// per-actor costs `costs` (empty when the executor never computed
+    /// per-actor costs `costs` (empty when the kernel never computed
     /// them — single-shard runs).
     fn on_run_start(&self, _actors: usize, _bounds: &[usize], _costs: &[u64]) {}
 
@@ -120,7 +118,7 @@ pub trait Probe {
     /// inboxes) finished.
     fn on_exchange(&self, _round: usize, _wall_ns: u64) {}
 
-    /// The fault executor's per-round tally: the fault-stat *delta* of
+    /// The adversary or ARQ plane's per-round tally: the fault-stat *delta* of
     /// this round and the delay-queue depth after the exchange.
     fn on_fault_event(&self, _round: usize, _delta: &FaultStats, _delay_depth: usize) {}
 
@@ -132,7 +130,7 @@ pub trait Probe {
 }
 
 /// The default probe: a zero-sized sink whose [`Probe::ENABLED`] is
-/// `false`, so executors monomorphized with it contain no timing reads
+/// `false`, so a loop monomorphized with it contains no timing reads
 /// and no callback calls — the probe-free code, exactly.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NoopProbe;
@@ -269,10 +267,10 @@ pub struct RoundTelemetry {
     /// Per-shard records, ascending shard index (empty on single-shard
     /// rounds).
     pub shards: Vec<ShardTelemetry>,
-    /// Delay-queue depth after the exchange (fault executor only).
+    /// In-network queue depth after the exchange (adversary delay queue
+    /// or ARQ wire; 0 on the clean plane).
     pub delay_depth: usize,
-    /// This round's fault-stat delta (all zeros outside the fault
-    /// executor).
+    /// This round's fault-stat delta (all zeros on the clean plane).
     pub fault: FaultStats,
 }
 
@@ -307,8 +305,8 @@ pub struct RunTelemetry {
     pub actors: usize,
     /// Shard boundary offsets (`[0, n]` for single-shard runs).
     pub bounds: Vec<usize>,
-    /// Per-actor costs the partition was balanced on (empty when the
-    /// executor never computed them).
+    /// Per-actor costs the partition was balanced on (empty for
+    /// single-shard runs).
     pub costs: Vec<u64>,
     /// Per-round records, in execution order.
     pub rounds: Vec<RoundTelemetry>,
@@ -415,18 +413,7 @@ impl Probe for RecordingProbe {
             s.0.sizes.merge(h);
         }
         s.0.link_load.record(obs.peak_link as u64, 1);
-        {
-            let f = &mut s.0.fault;
-            f.delivered += pending.fault.delivered;
-            f.dropped += pending.fault.dropped;
-            f.duplicated += pending.fault.duplicated;
-            f.delayed += pending.fault.delayed;
-            f.crashed += pending.fault.crashed;
-            f.retransmitted += pending.fault.retransmitted;
-            f.acks += pending.fault.acks;
-            f.dead_links += pending.fault.dead_links;
-            f.degraded += pending.fault.degraded;
-        }
+        s.0.fault.absorb(&pending.fault);
         s.0.rounds.push(RoundTelemetry {
             round: obs.round,
             wall_ns: obs.wall_ns,
@@ -448,15 +435,7 @@ impl Probe for RecordingProbe {
         // pending scratch; fold it in so the run tally matches the
         // metrics' whole-run `FaultStats`.
         let residual = std::mem::take(&mut s.1).fault;
-        s.0.fault.delivered += residual.delivered;
-        s.0.fault.dropped += residual.dropped;
-        s.0.fault.duplicated += residual.duplicated;
-        s.0.fault.delayed += residual.delayed;
-        s.0.fault.crashed += residual.crashed;
-        s.0.fault.retransmitted += residual.retransmitted;
-        s.0.fault.acks += residual.acks;
-        s.0.fault.dead_links += residual.dead_links;
-        s.0.fault.degraded += residual.degraded;
+        s.0.fault.absorb(&residual);
         s.0.wall_ns = wall_ns;
         s.0.completed = true;
     }
@@ -479,7 +458,7 @@ impl Probe for RecordingProbe {
 /// `shards`, `sizes`, and `fault` are omitted when empty/all-zero. A
 /// `run_end` record may also carry a `fault` object: the residual delta
 /// of crashes activated by the final quiescence check (after the last
-/// round ran). Under the reliable executor the `fault` object also
+/// round ran). Under the ARQ plane the `fault` object also
 /// carries `"retransmitted"`, `"acks"`, and `"dead_links"` counters
 /// (omitted as a trio when all zero, so raw-path traces are unchanged):
 ///
@@ -666,7 +645,7 @@ impl<W: Write> Probe for JsonlProbe<W> {
 /// `None` when every counter is zero (field omitted). The base quartet
 /// is always present when the object is; the ARQ trio
 /// (`retransmitted`/`acks`/`dead_links`) is appended only when the
-/// reliable executor produced any, so raw-path traces keep the
+/// ARQ plane produced any, so raw-path traces keep the
 /// pre-reliability shape byte for byte.
 fn fault_json(f: &FaultStats) -> Option<String> {
     let base = f.dropped + f.duplicated + f.delayed + f.crashed;

@@ -137,8 +137,8 @@ fn prelude_exposes_simulator_types() {
     assert_eq!(Engine::default(), Engine::Sequential);
     assert_ne!(Engine::parallel_auto(), Engine::Sequential);
     assert_eq!(Scheduling::default(), Scheduling::ActiveSet);
-    let _tuned: Simulator<'_> = Simulator::congest(&g).with_scheduling(Scheduling::FullSweep);
-    let _tuned_mpc: MpcSimulator = MpcSimulator::new(1024).with_scheduling(Scheduling::FullSweep);
+    let _tuned: Simulator<'_> = Simulator::congest(&g).with_max_rounds(64);
+    let _tuned_mpc: MpcSimulator = MpcSimulator::new(1024).with_max_rounds(64);
 }
 
 /// The shared round kernel is re-exported as `power_graphs::runtime`
@@ -160,14 +160,11 @@ fn runtime_kernel_is_exposed() {
             .map(|i| power_graphs::congest::primitives::FloodMax::new(NodeId::from_index(i)))
             .collect::<Vec<_>>()
     };
-    let full = Simulator::congest(&g)
-        .with_scheduling(Scheduling::FullSweep)
-        .run(mk())
+    let sim = Simulator::congest(&g);
+    let full = sim
+        .run_cfg(mk(), &RunConfig::new().scheduling(Scheduling::FullSweep))
         .unwrap();
-    let active = Simulator::congest(&g)
-        .with_scheduling(Scheduling::ActiveSet)
-        .run_parallel(mk(), 3)
-        .unwrap();
+    let active = sim.run_cfg(mk(), &RunConfig::new().parallel(3)).unwrap();
     assert_eq!(full.outputs, active.outputs);
     assert_eq!(full.metrics, active.metrics);
 }
