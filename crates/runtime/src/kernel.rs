@@ -83,16 +83,20 @@ where
         Engine::Parallel { threads } => threads,
     };
     let mut costs = Vec::new();
-    let mut bounds = vec![0, n];
+    let mut split = Vec::new();
     if threads > 1 && n >= 2 * threads {
         costs = (nodes.iter().enumerate())
             .map(|(i, node)| model.actor_cost(node, i))
             .collect();
-        bounds = balanced_partition(&costs, threads);
-        if bounds.len() <= 2 {
-            (costs, bounds) = (Vec::new(), vec![0, n]);
+        split = balanced_partition(&costs, threads);
+        if split.len() <= 2 {
+            (costs, split) = (Vec::new(), Vec::new());
         }
     }
+    // One shard needs no heap partition: the one-shard store's run
+    // allocates exactly what its per-actor inboxes need.
+    let one = [0, n];
+    let bounds: &[usize] = if split.is_empty() { &one } else { &split };
     // The ARQ plane subsumes the adversary: with no fault armed it runs
     // over a never-interfering one.
     let seeded = (cfg.fault.or(cfg.reliability.map(|_| FaultSpec::none())))
@@ -102,7 +106,7 @@ where
     let run = Setup {
         cfg,
         adversary,
-        bounds: &bounds,
+        bounds,
         costs: &costs,
     };
     if model.packs() && bounds.len() > 2 {
