@@ -53,7 +53,7 @@
 //! ticks and retransmit waits stretch it further),
 //! `BENCH_FAULT_OUT` (artifact path).
 
-use pga_bench::harness::{env_u64, env_usize, time_ms, FaultBench, FaultRecord};
+use pga_bench::harness::{env_u64, env_usize, time_ms, write_json, FaultBench, FaultRecord};
 use pga_bench::trace::parse_trace;
 use pga_congest::primitives::FloodMax;
 use pga_congest::{
@@ -699,7 +699,7 @@ fn main() {
     let out_path = std::env::var("BENCH_FAULT_OUT")
         .map(PathBuf::from)
         .unwrap_or_else(|_| PathBuf::from("BENCH_fault.json"));
-    bench.write_json(&out_path).expect("write artifact");
+    write_json(&out_path, &bench.to_json()).expect("write artifact");
     println!("wrote {}", out_path.display());
 
     let recovery = recovery_failures(&bench.workloads);

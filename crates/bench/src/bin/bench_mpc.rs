@@ -20,7 +20,9 @@
 //! (average degree), `BENCH_MPC_SEED`, `BENCH_MPC_BA_N` / `BENCH_MPC_BA_K`
 //! (the Barabási–Albert instance), `BENCH_MPC_OUT` (artifact path).
 
-use pga_bench::harness::{env_u64, env_usize, time_ms, EngineTiming, MpcBench, MpcWorkloadRecord};
+use pga_bench::harness::{
+    env_u64, env_usize, time_ms, write_json, EngineTiming, MpcBench, MpcWorkloadRecord,
+};
 use pga_congest::primitives::FloodMax;
 use pga_congest::{ProbeMode, RunConfig, Simulator};
 use pga_graph::{generators, Graph, NodeId};
@@ -206,7 +208,7 @@ fn main() {
         bench: "mpc_model".into(),
         workloads,
     };
-    doc.write_json(&out).expect("write BENCH_mpc.json");
+    write_json(&out, &doc.to_json()).expect("write BENCH_mpc.json");
     println!("  wrote {}", out.display());
 
     if doc.workloads.iter().any(|w| !w.identical) {

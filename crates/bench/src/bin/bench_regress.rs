@@ -20,7 +20,7 @@
 //! With `--fault`, both documents are treated as `BENCH_fault.json`
 //! snapshots and the gate switches from wall-time budgets to an
 //! **exact** comparison: the fault plane is deterministic by contract,
-//! so after stripping the `wall_ms` timing lines the fresh document
+//! so after stripping the `wall_*` timing members the fresh document
 //! must equal the committed baseline byte for byte (exit code 3
 //! otherwise, with the first differing lines printed).
 //!
@@ -31,6 +31,11 @@
 //! plane by more than `--max-regress` (exit code 3). Pairs whose
 //! thread count exceeds the host's CPU count are reported but not
 //! gated, since oversubscribed wall times are scheduler noise.
+//!
+//! Either mode exits with code 65, naming the file, when a document
+//! does not parse as JSON or holds nothing to compare (no
+//! `workloads[].engines[]` entries; with `--fault`, no `workloads[]`
+//! entries), so an unreadable snapshot cannot pass the gate.
 //!
 //! CI copies the committed snapshots aside before re-running the bench
 //! binaries and then diffs the fresh artifacts against them, so a
@@ -54,15 +59,28 @@ fn arg_after(args: &[String], flag: &str, default: f64) -> f64 {
         .unwrap_or(default)
 }
 
+/// Reads the document at `path` through `parse`: exit 66 when the file
+/// cannot be read, 65 when it is not a bench document `parse` accepts.
+fn load<T>(path: &str, parse: fn(&str) -> Result<T, String>) -> T {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("bench_regress: cannot read {path}: {e}");
+        std::process::exit(66);
+    });
+    parse(&text).unwrap_or_else(|e| {
+        eprintln!("bench_regress: {path} is not a readable bench document: {e}");
+        std::process::exit(65);
+    })
+}
+
 /// `--fault` mode: both documents are `BENCH_fault.json` snapshots.
-/// Everything in them except the timing lines is a pure function of
+/// Everything in them except the timing members is a pure function of
 /// `(instance seed, FaultSpec)`, so the gate is an exact byte diff of
 /// the timing-stripped fingerprints — any drift means fault decisions
 /// stopped being schedule-independent (exit code 3).
-fn diff_fault_docs(baseline_path: &str, baseline: &str, fresh_path: &str, fresh: &str) {
+fn diff_fault_docs(baseline_path: &str, fresh_path: &str) {
     println!("bench_regress --fault: {baseline_path} vs {fresh_path} (exact, timing-stripped)");
-    let base = fault_fingerprint(baseline);
-    let new = fault_fingerprint(fresh);
+    let base = load(baseline_path, fault_fingerprint);
+    let new = load(fresh_path, fault_fingerprint);
     if base == new {
         println!("  fault fingerprints identical");
         return;
@@ -108,20 +126,12 @@ fn main() {
     let max_regress = arg_after(&args, "--max-regress", 0.25);
     let min_ms = arg_after(&args, "--min-ms", 50.0);
 
-    let read = |path: &str| {
-        std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("bench_regress: cannot read {path}: {e}");
-            std::process::exit(66);
-        })
-    };
-    let baseline_doc = read(baseline_path);
-    let fresh_doc = read(fresh_path);
     if args.iter().any(|a| a == "--fault") {
-        diff_fault_docs(baseline_path, &baseline_doc, fresh_path, &fresh_doc);
+        diff_fault_docs(baseline_path, fresh_path);
         return;
     }
-    let baseline = parse_engine_walls(&baseline_doc);
-    let fresh = parse_engine_walls(&fresh_doc);
+    let baseline = load(baseline_path, parse_engine_walls);
+    let fresh = load(fresh_path, parse_engine_walls);
 
     println!(
         "bench_regress: {} vs {} (sequential entries only, max +{:.0}%, floor {min_ms} ms)",

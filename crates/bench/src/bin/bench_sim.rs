@@ -48,7 +48,7 @@
 //! `BENCH_SIM_SBM_N` / `BENCH_SIM_SBM_K` (the SBM instance).
 
 use pga_bench::harness::{
-    env_u64, env_usize, time_ms, EngineTiming, ShardLoad, SimBench, WorkloadRecord,
+    env_u64, env_usize, time_ms, write_json, EngineTiming, ShardLoad, SimBench, WorkloadRecord,
 };
 use pga_congest::primitives::FloodMax;
 use pga_congest::{
@@ -557,7 +557,7 @@ fn main() {
         m: g.num_edges(),
         workloads,
     };
-    doc.write_json(&out).expect("write BENCH_sim.json");
+    write_json(&out, &doc.to_json()).expect("write BENCH_sim.json");
     println!("  wrote {}", out.display());
 
     if doc.workloads.iter().any(|w| !w.identical) {

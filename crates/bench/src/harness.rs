@@ -1,14 +1,19 @@
 //! Wall-clock timing and machine-readable benchmark artifacts.
 //!
-//! The `bench_sim` and `bench_mpc` binaries (and CI's `bench-smoke` job)
-//! use this module to time the simulation engines and emit
-//! `BENCH_sim.json` / `BENCH_mpc.json`, small hand-rolled JSON documents
-//! (the workspace is offline, so no serde). The schemas are documented
-//! on [`SimBench`] and [`MpcBench`] and in the README.
+//! The `bench_sim`, `bench_mpc` and `bench_fault` binaries (and CI's
+//! `bench-smoke` and `fault-smoke` jobs) use this module to time the
+//! simulation engines and emit `BENCH_sim.json`, `BENCH_mpc.json` and
+//! `BENCH_fault.json`. Each document type builds a
+//! [`Json`] tree, and [`write_json`] writes it in the snapshot layout
+//! of `pga_runtime::json`; `bench_regress` reads the snapshots back
+//! with the same module. The schemas are documented on [`SimBench`],
+//! [`MpcBench`] and [`FaultBench`] and in the README.
 
 use std::io;
 use std::path::Path;
 use std::time::Instant;
+
+use pga_runtime::json::{self, Json};
 
 /// Runs `f` once and returns its result together with the elapsed wall
 /// time in milliseconds.
@@ -225,174 +230,102 @@ pub struct SimBench {
     pub workloads: Vec<WorkloadRecord>,
 }
 
-/// Escapes a string for inclusion in a JSON document.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+/// Writes a snapshot document to `path` in the pretty layout.
+///
+/// # Errors
+///
+/// Propagates the underlying I/O error.
+pub fn write_json(path: &Path, doc: &Json) -> io::Result<()> {
+    std::fs::write(path, doc.to_pretty())
 }
 
-/// Serializes one workload record as a four-space-indented JSON object
-/// (no trailing comma or newline) — the exact shape
-/// [`SimBench::to_json`] emits and [`merge_scale_workloads`] splices.
-fn workload_json(w: &WorkloadRecord) -> String {
-    let mut s = String::new();
-    s.push_str("    {\n");
-    s.push_str(&format!("      \"name\": \"{}\",\n", json_escape(&w.name)));
-    s.push_str(&format!(
-        "      \"graph\": \"{}\",\n",
-        json_escape(&w.graph)
-    ));
-    s.push_str(&format!("      \"n\": {},\n", w.n));
-    s.push_str(&format!("      \"m\": {},\n", w.m));
-    s.push_str(&format!("      \"rounds\": {},\n", w.rounds));
-    s.push_str(&format!("      \"messages\": {},\n", w.messages));
-    s.push_str(&format!("      \"bits\": {},\n", w.bits));
-    s.push_str(&format!(
-        "      \"peak_edge_bits\": {},\n",
-        w.peak_edge_bits
-    ));
-    s.push_str(&format!(
-        "      \"congestion_p95\": {},\n",
-        w.congestion_p95
-    ));
-    s.push_str("      \"engines\": [\n");
-    for (ei, e) in w.engines.iter().enumerate() {
-        s.push_str(&format!(
-            "        {{\"engine\": \"{}\", \"threads\": {}, \"wall_ms\": {:.3}}}{}\n",
-            json_escape(&e.engine),
-            e.threads,
-            e.wall_ms,
-            if ei + 1 < w.engines.len() { "," } else { "" }
-        ));
+fn engines_json(engines: &[EngineTiming]) -> Json {
+    let engines = engines.iter().map(|e| {
+        Json::obj([
+            ("engine", e.engine.as_str().into()),
+            ("threads", e.threads.into()),
+            ("wall_ms", e.wall_ms.into()),
+        ])
+    });
+    engines.collect()
+}
+
+impl WorkloadRecord {
+    fn to_json(&self) -> Json {
+        let shard_load = self.shard_load.iter().map(|l| {
+            Json::obj([
+                ("start", l.start.into()),
+                ("end", l.end.into()),
+                ("total_cost", l.total_cost.into()),
+                ("min_cost", l.min_cost.into()),
+                ("max_cost", l.max_cost.into()),
+                ("mean_cost", l.mean_cost.into()),
+            ])
+        });
+        let mut members = vec![
+            ("name", self.name.as_str().into()),
+            ("graph", self.graph.as_str().into()),
+            ("n", self.n.into()),
+            ("m", self.m.into()),
+            ("rounds", self.rounds.into()),
+            ("messages", self.messages.into()),
+            ("bits", self.bits.into()),
+            ("peak_edge_bits", self.peak_edge_bits.into()),
+            ("congestion_p95", self.congestion_p95.into()),
+            ("engines", engines_json(&self.engines)),
+            ("shard_load", shard_load.collect()),
+        ];
+        if let Some(io) = &self.io {
+            let io = Json::obj([
+                ("file_bytes", io.file_bytes.into()),
+                ("write_ms", io.write_ms.into()),
+                ("read_ms", io.read_ms.into()),
+                ("plain_bytes", io.plain_bytes.into()),
+                ("compact_bytes", io.compact_bytes.into()),
+            ]);
+            members.push(("io", io));
+        }
+        members.push(("speedup", self.speedup.into()));
+        members.push(("identical", self.identical.into()));
+        Json::obj(members)
     }
-    s.push_str("      ],\n");
-    s.push_str("      \"shard_load\": [\n");
-    for (li, l) in w.shard_load.iter().enumerate() {
-        s.push_str(&format!(
-            "        {{\"start\": {}, \"end\": {}, \"total_cost\": {}, \
-             \"min_cost\": {}, \"max_cost\": {}, \"mean_cost\": {:.3}}}{}\n",
-            l.start,
-            l.end,
-            l.total_cost,
-            l.min_cost,
-            l.max_cost,
-            l.mean_cost,
-            if li + 1 < w.shard_load.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("      ],\n");
-    if let Some(io) = &w.io {
-        s.push_str(&format!(
-            "      \"io\": {{\"file_bytes\": {}, \"write_ms\": {:.3}, \"read_ms\": {:.3}, \
-             \"plain_bytes\": {}, \"compact_bytes\": {}}},\n",
-            io.file_bytes, io.write_ms, io.read_ms, io.plain_bytes, io.compact_bytes
-        ));
-    }
-    s.push_str(&format!("      \"speedup\": {:.3},\n", w.speedup));
-    s.push_str(&format!("      \"identical\": {}\n", w.identical));
-    s.push_str("    }");
-    s
 }
 
 impl SimBench {
-    /// Serializes the document to pretty-printed JSON.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"bench\": \"{}\",\n", json_escape(&self.bench)));
-        s.push_str(&format!("  \"seed\": {},\n", self.seed));
-        s.push_str(&format!("  \"n\": {},\n", self.n));
-        s.push_str(&format!("  \"m\": {},\n", self.m));
-        s.push_str("  \"workloads\": [\n");
-        let objs: Vec<String> = self.workloads.iter().map(workload_json).collect();
-        s.push_str(&objs.join(",\n"));
-        s.push('\n');
-        s.push_str("  ]\n");
-        s.push_str("}\n");
-        s
+    /// The document as a JSON tree (write it with [`write_json`]).
+    pub fn to_json(&self) -> Json {
+        let workloads = self.workloads.iter().map(WorkloadRecord::to_json);
+        Json::obj([
+            ("bench", self.bench.as_str().into()),
+            ("seed", self.seed.into()),
+            ("n", self.n.into()),
+            ("m", self.m.into()),
+            ("workloads", workloads.collect()),
+        ])
     }
-
-    /// Writes the JSON document to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write_json(&self, path: &Path) -> io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-}
-
-/// Splits a serialized `BENCH_sim.json` document into the text before
-/// the `workloads` array, the individual workload object strings (as
-/// [`workload_json`] emits them, trailing commas stripped), and the
-/// text after the array. Returns `None` when the document is not in
-/// the shape [`SimBench::to_json`] writes.
-///
-/// Like [`parse_engine_walls`], this is a purposely narrow reader of
-/// the documents this module itself serializes: workload objects are
-/// delimited by the fixed-indent `    {` / `    }` lines (nested
-/// objects sit deeper or on one line), so no general JSON parsing is
-/// needed.
-fn split_sim_doc(doc: &str) -> Option<(String, Vec<String>, String)> {
-    let marker = "  \"workloads\": [\n";
-    let start = doc.find(marker)? + marker.len();
-    let prefix = doc[..start].to_string();
-    let rest = &doc[start..];
-    let end = rest.find("\n  ]")?;
-    let body = &rest[..end];
-    let suffix = rest[end + 1..].to_string();
-    let mut objs = Vec::new();
-    let mut cur: Option<String> = None;
-    for line in body.lines() {
-        match (&mut cur, line) {
-            (None, "    {") => cur = Some(String::from("    {\n")),
-            (Some(c), "    }" | "    },") => {
-                c.push_str("    }");
-                objs.push(cur.take().unwrap());
-            }
-            (Some(c), l) => {
-                c.push_str(l);
-                c.push('\n');
-            }
-            (None, _) => return None,
-        }
-    }
-    if cur.is_some() {
-        return None;
-    }
-    Some((prefix, objs, suffix))
 }
 
 /// Splices `scale`'s workload records into an existing `BENCH_sim.json`
-/// document, replacing any previous workload whose name starts with
-/// `"scale_"` and keeping everything else (the `bench_sim` round-engine
-/// records) byte-for-byte. Falls back to `scale.to_json()` when
-/// `existing` is `None` or not in the expected shape, so `bench_scale`
-/// can run standalone or after `bench_sim` in either order.
+/// document: parses it, drops every workload whose name starts with
+/// `"scale_"`, appends `scale`'s records and writes the document back,
+/// so everything else (the `bench_sim` round-engine records) keeps its
+/// bytes. Falls back to `scale` alone when `existing` is `None` or has
+/// no `workloads` array, so `bench_scale` can run standalone or after
+/// `bench_sim` in either order.
 pub fn merge_scale_workloads(existing: Option<&str>, scale: &SimBench) -> String {
-    let fresh: Vec<String> = scale.workloads.iter().map(workload_json).collect();
-    match existing.and_then(split_sim_doc) {
-        Some((prefix, objs, suffix)) => {
-            let mut kept: Vec<String> = objs
-                .into_iter()
-                .filter(|o| !o.contains("\"name\": \"scale_"))
-                .collect();
-            kept.extend(fresh);
-            format!("{}{}\n{}", prefix, kept.join(",\n"), suffix)
-        }
-        None => scale.to_json(),
-    }
+    let Some(Json::Obj(mut members)) = existing.and_then(|text| json::parse(text).ok()) else {
+        return scale.to_json().to_pretty();
+    };
+    let Some((_, Json::Arr(workloads))) = members.iter_mut().find(|(k, _)| k == "workloads") else {
+        return scale.to_json().to_pretty();
+    };
+    workloads.retain(|w| {
+        !w.get("name")
+            .and_then(Json::as_str)
+            .is_some_and(|n| n.starts_with("scale_"))
+    });
+    workloads.extend(scale.workloads.iter().map(WorkloadRecord::to_json));
+    Json::Obj(members).to_pretty()
 }
 
 /// One MPC workload's record in `BENCH_mpc.json`.
@@ -477,118 +410,85 @@ pub struct MpcBench {
 }
 
 impl MpcBench {
-    /// Serializes the document to pretty-printed JSON.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"bench\": \"{}\",\n", json_escape(&self.bench)));
-        s.push_str("  \"workloads\": [\n");
-        for (wi, w) in self.workloads.iter().enumerate() {
-            s.push_str("    {\n");
-            s.push_str(&format!("      \"name\": \"{}\",\n", json_escape(&w.name)));
-            s.push_str(&format!(
-                "      \"graph\": \"{}\",\n",
-                json_escape(&w.graph)
-            ));
-            s.push_str(&format!("      \"n\": {},\n", w.n));
-            s.push_str(&format!("      \"m\": {},\n", w.m));
-            s.push_str(&format!("      \"seed\": {},\n", w.seed));
-            s.push_str(&format!("      \"memory_words\": {},\n", w.memory_words));
-            s.push_str(&format!("      \"machines\": {},\n", w.machines));
-            s.push_str(&format!(
-                "      \"congest_rounds\": {},\n",
-                w.congest_rounds
-            ));
-            s.push_str(&format!("      \"mpc_rounds\": {},\n", w.mpc_rounds));
-            s.push_str(&format!("      \"mpc_messages\": {},\n", w.mpc_messages));
-            s.push_str(&format!("      \"mpc_words\": {},\n", w.mpc_words));
-            s.push_str(&format!(
-                "      \"peak_memory_words\": {},\n",
-                w.peak_memory_words
-            ));
-            s.push_str(&format!(
-                "      \"peak_round_io_words\": {},\n",
-                w.peak_round_io_words
-            ));
-            s.push_str(&format!(
-                "      \"wall_ms_reference\": {:.3},\n",
-                w.wall_ms_reference
-            ));
-            s.push_str(&format!("      \"wall_ms_mpc\": {:.3},\n", w.wall_ms_mpc));
-            s.push_str("      \"engines\": [\n");
-            for (ei, e) in w.engines.iter().enumerate() {
-                s.push_str(&format!(
-                    "        {{\"engine\": \"{}\", \"threads\": {}, \"wall_ms\": {:.3}}}{}\n",
-                    json_escape(&e.engine),
-                    e.threads,
-                    e.wall_ms,
-                    if ei + 1 < w.engines.len() { "," } else { "" }
-                ));
-            }
-            s.push_str("      ],\n");
-            s.push_str(&format!("      \"identical\": {}\n", w.identical));
-            s.push_str(&format!(
-                "    }}{}\n",
-                if wi + 1 < self.workloads.len() {
-                    ","
-                } else {
-                    ""
-                }
-            ));
-        }
-        s.push_str("  ]\n");
-        s.push_str("}\n");
-        s
-    }
-
-    /// Writes the JSON document to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write_json(&self, path: &Path) -> io::Result<()> {
-        std::fs::write(path, self.to_json())
+    /// The document as a JSON tree (write it with [`write_json`]).
+    pub fn to_json(&self) -> Json {
+        let workloads = self.workloads.iter().map(|w| {
+            Json::obj([
+                ("name", w.name.as_str().into()),
+                ("graph", w.graph.as_str().into()),
+                ("n", w.n.into()),
+                ("m", w.m.into()),
+                ("seed", w.seed.into()),
+                ("memory_words", w.memory_words.into()),
+                ("machines", w.machines.into()),
+                ("congest_rounds", w.congest_rounds.into()),
+                ("mpc_rounds", w.mpc_rounds.into()),
+                ("mpc_messages", w.mpc_messages.into()),
+                ("mpc_words", w.mpc_words.into()),
+                ("peak_memory_words", w.peak_memory_words.into()),
+                ("peak_round_io_words", w.peak_round_io_words.into()),
+                ("wall_ms_reference", w.wall_ms_reference.into()),
+                ("wall_ms_mpc", w.wall_ms_mpc.into()),
+                ("engines", engines_json(&w.engines)),
+                ("identical", w.identical.into()),
+            ])
+        });
+        Json::obj([
+            ("bench", self.bench.as_str().into()),
+            ("workloads", workloads.collect()),
+        ])
     }
 }
 
-/// One engine timing extracted from a serialized bench document:
-/// `(workload, engine, threads, wall_ms)`.
-pub type EngineWall = (String, String, usize, f64);
+/// The `workloads` array of a parsed bench document, or why the
+/// document has none.
+fn workloads(doc: &Json) -> Result<&[Json], String> {
+    doc.get("workloads")
+        .and_then(Json::as_arr)
+        .filter(|w| !w.is_empty())
+        .ok_or_else(|| "no workloads[] entries".to_string())
+}
 
-/// Extracts every `engines[]` timing entry from a `BENCH_sim.json` /
-/// `BENCH_mpc.json` document, tagged with its workload name.
+/// Reads every `workloads[].engines[]` timing of a `BENCH_sim.json` /
+/// `BENCH_mpc.json` document as `(workload, engine, threads, wall_ms)`.
+/// The `bench_regress` binary diffs fresh runs against the committed
+/// snapshots with it.
 ///
-/// This is a purposely narrow line-oriented reader of the documents
-/// this module itself serializes (the workspace is offline, so no
-/// serde): it keys on the `"name":` line of each workload object and
-/// the one-line `{"engine": …, "threads": …, "wall_ms": …}` entries.
-/// The `bench_regress` binary uses it to diff fresh runs against the
-/// committed snapshots.
-pub fn parse_engine_walls(json: &str) -> Vec<EngineWall> {
-    fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-        let start = line.find(key)? + key.len();
-        let rest = &line[start..];
-        let end = rest.find([',', '}', '"']).unwrap_or(rest.len());
-        Some(rest[..end].trim())
-    }
+/// # Errors
+///
+/// Fails when the text does not parse, when a workload or engine entry
+/// lacks one of those fields, or when there is no engine entry at all —
+/// a gate that compared nothing must not pass.
+pub fn parse_engine_walls(text: &str) -> Result<Vec<(String, String, usize, f64)>, String> {
+    let doc = json::parse(text)?;
     let mut out = Vec::new();
-    let mut workload = String::new();
-    for line in json.lines() {
-        let t = line.trim();
-        if let Some(rest) = t.strip_prefix("\"name\": \"") {
-            if let Some(end) = rest.find('"') {
-                workload = rest[..end].to_string();
-            }
-        } else if let Some(rest) = t.strip_prefix("{\"engine\": \"") {
-            let engine = rest.split('"').next().unwrap_or("").to_string();
-            let threads = field(t, "\"threads\": ").and_then(|v| v.parse().ok());
-            let wall_ms = field(t, "\"wall_ms\": ").and_then(|v| v.parse().ok());
-            if let (Some(threads), Some(wall_ms)) = (threads, wall_ms) {
-                out.push((workload.clone(), engine, threads, wall_ms));
-            }
+    for w in workloads(&doc)? {
+        let name = w
+            .get("name")
+            .and_then(Json::as_str)
+            .ok_or("workload without a name")?;
+        let engines = w.get("engines").and_then(Json::as_arr);
+        for e in engines.ok_or_else(|| format!("workload {name:?} has no engines[]"))? {
+            let entry = (
+                e.get("engine").and_then(Json::as_str),
+                e.get("threads").and_then(Json::as_u64),
+                e.get("wall_ms").and_then(Json::as_f64),
+            );
+            let (Some(engine), Some(threads), Some(wall_ms)) = entry else {
+                return Err(format!("malformed engines[] entry in workload {name:?}"));
+            };
+            out.push((
+                name.to_string(),
+                engine.to_string(),
+                threads as usize,
+                wall_ms,
+            ));
         }
     }
-    out
+    if out.is_empty() {
+        return Err("no workloads[].engines[] entries".into());
+    }
+    Ok(out)
 }
 
 /// One cell of the fault-injection degradation sweep in
@@ -720,7 +620,7 @@ pub struct FaultRecord {
 ///
 /// Everything except `wall_ms` is a pure function of
 /// `(instance seed, FaultSpec)`, so CI diffs the committed snapshot
-/// against a fresh run byte-for-byte after stripping the timing lines
+/// against a fresh run byte-for-byte after stripping the timing members
 /// ([`fault_fingerprint`]); a mismatch means fault decisions stopped
 /// being schedule-independent.
 #[derive(Clone, Debug)]
@@ -734,101 +634,75 @@ pub struct FaultBench {
 }
 
 impl FaultBench {
-    /// Serializes the document to pretty-printed JSON.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"bench\": \"{}\",\n", json_escape(&self.bench)));
-        s.push_str(&format!("  \"seed\": {},\n", self.seed));
-        s.push_str("  \"workloads\": [\n");
-        for (wi, w) in self.workloads.iter().enumerate() {
-            s.push_str("    {\n");
-            s.push_str(&format!(
-                "      \"workload\": \"{}\",\n",
-                json_escape(&w.workload)
-            ));
-            s.push_str(&format!(
-                "      \"pipeline\": \"{}\",\n",
-                json_escape(&w.pipeline)
-            ));
-            s.push_str(&format!(
-                "      \"graph\": \"{}\",\n",
-                json_escape(&w.graph)
-            ));
-            s.push_str(&format!("      \"n\": {},\n", w.n));
-            s.push_str(&format!("      \"m\": {},\n", w.m));
-            s.push_str(&format!("      \"seed\": {},\n", w.seed));
-            s.push_str(&format!("      \"drop_ppm\": {},\n", w.drop_ppm));
-            s.push_str(&format!("      \"dup_ppm\": {},\n", w.dup_ppm));
-            s.push_str(&format!("      \"delay_ppm\": {},\n", w.delay_ppm));
-            s.push_str(&format!("      \"crash_ppm\": {},\n", w.crash_ppm));
-            s.push_str(&format!("      \"converged\": {},\n", w.converged));
-            s.push_str(&format!(
-                "      \"stall\": {},\n",
-                match &w.stall {
-                    Some(why) => format!("\"{}\"", json_escape(why)),
-                    None => "null".to_string(),
-                }
-            ));
-            s.push_str(&format!("      \"valid\": {},\n", w.valid));
-            s.push_str(&format!("      \"rounds\": {},\n", w.rounds));
-            s.push_str(&format!(
-                "      \"convergence_round\": {},\n",
-                w.convergence_round
-            ));
-            s.push_str(&format!("      \"output_size\": {},\n", w.output_size));
-            s.push_str(&format!("      \"clean_size\": {},\n", w.clean_size));
-            s.push_str(&format!("      \"degradation\": {:.3},\n", w.degradation));
-            s.push_str(&format!("      \"delivered\": {},\n", w.delivered));
-            s.push_str(&format!("      \"dropped\": {},\n", w.dropped));
-            s.push_str(&format!("      \"duplicated\": {},\n", w.duplicated));
-            s.push_str(&format!("      \"delayed\": {},\n", w.delayed));
-            s.push_str(&format!("      \"crashed\": {},\n", w.crashed));
-            s.push_str(&format!("      \"retransmitted\": {},\n", w.retransmitted));
-            s.push_str(&format!("      \"acks\": {},\n", w.acks));
-            s.push_str(&format!("      \"dead_links\": {},\n", w.dead_links));
-            s.push_str(&format!("      \"degraded\": {},\n", w.degraded));
-            s.push_str(&format!(
-                "      \"replay_identical\": {},\n",
-                w.replay_identical
-            ));
-            s.push_str(&format!("      \"wall_ms\": {:.3}\n", w.wall_ms));
-            s.push_str(&format!(
-                "    }}{}\n",
-                if wi + 1 < self.workloads.len() {
-                    ","
-                } else {
-                    ""
-                }
-            ));
-        }
-        s.push_str("  ]\n");
-        s.push_str("}\n");
-        s
-    }
-
-    /// Writes the JSON document to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write_json(&self, path: &Path) -> io::Result<()> {
-        std::fs::write(path, self.to_json())
+    /// The document as a JSON tree (write it with [`write_json`]).
+    pub fn to_json(&self) -> Json {
+        let workloads = self.workloads.iter().map(|w| {
+            Json::obj([
+                ("workload", w.workload.as_str().into()),
+                ("pipeline", w.pipeline.as_str().into()),
+                ("graph", w.graph.as_str().into()),
+                ("n", w.n.into()),
+                ("m", w.m.into()),
+                ("seed", w.seed.into()),
+                ("drop_ppm", w.drop_ppm.into()),
+                ("dup_ppm", w.dup_ppm.into()),
+                ("delay_ppm", w.delay_ppm.into()),
+                ("crash_ppm", w.crash_ppm.into()),
+                ("converged", w.converged.into()),
+                ("stall", w.stall.as_deref().map_or(Json::Null, Json::from)),
+                ("valid", w.valid.into()),
+                ("rounds", w.rounds.into()),
+                ("convergence_round", w.convergence_round.into()),
+                ("output_size", w.output_size.into()),
+                ("clean_size", w.clean_size.into()),
+                ("degradation", w.degradation.into()),
+                ("delivered", w.delivered.into()),
+                ("dropped", w.dropped.into()),
+                ("duplicated", w.duplicated.into()),
+                ("delayed", w.delayed.into()),
+                ("crashed", w.crashed.into()),
+                ("retransmitted", w.retransmitted.into()),
+                ("acks", w.acks.into()),
+                ("dead_links", w.dead_links.into()),
+                ("degraded", w.degraded.into()),
+                ("replay_identical", w.replay_identical.into()),
+                ("wall_ms", w.wall_ms.into()),
+            ])
+        });
+        Json::obj([
+            ("bench", self.bench.as_str().into()),
+            ("seed", self.seed.into()),
+            ("workloads", workloads.collect()),
+        ])
     }
 }
 
 /// The determinism fingerprint of a `BENCH_fault.json` document: the
-/// serialized text with every timing line removed — any line whose
-/// field name starts with `wall_` (`wall_ms` today; `wall_ns` and
-/// friends as the telemetry plane grows the schema). Everything that
-/// remains is a pure function of `(instance seed, FaultSpec)`, so the
-/// `bench_regress --fault` gate compares fingerprints byte-for-byte
-/// across machines and runs.
-pub fn fault_fingerprint(json: &str) -> String {
-    json.lines()
-        .filter(|l| !l.trim_start().starts_with("\"wall_"))
-        .collect::<Vec<_>>()
-        .join("\n")
+/// document with every timing member removed — any member whose name
+/// starts with `wall_` (`wall_ms` today; `wall_ns` and friends as the
+/// telemetry plane grows the schema), at any depth — written back in
+/// the snapshot layout. Everything that remains is a pure function of
+/// `(instance seed, FaultSpec)`, so the `bench_regress --fault` gate
+/// compares fingerprints byte for byte across machines and runs.
+///
+/// # Errors
+///
+/// Fails when the text does not parse or has no `workloads[]` entries.
+pub fn fault_fingerprint(text: &str) -> Result<String, String> {
+    fn strip_timing(v: &mut Json) {
+        match v {
+            Json::Obj(members) => {
+                members.retain(|(k, _)| !k.starts_with("wall_"));
+                members.iter_mut().for_each(|(_, v)| strip_timing(v));
+            }
+            Json::Arr(items) => items.iter_mut().for_each(strip_timing),
+            _ => {}
+        }
+    }
+    let mut doc = json::parse(text)?;
+    workloads(&doc)?;
+    strip_timing(&mut doc);
+    Ok(doc.to_pretty())
 }
 
 #[cfg(test)]
@@ -973,7 +847,7 @@ mod tests {
 
     #[test]
     fn json_contains_schema_fields() {
-        let j = sample().to_json();
+        let j = sample().to_json().to_pretty();
         for needle in [
             "\"bench\": \"sim_round_engine\"",
             "\"n\": 100",
@@ -994,7 +868,7 @@ mod tests {
 
     #[test]
     fn parse_engine_walls_roundtrips() {
-        let walls = parse_engine_walls(&sample().to_json());
+        let walls = parse_engine_walls(&sample().to_json().to_pretty()).unwrap();
         assert_eq!(
             walls,
             vec![
@@ -1002,7 +876,7 @@ mod tests {
                 ("floodmax".into(), "parallel".into(), 4, 4.2),
             ]
         );
-        let walls = parse_engine_walls(&sample_mpc().to_json());
+        let walls = parse_engine_walls(&sample_mpc().to_json().to_pretty()).unwrap();
         assert_eq!(
             walls,
             vec![
@@ -1014,7 +888,7 @@ mod tests {
 
     #[test]
     fn mpc_json_contains_schema_fields() {
-        let j = sample_mpc().to_json();
+        let j = sample_mpc().to_json().to_pretty();
         for needle in [
             "\"bench\": \"mpc_model\"",
             "\"name\": \"floodmax_adapter\"",
@@ -1037,19 +911,19 @@ mod tests {
 
     #[test]
     fn io_stats_serialized_when_present() {
-        let j = scale_sample().to_json();
+        let j = scale_sample().to_json().to_pretty();
         assert!(j.contains(
             "\"io\": {\"file_bytes\": 60000000, \"write_ms\": 900.000, \
              \"read_ms\": 1800.000, \"plain_bytes\": 40000008, \"compact_bytes\": 11000000}"
         ));
         assert!(j.contains("\"engine\": \"parallel_codec\", \"threads\": 4"));
         // And omitted when absent.
-        assert!(!sample().to_json().contains("\"io\""));
+        assert!(!sample().to_json().to_pretty().contains("\"io\""));
     }
 
     #[test]
     fn merge_appends_scale_and_keeps_existing() {
-        let base = sample().to_json();
+        let base = sample().to_json().to_pretty();
         let merged = merge_scale_workloads(Some(&base), &scale_sample());
         assert!(merged.contains("\"name\": \"floodmax\""));
         assert!(merged.contains("\"name\": \"scale_floodmax\""));
@@ -1062,7 +936,7 @@ mod tests {
         assert_eq!(remerged.matches("\"name\": \"scale_floodmax\"").count(), 1);
         assert!(remerged.contains("\"rounds\": 9"));
         // Engine walls of both documents are visible to bench_regress.
-        let walls = parse_engine_walls(&remerged);
+        let walls = parse_engine_walls(&remerged).unwrap();
         assert!(walls
             .iter()
             .any(|(w, e, t, _)| w == "floodmax" && e == "sequential" && *t == 1));
@@ -1074,44 +948,42 @@ mod tests {
     #[test]
     fn merge_without_existing_falls_back_to_plain_document() {
         let doc = merge_scale_workloads(None, &scale_sample());
-        assert_eq!(doc, scale_sample().to_json());
+        assert_eq!(doc, scale_sample().to_json().to_pretty());
         // Garbage input also falls back rather than corrupting.
         let doc = merge_scale_workloads(Some("not json"), &scale_sample());
-        assert_eq!(doc, scale_sample().to_json());
+        assert_eq!(doc, scale_sample().to_json().to_pretty());
     }
 
     #[test]
-    fn merged_json_stays_balanced() {
-        let merged = merge_scale_workloads(Some(&sample().to_json()), &scale_sample());
-        for (open, close) in [('{', '}'), ('[', ']')] {
-            assert_eq!(
-                merged.matches(open).count(),
-                merged.matches(close).count(),
-                "unbalanced {open}{close}"
-            );
-        }
-        assert!(!merged.contains(",\n  ]"), "trailing comma:\n{merged}");
-        assert!(!merged.contains("}\n    {"), "missing comma:\n{merged}");
-    }
-
-    #[test]
-    fn json_is_balanced() {
-        for j in [
+    fn documents_parse_back_to_their_trees() {
+        for doc in [
             sample().to_json(),
             sample_mpc().to_json(),
             scale_sample().to_json(),
         ] {
-            for (open, close) in [('{', '}'), ('[', ']')] {
-                assert_eq!(
-                    j.matches(open).count(),
-                    j.matches(close).count(),
-                    "unbalanced {open}{close}"
-                );
-            }
-            // No trailing comma before a closer (the classic
-            // hand-rolled-JSON bug).
-            assert!(!j.contains(",\n  ]"), "trailing comma:\n{j}");
-            assert!(!j.contains(",\n    ]"), "trailing comma:\n{j}");
+            assert_eq!(json::parse(&doc.to_pretty()).unwrap(), doc);
+        }
+        let merged = merge_scale_workloads(Some(&sample().to_json().to_pretty()), &scale_sample());
+        let merged = json::parse(&merged).unwrap();
+        assert_eq!(workloads(&merged).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn unreadable_documents_fail_the_gate() {
+        let no_engines = "{\"workloads\": [{\"name\": \"w\", \"engines\": []}]}";
+        let bad_entry = "{\"workloads\": [{\"name\": \"w\", \"engines\": [{\"engine\": \"x\"}]}]}";
+        for doc in [
+            "garbage",
+            "",
+            "{}",
+            "{\"workloads\": []}",
+            no_engines,
+            bad_entry,
+        ] {
+            assert!(parse_engine_walls(doc).is_err(), "accepted {doc:?}");
+        }
+        for doc in ["garbage", "{}", "{\"workloads\": []}", "[1, 2]"] {
+            assert!(fault_fingerprint(doc).is_err(), "accepted {doc:?}");
         }
     }
 
@@ -1129,11 +1001,6 @@ mod tests {
             (1, 4, 10)
         );
         assert!((loads[1].mean_cost - 2.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 
     #[test]
@@ -1183,7 +1050,7 @@ mod tests {
 
     #[test]
     fn fault_bench_serializes_and_fingerprints() {
-        let doc = fault_sample(3.25).to_json();
+        let doc = fault_sample(3.25).to_json().to_pretty();
         assert!(doc.contains("\"bench\": \"fault_plane\""));
         assert!(doc.contains("\"drop_ppm\": 50000"));
         assert!(doc.contains("\"pipeline\": \"arq\""));
@@ -1196,26 +1063,32 @@ mod tests {
         let mut stalled = fault_sample(1.0);
         stalled.workloads[0].converged = false;
         stalled.workloads[0].stall = Some("dead_link".into());
-        assert!(stalled.to_json().contains("\"stall\": \"dead_link\""));
+        assert!(stalled
+            .to_json()
+            .to_pretty()
+            .contains("\"stall\": \"dead_link\""));
         // The fingerprint is timing-invariant and nothing else.
-        let other = fault_sample(99.0).to_json();
+        let other = fault_sample(99.0).to_json().to_pretty();
         assert_ne!(doc, other);
-        assert_eq!(fault_fingerprint(&doc), fault_fingerprint(&other));
-        assert!(!fault_fingerprint(&doc).contains("wall_ms"));
+        let fp = fault_fingerprint(&doc).unwrap();
+        assert_eq!(fp, fault_fingerprint(&other).unwrap());
+        assert!(!fp.contains("wall_ms"));
     }
 
     #[test]
     fn fault_fingerprint_strips_any_wall_field() {
-        // The stripper keys on the `wall_` prefix so future telemetry
-        // fields (per-round `wall_ns`, `wall_ms_reference`, …) stay out
-        // of the determinism fingerprint without further edits.
-        let doc = "{\n  \"wall_ms\": 1.0,\n  \"wall_ns\": 12345,\n  \
-                   \"wall_ms_reference\": 2.0,\n  \"rounds\": 7\n}";
-        let fp = fault_fingerprint(doc);
-        assert!(!fp.contains("wall_"));
-        assert!(fp.contains("\"rounds\": 7"));
+        // The stripper keys on the `wall_` prefix, at any depth, so
+        // future telemetry fields (per-round `wall_ns`,
+        // `wall_ms_reference`, …) stay out of the determinism
+        // fingerprint without further edits.
+        let doc = "{\"wall_ns\": 5, \"workloads\": [{\"wall_ms\": 1.0, \"rounds\": 7, \
+                   \"firewall\": 1, \"io\": {\"wall_ms_reference\": 2.0}}]}";
+        let fp = fault_fingerprint(doc).unwrap();
+        assert!(!fp.contains("wall_"), "{fp}");
         // Non-timing fields that merely contain "wall" elsewhere survive.
-        let keep = "  \"firewall\": 1";
-        assert_eq!(fault_fingerprint(keep), keep);
+        assert!(
+            fp.contains("\"rounds\": 7") && fp.contains("\"firewall\": 1"),
+            "{fp}"
+        );
     }
 }

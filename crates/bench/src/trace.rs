@@ -5,255 +5,14 @@
 //! The `pga-runtime` telemetry plane streams one JSON object per event
 //! — `run_start`, `round`, `run_end` — to the path named by `PGA_TRACE`
 //! (see `pga_runtime::probe::JsonlProbe` for the schema). This module
-//! parses those lines back with a purposely small hand-rolled JSON
-//! reader (the workspace is offline, so no serde), groups them into
-//! [`TraceRun`]s, and provides the summaries `trace_view` renders:
+//! parses those lines back with the workspace's one JSON reader,
+//! `pga_runtime::json`, validates them against the schema, groups them
+//! into [`TraceRun`]s, and provides the summaries `trace_view` renders:
 //! top-k hottest rounds, the per-round shard-imbalance timeline,
 //! log-bucket histogram percentiles, and a chrome://tracing export.
 
 use pga_congest::SizeHist;
-
-/// A parsed JSON value — just enough of the grammar for the trace
-/// schema (unsigned integers only; the probe never emits floats,
-/// negatives, booleans, or nulls).
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    /// An unsigned integer.
-    Num(u64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, in source order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Member lookup on an object (first match), `None` elsewhere.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The value as an unsigned integer, if it is one.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The value as a string slice, if it is one.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as an array slice, if it is one.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected '{}' at byte {} (found {:?})",
-                b as char,
-                self.pos,
-                self.peek().map(|c| c as char)
-            ))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'0'..=b'9') => self.number(),
-            other => Err(format!(
-                "unexpected {:?} at byte {} (the trace schema has only objects, \
-                 arrays, strings, and unsigned integers)",
-                other.map(|c| c as char),
-                self.pos
-            )),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.value()?;
-            members.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(members));
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or '}}' at byte {} (found {:?})",
-                        self.pos,
-                        other.map(|c| c as char)
-                    ))
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or ']' at byte {} (found {:?})",
-                        self.pos,
-                        other.map(|c| c as char)
-                    ))
-                }
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or("truncated \\u escape")?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {:?}", other.map(|c| c as char))),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid UTF-8")?;
-                    let c = s.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-                None => return Err("unterminated string".into()),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        if matches!(self.peek(), Some(b'.' | b'e' | b'E' | b'-' | b'+')) {
-            return Err(format!(
-                "non-integer number at byte {start} (the trace schema emits unsigned integers only)"
-            ));
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("number out of u64 range at byte {start}"))
-    }
-}
-
-/// Parses one JSON document (used per trace line).
-///
-/// # Errors
-///
-/// Returns a human-readable description of the first syntax error.
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let mut p = Parser::new(text);
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", p.pos));
-    }
-    Ok(v)
-}
+use pga_runtime::json::{self, Json};
 
 /// One shard's record within a [`TraceRound`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -478,35 +237,46 @@ fn parse_fault(fault: &Json) -> Result<TraceFault, String> {
         );
     }
     let arq = present == trio.len();
+    let trio_u64 = |key| if arq { req_u64(fault, key) } else { Ok(0) };
     Ok(TraceFault {
         dropped: req_u64(fault, "dropped")?,
         duplicated: req_u64(fault, "duplicated")?,
         delayed: req_u64(fault, "delayed")?,
         crashed: req_u64(fault, "crashed")?,
-        retransmitted: if arq {
-            req_u64(fault, "retransmitted")?
-        } else {
-            0
-        },
-        acks: if arq { req_u64(fault, "acks")? } else { 0 },
-        dead_links: if arq {
-            req_u64(fault, "dead_links")?
-        } else {
-            0
-        },
+        retransmitted: trio_u64("retransmitted")?,
+        acks: trio_u64("acks")?,
+        dead_links: trio_u64("dead_links")?,
     })
+}
+
+/// Rejects the JSON the probe never emits — floats, negatives,
+/// booleans and nulls — anywhere in a line, unknown fields included.
+fn integers_only(v: &Json) -> Result<(), String> {
+    match v {
+        Json::F64(_) | Json::Bool(_) | Json::Null => Err(format!(
+            "{} is not in the trace schema (objects, arrays, strings and unsigned \
+             integers only)",
+            v.to_compact()
+        )),
+        Json::Arr(items) => items.iter().try_for_each(integers_only),
+        Json::Obj(members) => members.iter().try_for_each(|(_, v)| integers_only(v)),
+        Json::Num(_) | Json::Str(_) => Ok(()),
+    }
 }
 
 /// Parses and validates one trace line against the JSONL schema.
 ///
 /// Unknown fields are tolerated (the schema may grow), missing or
-/// mistyped required fields are not.
+/// mistyped required fields are not, and no field, known or unknown,
+/// may carry a float, negative, boolean or null: the probe never emits
+/// them.
 ///
 /// # Errors
 ///
 /// Returns a description of the first schema violation.
 pub fn parse_line(line: &str) -> Result<TraceEvent, String> {
-    let v = parse_json(line)?;
+    let v = json::parse(line)?;
+    integers_only(&v)?;
     let event = v
         .get("event")
         .and_then(Json::as_str)
@@ -680,18 +450,8 @@ pub fn parse_trace(text: &str) -> Result<Vec<TraceRun>, (usize, String)> {
     Ok(runs)
 }
 
-fn push_event(out: &mut String, fields: &str) {
-    if !out.ends_with('[') {
-        out.push(',');
-    }
-    out.push('\n');
-    out.push_str("  {");
-    out.push_str(fields);
-    out.push('}');
-}
-
-fn us(ns: u64) -> String {
-    format!("{:.3}", ns as f64 / 1e3)
+fn us(ns: u64) -> Json {
+    Json::F64(ns as f64 / 1e3)
 }
 
 /// Renders `runs` as a chrome://tracing (and Perfetto) compatible JSON
@@ -700,65 +460,66 @@ fn us(ns: u64) -> String {
 /// Timestamps are synthesized by laying the rounds end to end (the
 /// trace records durations, not absolute times).
 pub fn chrome_trace(runs: &[TraceRun]) -> String {
-    let mut out = String::from("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
+    let mut events = Vec::new();
     for (ri, run) in runs.iter().enumerate() {
         let pid = ri + 1;
-        push_event(
-            &mut out,
-            &format!(
-                "\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"args\":{{\"name\":\"{} run {} ({} actors, {} shards)\"}}",
-                pid, run.label, pid, run.actors, run.shards
-            ),
+        let name = format!(
+            "{} run {pid} ({} actors, {} shards)",
+            run.label, run.actors, run.shards
         );
+        events.push(Json::obj([
+            ("name", "process_name".into()),
+            ("ph", "M".into()),
+            ("pid", pid.into()),
+            ("args", Json::obj([("name", name.as_str().into())])),
+        ]));
+        let complete = |name: &str, cat: &str, ts: u64, dur: u64, tid: usize, args: Json| {
+            Json::obj([
+                ("name", name.into()),
+                ("cat", cat.into()),
+                ("ph", "X".into()),
+                ("ts", us(ts)),
+                ("dur", us(dur)),
+                ("pid", pid.into()),
+                ("tid", tid.into()),
+                ("args", args),
+            ])
+        };
         let mut t = 0u64;
         for r in &run.rounds {
-            push_event(
-                &mut out,
-                &format!(
-                    "\"name\":\"round {}\",\"cat\":\"round\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                     \"pid\":{},\"tid\":0,\"args\":{{\"messages\":{},\"volume\":{},\"active\":{}}}",
-                    r.round,
-                    us(t),
-                    us(r.wall_ns),
-                    pid,
-                    r.messages,
-                    r.volume,
-                    r.active
-                ),
-            );
+            let name = format!("round {}", r.round);
+            let args = [
+                ("messages", r.messages),
+                ("volume", r.volume),
+                ("active", r.active),
+            ];
+            let args = Json::obj(args.map(|(k, v)| (k, v.into())));
+            events.push(complete(&name, "round", t, r.wall_ns, 0, args));
             for sh in &r.shards {
-                push_event(
-                    &mut out,
-                    &format!(
-                        "\"name\":\"shard {}\",\"cat\":\"shard\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                         \"pid\":{},\"tid\":{},\"args\":{{\"messages\":{},\"volume\":{}}}",
-                        sh.shard,
-                        us(t),
-                        us(sh.wall_ns),
-                        pid,
-                        1 + sh.shard,
-                        sh.messages,
-                        sh.volume
-                    ),
-                );
+                let name = format!("shard {}", sh.shard);
+                let args = [("messages", sh.messages), ("volume", sh.volume)];
+                let args = Json::obj(args.map(|(k, v)| (k, v.into())));
+                events.push(complete(&name, "shard", t, sh.wall_ns, 1 + sh.shard, args));
             }
             if r.exchange_ns > 0 {
-                push_event(
-                    &mut out,
-                    &format!(
-                        "\"name\":\"exchange\",\"cat\":\"exchange\",\"ph\":\"X\",\"ts\":{},\
-                         \"dur\":{},\"pid\":{},\"tid\":0",
-                        us(t + r.wall_ns.saturating_sub(r.exchange_ns)),
-                        us(r.exchange_ns),
-                        pid
-                    ),
-                );
+                let ts = t + r.wall_ns.saturating_sub(r.exchange_ns);
+                events.push(complete(
+                    "exchange",
+                    "exchange",
+                    ts,
+                    r.exchange_ns,
+                    0,
+                    Json::obj([]),
+                ));
             }
             t += r.wall_ns.max(1);
         }
     }
-    out.push_str("\n]}\n");
-    out
+    let doc = Json::obj([
+        ("displayTimeUnit", "ns".into()),
+        ("traceEvents", Json::Arr(events)),
+    ]);
+    doc.to_compact() + "\n"
 }
 
 #[cfg(test)]
@@ -824,6 +585,13 @@ mod tests {
         .is_err());
         // Floats are not in the schema.
         assert!(parse_line("{\"event\":\"run_end\",\"rounds\":1,\"wall_ns\":1.5}").is_err());
+        // Nor floats, booleans, nulls or negatives in a field the
+        // validator otherwise ignores.
+        for extra in ["0.5", "true", "null", "-1", "[{\"x\":false}]"] {
+            let line =
+                format!("{{\"event\":\"run_end\",\"rounds\":1,\"wall_ns\":1,\"extra\":{extra}}}");
+            assert!(parse_line(&line).is_err(), "accepted {line}");
+        }
         // Shard order must ascend.
         let bad = "{\"event\":\"round\",\"round\":0,\"wall_ns\":1,\"messages\":0,\"volume\":0,\
                    \"peak_link\":0,\"active\":0,\"exchange_ns\":0,\"delay_depth\":0,\
@@ -891,21 +659,45 @@ mod tests {
     }
 
     #[test]
-    fn chrome_export_is_balanced_json() {
+    fn chrome_export_parses_back() {
         let runs = parse_trace(SAMPLE).unwrap();
-        let doc = chrome_trace(&runs);
-        assert!(doc.contains("\"name\":\"round 0\""));
-        assert!(doc.contains("\"name\":\"shard 1\""));
-        assert!(doc.contains("\"name\":\"exchange\""));
-        for (open, close) in [('{', '}'), ('[', ']')] {
-            assert_eq!(
-                doc.matches(open).count(),
-                doc.matches(close).count(),
-                "unbalanced {open}{close}"
-            );
-        }
-        // Quotes must pair up too (chrome timestamps are fractional
-        // microseconds, so the trace-schema parser does not apply here).
-        assert_eq!(doc.matches('"').count() % 2, 0);
+        let doc = json::parse(&chrome_trace(&runs)).unwrap();
+        let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
+        let names: Vec<&str> = events
+            .iter()
+            .filter_map(|e| e.get("name").and_then(Json::as_str))
+            .collect();
+        assert_eq!(
+            names,
+            [
+                "process_name",
+                "round 0",
+                "shard 0",
+                "shard 1",
+                "exchange",
+                "round 1",
+                "exchange"
+            ]
+        );
+        // Timestamps are fractional microseconds: round 1 starts after
+        // round 0's 100 ns.
+        assert_eq!(events[5].get("ts"), Some(&Json::F64(0.1)));
+    }
+
+    #[test]
+    fn chrome_export_escapes_the_run_label() {
+        let label = "a\"b\\c";
+        let line = format!(
+            "{{\"event\":\"run_start\",\"label\":{},\"actors\":2,\"shards\":1,\"bounds\":[0,2]}}",
+            Json::from(label).to_compact()
+        );
+        let runs = parse_trace(&line).unwrap();
+        assert_eq!(runs[0].label, label);
+        let doc = json::parse(&chrome_trace(&runs)).expect("chrome export is valid JSON");
+        let process = &doc.get("traceEvents").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(
+            process.get("args").and_then(|a| a.get("name")),
+            Some(&Json::from("a\"b\\c run 1 (2 actors, 1 shards)"))
+        );
     }
 }

@@ -145,6 +145,7 @@
 
 pub mod arq;
 pub mod fault;
+pub mod json;
 mod kernel;
 pub mod probe;
 pub mod reference;

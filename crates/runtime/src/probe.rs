@@ -25,16 +25,19 @@
 //! Three implementations ship with the kernel: [`NoopProbe`] (the
 //! default), [`RecordingProbe`] (in-memory [`RunTelemetry`] for tests
 //! and programmatic analysis), and [`JsonlProbe`] (streams one JSON
-//! object per round to a writer; activated per run via the `PGA_TRACE`
-//! environment variable when [`RunConfig::probe`](crate::RunConfig) is
-//! [`ProbeMode::Env`]). The `trace_view` binary of `pga-bench` reads
-//! the JSONL stream back for top-k/histogram/imbalance summaries and
+//! object per event to a writer, each built as a [`Json`] value and
+//! written by the workspace's one JSON writer in [`crate::json`];
+//! activated per run via the `PGA_TRACE` environment variable when
+//! [`RunConfig::probe`](crate::RunConfig) is [`ProbeMode::Env`]). The
+//! `trace_view` binary of `pga-bench` reads the JSONL stream back with
+//! the same module for top-k/histogram/imbalance summaries and
 //! chrome://tracing export.
 
 use std::cell::RefCell;
 use std::io::Write;
 
 use crate::fault::FaultStats;
+use crate::json::Json;
 
 /// Selects how the `run_cfg` entry points attach a trace sink.
 ///
@@ -442,8 +445,9 @@ impl Probe for RecordingProbe {
 }
 
 /// Streams one JSON object per event to a writer, newline-delimited
-/// (JSONL). The schema (also documented in the README and validated by
-/// `trace_view --validate`):
+/// (JSONL): each event is a [`Json`] value written with
+/// [`Json::to_compact`]. The schema (also documented in the README and
+/// validated by `trace_view --validate`):
 ///
 /// ```json
 /// {"event":"run_start","label":"congest","actors":64,"shards":4,"bounds":[0,16,32,48,64]}
@@ -518,43 +522,21 @@ impl<W: Write> JsonlProbe<W> {
         out
     }
 
-    fn emit(&self, line: &str) {
+    fn emit(&self, event: &Json) {
         let mut s = self.state.borrow_mut();
-        let _ = writeln!(s.0, "{line}");
+        let _ = writeln!(s.0, "{}", event.to_compact());
     }
-}
-
-/// Minimal JSON string escaping for the probe's label field.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 impl<W: Write> Probe for JsonlProbe<W> {
     fn on_run_start(&self, actors: usize, bounds: &[usize], _costs: &[u64]) {
-        let bounds_json = bounds
-            .iter()
-            .map(|b| b.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
-        self.emit(&format!(
-            "{{\"event\":\"run_start\",\"label\":\"{}\",\"actors\":{},\"shards\":{},\"bounds\":[{}]}}",
-            esc(&self.label),
-            actors,
-            bounds.len().saturating_sub(1),
-            bounds_json
-        ));
+        self.emit(&Json::obj([
+            ("event", "run_start".into()),
+            ("label", self.label.as_str().into()),
+            ("actors", actors.into()),
+            ("shards", bounds.len().saturating_sub(1).into()),
+            ("bounds", bounds.iter().map(|&b| b.into()).collect()),
+        ]));
     }
 
     fn on_shard(&self, _round: usize, shard: usize, wall_ns: u64, msgs: u64, volume: u64) {
@@ -578,52 +560,35 @@ impl<W: Write> Probe for JsonlProbe<W> {
 
     fn on_round_end(&self, obs: &RoundObs<'_>) {
         let pending = std::mem::take(&mut self.state.borrow_mut().1);
-        let mut line = format!(
-            "{{\"event\":\"round\",\"round\":{},\"wall_ns\":{},\"messages\":{},\
-             \"volume\":{},\"peak_link\":{},\"active\":{},\"exchange_ns\":{},\
-             \"delay_depth\":{}",
-            obs.round,
-            obs.wall_ns,
-            obs.messages,
-            obs.volume,
-            obs.peak_link,
-            obs.active,
-            pending.exchange_ns,
-            pending.delay_depth
-        );
+        let mut event = vec![
+            ("event", "round".into()),
+            ("round", obs.round.into()),
+            ("wall_ns", obs.wall_ns.into()),
+            ("messages", obs.messages.into()),
+            ("volume", obs.volume.into()),
+            ("peak_link", obs.peak_link.into()),
+            ("active", obs.active.into()),
+            ("exchange_ns", pending.exchange_ns.into()),
+            ("delay_depth", pending.delay_depth.into()),
+        ];
         if !pending.shards.is_empty() {
-            line.push_str(",\"shards\":[");
-            for (i, sh) in pending.shards.iter().enumerate() {
-                if i > 0 {
-                    line.push(',');
-                }
-                line.push_str(&format!(
-                    "{{\"shard\":{},\"wall_ns\":{},\"messages\":{},\"volume\":{}}}",
-                    sh.shard, sh.wall_ns, sh.messages, sh.volume
-                ));
-            }
-            line.push(']');
+            let shards = pending.shards.iter().map(|sh| {
+                Json::obj([
+                    ("shard", sh.shard.into()),
+                    ("wall_ns", sh.wall_ns.into()),
+                    ("messages", sh.messages.into()),
+                    ("volume", sh.volume.into()),
+                ])
+            });
+            event.push(("shards", shards.collect()));
         }
         if let Some(h) = obs.sizes.filter(|h| !h.is_empty()) {
-            line.push_str(",\"sizes\":[");
-            let mut first = true;
-            for (k, &c) in h.buckets.iter().enumerate() {
-                if c > 0 {
-                    if !first {
-                        line.push(',');
-                    }
-                    first = false;
-                    line.push_str(&format!("[{k},{c}]"));
-                }
-            }
-            line.push(']');
+            let pairs = (0..).zip(h.buckets).filter(|&(_, c)| c > 0);
+            let pairs = pairs.map(|(k, c): (usize, u64)| Json::Arr(vec![k.into(), c.into()]));
+            event.push(("sizes", pairs.collect()));
         }
-        let f = &pending.fault;
-        if let Some(obj) = fault_json(f) {
-            line.push_str(&format!(",\"fault\":{obj}"));
-        }
-        line.push('}');
-        self.emit(&line);
+        event.extend(fault_json(&pending.fault).map(|f| ("fault", f)));
+        self.emit(&Json::obj(event));
     }
 
     fn on_run_end(&self, rounds: usize, wall_ns: u64) {
@@ -631,12 +596,13 @@ impl<W: Write> Probe for JsonlProbe<W> {
         // trailing fault event with no round to attach to; surface them
         // on the run_end record (optional field, all-zero omitted).
         let residual = std::mem::take(&mut self.state.borrow_mut().1).fault;
-        let mut line = format!("{{\"event\":\"run_end\",\"rounds\":{rounds},\"wall_ns\":{wall_ns}");
-        if let Some(obj) = fault_json(&residual) {
-            line.push_str(&format!(",\"fault\":{obj}"));
-        }
-        line.push('}');
-        self.emit(&line);
+        let mut event = vec![
+            ("event", "run_end".into()),
+            ("rounds", rounds.into()),
+            ("wall_ns", wall_ns.into()),
+        ];
+        event.extend(fault_json(&residual).map(|f| ("fault", f)));
+        self.emit(&Json::obj(event));
         let _ = self.state.borrow_mut().0.flush();
     }
 }
@@ -647,24 +613,22 @@ impl<W: Write> Probe for JsonlProbe<W> {
 /// (`retransmitted`/`acks`/`dead_links`) is appended only when the
 /// ARQ plane produced any, so raw-path traces keep the
 /// pre-reliability shape byte for byte.
-fn fault_json(f: &FaultStats) -> Option<String> {
-    let base = f.dropped + f.duplicated + f.delayed + f.crashed;
-    let arq = f.retransmitted + f.acks + f.dead_links;
-    if base + arq == 0 {
-        return None;
+fn fault_json(f: &FaultStats) -> Option<Json> {
+    let mut members = vec![
+        ("dropped", f.dropped),
+        ("duplicated", f.duplicated),
+        ("delayed", f.delayed),
+        ("crashed", f.crashed),
+    ];
+    if f.retransmitted + f.acks + f.dead_links > 0 {
+        members.extend([
+            ("retransmitted", f.retransmitted),
+            ("acks", f.acks),
+            ("dead_links", f.dead_links),
+        ]);
     }
-    let mut obj = format!(
-        "{{\"dropped\":{},\"duplicated\":{},\"delayed\":{},\"crashed\":{}",
-        f.dropped, f.duplicated, f.delayed, f.crashed
-    );
-    if arq > 0 {
-        obj.push_str(&format!(
-            ",\"retransmitted\":{},\"acks\":{},\"dead_links\":{}",
-            f.retransmitted, f.acks, f.dead_links
-        ));
-    }
-    obj.push('}');
-    Some(obj)
+    let any = members.iter().any(|&(_, n)| n > 0);
+    any.then(|| Json::obj(members.into_iter().map(|(k, n)| (k, n.into()))))
 }
 
 #[cfg(test)]
@@ -772,6 +736,62 @@ mod tests {
         assert!(!lines[1].contains("\"shards\""), "{}", lines[1]);
         assert!(!lines[1].contains("\"fault\""), "{}", lines[1]);
         assert!(lines[2].contains("\"rounds\":1"));
+    }
+
+    #[test]
+    fn jsonl_probe_golden_lines() {
+        let probe = JsonlProbe::new(Vec::new(), "congest");
+        probe.on_run_start(8, &[0, 4, 8], &[1; 8]);
+        probe.on_round_start(0);
+        probe.on_shard(0, 0, 40, 3, 30);
+        probe.on_shard(0, 1, 20, 3, 30);
+        probe.on_exchange(0, 10);
+        let arq = FaultStats {
+            delivered: 6,
+            dropped: 2,
+            duplicated: 1,
+            delayed: 1,
+            retransmitted: 2,
+            acks: 3,
+            ..FaultStats::default()
+        };
+        probe.on_fault_event(0, &arq, 1);
+        let mut sizes = SizeHist::default();
+        sizes.record(10, 4);
+        sizes.record(100, 2);
+        probe.on_round_end(&RoundObs {
+            round: 0,
+            wall_ns: 100,
+            messages: 6,
+            volume: 60,
+            peak_link: 16,
+            active: 8,
+            sizes: Some(&sizes),
+        });
+        let residual = FaultStats {
+            crashed: 1,
+            ..FaultStats::default()
+        };
+        probe.on_fault_event(1, &residual, 0);
+        probe.on_run_end(1, 200);
+        let out = String::from_utf8(probe.into_writer()).unwrap();
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(
+            lines,
+            [
+                r#"{"event":"run_start","label":"congest","actors":8,"shards":2,"bounds":[0,4,8]}"#,
+                concat!(
+                    r#"{"event":"round","round":0,"wall_ns":100,"messages":6,"volume":60,"#,
+                    r#""peak_link":16,"active":8,"exchange_ns":10,"delay_depth":1,"#,
+                    r#""shards":[{"shard":0,"wall_ns":40,"messages":3,"volume":30},"#,
+                    r#"{"shard":1,"wall_ns":20,"messages":3,"volume":30}],"#,
+                    r#""sizes":[[3,4],[6,2]],"#,
+                    r#""fault":{"dropped":2,"duplicated":1,"delayed":1,"crashed":0,"#,
+                    r#""retransmitted":2,"acks":3,"dead_links":0}}"#
+                ),
+                r#"{"event":"run_end","rounds":1,"wall_ns":200,"fault":{"dropped":0,"duplicated":0,"delayed":0,"crashed":1}}"#,
+            ]
+        );
     }
 
     #[test]
