@@ -106,6 +106,6 @@ pub use pga_runtime::{
     RunTelemetry, ShardTelemetry, SizeHist,
 };
 pub use sim::{
-    check_message, default_bandwidth_bits, id_bits, Algorithm, Ctx, MsgSize, Report, SimError,
-    Simulator, Topology,
+    check_message, default_bandwidth_bits, id_bits, Algorithm, Ctx, MsgSize, Report, SendCheck,
+    SimError, Simulator, Topology,
 };

@@ -61,9 +61,16 @@ impl Ctx<'_> {
     /// Whether this node may send a message to `to` in the current
     /// topology.
     pub fn can_send(&self, to: NodeId) -> bool {
+        self.send_slot(to).is_some()
+    }
+
+    /// The [`SendCheck`] slot of a legal destination `to`: its position
+    /// in [`Ctx::graph_neighbors`] under CONGEST, its id under the
+    /// CONGESTED CLIQUE; `None` if this node may not send to `to`.
+    fn send_slot(&self, to: NodeId) -> Option<usize> {
         match self.topology {
-            Topology::Congest => self.graph_neighbors.binary_search(&to).is_ok(),
-            Topology::CongestedClique => to.index() < self.n && to != self.id,
+            Topology::Congest => self.graph_neighbors.binary_search(&to).ok(),
+            Topology::CongestedClique => (to.index() < self.n && to != self.id).then(|| to.index()),
         }
     }
 }
@@ -133,6 +140,47 @@ pub struct Simulator<'g> {
     max_rounds: usize,
 }
 
+/// The one-message-per-destination check for a node's outbox, in
+/// constant time per message.
+///
+/// A table of generation stamps indexed by destination slot (see
+/// [`check_message`]) plus the current generation: a destination is a
+/// duplicate iff its slot already carries the current stamp.
+/// [`SendCheck::begin`] starts a new outbox by bumping the generation,
+/// so nothing is cleared between outboxes. The table grows to the
+/// largest slot used: the maximum degree on CONGEST runs, at most `n`
+/// on CONGESTED CLIQUE runs. Reuse one value across nodes and rounds.
+#[derive(Debug, Default)]
+pub struct SendCheck {
+    stamps: Vec<u32>,
+    generation: u32,
+}
+
+impl SendCheck {
+    /// Starts a new outbox: every destination counts as unused again.
+    /// Call once before a node's first [`check_message`] of a round.
+    pub fn begin(&mut self) {
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            // Wrapped: stamps from 2³² outboxes ago would alias.
+            self.stamps.fill(0);
+            self.generation = 1;
+        }
+    }
+
+    /// Records `slot` for the current outbox; `false` if it already was.
+    fn insert(&mut self, slot: usize) -> bool {
+        debug_assert_ne!(self.generation, 0, "SendCheck::begin starts each outbox");
+        if slot >= self.stamps.len() {
+            self.stamps.resize(slot + 1, 0);
+        }
+        let stamp = &mut self.stamps[slot];
+        let fresh = *stamp != self.generation;
+        *stamp = self.generation;
+        fresh
+    }
+}
+
 /// Validates one outgoing message against the communication model and
 /// returns its size in bits.
 ///
@@ -141,36 +189,38 @@ pub struct Simulator<'g> {
 /// the CONGEST model on another substrate (the `pga-mpc` adapter) apply
 /// the exact same checks and raise the exact same errors.
 ///
-/// `seen` accumulates the destinations this node has already sent to in
-/// the current round (for the one-message-per-destination rule); pass the
-/// same vector across all of a node's messages in one round.
+/// `check` records the destinations this node has already sent to in
+/// the current round (for the one-message-per-destination rule): call
+/// [`SendCheck::begin`] once per outbox, then pass the same value for
+/// each of its messages. A destination's slot is its position in
+/// [`Ctx::graph_neighbors`] under CONGEST (found by the same binary
+/// search as [`Ctx::can_send`]) and its id under the CONGESTED CLIQUE.
 ///
 /// # Errors
 ///
-/// Returns the same [`SimError`] the engines raise: an illegal
-/// destination for the topology, a duplicate destination, or a message
-/// larger than the bandwidth `B`.
+/// Returns the same [`SimError`] the engines raise, checked in this
+/// order: an illegal destination for the topology, a duplicate
+/// destination, or a message larger than the bandwidth `B`.
 pub fn check_message<M: MsgSize>(
     ctx: &Ctx,
-    seen: &mut Vec<NodeId>,
+    check: &mut SendCheck,
     to: NodeId,
     msg: &M,
 ) -> Result<usize, SimError> {
-    if !ctx.can_send(to) {
+    let Some(slot) = ctx.send_slot(to) else {
         return Err(SimError::IllegalDestination {
             from: ctx.id,
             to,
             round: ctx.round,
         });
-    }
-    if seen.contains(&to) {
+    };
+    if !check.insert(slot) {
         return Err(SimError::DuplicateMessage {
             from: ctx.id,
             to,
             round: ctx.round,
         });
     }
-    seen.push(to);
     let size = msg.size_bits(ctx.id_bits);
     if size > ctx.bandwidth_bits {
         return Err(SimError::BandwidthExceeded {
@@ -228,7 +278,7 @@ where
     type Output = A::Output;
     type Error = SimError;
     type Metrics = Metrics;
-    type SendScratch = Vec<NodeId>;
+    type SendScratch = SendCheck;
     type Packed = <A::Msg as MsgCodec>::Word;
 
     fn packs(&self) -> bool {
@@ -276,20 +326,22 @@ where
         idx: usize,
         round: usize,
         inbox: &[(NodeId, A::Msg)],
-        seen: &mut Vec<NodeId>,
+        check: &mut SendCheck,
         acc: &mut RoundProfile,
         sink: &mut S,
     ) -> Result<(), SimError> {
         let ctx = self.sim.ctx(NodeId::from_index(idx), round);
         let outbox = node.round(&ctx, inbox);
-        seen.clear();
+        if !outbox.is_empty() {
+            check.begin();
+        }
         // Accumulate in locals and fold into the shard profile once per
         // actor, so the hot loop keeps its counters in registers.
         let mut messages = 0u64;
         let mut volume = 0u64;
         let mut peak = 0usize;
         for (to, msg) in outbox {
-            let size = check_message(&ctx, seen, to, &msg)?;
+            let size = check_message(&ctx, check, to, &msg)?;
             // Congestion is charged at actual delivery: the sink
             // reports how many copies traverse the edge (always 1 on
             // the clean engines; an adversary's drop charges 0, a
@@ -536,5 +588,72 @@ impl<'g> Simulator<'g> {
         };
         let model = self.exec_model::<A>(cfg.codec);
         pga_runtime::execute_under(&model, nodes, &cfg, adversary, probe)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    struct Word;
+    impl MsgSize for Word {
+        fn size_bits(&self, id_bits: usize) -> usize {
+            id_bits
+        }
+    }
+
+    /// Sends one [`Word`] from `ctx` to each of `to` under `check`.
+    fn send_all(ctx: &Ctx, check: &mut SendCheck, to: impl IntoIterator<Item = u32>) {
+        for v in to {
+            let sent = check_message(ctx, check, NodeId(v), &Word);
+            assert_eq!(sent, Ok(ctx.id_bits), "{:?} → {v}", ctx.id);
+        }
+    }
+
+    #[test]
+    fn send_check_survives_generation_wrap() {
+        let g = pga_graph::generators::path(10);
+        let sim = Simulator::congested_clique(&g);
+        let ctx = sim.ctx(NodeId(9), 4);
+        // Stale stamps from generations 1 and 2, which the wrap re-enters;
+        // slots 7 and 8 are fresh (zero) when the table grows.
+        let mut check = SendCheck {
+            stamps: vec![1, 2, 1, 2, 1, 2, 1],
+            generation: u32::MAX - 1,
+        };
+        for last in [2, 8, 8] {
+            check.begin();
+            send_all(&ctx, &mut check, 0..=last);
+            assert_eq!(
+                check_message(&ctx, &mut check, NodeId(last), &Word),
+                Err(SimError::DuplicateMessage {
+                    from: NodeId(9),
+                    to: NodeId(last),
+                    round: 4
+                })
+            );
+        }
+        assert_eq!(check.generation, 2);
+    }
+
+    #[test]
+    fn send_check_table_stays_within_the_maximum_degree() {
+        // A path visiting 0, n-1, 1, n-2, …: every vertex has degree at
+        // most 2, and most have a high-id neighbor.
+        let n = 64u32;
+        let order: Vec<u32> = (0..n / 2).flat_map(|i| [i, n - 1 - i]).collect();
+        let edges: Vec<(u32, u32)> = order.windows(2).map(|w| (w[0], w[1])).collect();
+        let g = Graph::from_edges(n as usize, &edges);
+        let sim = Simulator::congest(&g);
+        let mut check = SendCheck::default();
+        for round in 0..3 {
+            for v in g.nodes() {
+                let ctx = sim.ctx(v, round);
+                check.begin();
+                send_all(&ctx, &mut check, ctx.graph_neighbors.iter().map(|u| u.0));
+            }
+        }
+        assert_eq!(g.max_degree(), 2);
+        assert!(check.stamps.len() <= g.max_degree());
     }
 }

@@ -221,7 +221,159 @@ fn duplicate_message_rejected() {
     let err = Simulator::congest(&g)
         .run_cfg(vec![Dup, Dup], &RunConfig::new())
         .unwrap_err();
-    assert!(matches!(err, SimError::DuplicateMessage { .. }));
+    assert_eq!(
+        err,
+        SimError::DuplicateMessage {
+            from: NodeId(0),
+            to: NodeId(1),
+            round: 0
+        }
+    );
+}
+
+/// A payload whose declared size is its value, so a script can make any
+/// single message oversized.
+#[derive(Clone)]
+struct Bits(u32);
+impl MsgSize for Bits {
+    fn size_bits(&self, _id_bits: usize) -> usize {
+        self.0 as usize
+    }
+}
+impl MsgCodec for Bits {
+    type Word = u32;
+    fn encode(&self) -> u32 {
+        self.0
+    }
+    fn decode(w: u32) -> Bits {
+        Bits(w)
+    }
+}
+
+/// Node `from` sends `outbox` in round `round`; every other send is
+/// empty and no node ever finishes, so the run ends in the violation.
+#[derive(Clone)]
+struct Script {
+    from: NodeId,
+    round: usize,
+    outbox: Vec<(NodeId, Bits)>,
+}
+
+impl Algorithm for Script {
+    type Msg = Bits;
+    type Output = ();
+    fn round(&mut self, ctx: &Ctx, _inbox: &[(NodeId, Bits)]) -> Vec<(NodeId, Bits)> {
+        if ctx.id == self.from && ctx.round == self.round {
+            self.outbox.clone()
+        } else {
+            Vec::new()
+        }
+    }
+    fn is_done(&self, _ctx: &Ctx) -> bool {
+        false
+    }
+    fn output(&self, _ctx: &Ctx) {}
+}
+
+/// The pinned model-violation cases on `path(40)`: the script, whether
+/// it runs on the clique, and the exact error it must raise.
+fn violation_cases() -> Vec<(Script, bool, SimError)> {
+    let n = 40;
+    let small = Bits(id_bits(n) as u32);
+    let huge = Bits(pga_congest::default_bandwidth_bits(n) as u32 + 1);
+    let script = |from: u32, round: usize, outbox: &[(u32, &Bits)]| Script {
+        from: NodeId(from),
+        round,
+        outbox: (outbox.iter())
+            .map(|&(to, msg)| (NodeId(to), msg.clone()))
+            .collect(),
+    };
+    let mut fan_out: Vec<(u32, &Bits)> = (0..n as u32)
+        .filter(|&v| v != 25)
+        .map(|v| (v, &small))
+        .collect();
+    fan_out.push((0, &small));
+    vec![
+        // A duplicate that is not adjacent in the outbox.
+        (
+            script(17, 1, &[(16, &small), (18, &small), (16, &small)]),
+            false,
+            SimError::DuplicateMessage {
+                from: NodeId(17),
+                to: NodeId(16),
+                round: 1,
+            },
+        ),
+        // An illegal destination ahead of a duplicate wins.
+        (
+            script(3, 0, &[(2, &small), (30, &small), (2, &small)]),
+            false,
+            SimError::IllegalDestination {
+                from: NodeId(3),
+                to: NodeId(30),
+                round: 0,
+            },
+        ),
+        // A duplicate whose payload is also oversized: the duplicate wins.
+        (
+            script(38, 2, &[(39, &small), (39, &huge)]),
+            false,
+            SimError::DuplicateMessage {
+                from: NodeId(38),
+                to: NodeId(39),
+                round: 2,
+            },
+        ),
+        // An oversized first send is a bandwidth error, not a duplicate.
+        (
+            script(38, 2, &[(39, &huge), (39, &small)]),
+            false,
+            SimError::BandwidthExceeded {
+                from: NodeId(38),
+                to: NodeId(39),
+                size_bits: huge.0 as usize,
+                limit_bits: pga_congest::default_bandwidth_bits(n),
+                round: 2,
+            },
+        ),
+        // A clique fan-out to all n - 1 others, then the first again.
+        (
+            script(25, 1, &fan_out),
+            true,
+            SimError::DuplicateMessage {
+                from: NodeId(25),
+                to: NodeId(0),
+                round: 1,
+            },
+        ),
+    ]
+}
+
+#[test]
+fn model_violation_errors_are_pinned_on_every_engine() {
+    let g = generators::path(40);
+    for (script, clique, want) in violation_cases() {
+        let sim = if clique {
+            Simulator::congested_clique(&g)
+        } else {
+            Simulator::congest(&g)
+        };
+        let nodes = || vec![script.clone(); g.num_nodes()];
+        for codec in [false, true] {
+            let oracle = pga_runtime::reference::run(&sim.exec_model::<Script>(codec), nodes(), 10)
+                .unwrap_err();
+            assert_eq!(oracle, want, "reference, codec={codec}");
+            for engine in [
+                Engine::Sequential,
+                Engine::Parallel { threads: 2 },
+                Engine::Parallel { threads: 4 },
+            ] {
+                let cfg = RunConfig::new().engine(engine).codec(codec).max_rounds(10);
+                let err = sim.run_cfg(nodes(), &cfg).unwrap_err();
+                assert_eq!(err, want, "{cfg:?}");
+            }
+        }
+    }
 }
 
 #[test]

@@ -229,10 +229,9 @@ impl Algorithm for Phase1 {
                     if m == ctx.id.0 {
                         // Winner: neighbors in R join S; we leave C.
                         self.in_c = false;
-                        for &v in self.r_neighbors.clone().iter() {
+                        for v in std::mem::take(&mut self.r_neighbors) {
                             out.push((v, P1Msg::JoinS));
                         }
-                        self.r_neighbors.clear();
                     }
                 }
             }

@@ -179,9 +179,8 @@ impl Algorithm for DirectPhase1 {
                 // eligibility is up to date.)
                 self.candidate_now = self.eligible();
                 if self.candidate_now {
-                    for &v in &self.row {
-                        out.push((v, DirectP1Msg::Cand));
-                    }
+                    out = Vec::with_capacity(self.row.len());
+                    out.extend(self.row.iter().map(|&v| (v, DirectP1Msg::Cand)));
                 }
             }
             1 => {
@@ -191,10 +190,9 @@ impl Algorithm for DirectPhase1 {
                 if self.candidate_now && cand_max.is_none_or(|m| m < ctx.id.0) {
                     // Winner: neighbors in R join S; we leave C.
                     self.in_c = false;
-                    for &v in self.r_neighbors.clone().iter() {
+                    for v in std::mem::take(&mut self.r_neighbors) {
                         out.push((v, DirectP1Msg::JoinS));
                     }
-                    self.r_neighbors.clear();
                 }
             }
             2 => {

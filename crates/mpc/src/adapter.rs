@@ -24,7 +24,8 @@
 use crate::engine::{Machine, MachineId, MpcCtx, MpcError, MpcSimulator, WordSize};
 use crate::metrics::MpcMetrics;
 use pga_congest::{
-    check_message, id_bits, Algorithm, Ctx, Metrics, MsgCodec, NoopProbe, RunConfig, Topology,
+    check_message, id_bits, Algorithm, Ctx, Metrics, MsgCodec, NoopProbe, RunConfig, SendCheck,
+    Topology,
 };
 use pga_graph::{Graph, NodeId};
 use std::sync::Arc;
@@ -108,6 +109,8 @@ pub struct CongestShard<'g, A: Algorithm> {
     /// Whether cross-machine batches carry packed words (see
     /// [`RoutedBatch`]).
     packs: bool,
+    /// The duplicate-destination check, reused by every hosted vertex.
+    send: SendCheck,
 }
 
 impl<'g, A: Algorithm> CongestShard<'g, A> {
@@ -186,9 +189,12 @@ where
             let cctx = self.congest_ctx(k, ctx.round);
             let inbox = std::mem::take(node_inbox);
             let outbox = self.nodes[k].round(&cctx, &inbox);
-            let mut seen: Vec<NodeId> = Vec::with_capacity(outbox.len());
+            if !outbox.is_empty() {
+                self.send.begin();
+            }
             for (to, msg) in outbox {
-                let bits = check_message(&cctx, &mut seen, to, &msg).map_err(MpcError::Congest)?;
+                let bits =
+                    check_message(&cctx, &mut self.send, to, &msg).map_err(MpcError::Congest)?;
                 self.metrics.messages += 1;
                 self.metrics.bits += bits as u64;
                 self.metrics.max_message_bits = self.metrics.max_message_bits.max(bits);
@@ -476,6 +482,7 @@ impl<'g> CongestOnMpc<'g> {
                 metrics: Metrics::default(),
                 adjacency_words: (lo..hi).map(|v| self.g.degree(NodeId::from_index(v))).sum(),
                 packs: cfg.codec,
+                send: SendCheck::default(),
             });
         }
         machines.reverse();
@@ -750,6 +757,7 @@ mod tests {
             metrics: Metrics::default(),
             adjacency_words: (lo..hi).map(|v| g.degree(NodeId::from_index(v))).sum(),
             packs: false,
+            send: SendCheck::default(),
         }
     }
 

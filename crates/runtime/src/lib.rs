@@ -577,8 +577,8 @@ pub trait ExecModel: Sync {
     /// Whole-run metrics type (`Metrics` / `MpcMetrics`).
     type Metrics: Default;
     /// Per-actor validation scratch, reused across actors within a
-    /// shard (CONGEST's duplicate-destination list, MPC's running send
-    /// volume). `step` must reset it before use.
+    /// shard (CONGEST's generation-stamped destination table, MPC's
+    /// running send volume). `step` must reset it before use.
     type SendScratch: Default + Send;
     /// The fixed-width packed wire word the sharded exchange moves when
     /// [`ExecModel::packs`] is enabled (see the crate docs on packed
