@@ -255,7 +255,7 @@ fn traced_dead_links(rerun: impl FnOnce()) -> u64 {
     let text = std::fs::read_to_string(&path).unwrap_or_default();
     let _ = std::fs::remove_file(&path);
     parse_trace(&text)
-        .map(|runs| runs.iter().map(|r| r.arq_totals().2).sum())
+        .map(|runs| runs.iter().map(|r| r.fault_total().dead_links).sum())
         .unwrap_or(0)
 }
 

@@ -102,8 +102,7 @@ pub use pga_runtime::{
 /// to [`Simulator::run_cfg_probed`] without depending on `pga-runtime`
 /// directly.
 pub use pga_runtime::{
-    JsonlProbe, NoopProbe, Probe, ProbeMode, RecordingProbe, RoundObs, RoundTelemetry,
-    RunTelemetry, ShardTelemetry, SizeHist,
+    JsonlProbe, NoopProbe, Probe, ProbeMode, RecordingProbe, RoundObs, SizeHist,
 };
 pub use sim::{
     check_message, default_bandwidth_bits, id_bits, Algorithm, Ctx, MsgSize, Report, SendCheck,

@@ -5,8 +5,13 @@
 //! specs — plus consistency checks between what the `RecordingProbe`
 //! captures and what the `Metrics` report.
 
-use pga_congest::primitives::FloodMax;
-use pga_congest::{FaultSpec, NoopProbe, RecordingProbe, RunConfig, Simulator};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+use pga_congest::primitives::{FloodMax, MaxId};
+use pga_congest::{
+    Algorithm, Ctx, FaultSpec, NoopProbe, RecordingProbe, ReliabilitySpec, RunConfig, Simulator,
+};
 use pga_graph::{generators, Graph, NodeId};
 use proptest::prelude::*;
 
@@ -58,7 +63,7 @@ proptest! {
             for codec in [false, true] {
                 let cfg = RunConfig::new().parallel(threads).codec(codec);
                 let plain = sim.run_cfg_probed(flood(n), &cfg, &NoopProbe).unwrap();
-                let probe = RecordingProbe::new();
+                let probe = RecordingProbe::new("congest");
                 let observed = sim.run_cfg_probed(flood(n), &cfg, &probe).unwrap();
                 prop_assert_eq!(&observed.outputs, &plain.outputs,
                     "outputs, threads {} codec {}", threads, codec);
@@ -67,8 +72,10 @@ proptest! {
 
                 // And the recorded telemetry agrees with the metrics it
                 // observed (clean runs deliver everything they charge).
-                let t = probe.into_telemetry();
-                prop_assert!(t.completed);
+                let runs = probe.into_runs();
+                prop_assert_eq!(runs.len(), 1);
+                let t = &runs[0];
+                prop_assert_eq!(t.end.map(|(r, _)| r as usize), Some(observed.metrics.rounds));
                 prop_assert_eq!(t.rounds.len(), observed.metrics.rounds);
                 let msgs: u64 = t.rounds.iter().map(|r| r.messages).sum();
                 prop_assert_eq!(msgs, observed.metrics.messages);
@@ -94,7 +101,7 @@ proptest! {
                     .max_rounds(300)
                     .adversary(hostile(seed));
                 let plain = sim.run_cfg_probed(flood(n), &cfg, &NoopProbe);
-                let probe = RecordingProbe::new();
+                let probe = RecordingProbe::new("congest");
                 let observed = sim.run_cfg_probed(flood(n), &cfg, &probe);
                 match (&plain, &observed) {
                     (Ok(a), Ok(b)) => {
@@ -103,15 +110,15 @@ proptest! {
                         prop_assert_eq!(&a.metrics, &b.metrics,
                             "metrics, threads {} codec {}", threads, codec);
                         // The probe's fault tally is the metrics' tally.
-                        let t = probe.into_telemetry();
-                        prop_assert!(t.completed);
-                        prop_assert_eq!(&t.fault, &b.metrics.fault,
+                        let runs = probe.into_runs();
+                        prop_assert!(runs.len() == 1 && runs[0].end.is_some());
+                        prop_assert_eq!(runs[0].fault_total(), b.metrics.fault,
                             "fault tally, threads {} codec {}", threads, codec);
                     }
                     (Err(a), Err(b)) => {
                         prop_assert_eq!(a, b, "threads {} codec {}", threads, codec);
                         // Aborted runs never see `on_run_end`.
-                        prop_assert!(!probe.into_telemetry().completed);
+                        prop_assert!(probe.into_runs().iter().all(|r| r.end.is_none()));
                     }
                     _ => prop_assert!(false,
                         "Ok/Err divergence at threads {} codec {}", threads, codec),
@@ -130,10 +137,70 @@ proptest! {
         let plain = sim.run_cfg_probed(flood(n), &cfg, &NoopProbe).unwrap_err();
         for threads in [1usize, 4] {
             let cfg = RunConfig::new().parallel(threads).max_rounds(1);
-            let probe = RecordingProbe::new();
+            let probe = RecordingProbe::new("congest");
             let observed = sim.run_cfg_probed(flood(n), &cfg, &probe).unwrap_err();
             prop_assert_eq!(&observed, &plain, "threads {}", threads);
-            prop_assert!(!probe.into_telemetry().completed);
+            prop_assert!(probe.into_runs().iter().all(|r| r.end.is_none()));
         }
+    }
+}
+
+/// FloodMax that counts its `round` callbacks.
+struct Counted {
+    inner: FloodMax,
+    calls: Arc<AtomicUsize>,
+}
+
+impl Algorithm for Counted {
+    type Msg = MaxId;
+    type Output = NodeId;
+
+    fn round(&mut self, ctx: &Ctx, inbox: &[(NodeId, MaxId)]) -> Vec<(NodeId, MaxId)> {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.inner.round(ctx, inbox)
+    }
+
+    fn is_done(&self, ctx: &Ctx) -> bool {
+        self.inner.is_done(ctx)
+    }
+
+    fn can_skip(&self, ctx: &Ctx) -> bool {
+        self.inner.can_skip(ctx)
+    }
+
+    fn output(&self, ctx: &Ctx) -> NodeId {
+        self.inner.output(ctx)
+    }
+}
+
+/// `active` counts the actors whose `round` callback ran. On the ARQ
+/// plane a tick whose barrier is closed steps no actor, so over a lossy
+/// run the recorded counts must add up to the callbacks made.
+#[test]
+fn arq_active_counts_round_callbacks() {
+    let g = generators::barabasi_albert(60, 3, 17);
+    let sim = Simulator::congest(&g);
+    for threads in [1, 4] {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let nodes = (0..g.num_nodes())
+            .map(|i| Counted {
+                inner: FloodMax::new(NodeId::from_index(i)),
+                calls: Arc::clone(&calls),
+            })
+            .collect();
+        let cfg = RunConfig::new()
+            .parallel(threads)
+            .adversary(FaultSpec::seeded(9).drop(0.1))
+            .reliability(ReliabilitySpec::arq());
+        let probe = RecordingProbe::new("congest");
+        sim.run_cfg_probed(nodes, &cfg, &probe).unwrap();
+        let run = &probe.into_runs()[0];
+        assert!(run.fault_total().retransmitted > 0, "threads {threads}");
+        let active: u64 = run.rounds.iter().map(|r| r.active).sum();
+        assert_eq!(
+            active,
+            calls.load(Ordering::Relaxed) as u64,
+            "threads {threads}"
+        );
     }
 }

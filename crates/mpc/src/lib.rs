@@ -79,8 +79,7 @@ pub use pga_congest::{Engine, MsgCodec, MsgCost, RunConfig, Scheduling};
 /// so benches and tests can attach probes to
 /// [`MpcSimulator::run_cfg_probed`] without another dependency edge.
 pub use pga_congest::{
-    JsonlProbe, NoopProbe, Probe, ProbeMode, RecordingProbe, RoundObs, RoundTelemetry,
-    RunTelemetry, ShardTelemetry, SizeHist,
+    JsonlProbe, NoopProbe, Probe, ProbeMode, RecordingProbe, RoundObs, SizeHist,
 };
 pub use ruling_set::{
     g2_ruling_set_mpc, g2_ruling_set_mpc_auto, g2_ruling_set_mpc_cfg, lex_first_g2_mis,

@@ -97,14 +97,16 @@ proptest! {
         for threads in [1usize, 2, 4, 8] {
             let cfg = RunConfig::new().parallel(threads);
             let plain = sim.run_cfg_probed(gossip(m), &cfg, &NoopProbe).unwrap();
-            let probe = RecordingProbe::new();
+            let probe = RecordingProbe::new("mpc");
             let observed = sim.run_cfg_probed(gossip(m), &cfg, &probe).unwrap();
             prop_assert_eq!(&observed.outputs, &plain.outputs, "outputs, threads {}", threads);
             prop_assert_eq!(&observed.metrics, &plain.metrics, "metrics, threads {}", threads);
 
-            let t = probe.into_telemetry();
-            prop_assert!(t.completed);
-            prop_assert_eq!(t.actors, m);
+            let runs = probe.into_runs();
+            prop_assert_eq!(runs.len(), 1);
+            let t = &runs[0];
+            prop_assert_eq!(t.end.map(|(r, _)| r as usize), Some(observed.metrics.rounds));
+            prop_assert_eq!(t.actors, m as u64);
             prop_assert_eq!(t.rounds.len(), observed.metrics.rounds);
             let msgs: u64 = t.rounds.iter().map(|r| r.messages).sum();
             prop_assert_eq!(msgs, observed.metrics.messages);
@@ -124,19 +126,20 @@ proptest! {
                 .max_rounds(300)
                 .adversary(hostile(seed));
             let plain = sim.run_cfg_probed(gossip(m), &cfg, &NoopProbe);
-            let probe = RecordingProbe::new();
+            let probe = RecordingProbe::new("mpc");
             let observed = sim.run_cfg_probed(gossip(m), &cfg, &probe);
             match (&plain, &observed) {
                 (Ok(a), Ok(b)) => {
                     prop_assert_eq!(&a.outputs, &b.outputs, "outputs, threads {}", threads);
                     prop_assert_eq!(&a.metrics, &b.metrics, "metrics, threads {}", threads);
-                    let t = probe.into_telemetry();
-                    prop_assert!(t.completed);
-                    prop_assert_eq!(&t.fault, &b.metrics.fault, "fault tally, threads {}", threads);
+                    let runs = probe.into_runs();
+                    prop_assert!(runs.len() == 1 && runs[0].end.is_some());
+                    prop_assert_eq!(runs[0].fault_total(), b.metrics.fault,
+                        "fault tally, threads {}", threads);
                 }
                 (Err(a), Err(b)) => {
                     prop_assert_eq!(a, b, "threads {}", threads);
-                    prop_assert!(!probe.into_telemetry().completed);
+                    prop_assert!(probe.into_runs().iter().all(|r| r.end.is_none()));
                 }
                 _ => prop_assert!(false, "Ok/Err divergence at threads {}", threads),
             }
@@ -152,10 +155,10 @@ proptest! {
         let plain = sim.run_cfg_probed(gossip(m), &cfg, &NoopProbe).unwrap_err();
         for threads in [1usize, 4] {
             let cfg = RunConfig::new().parallel(threads).max_rounds(1);
-            let probe = RecordingProbe::new();
+            let probe = RecordingProbe::new("mpc");
             let observed = sim.run_cfg_probed(gossip(m), &cfg, &probe).unwrap_err();
             prop_assert_eq!(&observed, &plain, "threads {}", threads);
-            prop_assert!(!probe.into_telemetry().completed);
+            prop_assert!(probe.into_runs().iter().all(|r| r.end.is_none()));
         }
     }
 }

@@ -82,21 +82,17 @@ where
         }
         Engine::Parallel { threads } => threads,
     };
-    let mut costs = Vec::new();
     let mut split = Vec::new();
     if threads > 1 && n >= 2 * threads {
-        costs = (nodes.iter().enumerate())
+        let costs: Vec<u64> = (nodes.iter().enumerate())
             .map(|(i, node)| model.actor_cost(node, i))
             .collect();
         split = balanced_partition(&costs, threads);
-        if split.len() <= 2 {
-            (costs, split) = (Vec::new(), Vec::new());
-        }
     }
     // One shard needs no heap partition: the one-shard store's run
     // allocates exactly what its per-actor inboxes need.
     let one = [0, n];
-    let bounds: &[usize] = if split.is_empty() { &one } else { &split };
+    let bounds: &[usize] = if split.len() > 2 { &split } else { &one };
     // The ARQ plane subsumes the adversary: with no fault armed it runs
     // over a never-interfering one.
     let seeded = (cfg.fault.or(cfg.reliability.map(|_| FaultSpec::none())))
@@ -107,7 +103,6 @@ where
         cfg,
         adversary,
         bounds,
-        costs: &costs,
     };
     if model.packs() && bounds.len() > 2 {
         run.plane(&PackedModel(model), nodes, probe)
@@ -121,7 +116,6 @@ struct Setup<'a> {
     cfg: &'a RunConfig,
     adversary: Option<&'a dyn Adversary>,
     bounds: &'a [usize],
-    costs: &'a [u64],
 }
 
 impl Setup<'_> {
@@ -993,7 +987,7 @@ impl Setup<'_> {
         model.pre_run(&nodes, &mut metrics)?;
         let run_start = P::ENABLED.then(std::time::Instant::now);
         if P::ENABLED {
-            probe.on_run_start(n, self.bounds, self.costs);
+            probe.on_run_start(n, self.bounds);
         }
 
         let mut recv = vec![0usize; if M::TRACK_RECV { n } else { 0 }];
@@ -1034,7 +1028,9 @@ impl Setup<'_> {
             if P::ENABLED {
                 probe.on_round_start(tick);
             }
-            let mut acc = if open && !(D::HOLDS && quiescent) {
+            // A closed barrier, or a held quiescent tick, steps no actor.
+            let stepped = open && !(D::HOLDS && quiescent);
+            let mut acc = if stepped {
                 let acc = store.step(
                     model,
                     &mut nodes,
@@ -1089,7 +1085,11 @@ impl Setup<'_> {
                     messages: acc.messages,
                     volume: acc.volume,
                     peak_link: acc.peak_link,
-                    active: active.iter().filter(|&&a| a).count(),
+                    active: if stepped {
+                        active.iter().filter(|&&a| a).count()
+                    } else {
+                        0
+                    },
                     sizes: acc.sizes.as_deref(),
                 });
             }

@@ -149,16 +149,14 @@ pub mod json;
 mod kernel;
 pub mod probe;
 pub mod reference;
+pub mod trace;
 
 pub use arq::ReliabilitySpec;
 pub use fault::{
     Adversary, Fate, FaultEvent, FaultSpec, FaultStats, FaultTrace, SeededAdversary, TraceAdversary,
 };
 pub use kernel::{execute, execute_under, DEFAULT_MAX_ROUNDS};
-pub use probe::{
-    JsonlProbe, NoopProbe, Probe, ProbeMode, RecordingProbe, RoundObs, RoundTelemetry,
-    RunTelemetry, ShardTelemetry, SizeHist,
-};
+pub use probe::{JsonlProbe, NoopProbe, Probe, ProbeMode, RecordingProbe, RoundObs, SizeHist};
 
 use pga_graph::NodeId;
 

@@ -23,21 +23,23 @@
 //!   mutability ([`RecordingProbe`] and [`JsonlProbe`] use `RefCell`).
 //!
 //! Three implementations ship with the kernel: [`NoopProbe`] (the
-//! default), [`RecordingProbe`] (in-memory [`RunTelemetry`] for tests
-//! and programmatic analysis), and [`JsonlProbe`] (streams one JSON
-//! object per event to a writer, each built as a [`Json`] value and
-//! written by the workspace's one JSON writer in [`crate::json`];
-//! activated per run via the `PGA_TRACE` environment variable when
-//! [`RunConfig::probe`](crate::RunConfig) is [`ProbeMode::Env`]). The
-//! `trace_view` binary of `pga-bench` reads the JSONL stream back with
-//! the same module for top-k/histogram/imbalance summaries and
-//! chrome://tracing export.
+//! default), [`RecordingProbe`] and [`JsonlProbe`]. The last two fill
+//! one record, [`TraceRun`] of [`crate::trace`], through one per-round
+//! accumulator: [`RecordingProbe`] keeps the runs in memory for tests
+//! and programmatic analysis, and [`JsonlProbe`] writes each record as
+//! a JSON line (activated per run via the `PGA_TRACE` environment
+//! variable when [`RunConfig::probe`](crate::RunConfig) is
+//! [`ProbeMode::Env`]). [`parse_trace`](crate::trace::parse_trace) reads
+//! those lines back into the same runs; the `trace_view` binary of
+//! `pga-bench` renders them as top-k/histogram/imbalance summaries and
+//! a chrome://tracing export.
 
-use std::cell::RefCell;
+use std::cell::{RefCell, RefMut};
 use std::io::Write;
 
 use crate::fault::FaultStats;
 use crate::json::Json;
+use crate::trace::{self, TraceRound, TraceRun, TraceShard};
 
 /// Selects how the `run_cfg` entry points attach a trace sink.
 ///
@@ -105,10 +107,8 @@ pub trait Probe {
     const ENABLED: bool = true;
 
     /// The run begins: `actors` actor states, partitioned at the
-    /// boundary offsets `bounds` (`[0, n]` for single-shard runs), with
-    /// per-actor costs `costs` (empty when the kernel never computed
-    /// them — single-shard runs).
-    fn on_run_start(&self, _actors: usize, _bounds: &[usize], _costs: &[u64]) {}
+    /// boundary offsets `bounds` (`[0, n]` for single-shard runs).
+    fn on_run_start(&self, _actors: usize, _bounds: &[usize]) {}
 
     /// A round is about to step its actors.
     fn on_round_start(&self, _round: usize) {}
@@ -144,8 +144,8 @@ impl Probe for NoopProbe {
 
 /// A log-bucketed power-of-two histogram: bucket `k` counts values in
 /// `[2^k, 2^(k+1))` (bucket 0 additionally holds 0). Used for message
-/// sizes and per-round link load, where the spread is exponential and
-/// exact values matter less than the distribution's shape.
+/// sizes, where the spread is exponential and exact values matter less
+/// than the distribution's shape.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SizeHist {
     /// `buckets[k]` counts observed values `v` with `floor(log2 v) == k`
@@ -233,245 +233,128 @@ impl SizeHist {
     }
 }
 
-/// One shard's record within a round, as captured by
-/// [`Probe::on_shard`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ShardTelemetry {
-    /// Shard index.
-    pub shard: usize,
-    /// Wall time of the shard's step phase on its worker thread, in
-    /// nanoseconds.
-    pub wall_ns: u64,
-    /// Messages the shard's actors sent (charged copies).
-    pub messages: u64,
-    /// Charged volume the shard's actors sent.
-    pub volume: u64,
-}
-
-/// One round's record inside [`RunTelemetry`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct RoundTelemetry {
-    /// 0-based round index.
-    pub round: usize,
-    /// Wall time of the whole round on the driving thread, in
-    /// nanoseconds.
-    pub wall_ns: u64,
-    /// Messages charged this round.
-    pub messages: u64,
-    /// Charged volume this round.
-    pub volume: u64,
-    /// Largest single-message charge this round.
-    pub peak_link: usize,
-    /// Actors stepped this round.
-    pub active: usize,
-    /// Wall time of the exchange phase, in nanoseconds (0 when the
-    /// round had no exchange work).
-    pub exchange_ns: u64,
-    /// Per-shard records, ascending shard index (empty on single-shard
-    /// rounds).
-    pub shards: Vec<ShardTelemetry>,
-    /// In-network queue depth after the exchange (adversary delay queue
-    /// or ARQ wire; 0 on the clean plane).
-    pub delay_depth: usize,
-    /// This round's fault-stat delta (all zeros on the clean plane).
-    pub fault: FaultStats,
-}
-
-impl RoundTelemetry {
-    /// The round's shard imbalance: `max/mean - 1` over the per-shard
-    /// wall times (falling back to message counts when the wall times
-    /// are all zero), or 0.0 with fewer than two shard records.
-    pub fn shard_imbalance(&self) -> f64 {
-        if self.shards.len() < 2 {
-            return 0.0;
-        }
-        let walls: Vec<u64> = self.shards.iter().map(|s| s.wall_ns).collect();
-        let vals = if walls.iter().any(|&w| w > 0) {
-            walls
-        } else {
-            self.shards.iter().map(|s| s.messages).collect()
-        };
-        let max = *vals.iter().max().unwrap() as f64;
-        let mean = vals.iter().sum::<u64>() as f64 / vals.len() as f64;
-        if mean == 0.0 {
-            0.0
-        } else {
-            max / mean - 1.0
-        }
-    }
-}
-
-/// The in-memory record a [`RecordingProbe`] accumulates.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct RunTelemetry {
-    /// Number of actors in the run.
-    pub actors: usize,
-    /// Shard boundary offsets (`[0, n]` for single-shard runs).
-    pub bounds: Vec<usize>,
-    /// Per-actor costs the partition was balanced on (empty for
-    /// single-shard runs).
-    pub costs: Vec<u64>,
-    /// Per-round records, in execution order.
-    pub rounds: Vec<RoundTelemetry>,
-    /// Whole-run wall time in nanoseconds (set by `on_run_end`; 0 when
-    /// the run aborted with an error).
-    pub wall_ns: u64,
-    /// Whether `on_run_end` fired (i.e. the run completed).
-    pub completed: bool,
-    /// Whole-run histogram of charged message sizes.
-    pub sizes: SizeHist,
-    /// Histogram of the per-round peak link charges (the congestion
-    /// distribution over rounds).
-    pub link_load: SizeHist,
-    /// Whole-run fault tally (sum of the per-round deltas).
-    pub fault: FaultStats,
-}
-
-impl RunTelemetry {
-    /// The static partition imbalance: `max/mean - 1` over the total
-    /// per-shard costs of the recorded partition, or 0.0 without a
-    /// multi-shard cost-annotated partition.
-    pub fn partition_imbalance(&self) -> f64 {
-        if self.bounds.len() < 3 || self.costs.is_empty() {
-            return 0.0;
-        }
-        let totals: Vec<u64> = self
-            .bounds
-            .windows(2)
-            .map(|w| self.costs[w[0]..w[1]].iter().sum())
-            .collect();
-        let max = *totals.iter().max().unwrap() as f64;
-        let mean = totals.iter().sum::<u64>() as f64 / totals.len() as f64;
-        if mean == 0.0 {
-            0.0
-        } else {
-            max / mean - 1.0
-        }
-    }
-}
-
-/// Per-round scratch a probe accumulates between `on_round_start` and
-/// `on_round_end`.
+/// The round record under construction between `on_round_start` and
+/// `on_round_end`: both recording probes fill it from the same
+/// callbacks, so they build the same [`TraceRound`].
 #[derive(Debug, Default)]
-struct PendingRound {
-    shards: Vec<ShardTelemetry>,
-    exchange_ns: u64,
-    fault: FaultStats,
-    delay_depth: usize,
+struct PendingRound(TraceRound);
+
+impl PendingRound {
+    fn shard(&mut self, shard: usize, wall_ns: u64, messages: u64, volume: u64) {
+        let shard = TraceShard {
+            shard,
+            wall_ns,
+            messages,
+            volume,
+        };
+        self.0.shards.push(shard);
+    }
+
+    fn exchange(&mut self, wall_ns: u64) {
+        self.0.exchange_ns = wall_ns;
+    }
+
+    fn fault(&mut self, delta: &FaultStats, delay_depth: usize) {
+        self.0.fault = *delta;
+        self.0.delay_depth = delay_depth as u64;
+    }
+
+    /// Completes the record with the kernel's round summary.
+    fn finish(&mut self, obs: &RoundObs<'_>) -> TraceRound {
+        let sizes = obs.sizes.map_or(&[0; 64], |h| &h.buckets);
+        TraceRound {
+            round: obs.round,
+            wall_ns: obs.wall_ns,
+            messages: obs.messages,
+            volume: obs.volume,
+            peak_link: obs.peak_link as u64,
+            active: obs.active as u64,
+            sizes: (0..).zip(*sizes).filter(|&(_, c)| c > 0).collect(),
+            ..std::mem::take(&mut self.0)
+        }
+    }
+
+    /// The fault delta that arrived after the last round: crashes
+    /// activated by the final quiescence check.
+    fn residual(&mut self) -> FaultStats {
+        std::mem::take(&mut self.0).fault
+    }
 }
 
-/// An in-memory trace sink: accumulates a [`RunTelemetry`] for
-/// programmatic inspection (tests, the overhead gate, notebooks).
+/// An in-memory trace sink: one [`TraceRun`] per run, the same records
+/// [`JsonlProbe`] writes and [`parse_trace`](crate::trace::parse_trace)
+/// reads back. For tests, the overhead gate and programmatic analysis.
 ///
 /// Interior mutability is a plain `RefCell` — safe because every
 /// callback fires on the driving thread (see [`Probe`]).
 #[derive(Debug, Default)]
 pub struct RecordingProbe {
-    state: RefCell<(RunTelemetry, PendingRound)>,
+    label: String,
+    state: RefCell<(Vec<TraceRun>, PendingRound)>,
 }
 
 impl RecordingProbe {
-    /// An empty recording sink.
-    pub fn new() -> Self {
-        Self::default()
+    /// An empty recording sink labelling its runs `label`
+    /// (conventionally the model family: `"congest"`, `"mpc"`).
+    pub fn new(label: &str) -> Self {
+        RecordingProbe {
+            label: label.to_string(),
+            ..Self::default()
+        }
     }
 
-    /// Consumes the probe and returns everything it recorded.
-    pub fn into_telemetry(self) -> RunTelemetry {
+    /// Consumes the probe and returns its runs, in order. A run that
+    /// aborted with a model error has `end: None`.
+    pub fn into_runs(self) -> Vec<TraceRun> {
         self.state.into_inner().0
+    }
+
+    fn run(&self) -> RefMut<'_, TraceRun> {
+        RefMut::map(self.state.borrow_mut(), |(runs, _)| {
+            runs.last_mut()
+                .expect("on_run_start precedes every run event")
+        })
     }
 }
 
 impl Probe for RecordingProbe {
-    fn on_run_start(&self, actors: usize, bounds: &[usize], costs: &[u64]) {
-        let mut s = self.state.borrow_mut();
-        s.0.actors = actors;
-        s.0.bounds = bounds.to_vec();
-        s.0.costs = costs.to_vec();
+    fn on_run_start(&self, actors: usize, bounds: &[usize]) {
+        let run = TraceRun::start(&self.label, actors, bounds);
+        self.state.borrow_mut().0.push(run);
     }
 
     fn on_shard(&self, _round: usize, shard: usize, wall_ns: u64, msgs: u64, volume: u64) {
-        self.state.borrow_mut().1.shards.push(ShardTelemetry {
-            shard,
-            wall_ns,
-            messages: msgs,
-            volume,
-        });
+        self.state
+            .borrow_mut()
+            .1
+            .shard(shard, wall_ns, msgs, volume);
     }
 
     fn on_exchange(&self, _round: usize, wall_ns: u64) {
-        self.state.borrow_mut().1.exchange_ns = wall_ns;
+        self.state.borrow_mut().1.exchange(wall_ns);
     }
 
     fn on_fault_event(&self, _round: usize, delta: &FaultStats, delay_depth: usize) {
-        let mut s = self.state.borrow_mut();
-        s.1.fault = *delta;
-        s.1.delay_depth = delay_depth;
+        self.state.borrow_mut().1.fault(delta, delay_depth);
     }
 
     fn on_round_end(&self, obs: &RoundObs<'_>) {
-        let mut s = self.state.borrow_mut();
-        let pending = std::mem::take(&mut s.1);
-        if let Some(h) = obs.sizes {
-            s.0.sizes.merge(h);
-        }
-        s.0.link_load.record(obs.peak_link as u64, 1);
-        s.0.fault.absorb(&pending.fault);
-        s.0.rounds.push(RoundTelemetry {
-            round: obs.round,
-            wall_ns: obs.wall_ns,
-            messages: obs.messages,
-            volume: obs.volume,
-            peak_link: obs.peak_link,
-            active: obs.active,
-            exchange_ns: pending.exchange_ns,
-            shards: pending.shards,
-            delay_depth: pending.delay_depth,
-            fault: pending.fault,
-        });
+        let round = self.state.borrow_mut().1.finish(obs);
+        self.run().rounds.push(round);
     }
 
-    fn on_run_end(&self, _rounds: usize, wall_ns: u64) {
-        let mut s = self.state.borrow_mut();
-        // A trailing fault event (crashes activated by the final
-        // quiescence check, after the last round ran) parks in the
-        // pending scratch; fold it in so the run tally matches the
-        // metrics' whole-run `FaultStats`.
-        let residual = std::mem::take(&mut s.1).fault;
-        s.0.fault.absorb(&residual);
-        s.0.wall_ns = wall_ns;
-        s.0.completed = true;
+    fn on_run_end(&self, rounds: usize, wall_ns: u64) {
+        let residual = self.state.borrow_mut().1.residual();
+        let mut run = self.run();
+        run.end = Some((rounds as u64, wall_ns));
+        run.end_fault = residual;
     }
 }
 
-/// Streams one JSON object per event to a writer, newline-delimited
-/// (JSONL): each event is a [`Json`] value written with
-/// [`Json::to_compact`]. The schema (also documented in the README and
-/// validated by `trace_view --validate`):
+/// Streams the trace records to a writer as JSONL, one compact
+/// [`Json`] line per event, in the schema of [`crate::trace`] (also
+/// documented in the README and validated by `trace_view --validate`).
 ///
-/// ```json
-/// {"event":"run_start","label":"congest","actors":64,"shards":4,"bounds":[0,16,32,48,64]}
-/// {"event":"round","round":0,"wall_ns":8120,"messages":12,"volume":384,
-///  "peak_link":32,"active":64,"exchange_ns":950,"delay_depth":0,
-///  "shards":[{"shard":0,"wall_ns":2100,"messages":3,"volume":96}],
-///  "sizes":[[5,12]],
-///  "fault":{"dropped":1,"duplicated":0,"delayed":0,"crashed":0}}
-/// {"event":"run_end","rounds":11,"wall_ns":913000}
-/// ```
-///
-/// `shards`, `sizes`, and `fault` are omitted when empty/all-zero. A
-/// `run_end` record may also carry a `fault` object: the residual delta
-/// of crashes activated by the final quiescence check (after the last
-/// round ran). Under the ARQ plane the `fault` object also
-/// carries `"retransmitted"`, `"acks"`, and `"dead_links"` counters
-/// (omitted as a trio when all zero, so raw-path traces are unchanged):
-///
-/// ```json
-/// {"event":"round","round":3,"wall_ns":9001,"messages":18,"volume":600,
-///  "peak_link":40,"active":64,"exchange_ns":800,"delay_depth":0,
-///  "fault":{"dropped":2,"duplicated":0,"delayed":0,"crashed":0,
-///           "retransmitted":2,"acks":14,"dead_links":0}}
-/// ```
 /// Write errors are swallowed (a trace sink must never abort a run);
 /// the writer is flushed at `on_run_end`.
 #[derive(Debug)]
@@ -522,113 +405,41 @@ impl<W: Write> JsonlProbe<W> {
         out
     }
 
-    fn emit(&self, event: &Json) {
-        let mut s = self.state.borrow_mut();
-        let _ = writeln!(s.0, "{}", event.to_compact());
+    fn emit(&self, line: &Json) {
+        let _ = writeln!(self.state.borrow_mut().0, "{}", line.to_compact());
     }
 }
 
 impl<W: Write> Probe for JsonlProbe<W> {
-    fn on_run_start(&self, actors: usize, bounds: &[usize], _costs: &[u64]) {
-        self.emit(&Json::obj([
-            ("event", "run_start".into()),
-            ("label", self.label.as_str().into()),
-            ("actors", actors.into()),
-            ("shards", bounds.len().saturating_sub(1).into()),
-            ("bounds", bounds.iter().map(|&b| b.into()).collect()),
-        ]));
+    fn on_run_start(&self, actors: usize, bounds: &[usize]) {
+        self.emit(&TraceRun::start(&self.label, actors, bounds).start_json());
     }
 
     fn on_shard(&self, _round: usize, shard: usize, wall_ns: u64, msgs: u64, volume: u64) {
-        self.state.borrow_mut().1.shards.push(ShardTelemetry {
-            shard,
-            wall_ns,
-            messages: msgs,
-            volume,
-        });
+        self.state
+            .borrow_mut()
+            .1
+            .shard(shard, wall_ns, msgs, volume);
     }
 
     fn on_exchange(&self, _round: usize, wall_ns: u64) {
-        self.state.borrow_mut().1.exchange_ns = wall_ns;
+        self.state.borrow_mut().1.exchange(wall_ns);
     }
 
     fn on_fault_event(&self, _round: usize, delta: &FaultStats, delay_depth: usize) {
-        let mut s = self.state.borrow_mut();
-        s.1.fault = *delta;
-        s.1.delay_depth = delay_depth;
+        self.state.borrow_mut().1.fault(delta, delay_depth);
     }
 
     fn on_round_end(&self, obs: &RoundObs<'_>) {
-        let pending = std::mem::take(&mut self.state.borrow_mut().1);
-        let mut event = vec![
-            ("event", "round".into()),
-            ("round", obs.round.into()),
-            ("wall_ns", obs.wall_ns.into()),
-            ("messages", obs.messages.into()),
-            ("volume", obs.volume.into()),
-            ("peak_link", obs.peak_link.into()),
-            ("active", obs.active.into()),
-            ("exchange_ns", pending.exchange_ns.into()),
-            ("delay_depth", pending.delay_depth.into()),
-        ];
-        if !pending.shards.is_empty() {
-            let shards = pending.shards.iter().map(|sh| {
-                Json::obj([
-                    ("shard", sh.shard.into()),
-                    ("wall_ns", sh.wall_ns.into()),
-                    ("messages", sh.messages.into()),
-                    ("volume", sh.volume.into()),
-                ])
-            });
-            event.push(("shards", shards.collect()));
-        }
-        if let Some(h) = obs.sizes.filter(|h| !h.is_empty()) {
-            let pairs = (0..).zip(h.buckets).filter(|&(_, c)| c > 0);
-            let pairs = pairs.map(|(k, c): (usize, u64)| Json::Arr(vec![k.into(), c.into()]));
-            event.push(("sizes", pairs.collect()));
-        }
-        event.extend(fault_json(&pending.fault).map(|f| ("fault", f)));
-        self.emit(&Json::obj(event));
+        let round = self.state.borrow_mut().1.finish(obs);
+        self.emit(&round.to_json());
     }
 
     fn on_run_end(&self, rounds: usize, wall_ns: u64) {
-        // Crashes activated by the final quiescence check arrive as a
-        // trailing fault event with no round to attach to; surface them
-        // on the run_end record (optional field, all-zero omitted).
-        let residual = std::mem::take(&mut self.state.borrow_mut().1).fault;
-        let mut event = vec![
-            ("event", "run_end".into()),
-            ("rounds", rounds.into()),
-            ("wall_ns", wall_ns.into()),
-        ];
-        event.extend(fault_json(&residual).map(|f| ("fault", f)));
-        self.emit(&Json::obj(event));
+        let residual = self.state.borrow_mut().1.residual();
+        self.emit(&trace::end_json(rounds as u64, wall_ns, &residual));
         let _ = self.state.borrow_mut().0.flush();
     }
-}
-
-/// Renders a fault-stat delta as its trace-record JSON object, or
-/// `None` when every counter is zero (field omitted). The base quartet
-/// is always present when the object is; the ARQ trio
-/// (`retransmitted`/`acks`/`dead_links`) is appended only when the
-/// ARQ plane produced any, so raw-path traces keep the
-/// pre-reliability shape byte for byte.
-fn fault_json(f: &FaultStats) -> Option<Json> {
-    let mut members = vec![
-        ("dropped", f.dropped),
-        ("duplicated", f.duplicated),
-        ("delayed", f.delayed),
-        ("crashed", f.crashed),
-    ];
-    if f.retransmitted + f.acks + f.dead_links > 0 {
-        members.extend([
-            ("retransmitted", f.retransmitted),
-            ("acks", f.acks),
-            ("dead_links", f.dead_links),
-        ]);
-    }
-    let any = members.iter().any(|&(_, n)| n > 0);
-    any.then(|| Json::obj(members.into_iter().map(|(k, n)| (k, n.into()))))
 }
 
 #[cfg(test)]
@@ -666,82 +477,10 @@ mod tests {
         assert_eq!(h.count(), 110);
     }
 
-    #[test]
-    fn recording_probe_orders_rounds_and_shards() {
-        let probe = RecordingProbe::new();
-        probe.on_run_start(8, &[0, 4, 8], &[1, 1, 1, 1, 1, 1, 1, 1]);
-        probe.on_round_start(0);
-        probe.on_shard(0, 0, 100, 3, 30);
-        probe.on_shard(0, 1, 200, 1, 10);
-        probe.on_exchange(0, 50);
-        let mut sizes = SizeHist::default();
-        sizes.record(10, 4);
-        probe.on_round_end(&RoundObs {
-            round: 0,
-            wall_ns: 400,
-            messages: 4,
-            volume: 40,
-            peak_link: 10,
-            active: 8,
-            sizes: Some(&sizes),
-        });
-        probe.on_run_end(1, 1000);
-        let t = probe.into_telemetry();
-        assert!(t.completed);
-        assert_eq!(t.actors, 8);
-        assert_eq!(t.bounds, vec![0, 4, 8]);
-        assert_eq!(t.rounds.len(), 1);
-        let r = &t.rounds[0];
-        assert_eq!(r.shards.len(), 2);
-        assert_eq!(r.exchange_ns, 50);
-        assert_eq!(r.messages, 4);
-        assert_eq!(t.sizes.count(), 4);
-        assert_eq!(t.link_load.count(), 1);
-        // max wall 200 vs mean 150 -> 1/3 imbalance.
-        assert!((r.shard_imbalance() - 1.0 / 3.0).abs() < 1e-9);
-        assert_eq!(t.partition_imbalance(), 0.0);
-    }
-
-    #[test]
-    fn partition_imbalance_reflects_cost_skew() {
-        let probe = RecordingProbe::new();
-        // Shard 0 carries 3x the cost of shard 1.
-        probe.on_run_start(4, &[0, 2, 4], &[3, 3, 1, 1]);
-        probe.on_run_end(0, 0);
-        let t = probe.into_telemetry();
-        // totals [6, 2], mean 4, max 6 -> 0.5.
-        assert!((t.partition_imbalance() - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn jsonl_probe_emits_one_line_per_event() {
-        let probe = JsonlProbe::new(Vec::new(), "test");
-        probe.on_run_start(4, &[0, 4], &[]);
-        probe.on_round_end(&RoundObs {
-            round: 0,
-            wall_ns: 10,
-            messages: 2,
-            volume: 20,
-            peak_link: 10,
-            active: 4,
-            sizes: None,
-        });
-        probe.on_run_end(1, 99);
-        let out = String::from_utf8(probe.into_writer()).unwrap();
-        let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].contains("\"event\":\"run_start\""));
-        assert!(lines[0].contains("\"label\":\"test\""));
-        assert!(lines[1].contains("\"event\":\"round\""));
-        assert!(!lines[1].contains("\"shards\""), "{}", lines[1]);
-        assert!(!lines[1].contains("\"fault\""), "{}", lines[1]);
-        assert!(lines[2].contains("\"rounds\":1"));
-    }
-
-    #[test]
-    fn jsonl_probe_golden_lines() {
-        let probe = JsonlProbe::new(Vec::new(), "congest");
-        probe.on_run_start(8, &[0, 4, 8], &[1; 8]);
+    /// Drives `probe` through one two-shard round of a faulty run: the
+    /// callback sequence the kernel emits.
+    fn drive(probe: &impl Probe) {
+        probe.on_run_start(8, &[0, 4, 8]);
         probe.on_round_start(0);
         probe.on_shard(0, 0, 40, 3, 30);
         probe.on_shard(0, 1, 20, 3, 30);
@@ -774,6 +513,52 @@ mod tests {
         };
         probe.on_fault_event(1, &residual, 0);
         probe.on_run_end(1, 200);
+    }
+
+    #[test]
+    fn recording_probe_orders_rounds_and_shards() {
+        let probe = RecordingProbe::new("congest");
+        drive(&probe);
+        // A second run that aborts: no run_end.
+        probe.on_run_start(2, &[0, 2]);
+        probe.on_round_end(&RoundObs {
+            round: 0,
+            wall_ns: 5,
+            messages: 0,
+            volume: 0,
+            peak_link: 0,
+            active: 2,
+            sizes: None,
+        });
+        let runs = probe.into_runs();
+        assert_eq!(runs.len(), 2);
+        let run = &runs[0];
+        assert_eq!(
+            (run.label.as_str(), run.actors, run.shards),
+            ("congest", 8, 2)
+        );
+        assert_eq!(run.bounds, vec![0, 4, 8]);
+        assert_eq!(run.end, Some((1, 200)));
+        let r = &run.rounds[0];
+        assert_eq!(r.shards.len(), 2);
+        assert_eq!((r.exchange_ns, r.delay_depth, r.messages), (10, 1, 6));
+        assert_eq!(r.sizes, vec![(3, 4), (6, 2)]);
+        assert_eq!(run.size_hist().count(), 6);
+        // max wall 40 vs mean 30 -> 1/3 imbalance.
+        assert!((r.shard_imbalance() - 1.0 / 3.0).abs() < 1e-9);
+        // The run's tally is the round delta plus the residual crash.
+        assert_eq!(r.fault.delivered, 6);
+        assert_eq!(run.end_fault.crashed, 1);
+        let total = run.fault_total();
+        assert_eq!((total.delivered, total.dropped, total.crashed), (6, 2, 1));
+        assert_eq!(runs[1].end, None);
+        assert_eq!(runs[1].rounds.len(), 1);
+    }
+
+    #[test]
+    fn jsonl_probe_golden_lines() {
+        let probe = JsonlProbe::new(Vec::new(), "congest");
+        drive(&probe);
         let out = String::from_utf8(probe.into_writer()).unwrap();
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(
@@ -786,41 +571,53 @@ mod tests {
                     r#""shards":[{"shard":0,"wall_ns":40,"messages":3,"volume":30},"#,
                     r#"{"shard":1,"wall_ns":20,"messages":3,"volume":30}],"#,
                     r#""sizes":[[3,4],[6,2]],"#,
-                    r#""fault":{"dropped":2,"duplicated":1,"delayed":1,"crashed":0,"#,
+                    r#""fault":{"delivered":6,"dropped":2,"duplicated":1,"delayed":1,"crashed":0,"#,
                     r#""retransmitted":2,"acks":3,"dead_links":0}}"#
                 ),
-                r#"{"event":"run_end","rounds":1,"wall_ns":200,"fault":{"dropped":0,"duplicated":0,"delayed":0,"crashed":1}}"#,
+                concat!(
+                    r#"{"event":"run_end","rounds":1,"wall_ns":200,"#,
+                    r#""fault":{"delivered":0,"dropped":0,"duplicated":0,"delayed":0,"crashed":1}}"#
+                ),
             ]
         );
     }
 
     #[test]
-    fn fault_delta_reaches_round_record() {
-        let probe = RecordingProbe::new();
-        probe.on_round_start(0);
-        probe.on_fault_event(
-            0,
-            &FaultStats {
-                delivered: 5,
-                dropped: 2,
-                duplicated: 1,
-                delayed: 1,
-                ..FaultStats::default()
-            },
-            3,
-        );
+    fn jsonl_probe_emits_one_line_per_event() {
+        let probe = JsonlProbe::new(Vec::new(), "test");
+        probe.on_run_start(4, &[0, 4]);
         probe.on_round_end(&RoundObs {
             round: 0,
-            wall_ns: 0,
-            messages: 5,
-            volume: 50,
+            wall_ns: 10,
+            messages: 2,
+            volume: 20,
             peak_link: 10,
             active: 4,
-            sizes: None,
+            sizes: Some(&SizeHist::default()),
         });
-        let t = probe.into_telemetry();
-        assert_eq!(t.rounds[0].fault.dropped, 2);
-        assert_eq!(t.rounds[0].delay_depth, 3);
-        assert_eq!(t.fault.dropped, 2);
+        probe.on_run_end(1, 99);
+        let out = String::from_utf8(probe.into_writer()).unwrap();
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(
+            lines,
+            [
+                r#"{"event":"run_start","label":"test","actors":4,"shards":1,"bounds":[0,4]}"#,
+                concat!(
+                    r#"{"event":"round","round":0,"wall_ns":10,"messages":2,"volume":20,"#,
+                    r#""peak_link":10,"active":4,"exchange_ns":0,"delay_depth":0}"#
+                ),
+                r#"{"event":"run_end","rounds":1,"wall_ns":99}"#,
+            ]
+        );
+    }
+
+    #[test]
+    fn both_probes_build_the_same_record() {
+        let rec = RecordingProbe::new("congest");
+        let jsonl = JsonlProbe::new(Vec::new(), "congest");
+        drive(&rec);
+        drive(&jsonl);
+        let text = String::from_utf8(jsonl.into_writer()).unwrap();
+        assert_eq!(trace::parse_trace(&text).unwrap(), rec.into_runs());
     }
 }
