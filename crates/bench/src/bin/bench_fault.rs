@@ -27,8 +27,8 @@
 //! approximation-degradation ratio against the fault-free run, the
 //! fault- and reliability-plane accounting (retransmissions, acks,
 //! dead links, degraded phases), and whether re-executing the same
-//! `(seed, FaultSpec)` on the multi-threaded engine and on the packed
-//! codec plane (or replaying the recorded
+//! `(seed, FaultSpec)` on the multi-threaded engine (or replaying the
+//! recorded
 //! [`FaultTrace`](pga_congest::FaultTrace), for the FloodMax workload)
 //! reproduced the run bit for bit. It then:
 //!
@@ -53,7 +53,9 @@
 //! ticks and retransmit waits stretch it further),
 //! `BENCH_FAULT_OUT` (artifact path).
 
-use pga_bench::harness::{env_u64, env_usize, time_ms, write_json, FaultBench, FaultRecord};
+use pga_bench::harness::{
+    env_u64, env_usize, flag_or, time_ms, write_json, FaultBench, FaultRecord,
+};
 use pga_bench::trace::parse_trace;
 use pga_congest::primitives::FloodMax;
 use pga_congest::{
@@ -224,17 +226,14 @@ impl Cell {
         }
     }
 
-    /// The cell's [`RunConfig`] for a given engine and codec plane.
-    fn cfg(&self, threads: usize, codec: bool) -> RunConfig {
+    /// The cell's [`RunConfig`] for a given engine.
+    fn cfg(&self, threads: usize) -> RunConfig {
         let base = if threads <= 1 {
             RunConfig::new().sequential()
         } else {
             RunConfig::new().parallel(threads)
         };
-        let base = base
-            .codec(codec)
-            .adversary(self.spec)
-            .max_rounds(self.budget);
+        let base = base.adversary(self.spec).max_rounds(self.budget);
         match self.pipeline.reliability() {
             Some(rel) => base.reliability(rel),
             None => base,
@@ -270,24 +269,21 @@ fn stall_cause(rerun: impl FnOnce()) -> &'static str {
     }
 }
 
-/// Runs the MVC entry point for `cell` on the primary engine, the
-/// gate-thread engine, and the gate-thread engine on the packed codec
-/// plane, checking bit-identity across all three.
+/// Runs the MVC entry point for `cell` on the primary engine and the
+/// gate-thread engine, checking that both are bit-identical.
 fn mvc_cell(g: &Graph, cell: Cell) -> CellOutcome {
-    let run = |t, codec| g2_mvc_congest_cfg(g, 0.5, LocalSolver::FiveThirds, &cell.cfg(t, codec));
-    let (primary, wall_ms) = time_ms(|| run(1, false));
+    let run = |t| g2_mvc_congest_cfg(g, 0.5, LocalSolver::FiveThirds, &cell.cfg(t));
+    let (primary, wall_ms) = time_ms(|| run(1));
     let mut d = Digest::new();
-    let replay_identical = [run(cell.threads, false), run(cell.threads, true)]
-        .iter()
-        .all(|replica| match (&primary, replica) {
-            (Ok(a), Ok(b)) => {
-                a.cover == b.cover
-                    && a.phase1_metrics == b.phase1_metrics
-                    && a.phase2_metrics == b.phase2_metrics
-            }
-            (Err(a), Err(b)) => a == b,
-            _ => false,
-        });
+    let replay_identical = match (&primary, &run(cell.threads)) {
+        (Ok(a), Ok(b)) => {
+            a.cover == b.cover
+                && a.phase1_metrics == b.phase1_metrics
+                && a.phase2_metrics == b.phase2_metrics
+        }
+        (Err(a), Err(b)) => a == b,
+        _ => false,
+    };
     match primary {
         Ok(r) => {
             d.eat_str(&format!(
@@ -313,7 +309,7 @@ fn mvc_cell(g: &Graph, cell: Cell) -> CellOutcome {
             CellOutcome {
                 replay_identical,
                 stall: Some(stall_cause(|| {
-                    let _ = run(1, false);
+                    let _ = run(1);
                 })),
                 ..CellOutcome::diverged(wall_ms, d.0)
             }
@@ -324,16 +320,14 @@ fn mvc_cell(g: &Graph, cell: Cell) -> CellOutcome {
 /// The MDS entry point, same engine-identity protocol.
 fn mds_cell(g: &Graph, cell: Cell) -> CellOutcome {
     let seed = cell.spec.seed;
-    let run = |t, codec| g2_mds_congest_cfg(g, 2, seed, &cell.cfg(t, codec));
-    let (primary, wall_ms) = time_ms(|| run(1, false));
+    let run = |t| g2_mds_congest_cfg(g, 2, seed, &cell.cfg(t));
+    let (primary, wall_ms) = time_ms(|| run(1));
     let mut d = Digest::new();
-    let replay_identical = [run(cell.threads, false), run(cell.threads, true)]
-        .iter()
-        .all(|replica| match (&primary, replica) {
-            (Ok(a), Ok(b)) => a.dominating_set == b.dominating_set && a.metrics == b.metrics,
-            (Err(a), Err(b)) => a == b,
-            _ => false,
-        });
+    let replay_identical = match (&primary, &run(cell.threads)) {
+        (Ok(a), Ok(b)) => a.dominating_set == b.dominating_set && a.metrics == b.metrics,
+        (Err(a), Err(b)) => a == b,
+        _ => false,
+    };
     match primary {
         Ok(r) => {
             d.eat_str(&format!("{:?}{:?}", r.dominating_set, r.metrics));
@@ -355,7 +349,7 @@ fn mds_cell(g: &Graph, cell: Cell) -> CellOutcome {
             CellOutcome {
                 replay_identical,
                 stall: Some(stall_cause(|| {
-                    let _ = run(1, false);
+                    let _ = run(1);
                 })),
                 ..CellOutcome::diverged(wall_ms, d.0)
             }
@@ -367,16 +361,14 @@ fn mds_cell(g: &Graph, cell: Cell) -> CellOutcome {
 /// fault counters and round structure flow into the record.
 fn ruling_set_cell(g: &Graph, cell: Cell) -> CellOutcome {
     let words = recommended_ruling_set_memory_words(g);
-    let run = |t, codec| g2_ruling_set_mpc_cfg(g, words, &cell.cfg(t, codec));
-    let (primary, wall_ms) = time_ms(|| run(1, false));
+    let run = |t| g2_ruling_set_mpc_cfg(g, words, &cell.cfg(t));
+    let (primary, wall_ms) = time_ms(|| run(1));
     let mut d = Digest::new();
-    let replay_identical = [run(cell.threads, false), run(cell.threads, true)]
-        .iter()
-        .all(|replica| match (&primary, replica) {
-            (Ok(a), Ok(b)) => a.in_r == b.in_r && a.mpc == b.mpc,
-            (Err(a), Err(b)) => a == b,
-            _ => false,
-        });
+    let replay_identical = match (&primary, &run(cell.threads)) {
+        (Ok(a), Ok(b)) => a.in_r == b.in_r && a.mpc == b.mpc,
+        (Err(a), Err(b)) => a == b,
+        _ => false,
+    };
     match primary {
         Ok(r) => {
             d.eat_str(&format!("{:?}{:?}", r.in_r, r.mpc));
@@ -406,7 +398,7 @@ fn ruling_set_cell(g: &Graph, cell: Cell) -> CellOutcome {
             CellOutcome {
                 replay_identical,
                 stall: Some(stall_cause(|| {
-                    let _ = run(1, false);
+                    let _ = run(1);
                 })),
                 ..CellOutcome::diverged(wall_ms, d.0)
             }
@@ -493,14 +485,6 @@ fn fault_grid(seed: u64) -> Vec<FaultSpec> {
     grid
 }
 
-fn arg_usize(args: &[String], flag: &str, default: usize) -> usize {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 /// A drop-only cell: the recovery gate's domain (dead links and phase
 /// timeouts have clean semantics there; crash cells legitimately lose
 /// actors and delay cells never stall).
@@ -563,8 +547,8 @@ fn main() {
     let ba = generators::barabasi_albert(n, 3.min(n - 1).max(1), seed);
 
     if args.iter().any(|a| a == "--matrix-only") {
-        let mseed = arg_usize(&args, "--seed", 1) as u64;
-        let mthreads = arg_usize(&args, "--threads", 1);
+        let mseed: u64 = flag_or(&args, "--seed", 1);
+        let mthreads: usize = flag_or(&args, "--threads", 1);
         let spec = FaultSpec::seeded(mseed)
             .drop(0.05)
             .crash(0.02, CRASH_WITHIN);

@@ -4,7 +4,7 @@
 //! Usage:
 //!
 //! ```text
-//! bench_regress <baseline.json> <fresh.json> [--max-regress 0.25] [--min-ms 50] [--codec-parity]
+//! bench_regress <baseline.json> <fresh.json> [--max-regress 0.25] [--min-ms 50]
 //! bench_regress <BENCH_fault.json baseline> <fresh> --fault
 //! ```
 //!
@@ -24,18 +24,12 @@
 //! must equal the committed baseline byte for byte (exit code 3
 //! otherwise, with the first differing lines printed).
 //!
-//! With `--codec-parity`, additionally checks — *within* the fresh
-//! document — every workload that carries both a `parallel` and a
-//! `parallel_codec` entry at the same thread count (the `bench_scale`
-//! workloads): the packed-codec plane must not be slower than the enum
-//! plane by more than `--max-regress` (exit code 3). Pairs whose
-//! thread count exceeds the host's CPU count are reported but not
-//! gated, since oversubscribed wall times are scheduler noise.
-//!
 //! Either mode exits with code 65, naming the file, when a document
 //! does not parse as JSON or holds nothing to compare (no
 //! `workloads[].engines[]` entries; with `--fault`, no `workloads[]`
-//! entries), so an unreadable snapshot cannot pass the gate.
+//! entries), so an unreadable snapshot cannot pass the gate. An
+//! unknown `--flag`, or a flag value that is missing or does not parse,
+//! exits with code 64.
 //!
 //! CI copies the committed snapshots aside before re-running the bench
 //! binaries and then diffs the fresh artifacts against them, so a
@@ -49,15 +43,12 @@
 //! trips it, regenerate the snapshots on the new class in the same PR,
 //! or widen `--max-regress` in `ci.yml` deliberately.
 
-use pga_bench::harness::{fault_fingerprint, parse_engine_walls};
+use pga_bench::harness::{
+    fault_fingerprint, flag_or, parse_engine_walls, unknown_flag, usage_error,
+};
 
-fn arg_after(args: &[String], flag: &str, default: f64) -> f64 {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+const USAGE: &str =
+    "usage: bench_regress <baseline.json> <fresh.json> [--max-regress 0.25] [--min-ms 50] [--fault]";
 
 /// Reads the document at `path` through `parse`: exit 66 when the file
 /// cannot be read, 65 when it is not a bench document `parse` accepts.
@@ -116,15 +107,13 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (baseline_path, fresh_path) = match (args.first(), args.get(1)) {
         (Some(b), Some(f)) if !b.starts_with("--") && !f.starts_with("--") => (b, f),
-        _ => {
-            eprintln!(
-                "usage: bench_regress <baseline.json> <fresh.json> [--max-regress 0.25] [--min-ms 50]"
-            );
-            std::process::exit(64);
-        }
+        _ => usage_error(USAGE),
     };
-    let max_regress = arg_after(&args, "--max-regress", 0.25);
-    let min_ms = arg_after(&args, "--min-ms", 50.0);
+    if let Some(flag) = unknown_flag(&args, &["--max-regress", "--min-ms", "--fault"]) {
+        usage_error(&format!("bench_regress: unknown flag {flag}\n{USAGE}"));
+    }
+    let max_regress: f64 = flag_or(&args, "--max-regress", 0.25);
+    let min_ms: f64 = flag_or(&args, "--min-ms", 50.0);
 
     if args.iter().any(|a| a == "--fault") {
         diff_fault_docs(baseline_path, fresh_path);
@@ -169,40 +158,6 @@ fn main() {
             "  {workload}/{engine}: {base_ms:.1} ms -> {fresh_ms:.1} ms ({:+.1}%) {verdict}",
             (ratio - 1.0) * 100.0
         );
-    }
-    if args.iter().any(|a| a == "--codec-parity") {
-        let cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
-        let mut pairs = 0usize;
-        for (workload, engine, threads, enum_ms) in &fresh {
-            if engine != "parallel" {
-                continue;
-            }
-            let Some((_, _, _, codec_ms)) = fresh
-                .iter()
-                .find(|(w, e, t, _)| w == workload && e == "parallel_codec" && t == threads)
-            else {
-                continue;
-            };
-            pairs += 1;
-            let ratio = codec_ms / enum_ms;
-            let gated = cpus >= *threads;
-            let verdict = if ratio > 1.0 + max_regress && gated {
-                failures += 1;
-                "REGRESSED"
-            } else if !gated {
-                "ungated (oversubscribed host)"
-            } else {
-                "ok"
-            };
-            println!(
-                "  {workload}: codec {codec_ms:.1} ms vs enum {enum_ms:.1} ms at {threads} threads ({:+.1}%) {verdict}",
-                (ratio - 1.0) * 100.0
-            );
-        }
-        if pairs == 0 {
-            eprintln!("  codec parity: MISSING parallel/parallel_codec pairs in fresh document");
-            failures += 1;
-        }
     }
 
     if failures > 0 {

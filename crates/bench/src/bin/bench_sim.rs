@@ -52,7 +52,7 @@ use pga_bench::harness::{
 };
 use pga_congest::primitives::FloodMax;
 use pga_congest::{
-    Algorithm, Ctx, Metrics, MsgCodec, MsgSize, ProbeMode, Report, RunConfig, Scheduling, Simulator,
+    Algorithm, Ctx, Metrics, MsgSize, ProbeMode, Report, RunConfig, Scheduling, Simulator,
 };
 use pga_core::mvc::clique_det::g2_mvc_clique_det_cfg;
 use pga_core::mvc::congest::LocalSolver;
@@ -70,18 +70,6 @@ struct Word(u64);
 impl MsgSize for Word {
     fn size_bits(&self, _id_bits: usize) -> usize {
         64
-    }
-}
-
-impl MsgCodec for Word {
-    type Word = u64;
-
-    fn encode(&self) -> u64 {
-        self.0
-    }
-
-    fn decode(w: u64) -> Word {
-        Word(w)
     }
 }
 
@@ -169,7 +157,7 @@ fn bench_workload<A, F>(
 ) -> WorkloadRecord
 where
     A: Algorithm + Send,
-    A::Msg: MsgCodec + Send,
+    A::Msg: Send,
     A::Output: PartialEq + std::fmt::Debug,
     F: Fn() -> Vec<A>,
 {
@@ -236,7 +224,6 @@ where
         congestion_p95: seq.metrics.congestion_percentile(0.95),
         engines,
         shard_load: shard_load(g, gate_threads),
-        io: None,
         speedup: seq_ms / gate_ms,
         identical,
     }
@@ -308,7 +295,6 @@ fn bench_tail_workload(g: &Graph, threads: usize, reps: usize) -> WorkloadRecord
             },
         ],
         shard_load: shard_load(g, threads),
-        io: None,
         // For the tail record, speedup compares scheduling policies on
         // the sequential engine (full sweep / active set).
         speedup: full_ms / active_ms,
@@ -370,7 +356,6 @@ fn bench_square_workload(g: &Graph, threads: usize, reps: usize) -> WorkloadReco
             },
         ],
         shard_load: Vec::new(),
-        io: None,
         speedup: scalar_ms / bmm_ms,
         identical,
     }
@@ -438,7 +423,6 @@ fn bench_bmm_sbm_workload(sbm: &Graph, threads: usize, reps: usize) -> WorkloadR
             },
         ],
         shard_load: shard_load(sbm, threads),
-        io: None,
         speedup: relay_ms / bmm_ms,
         identical: cover_identical && engines_identical,
     }

@@ -9,8 +9,10 @@
 //! with the same module. The schemas are documented on [`SimBench`],
 //! [`MpcBench`] and [`FaultBench`] and in the README.
 
+use std::env::VarError;
 use std::io;
 use std::path::Path;
+use std::str::FromStr;
 use std::time::Instant;
 
 use pga_runtime::json::{self, Json};
@@ -23,22 +25,84 @@ pub fn time_ms<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, start.elapsed().as_secs_f64() * 1e3)
 }
 
+/// The exit code of a bad command line or override (`EX_USAGE`).
+const EXIT_USAGE: i32 = 64;
+
+/// Prints `msg` and exits with code 64 (`EX_USAGE`).
+pub fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(EXIT_USAGE)
+}
+
+/// Parses `raw`, the value given for `name`; the error names both.
+fn parse_named<T: FromStr>(name: &str, raw: &str) -> Result<T, String> {
+    raw.parse()
+        .map_err(|_| format!("invalid value {raw:?} for {name}"))
+}
+
+/// The value after `flag` in `args`: `Ok(None)` when the flag is absent,
+/// and an error naming the flag when its value is missing or does not
+/// parse.
+fn try_flag<T: FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    let raw = args
+        .get(i + 1)
+        .ok_or_else(|| format!("{flag} needs a value"))?;
+    parse_named(flag, raw).map(Some)
+}
+
+/// The value after `flag` in `args`, or `default` when the flag is
+/// absent; a missing or unparsable value exits with code 64, naming the
+/// flag.
+pub fn flag_or<T: FromStr>(args: &[String], flag: &str, default: T) -> T {
+    match try_flag(args, flag) {
+        Ok(v) => v.unwrap_or(default),
+        Err(e) => usage_error(&e),
+    }
+}
+
+/// The first argument that looks like a flag (`--…`) but is not in
+/// `known`, if any.
+pub fn unknown_flag<'a>(args: &'a [String], known: &[&str]) -> Option<&'a str> {
+    (args.iter())
+        .map(String::as_str)
+        .find(|a| a.starts_with("--") && !known.contains(a))
+}
+
+/// Parses the environment value `value` of `key`: `Ok(None)` when the
+/// variable is unset, and an error naming it when it is set but does
+/// not parse.
+fn try_env<T: FromStr>(key: &str, value: Result<String, VarError>) -> Result<Option<T>, String> {
+    match value {
+        Err(VarError::NotPresent) => Ok(None),
+        Err(VarError::NotUnicode(raw)) => Err(format!("invalid value {raw:?} for {key}")),
+        Ok(raw) => parse_named(key, &raw).map(Some),
+    }
+}
+
+/// The parsed value of the environment variable `key`, or `default`
+/// when it is unset; a set but unparsable value exits with code 64,
+/// naming the variable.
+fn env_or<T: FromStr>(key: &str, default: T) -> T {
+    match try_env(key, std::env::var(key)) {
+        Ok(v) => v.unwrap_or(default),
+        Err(e) => usage_error(&e),
+    }
+}
+
 /// Reads a `usize` from the environment, falling back to `default` when
-/// the variable is unset or unparsable. The bench binaries' override
-/// knobs (`BENCH_SIM_*`, `BENCH_MPC_*`) all go through this.
+/// the variable is unset; a set but unparsable value exits with code
+/// 64. The bench binaries' override knobs (`BENCH_SIM_*`,
+/// `BENCH_MPC_*`, `BENCH_FAULT_*`) all go through this.
 pub fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    env_or(key, default)
 }
 
 /// [`env_usize`] for `u64` values (seeds).
 pub fn env_u64(key: &str, default: u64) -> u64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    env_or(key, default)
 }
 
 /// One engine's wall time on one workload.
@@ -101,23 +165,6 @@ impl ShardLoad {
     }
 }
 
-/// Streaming-I/O and compressed-CSR statistics of a `bench_scale`
-/// workload (absent on the round-engine workloads).
-#[derive(Clone, Debug)]
-pub struct IoStats {
-    /// Size of the streamed edge-list file in bytes.
-    pub file_bytes: u64,
-    /// Wall time of the streamed (`BufWriter`) edge-list write, ms.
-    pub write_ms: f64,
-    /// Wall time of the streamed read (file → chunked builder → CSR), ms.
-    pub read_ms: f64,
-    /// Heap bytes of the plain CSR representation.
-    pub plain_bytes: u64,
-    /// Heap bytes of the varint-delta compact CSR blocks
-    /// (`pga_graph::compact::CompactGraph`).
-    pub compact_bytes: u64,
-}
-
 /// One workload's results across engines.
 #[derive(Clone, Debug)]
 pub struct WorkloadRecord {
@@ -150,10 +197,6 @@ pub struct WorkloadRecord {
     /// cost-balanced partition (empty for workloads that bypass the
     /// parallel engine).
     pub shard_load: Vec<ShardLoad>,
-    /// Streaming-I/O and compact-CSR statistics (`bench_scale`
-    /// workloads only; `None` elsewhere and then omitted from the
-    /// JSON).
-    pub io: Option<IoStats>,
     /// Sequential wall time divided by the gate thread count's parallel
     /// wall time (for the scheduling-comparison tail workload:
     /// full-sweep wall time divided by active-set wall time).
@@ -262,7 +305,7 @@ impl WorkloadRecord {
                 ("mean_cost", l.mean_cost.into()),
             ])
         });
-        let mut members = vec![
+        Json::obj([
             ("name", self.name.as_str().into()),
             ("graph", self.graph.as_str().into()),
             ("n", self.n.into()),
@@ -274,20 +317,9 @@ impl WorkloadRecord {
             ("congestion_p95", self.congestion_p95.into()),
             ("engines", engines_json(&self.engines)),
             ("shard_load", shard_load.collect()),
-        ];
-        if let Some(io) = &self.io {
-            let io = Json::obj([
-                ("file_bytes", io.file_bytes.into()),
-                ("write_ms", io.write_ms.into()),
-                ("read_ms", io.read_ms.into()),
-                ("plain_bytes", io.plain_bytes.into()),
-                ("compact_bytes", io.compact_bytes.into()),
-            ]);
-            members.push(("io", io));
-        }
-        members.push(("speedup", self.speedup.into()));
-        members.push(("identical", self.identical.into()));
-        Json::obj(members)
+            ("speedup", self.speedup.into()),
+            ("identical", self.identical.into()),
+        ])
     }
 }
 
@@ -303,29 +335,6 @@ impl SimBench {
             ("workloads", workloads.collect()),
         ])
     }
-}
-
-/// Splices `scale`'s workload records into an existing `BENCH_sim.json`
-/// document: parses it, drops every workload whose name starts with
-/// `"scale_"`, appends `scale`'s records and writes the document back,
-/// so everything else (the `bench_sim` round-engine records) keeps its
-/// bytes. Falls back to `scale` alone when `existing` is `None` or has
-/// no `workloads` array, so `bench_scale` can run standalone or after
-/// `bench_sim` in either order.
-pub fn merge_scale_workloads(existing: Option<&str>, scale: &SimBench) -> String {
-    let Some(Json::Obj(mut members)) = existing.and_then(|text| json::parse(text).ok()) else {
-        return scale.to_json().to_pretty();
-    };
-    let Some((_, Json::Arr(workloads))) = members.iter_mut().find(|(k, _)| k == "workloads") else {
-        return scale.to_json().to_pretty();
-    };
-    workloads.retain(|w| {
-        !w.get("name")
-            .and_then(Json::as_str)
-            .is_some_and(|n| n.starts_with("scale_"))
-    });
-    workloads.extend(scale.workloads.iter().map(WorkloadRecord::to_json));
-    Json::Obj(members).to_pretty()
 }
 
 /// One MPC workload's record in `BENCH_mpc.json`.
@@ -755,55 +764,7 @@ mod tests {
                         mean_cost: 4.25,
                     },
                 ],
-                io: None,
                 speedup: 2.5,
-                identical: true,
-            }],
-        }
-    }
-
-    fn scale_sample() -> SimBench {
-        SimBench {
-            bench: "sim_scale".into(),
-            seed: 7,
-            n: 1_000_000,
-            m: 4_000_000,
-            workloads: vec![WorkloadRecord {
-                name: "scale_floodmax".into(),
-                graph: "connected_gnm".into(),
-                n: 1_000_000,
-                m: 4_000_000,
-                rounds: 7,
-                messages: 56_000_000,
-                bits: 1_120_000_000,
-                peak_edge_bits: 20,
-                congestion_p95: 20,
-                engines: vec![
-                    EngineTiming {
-                        engine: "sequential".into(),
-                        threads: 1,
-                        wall_ms: 9000.0,
-                    },
-                    EngineTiming {
-                        engine: "parallel".into(),
-                        threads: 4,
-                        wall_ms: 4000.0,
-                    },
-                    EngineTiming {
-                        engine: "parallel_codec".into(),
-                        threads: 4,
-                        wall_ms: 3500.0,
-                    },
-                ],
-                shard_load: Vec::new(),
-                io: Some(IoStats {
-                    file_bytes: 60_000_000,
-                    write_ms: 900.0,
-                    read_ms: 1800.0,
-                    plain_bytes: 40_000_008,
-                    compact_bytes: 11_000_000,
-                }),
-                speedup: 2.57,
                 identical: true,
             }],
         }
@@ -910,62 +871,10 @@ mod tests {
     }
 
     #[test]
-    fn io_stats_serialized_when_present() {
-        let j = scale_sample().to_json().to_pretty();
-        assert!(j.contains(
-            "\"io\": {\"file_bytes\": 60000000, \"write_ms\": 900.000, \
-             \"read_ms\": 1800.000, \"plain_bytes\": 40000008, \"compact_bytes\": 11000000}"
-        ));
-        assert!(j.contains("\"engine\": \"parallel_codec\", \"threads\": 4"));
-        // And omitted when absent.
-        assert!(!sample().to_json().to_pretty().contains("\"io\""));
-    }
-
-    #[test]
-    fn merge_appends_scale_and_keeps_existing() {
-        let base = sample().to_json().to_pretty();
-        let merged = merge_scale_workloads(Some(&base), &scale_sample());
-        assert!(merged.contains("\"name\": \"floodmax\""));
-        assert!(merged.contains("\"name\": \"scale_floodmax\""));
-        // The round-engine prefix (bench id, pinned instance) survives.
-        assert!(merged.starts_with("{\n  \"bench\": \"sim_round_engine\""));
-        // Re-merging replaces the old scale record instead of stacking.
-        let mut second = scale_sample();
-        second.workloads[0].rounds = 9;
-        let remerged = merge_scale_workloads(Some(&merged), &second);
-        assert_eq!(remerged.matches("\"name\": \"scale_floodmax\"").count(), 1);
-        assert!(remerged.contains("\"rounds\": 9"));
-        // Engine walls of both documents are visible to bench_regress.
-        let walls = parse_engine_walls(&remerged).unwrap();
-        assert!(walls
-            .iter()
-            .any(|(w, e, t, _)| w == "floodmax" && e == "sequential" && *t == 1));
-        assert!(walls
-            .iter()
-            .any(|(w, e, t, _)| w == "scale_floodmax" && e == "parallel_codec" && *t == 4));
-    }
-
-    #[test]
-    fn merge_without_existing_falls_back_to_plain_document() {
-        let doc = merge_scale_workloads(None, &scale_sample());
-        assert_eq!(doc, scale_sample().to_json().to_pretty());
-        // Garbage input also falls back rather than corrupting.
-        let doc = merge_scale_workloads(Some("not json"), &scale_sample());
-        assert_eq!(doc, scale_sample().to_json().to_pretty());
-    }
-
-    #[test]
     fn documents_parse_back_to_their_trees() {
-        for doc in [
-            sample().to_json(),
-            sample_mpc().to_json(),
-            scale_sample().to_json(),
-        ] {
+        for doc in [sample().to_json(), sample_mpc().to_json()] {
             assert_eq!(json::parse(&doc.to_pretty()).unwrap(), doc);
         }
-        let merged = merge_scale_workloads(Some(&sample().to_json().to_pretty()), &scale_sample());
-        let merged = json::parse(&merged).unwrap();
-        assert_eq!(workloads(&merged).unwrap().len(), 2);
     }
 
     #[test]
@@ -1001,6 +910,39 @@ mod tests {
             (1, 4, 10)
         );
         assert!((loads[1].mean_cost - 2.5).abs() < 1e-9);
+    }
+
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn flags_parse_or_name_the_bad_one() {
+        let args = strings(&["a.json", "--min-ms", "50", "--max-regress", "x"]);
+        assert_eq!(try_flag::<f64>(&args, "--min-ms"), Ok(Some(50.0)));
+        assert_eq!(try_flag::<f64>(&args, "--absent"), Ok(None));
+        let err = try_flag::<f64>(&args, "--max-regress").unwrap_err();
+        assert!(
+            err.contains("--max-regress") && err.contains("\"x\""),
+            "{err}"
+        );
+        let err = try_flag::<usize>(&strings(&["--seed"]), "--seed").unwrap_err();
+        assert_eq!(err, "--seed needs a value");
+        assert_eq!(flag_or(&args, "--min-ms", 1.0), 50.0);
+        assert_eq!(flag_or(&args, "--absent", 7usize), 7);
+        let args = strings(&["a", "b", "--fault", "--retired"]);
+        assert_eq!(unknown_flag(&args, &["--fault"]), Some("--retired"));
+        assert_eq!(unknown_flag(&args, &["--fault", "--retired"]), None);
+    }
+
+    #[test]
+    fn env_overrides_parse_or_name_the_variable() {
+        let key = "BENCH_FAULT_N";
+        assert_eq!(try_env::<usize>(key, Err(VarError::NotPresent)), Ok(None));
+        assert_eq!(try_env::<usize>(key, Ok("48".into())), Ok(Some(48)));
+        let err = try_env::<usize>(key, Ok("48k".into())).unwrap_err();
+        assert!(err.contains(key) && err.contains("48k"), "{err}");
+        assert!(try_env::<u64>(key, Ok(String::new())).is_err());
     }
 
     #[test]

@@ -73,10 +73,10 @@ pub fn banner(title: &str) {
 }
 
 /// The [`RunConfig`](pga_congest::RunConfig) the experiment binaries
-/// run under: one shard per available CPU and the packed-codec message
-/// plane (bit-identical to the sequential enum plane, just faster).
+/// run under: one shard per available CPU (bit-identical to the
+/// sequential engine, just faster).
 pub fn exp_cfg() -> pga_congest::RunConfig {
-    pga_congest::RunConfig::new().parallel_auto().codec(true)
+    pga_congest::RunConfig::new().parallel_auto()
 }
 
 #[cfg(test)]

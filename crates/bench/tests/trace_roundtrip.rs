@@ -94,9 +94,9 @@ fn congest_jsonl_round_trips_through_the_validator() {
             .collect()
     };
 
-    // Clean sharded packed-codec run.
+    // Clean sharded run.
     let probe = JsonlProbe::new(Vec::new(), "congest");
-    let cfg = RunConfig::new().parallel(4).codec(true);
+    let cfg = RunConfig::new().parallel(4);
     let report = sim.run_cfg_probed(flood(), &cfg, &probe).unwrap();
     let clean = String::from_utf8(probe.into_writer()).unwrap();
     parse(&clean);
@@ -125,7 +125,7 @@ fn congest_jsonl_round_trips_through_the_validator() {
     assert_eq!(bits, report.metrics.bits);
     assert_eq!(runs[0].actors, n as u64);
     assert_eq!(runs[0].shards, 4);
-    assert!(!runs[0].size_hist().is_empty(), "codec plane records sizes");
+    assert!(!runs[0].size_hist().is_empty(), "sharded run records sizes");
 
     // The faulty run recorded fault deltas.
     assert!(runs[1].fault_total().dropped > 0, "hostile spec must fire");
@@ -182,7 +182,7 @@ fn same_run(rec: RecordingProbe, jsonl: JsonlProbe<Vec<u8>>, case: &str) -> Trac
 /// The two probes build one record: `RecordingProbe`'s runs equal
 /// `parse_trace` of `JsonlProbe`'s lines, up to wall times, for FloodMax
 /// on CONGEST and Gossip on MPC, on the clean, seeded-adversary and ARQ
-/// planes, at 1 and 4 threads, codec off and on.
+/// planes, at 1 and 4 threads.
 #[test]
 fn recording_and_jsonl_probes_agree() {
     let mut rng = StdRng::seed_from_u64(23);
@@ -212,29 +212,27 @@ fn recording_and_jsonl_probes_agree() {
     ];
     for (plane, base) in planes {
         for threads in [1, 4] {
-            for codec in [false, true] {
-                let cfg = base.parallel(threads).codec(codec);
-                let case = format!("{plane}, {threads} threads, codec {codec}");
+            let cfg = base.parallel(threads);
+            let case = format!("{plane}, {threads} threads");
 
-                let rec = RecordingProbe::new("congest");
-                let jsonl = JsonlProbe::new(Vec::new(), "congest");
-                let a = sim.run_cfg_probed(flood(), &cfg, &rec).map(|r| r.outputs);
-                let b = sim.run_cfg_probed(flood(), &cfg, &jsonl).map(|r| r.outputs);
-                assert_eq!(a, b, "congest, {case}");
-                let run = same_run(rec, jsonl, &format!("congest, {case}"));
-                assert_eq!(plane == "clean", run.fault_total().dropped == 0, "{case}");
+            let rec = RecordingProbe::new("congest");
+            let jsonl = JsonlProbe::new(Vec::new(), "congest");
+            let a = sim.run_cfg_probed(flood(), &cfg, &rec).map(|r| r.outputs);
+            let b = sim.run_cfg_probed(flood(), &cfg, &jsonl).map(|r| r.outputs);
+            assert_eq!(a, b, "congest, {case}");
+            let run = same_run(rec, jsonl, &format!("congest, {case}"));
+            assert_eq!(plane == "clean", run.fault_total().dropped == 0, "{case}");
 
-                let rec = RecordingProbe::new("mpc");
-                let jsonl = JsonlProbe::new(Vec::new(), "mpc");
-                let a = mpc
-                    .run_cfg_probed(gossip(12), &cfg, &rec)
-                    .map(|r| r.outputs);
-                let b = mpc
-                    .run_cfg_probed(gossip(12), &cfg, &jsonl)
-                    .map(|r| r.outputs);
-                assert_eq!(a, b, "mpc, {case}");
-                same_run(rec, jsonl, &format!("mpc, {case}"));
-            }
+            let rec = RecordingProbe::new("mpc");
+            let jsonl = JsonlProbe::new(Vec::new(), "mpc");
+            let a = mpc
+                .run_cfg_probed(gossip(12), &cfg, &rec)
+                .map(|r| r.outputs);
+            let b = mpc
+                .run_cfg_probed(gossip(12), &cfg, &jsonl)
+                .map(|r| r.outputs);
+            assert_eq!(a, b, "mpc, {case}");
+            same_run(rec, jsonl, &format!("mpc, {case}"));
         }
     }
 }

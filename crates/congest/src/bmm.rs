@@ -26,12 +26,12 @@
 //!
 //! Every message fits the default CONGEST bandwidth
 //! (`64 + id_bits + 2 ≤ 16·id_bits + 64` bits), and the whole run goes
-//! through [`Simulator::run_cfg`], so engine/thread/codec choices are
+//! through [`Simulator::run_cfg`], so engine and thread choices are
 //! bit-identical by the kernel contract.
 
 use crate::sim::{Algorithm, Ctx, MsgSize, Report, SimError, Simulator};
 use pga_graph::{Graph, NodeId};
-use pga_runtime::{MsgCodec, RunConfig};
+use pga_runtime::RunConfig;
 use std::collections::BTreeMap;
 
 /// One 64-column block of a node's adjacency-row bitmap, broadcast to
@@ -54,30 +54,6 @@ impl MsgSize for BmmBlock {
     fn size_bits(&self, id_bits: usize) -> usize {
         // The 64 payload bits, a block index (bounded by n/64 < n, so
         // one identifier's worth), and the two flags.
-        64 + id_bits + 2
-    }
-}
-
-impl MsgCodec for BmmBlock {
-    type Word = u128;
-
-    fn encode(&self) -> u128 {
-        u128::from(self.word)
-            | (u128::from(self.block) << 64)
-            | (u128::from(self.last) << 96)
-            | (u128::from(self.truncated) << 97)
-    }
-
-    fn decode(word: u128) -> Self {
-        BmmBlock {
-            block: (word >> 64) as u32,
-            word: word as u64,
-            last: (word >> 96) & 1 == 1,
-            truncated: (word >> 97) & 1 == 1,
-        }
-    }
-
-    fn encoded_bits(_word: u128, id_bits: usize) -> usize {
         64 + id_bits + 2
     }
 }
@@ -206,7 +182,7 @@ pub fn default_cap_words(n: usize) -> usize {
 ///
 /// Runs `max_v min(blocks(v), cap_words)` broadcast rounds plus one
 /// drain round (see the module docs for why clustered inputs finish in
-/// `O(1)`), under the engine/scheduling/codec choices of `cfg` — all
+/// `O(1)`), under the engine and scheduling choices of `cfg` — all
 /// bit-identical by the kernel contract. The returned report's
 /// [`Metrics`](crate::Metrics) can be merged into a downstream
 /// consumer's accounting.
@@ -297,12 +273,12 @@ mod tests {
     }
 
     #[test]
-    fn engines_and_codec_bit_identical() {
+    fn engines_bit_identical() {
         let g = generators::planted_partition(192, 3, 0.25, 0.03, 9);
         let base = clique_bmm(&g, default_cap_words(192), &RunConfig::new()).unwrap();
         for cfg in [
             RunConfig::new().parallel(2),
-            RunConfig::new().parallel(4).codec(true),
+            RunConfig::new().parallel(4),
             RunConfig::new().parallel(8),
         ] {
             let other = clique_bmm(&g, default_cap_words(192), &cfg).unwrap();
@@ -324,29 +300,6 @@ mod tests {
                 truncated: true,
             };
             assert!(msg.size_bits(bits) <= crate::sim::default_bandwidth_bits(n));
-        }
-    }
-}
-
-#[cfg(test)]
-mod codec_roundtrip_tests {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        #[test]
-        fn bmm_block_codec_roundtrips(
-            block in any::<u32>(),
-            word in any::<u64>(),
-            last in any::<bool>(),
-            truncated in any::<bool>(),
-        ) {
-            let m = BmmBlock { block, word, last, truncated };
-            prop_assert_eq!(BmmBlock::decode(m.encode()), m);
-            prop_assert_eq!(
-                <BmmBlock as MsgCodec>::encoded_bits(m.encode(), 17),
-                m.size_bits(17)
-            );
         }
     }
 }

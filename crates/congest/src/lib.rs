@@ -27,19 +27,13 @@
 //! # Example: flooding the maximum id (leader election)
 //!
 //! ```
-//! use pga_congest::{Algorithm, Ctx, MsgCodec, MsgSize, RunConfig, Simulator};
+//! use pga_congest::{Algorithm, Ctx, MsgSize, RunConfig, Simulator};
 //! use pga_graph::{generators, NodeId};
 //!
 //! #[derive(Clone)]
 //! struct Max(u32);
 //! impl MsgSize for Max {
 //!     fn size_bits(&self, id_bits: usize) -> usize { id_bits }
-//! }
-//! // The packed wire form multi-shard runs may move instead of the enum.
-//! impl MsgCodec for Max {
-//!     type Word = u32;
-//!     fn encode(&self) -> u32 { self.0 }
-//!     fn decode(w: u32) -> Max { Max(w) }
 //! }
 //!
 //! struct Flood { best: u32, changed: bool, quiet: bool }
@@ -91,12 +85,10 @@ pub use pga_runtime::{
     Adversary, Fate, FaultEvent, FaultSpec, FaultStats, FaultTrace, ReliabilitySpec,
     SeededAdversary, TraceAdversary,
 };
-/// Runtime-level message-plane vocabulary, re-exported so algorithm
-/// crates can implement packed codecs and build [`RunConfig`]s without
-/// depending on `pga-runtime` directly.
-pub use pga_runtime::{
-    Engine, G2Prep, MsgCodec, MsgCost, RunConfig, Scheduling, PARALLEL_MIN_NODES,
-};
+/// Runtime-level run vocabulary, re-exported so algorithm crates can
+/// charge messages and build [`RunConfig`]s without depending on
+/// `pga-runtime` directly.
+pub use pga_runtime::{Engine, G2Prep, MsgCost, RunConfig, Scheduling, PARALLEL_MIN_NODES};
 /// Telemetry-plane vocabulary ([`Probe`] and its stock
 /// implementations), re-exported so benches and tests can attach probes
 /// to [`Simulator::run_cfg_probed`] without depending on `pga-runtime`

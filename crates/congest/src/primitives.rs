@@ -16,7 +16,6 @@
 
 use crate::sim::{Algorithm, Ctx, MsgSize};
 use pga_graph::NodeId;
-use pga_runtime::MsgCodec;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -56,71 +55,6 @@ impl<I: MsgSize, D: MsgSize> MsgSize for GsMsg<I, D> {
             GsMsg::UpDone => 0,
             GsMsg::Down(d) => d.size_bits(id_bits),
             GsMsg::DownEnd { .. } => 1,
-        }
-    }
-}
-
-/// Fixed-width packing of one gather–scatter payload: three words plus
-/// one spare flag bit carried in the envelope word.
-///
-/// Implementing this for the item and response types of a
-/// [`GatherScatter`] instantiation gives its [`GsMsg`] a [`MsgCodec`]
-/// (packed into `[u64; 4]`) through the blanket impl below — the orphan
-/// rule lets downstream crates implement `GsPack` for their own payload
-/// types where they could not implement `MsgCodec` for the foreign
-/// `GsMsg` directly. Round-trip contract: `unpack3(pack3(x)) == x`.
-pub trait GsPack: Sized {
-    /// Encodes into three words plus a flag bit.
-    fn pack3(&self) -> ([u64; 3], bool);
-    /// Decodes from three words plus the flag bit.
-    fn unpack3(words: [u64; 3], flag: bool) -> Self;
-}
-
-// Packed layout ([u64; 4]): word 0 is the envelope — tag in bits 0..3,
-// Explore parent-presence bit at 3, the payload's flag bit at 4, and
-// the Explore parent id in bits 32..64; Up/Down payloads fill words
-// 1..4 via [`GsPack`].
-impl<I, D> MsgCodec for GsMsg<I, D>
-where
-    I: MsgSize + GsPack,
-    D: MsgSize + GsPack,
-{
-    type Word = [u64; 4];
-
-    fn encode(&self) -> [u64; 4] {
-        match self {
-            GsMsg::Explore { parent } => {
-                let w0 = match parent {
-                    Some(p) => (1 << 3) | (u64::from(p.0) << 32),
-                    None => 0,
-                };
-                [w0, 0, 0, 0]
-            }
-            GsMsg::Up(i) => {
-                let (w, flag) = i.pack3();
-                [1 | (u64::from(flag) << 4), w[0], w[1], w[2]]
-            }
-            GsMsg::UpDone => [2, 0, 0, 0],
-            GsMsg::Down(d) => {
-                let (w, flag) = d.pack3();
-                [3 | (u64::from(flag) << 4), w[0], w[1], w[2]]
-            }
-            GsMsg::DownEnd { complete } => [4 | (u64::from(*complete) << 4), 0, 0, 0],
-        }
-    }
-
-    fn decode(word: [u64; 4]) -> Self {
-        let flag = word[0] & (1 << 4) != 0;
-        let payload = [word[1], word[2], word[3]];
-        match word[0] & 0x7 {
-            0 => GsMsg::Explore {
-                parent: (word[0] & (1 << 3) != 0).then_some(NodeId((word[0] >> 32) as u32)),
-            },
-            1 => GsMsg::Up(I::unpack3(payload, flag)),
-            2 => GsMsg::UpDone,
-            3 => GsMsg::Down(D::unpack3(payload, flag)),
-            4 => GsMsg::DownEnd { complete: flag },
-            tag => unreachable!("invalid GsMsg tag {tag}"),
         }
     }
 }
@@ -419,19 +353,6 @@ impl MsgSize for SizedU64 {
     }
 }
 
-impl GsPack for SizedU64 {
-    fn pack3(&self) -> ([u64; 3], bool) {
-        ([self.value, self.bits as u64, 0], false)
-    }
-
-    fn unpack3(words: [u64; 3], _flag: bool) -> Self {
-        SizedU64 {
-            value: words[0],
-            bits: words[1] as usize,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -664,18 +585,6 @@ impl MsgSize for MaxId {
     }
 }
 
-impl MsgCodec for MaxId {
-    type Word = u64;
-
-    fn encode(&self) -> u64 {
-        u64::from(self.0)
-    }
-
-    fn decode(word: u64) -> Self {
-        MaxId(word as u32)
-    }
-}
-
 impl FloodMax {
     /// State for the node with the given id.
     pub fn new(id: NodeId) -> Self {
@@ -760,49 +669,5 @@ mod flood_tests {
             .run_cfg(vec![FloodMax::new(NodeId(0))], &RunConfig::new())
             .unwrap();
         assert_eq!(report.outputs[0], NodeId(0));
-    }
-}
-
-#[cfg(test)]
-mod codec_roundtrip_tests {
-    use super::*;
-    use proptest::prelude::*;
-
-    fn arb_sized() -> impl Strategy<Value = SizedU64> {
-        (any::<u64>(), any::<usize>()).prop_map(|(value, bits)| SizedU64 { value, bits })
-    }
-
-    /// Every arm of [`GsMsg`], with full-range payloads.
-    fn arb_gs_msg() -> impl Strategy<Value = GsMsg<SizedU64, SizedU64>> {
-        prop_oneof![
-            Just(GsMsg::Explore { parent: None }),
-            any::<u32>().prop_map(|p| GsMsg::Explore {
-                parent: Some(NodeId(p)),
-            }),
-            arb_sized().prop_map(GsMsg::Up),
-            Just(GsMsg::UpDone),
-            arb_sized().prop_map(GsMsg::Down),
-            any::<bool>().prop_map(|complete| GsMsg::DownEnd { complete }),
-        ]
-    }
-
-    proptest! {
-        #[test]
-        fn max_id_codec_roundtrips(id in any::<u32>()) {
-            let m = MaxId(id);
-            prop_assert_eq!(MaxId::decode(m.encode()), m);
-        }
-
-        #[test]
-        fn gs_msg_codec_roundtrips(m in arb_gs_msg()) {
-            let word = m.encode();
-            prop_assert_eq!(GsMsg::<SizedU64, SizedU64>::decode(word), m);
-        }
-
-        #[test]
-        fn sized_u64_pack3_roundtrips(s in arb_sized()) {
-            let (words, flag) = s.pack3();
-            prop_assert_eq!(SizedU64::unpack3(words, flag), s);
-        }
     }
 }

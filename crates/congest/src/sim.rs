@@ -11,8 +11,8 @@ pub use crate::error::SimError;
 use crate::Metrics;
 use pga_graph::{Graph, NodeId};
 use pga_runtime::{
-    Adversary, ExecModel, FaultStats, JsonlProbe, MsgCodec, MsgSink, NoopProbe, Poll, Probe,
-    RoundProfile, RunConfig, DEFAULT_MAX_ROUNDS,
+    Adversary, ExecModel, FaultStats, JsonlProbe, MsgSink, NoopProbe, Poll, Probe, RoundProfile,
+    RunConfig, DEFAULT_MAX_ROUNDS,
 };
 
 /// Communication topology of a simulation.
@@ -256,22 +256,12 @@ pub fn id_bits(n: usize) -> usize {
 /// into the CONGEST / CONGESTED CLIQUE engine: per-message validation
 /// via [`check_message`], bit charging, and [`Metrics`] accumulation
 /// (including the per-round congestion profile).
-///
-/// With `packs` set ([`Simulator::run_cfg`] with [`RunConfig::codec`]
-/// on), the kernel's counting-sort exchange moves the message codec's
-/// words through its CSR inbox arenas instead of cloned `A::Msg`
-/// enums; validation and charging still happen here on the decoded
-/// messages, so both planes are bit-identical by construction.
 struct CongestModel<'s, 'g, A> {
     sim: &'s Simulator<'g>,
-    packs: bool,
     _algorithm: std::marker::PhantomData<fn(A)>,
 }
 
-impl<A: Algorithm> ExecModel for CongestModel<'_, '_, A>
-where
-    A::Msg: MsgCodec,
-{
+impl<A: Algorithm> ExecModel for CongestModel<'_, '_, A> {
     type Id = NodeId;
     type Node = A;
     type Msg = A::Msg;
@@ -279,26 +269,6 @@ where
     type Error = SimError;
     type Metrics = Metrics;
     type SendScratch = SendCheck;
-    type Packed = <A::Msg as MsgCodec>::Word;
-
-    fn packs(&self) -> bool {
-        self.packs
-    }
-
-    fn pack(&self, msg: &A::Msg) -> Self::Packed {
-        let word = msg.encode();
-        let bits = id_bits(self.sim.g.num_nodes());
-        debug_assert_eq!(
-            A::Msg::encoded_bits(word, bits),
-            msg.size_bits(bits),
-            "MsgCodec::encoded_bits must agree with MsgCost::size_bits"
-        );
-        word
-    }
-
-    fn unpack(&self, word: Self::Packed) -> A::Msg {
-        A::Msg::decode(word)
-    }
 
     fn actor_cost(&self, _node: &A, idx: usize) -> u64 {
         self.sim.vertex_cost(idx)
@@ -454,13 +424,11 @@ impl<'g> Simulator<'g> {
         }
     }
 
-    /// The [`ExecModel`] this simulator runs `A` under, on the packed
-    /// message plane when `packs` is set: what [`pga_runtime::execute`]
-    /// and the deliberately naive [`pga_runtime::reference::run`]
-    /// oracle drive.
+    /// The [`ExecModel`] this simulator runs `A` under: what
+    /// [`pga_runtime::execute`] and the deliberately naive
+    /// [`pga_runtime::reference::run`] oracle drive.
     pub fn exec_model<A>(
         &self,
-        packs: bool,
     ) -> impl ExecModel<
         Node = A,
         Msg = A::Msg,
@@ -470,11 +438,9 @@ impl<'g> Simulator<'g> {
     > + use<'_, 'g, A>
     where
         A: Algorithm,
-        A::Msg: MsgCodec,
     {
         CongestModel {
             sim: self,
-            packs,
             _algorithm: std::marker::PhantomData,
         }
     }
@@ -482,11 +448,7 @@ impl<'g> Simulator<'g> {
     /// Runs `nodes` (one algorithm state per vertex, indexed by id) to
     /// completion under a [`RunConfig`] (see [`pga_runtime::execute`]).
     /// Every configuration is bit-identical on a clean run: outputs,
-    /// [`Metrics`] (congestion profile included) and errors. With
-    /// [`RunConfig::codec`] on, multi-shard runs move packed
-    /// [`MsgCodec::Word`]s through the exchange, while validation
-    /// ([`check_message`]) and charging run on the decoded messages.
-    /// With [`RunConfig::probe`] at its default, the run streams a
+    /// [`Metrics`] (congestion profile included) and errors. With [`RunConfig::probe`] at its default, the run streams a
     /// trace to the path named by `PGA_TRACE`, if set.
     ///
     /// # Errors
@@ -501,7 +463,7 @@ impl<'g> Simulator<'g> {
     pub fn run_cfg<A>(&self, nodes: Vec<A>, cfg: &RunConfig) -> Result<Report<A::Output>, SimError>
     where
         A: Algorithm + Send,
-        A::Msg: MsgCodec + Send,
+        A::Msg: Send,
     {
         match JsonlProbe::from_run_config(cfg, "congest") {
             Some(probe) => self.run_cfg_probed(nodes, cfg, &probe),
@@ -530,7 +492,7 @@ impl<'g> Simulator<'g> {
     ) -> Result<Report<A::Output>, SimError>
     where
         A: Algorithm + Send,
-        A::Msg: MsgCodec + Send,
+        A::Msg: Send,
         P: Probe,
     {
         self.execute(nodes, cfg, None, probe)
@@ -541,7 +503,7 @@ impl<'g> Simulator<'g> {
     /// oracles, recording ([`crate::SeededAdversary::recording`]) and replay
     /// ([`crate::TraceAdversary`]). Fault decisions are pure functions of
     /// `(round, sender, seq)`, so the run is bit-identical for every
-    /// engine and codec, and a replayed trace reproduces its recording
+    /// engine, and a replayed trace reproduces its recording
     /// bit for bit. [`RunConfig::reliability`] still applies, with the
     /// ARQ plane running over `adversary`.
     ///
@@ -560,7 +522,7 @@ impl<'g> Simulator<'g> {
     ) -> Result<Report<A::Output>, SimError>
     where
         A: Algorithm + Send,
-        A::Msg: MsgCodec + Send,
+        A::Msg: Send,
     {
         self.execute(nodes, cfg, Some(adversary), &NoopProbe)
     }
@@ -574,7 +536,7 @@ impl<'g> Simulator<'g> {
     ) -> Result<Report<A::Output>, SimError>
     where
         A: Algorithm + Send,
-        A::Msg: MsgCodec + Send,
+        A::Msg: Send,
         P: Probe,
     {
         assert_eq!(
@@ -586,7 +548,7 @@ impl<'g> Simulator<'g> {
             max_rounds: Some(cfg.max_rounds.unwrap_or(self.max_rounds)),
             ..*cfg
         };
-        let model = self.exec_model::<A>(cfg.codec);
+        let model = self.exec_model::<A>();
         pga_runtime::execute_under(&model, nodes, &cfg, adversary, probe)
     }
 }

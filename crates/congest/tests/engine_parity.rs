@@ -7,8 +7,8 @@
 //! model.
 
 use pga_congest::{
-    balanced_partition, id_bits, Algorithm, Ctx, Engine, MsgCodec, MsgSize, RunConfig, Scheduling,
-    SimError, Simulator,
+    balanced_partition, id_bits, Algorithm, Ctx, Engine, MsgSize, RunConfig, Scheduling, SimError,
+    Simulator,
 };
 use pga_graph::{generators, NodeId};
 
@@ -17,15 +17,6 @@ struct U32Msg(u32);
 impl MsgSize for U32Msg {
     fn size_bits(&self, id_bits: usize) -> usize {
         id_bits
-    }
-}
-impl MsgCodec for U32Msg {
-    type Word = u32;
-    fn encode(&self) -> u32 {
-        self.0
-    }
-    fn decode(w: u32) -> U32Msg {
-        U32Msg(w)
     }
 }
 
@@ -170,13 +161,6 @@ fn bandwidth_violation() {
             1 << 20
         }
     }
-    impl MsgCodec for Huge {
-        type Word = ();
-        fn encode(&self) {}
-        fn decode((): ()) -> Huge {
-            Huge
-        }
-    }
     struct Sender;
     impl Algorithm for Sender {
         type Msg = Huge;
@@ -238,15 +222,6 @@ struct Bits(u32);
 impl MsgSize for Bits {
     fn size_bits(&self, _id_bits: usize) -> usize {
         self.0 as usize
-    }
-}
-impl MsgCodec for Bits {
-    type Word = u32;
-    fn encode(&self) -> u32 {
-        self.0
-    }
-    fn decode(w: u32) -> Bits {
-        Bits(w)
     }
 }
 
@@ -359,19 +334,17 @@ fn model_violation_errors_are_pinned_on_every_engine() {
             Simulator::congest(&g)
         };
         let nodes = || vec![script.clone(); g.num_nodes()];
-        for codec in [false, true] {
-            let oracle = pga_runtime::reference::run(&sim.exec_model::<Script>(codec), nodes(), 10)
-                .unwrap_err();
-            assert_eq!(oracle, want, "reference, codec={codec}");
-            for engine in [
-                Engine::Sequential,
-                Engine::Parallel { threads: 2 },
-                Engine::Parallel { threads: 4 },
-            ] {
-                let cfg = RunConfig::new().engine(engine).codec(codec).max_rounds(10);
-                let err = sim.run_cfg(nodes(), &cfg).unwrap_err();
-                assert_eq!(err, want, "{cfg:?}");
-            }
+        let oracle =
+            pga_runtime::reference::run(&sim.exec_model::<Script>(), nodes(), 10).unwrap_err();
+        assert_eq!(oracle, want, "reference");
+        for engine in [
+            Engine::Sequential,
+            Engine::Parallel { threads: 2 },
+            Engine::Parallel { threads: 4 },
+        ] {
+            let cfg = RunConfig::new().engine(engine).max_rounds(10);
+            let err = sim.run_cfg(nodes(), &cfg).unwrap_err();
+            assert_eq!(err, want, "{cfg:?}");
         }
     }
 }

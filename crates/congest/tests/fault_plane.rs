@@ -1,8 +1,7 @@
 //! Property-based tests for the adversarial execution plane at the
 //! simulator level: a no-fault adversary must reproduce the clean
 //! engines bit for bit (outputs, metrics, errors), a seeded adversary
-//! must be deterministic across engines, thread counts, and message
-//! planes, and a recorded trace must replay bit for bit.
+//! must be deterministic across engines and thread counts, and a recorded trace must replay bit for bit.
 
 use pga_congest::primitives::FloodMax;
 use pga_congest::{
@@ -57,15 +56,12 @@ proptest! {
         let sim = Simulator::congest(&g);
         let clean = sim.run_cfg(flood(n), &RunConfig::new()).unwrap();
         for threads in [1usize, 2, 4, 8] {
-            for codec in [false, true] {
-                let cfg = RunConfig::new()
-                    .parallel(threads)
-                    .codec(codec)
-                    .adversary(FaultSpec::none());
-                let r = sim.run_cfg(flood(n), &cfg).unwrap();
-                prop_assert_eq!(&r.outputs, &clean.outputs, "threads {} codec {}", threads, codec);
-                prop_assert_eq!(&r.metrics, &clean.metrics, "threads {} codec {}", threads, codec);
-            }
+            let cfg = RunConfig::new()
+                .parallel(threads)
+                .adversary(FaultSpec::none());
+            let r = sim.run_cfg(flood(n), &cfg).unwrap();
+            prop_assert_eq!(&r.outputs, &clean.outputs, "threads {}", threads);
+            prop_assert_eq!(&r.metrics, &clean.metrics, "threads {}", threads);
         }
     }
 
@@ -101,21 +97,18 @@ proptest! {
         let base_cfg = RunConfig::new().sequential().max_rounds(300).adversary(spec);
         let base = sim.run_cfg(flood(n), &base_cfg);
         for threads in [1usize, 2, 4, 8] {
-            for codec in [false, true] {
-                let cfg = RunConfig::new()
-                    .parallel(threads)
-                    .codec(codec)
-                    .max_rounds(300)
-                    .adversary(spec);
-                let r = sim.run_cfg(flood(n), &cfg);
-                match (&base, &r) {
-                    (Ok(a), Ok(b)) => {
-                        prop_assert_eq!(&a.outputs, &b.outputs, "threads {} codec {}", threads, codec);
-                        prop_assert_eq!(&a.metrics, &b.metrics, "threads {} codec {}", threads, codec);
-                    }
-                    (Err(a), Err(b)) => prop_assert_eq!(a, b, "threads {} codec {}", threads, codec),
-                    _ => prop_assert!(false, "Ok/Err divergence at threads {} codec {}", threads, codec),
+            let cfg = RunConfig::new()
+                .parallel(threads)
+                .max_rounds(300)
+                .adversary(spec);
+            let r = sim.run_cfg(flood(n), &cfg);
+            match (&base, &r) {
+                (Ok(a), Ok(b)) => {
+                    prop_assert_eq!(&a.outputs, &b.outputs, "threads {}", threads);
+                    prop_assert_eq!(&a.metrics, &b.metrics, "threads {}", threads);
                 }
+                (Err(a), Err(b)) => prop_assert_eq!(a, b, "threads {}", threads),
+                _ => prop_assert!(false, "Ok/Err divergence at threads {}", threads),
             }
         }
     }
@@ -133,23 +126,20 @@ proptest! {
         let base = sim.run_cfg(flood(n), &base_cfg).unwrap();
         prop_assert_eq!(&base.outputs, &clean.outputs);
         for threads in [1usize, 2, 4, 8] {
-            for codec in [false, true] {
-                let cfg = RunConfig::new()
-                    .parallel(threads)
-                    .codec(codec)
-                    .reliability(ReliabilitySpec::arq());
-                let r = sim.run_cfg(flood(n), &cfg).unwrap();
-                prop_assert_eq!(&r.outputs, &clean.outputs, "threads {} codec {}", threads, codec);
-                prop_assert_eq!(&r.metrics, &base.metrics, "threads {} codec {}", threads, codec);
-            }
+            let cfg = RunConfig::new()
+                .parallel(threads)
+                .reliability(ReliabilitySpec::arq());
+            let r = sim.run_cfg(flood(n), &cfg).unwrap();
+            prop_assert_eq!(&r.outputs, &clean.outputs, "threads {}", threads);
+            prop_assert_eq!(&r.metrics, &base.metrics, "threads {}", threads);
         }
     }
 
     /// ARQ under drop-only faults (below the dead-link threshold)
     /// delivers the clean run's outputs **bit-identically** — the
     /// barrier absorbs retransmission jitter, so actors never observe
-    /// the loss — at threads {1, 2, 4, 8} × both codec planes, with
-    /// replay-identical metrics across all of them.
+    /// the loss — at threads {1, 2, 4, 8}, with replay-identical
+    /// metrics across all of them.
     #[test]
     fn arq_drop_only_recovers_clean_outputs(g in arb_instance(), seed in any::<u64>()) {
         let n = g.num_nodes();
@@ -164,17 +154,14 @@ proptest! {
         let base = sim.run_cfg(flood(n), &base_cfg).unwrap();
         prop_assert_eq!(&base.outputs, &clean.outputs);
         for threads in [1usize, 2, 4, 8] {
-            for codec in [false, true] {
-                let cfg = RunConfig::new()
-                    .parallel(threads)
-                    .codec(codec)
-                    .max_rounds(5_000)
-                    .adversary(spec)
-                    .reliability(ReliabilitySpec::arq());
-                let r = sim.run_cfg(flood(n), &cfg).unwrap();
-                prop_assert_eq!(&r.outputs, &clean.outputs, "threads {} codec {}", threads, codec);
-                prop_assert_eq!(&r.metrics, &base.metrics, "threads {} codec {}", threads, codec);
-            }
+            let cfg = RunConfig::new()
+                .parallel(threads)
+                .max_rounds(5_000)
+                .adversary(spec)
+                .reliability(ReliabilitySpec::arq());
+            let r = sim.run_cfg(flood(n), &cfg).unwrap();
+            prop_assert_eq!(&r.outputs, &clean.outputs, "threads {}", threads);
+            prop_assert_eq!(&r.metrics, &base.metrics, "threads {}", threads);
         }
     }
 
@@ -194,22 +181,19 @@ proptest! {
             .reliability(rel);
         let base = sim.run_cfg(flood(n), &base_cfg);
         for threads in [1usize, 2, 4, 8] {
-            for codec in [false, true] {
-                let cfg = RunConfig::new()
-                    .parallel(threads)
-                    .codec(codec)
-                    .max_rounds(2_000)
-                    .adversary(spec)
-                    .reliability(rel);
-                let r = sim.run_cfg(flood(n), &cfg);
-                match (&base, &r) {
-                    (Ok(a), Ok(b)) => {
-                        prop_assert_eq!(&a.outputs, &b.outputs, "threads {} codec {}", threads, codec);
-                        prop_assert_eq!(&a.metrics, &b.metrics, "threads {} codec {}", threads, codec);
-                    }
-                    (Err(a), Err(b)) => prop_assert_eq!(a, b, "threads {} codec {}", threads, codec),
-                    _ => prop_assert!(false, "Ok/Err divergence at threads {} codec {}", threads, codec),
+            let cfg = RunConfig::new()
+                .parallel(threads)
+                .max_rounds(2_000)
+                .adversary(spec)
+                .reliability(rel);
+            let r = sim.run_cfg(flood(n), &cfg);
+            match (&base, &r) {
+                (Ok(a), Ok(b)) => {
+                    prop_assert_eq!(&a.outputs, &b.outputs, "threads {}", threads);
+                    prop_assert_eq!(&a.metrics, &b.metrics, "threads {}", threads);
                 }
+                (Err(a), Err(b)) => prop_assert_eq!(a, b, "threads {}", threads),
+                _ => prop_assert!(false, "Ok/Err divergence at threads {}", threads),
             }
         }
     }

@@ -60,28 +60,26 @@ proptest! {
         let n = g.num_nodes();
         let sim = Simulator::congest(&g);
         for threads in [1usize, 2, 4, 8] {
-            for codec in [false, true] {
-                let cfg = RunConfig::new().parallel(threads).codec(codec);
-                let plain = sim.run_cfg_probed(flood(n), &cfg, &NoopProbe).unwrap();
-                let probe = RecordingProbe::new("congest");
-                let observed = sim.run_cfg_probed(flood(n), &cfg, &probe).unwrap();
-                prop_assert_eq!(&observed.outputs, &plain.outputs,
-                    "outputs, threads {} codec {}", threads, codec);
-                prop_assert_eq!(&observed.metrics, &plain.metrics,
-                    "metrics, threads {} codec {}", threads, codec);
+            let cfg = RunConfig::new().parallel(threads);
+            let plain = sim.run_cfg_probed(flood(n), &cfg, &NoopProbe).unwrap();
+            let probe = RecordingProbe::new("congest");
+            let observed = sim.run_cfg_probed(flood(n), &cfg, &probe).unwrap();
+            prop_assert_eq!(&observed.outputs, &plain.outputs,
+                "outputs, threads {}", threads);
+            prop_assert_eq!(&observed.metrics, &plain.metrics,
+                "metrics, threads {}", threads);
 
-                // And the recorded telemetry agrees with the metrics it
-                // observed (clean runs deliver everything they charge).
-                let runs = probe.into_runs();
-                prop_assert_eq!(runs.len(), 1);
-                let t = &runs[0];
-                prop_assert_eq!(t.end.map(|(r, _)| r as usize), Some(observed.metrics.rounds));
-                prop_assert_eq!(t.rounds.len(), observed.metrics.rounds);
-                let msgs: u64 = t.rounds.iter().map(|r| r.messages).sum();
-                prop_assert_eq!(msgs, observed.metrics.messages);
-                let bits: u64 = t.rounds.iter().map(|r| r.volume).sum();
-                prop_assert_eq!(bits, observed.metrics.bits);
-            }
+            // And the recorded telemetry agrees with the metrics it
+            // observed (clean runs deliver everything they charge).
+            let runs = probe.into_runs();
+            prop_assert_eq!(runs.len(), 1);
+            let t = &runs[0];
+            prop_assert_eq!(t.end.map(|(r, _)| r as usize), Some(observed.metrics.rounds));
+            prop_assert_eq!(t.rounds.len(), observed.metrics.rounds);
+            let msgs: u64 = t.rounds.iter().map(|r| r.messages).sum();
+            prop_assert_eq!(msgs, observed.metrics.messages);
+            let bits: u64 = t.rounds.iter().map(|r| r.volume).sum();
+            prop_assert_eq!(bits, observed.metrics.bits);
         }
     }
 
@@ -94,35 +92,32 @@ proptest! {
         let n = g.num_nodes();
         let sim = Simulator::congest(&g);
         for threads in [1usize, 2, 4, 8] {
-            for codec in [false, true] {
-                let cfg = RunConfig::new()
-                    .parallel(threads)
-                    .codec(codec)
-                    .max_rounds(300)
-                    .adversary(hostile(seed));
-                let plain = sim.run_cfg_probed(flood(n), &cfg, &NoopProbe);
-                let probe = RecordingProbe::new("congest");
-                let observed = sim.run_cfg_probed(flood(n), &cfg, &probe);
-                match (&plain, &observed) {
-                    (Ok(a), Ok(b)) => {
-                        prop_assert_eq!(&a.outputs, &b.outputs,
-                            "outputs, threads {} codec {}", threads, codec);
-                        prop_assert_eq!(&a.metrics, &b.metrics,
-                            "metrics, threads {} codec {}", threads, codec);
-                        // The probe's fault tally is the metrics' tally.
-                        let runs = probe.into_runs();
-                        prop_assert!(runs.len() == 1 && runs[0].end.is_some());
-                        prop_assert_eq!(runs[0].fault_total(), b.metrics.fault,
-                            "fault tally, threads {} codec {}", threads, codec);
-                    }
-                    (Err(a), Err(b)) => {
-                        prop_assert_eq!(a, b, "threads {} codec {}", threads, codec);
-                        // Aborted runs never see `on_run_end`.
-                        prop_assert!(probe.into_runs().iter().all(|r| r.end.is_none()));
-                    }
-                    _ => prop_assert!(false,
-                        "Ok/Err divergence at threads {} codec {}", threads, codec),
+            let cfg = RunConfig::new()
+                .parallel(threads)
+                .max_rounds(300)
+                .adversary(hostile(seed));
+            let plain = sim.run_cfg_probed(flood(n), &cfg, &NoopProbe);
+            let probe = RecordingProbe::new("congest");
+            let observed = sim.run_cfg_probed(flood(n), &cfg, &probe);
+            match (&plain, &observed) {
+                (Ok(a), Ok(b)) => {
+                    prop_assert_eq!(&a.outputs, &b.outputs,
+                        "outputs, threads {}", threads);
+                    prop_assert_eq!(&a.metrics, &b.metrics,
+                        "metrics, threads {}", threads);
+                    // The probe's fault tally is the metrics' tally.
+                    let runs = probe.into_runs();
+                    prop_assert!(runs.len() == 1 && runs[0].end.is_some());
+                    prop_assert_eq!(runs[0].fault_total(), b.metrics.fault,
+                        "fault tally, threads {}", threads);
                 }
+                (Err(a), Err(b)) => {
+                    prop_assert_eq!(a, b, "threads {}", threads);
+                    // Aborted runs never see `on_run_end`.
+                    prop_assert!(probe.into_runs().iter().all(|r| r.end.is_none()));
+                }
+                _ => prop_assert!(false,
+                    "Ok/Err divergence at threads {}", threads),
             }
         }
     }

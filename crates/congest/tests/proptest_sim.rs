@@ -2,7 +2,7 @@
 //! primitive.
 
 use pga_congest::primitives::{FloodMax, GatherScatter, LeaderCompute, SizedU64};
-use pga_congest::{Algorithm, Ctx, MsgCodec, MsgSize, RunConfig, Simulator};
+use pga_congest::{Algorithm, Ctx, MsgSize, RunConfig, Simulator};
 use pga_graph::traversal::{bfs_distances, diameter};
 use pga_graph::{generators, Graph, NodeId};
 use proptest::prelude::*;
@@ -47,13 +47,6 @@ struct Ping;
 impl MsgSize for Ping {
     fn size_bits(&self, _id_bits: usize) -> usize {
         1
-    }
-}
-impl MsgCodec for Ping {
-    type Word = ();
-    fn encode(&self) {}
-    fn decode((): ()) -> Ping {
-        Ping
     }
 }
 

@@ -1,5 +1,5 @@
-//! The round kernel against its oracle: every engine, thread count,
-//! codec and scheduling policy of `Simulator::run_cfg` must reproduce
+//! The round kernel against its oracle: every engine, thread count
+//! and scheduling policy of `Simulator::run_cfg` must reproduce
 //! the deliberately naive `pga_runtime::reference::run` executor
 //! exactly — outputs, metrics, and errors.
 
@@ -49,31 +49,28 @@ proptest! {
             sim = sim.with_bandwidth_bits(id_bits(n) - 1);
         }
         let budget = if tight_budget { 3 } else { 1_000 };
-        let oracle = pga_runtime::reference::run(&sim.exec_model::<FloodMax>(false), flood(n), budget);
+        let oracle = pga_runtime::reference::run(&sim.exec_model::<FloodMax>(), flood(n), budget);
         for engine in [
             Engine::Sequential,
             Engine::Parallel { threads: 1 },
             Engine::Parallel { threads: 2 },
             Engine::Parallel { threads: 4 },
         ] {
-            for codec in [false, true] {
-                for scheduling in [Scheduling::ActiveSet, Scheduling::FullSweep] {
-                    let cfg = RunConfig::new()
-                        .engine(engine)
-                        .codec(codec)
-                        .scheduling(scheduling)
-                        .max_rounds(budget)
-                        .probe(ProbeMode::Off);
-                    let run = sim.run_cfg(flood(n), &cfg);
-                    match (&oracle, &run) {
-                        (Ok(want), Ok(got)) => {
-                            prop_assert_eq!(&got.outputs, &want.outputs, "{:?}", cfg);
-                            prop_assert_eq!(&got.metrics, &want.metrics, "{:?}", cfg);
-                        }
-                        (Err(want), Err(got)) => prop_assert_eq!(got, want, "{:?}", cfg),
-                        _ => prop_assert!(false, "{:?}: oracle {:?} vs run {:?}", cfg,
-                            oracle.as_ref().err(), run.as_ref().err()),
+            for scheduling in [Scheduling::ActiveSet, Scheduling::FullSweep] {
+                let cfg = RunConfig::new()
+                    .engine(engine)
+                    .scheduling(scheduling)
+                    .max_rounds(budget)
+                    .probe(ProbeMode::Off);
+                let run = sim.run_cfg(flood(n), &cfg);
+                match (&oracle, &run) {
+                    (Ok(want), Ok(got)) => {
+                        prop_assert_eq!(&got.outputs, &want.outputs, "{:?}", cfg);
+                        prop_assert_eq!(&got.metrics, &want.metrics, "{:?}", cfg);
                     }
+                    (Err(want), Err(got)) => prop_assert_eq!(got, want, "{:?}", cfg),
+                    _ => prop_assert!(false, "{:?}: oracle {:?} vs run {:?}", cfg,
+                        oracle.as_ref().err(), run.as_ref().err()),
                 }
             }
         }

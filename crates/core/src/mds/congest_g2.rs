@@ -31,7 +31,7 @@
 //! makes progress exactly as in \[CD18\].
 
 use crate::mds::estimator::{estimate_from_minima, exp_sample};
-use pga_congest::{Algorithm, Ctx, Metrics, MsgCodec, MsgSize, RunConfig, SimError, Simulator};
+use pga_congest::{Algorithm, Ctx, Metrics, MsgSize, RunConfig, SimError, Simulator};
 use pga_graph::{Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -66,44 +66,6 @@ impl MsgSize for MdsMsg {
             MdsMsg::CandRank(_, _) => 5 * id_bits,
             MdsMsg::VoteSample(_, _) => id_bits + 64,
             MdsMsg::Joined | MdsMsg::CoverRelay => 0,
-        }
-    }
-}
-
-// Packed layout (u128): bits 0..3 tag (eight arms exactly fill it); a
-// 64-bit payload (f64 bit pattern, rank, or density) in bits 3..67 and
-// a 32-bit id in bits 67..99 where the arm carries one. `f64::to_bits`
-// round-trips every pattern exactly, NaN payloads included.
-impl MsgCodec for MdsMsg {
-    type Word = u128;
-
-    fn encode(&self) -> u128 {
-        match self {
-            MdsMsg::EstSample(x) => u128::from(x.to_bits()) << 3,
-            MdsMsg::EstMin(x) => 1 | (u128::from(x.to_bits()) << 3),
-            MdsMsg::RhoMax(rho) => 2 | (u128::from(*rho) << 3),
-            MdsMsg::CandRank(rank, id) => 3 | (u128::from(*rank) << 3) | (u128::from(*id) << 67),
-            MdsMsg::VoteSample(cand, x) => {
-                4 | (u128::from(x.to_bits()) << 3) | (u128::from(*cand) << 67)
-            }
-            MdsMsg::VoteRelay(x) => 5 | (u128::from(x.to_bits()) << 3),
-            MdsMsg::Joined => 6,
-            MdsMsg::CoverRelay => 7,
-        }
-    }
-
-    fn decode(word: u128) -> Self {
-        let payload = (word >> 3) as u64;
-        let id = (word >> 67) as u32;
-        match word & 0x7 {
-            0 => MdsMsg::EstSample(f64::from_bits(payload)),
-            1 => MdsMsg::EstMin(f64::from_bits(payload)),
-            2 => MdsMsg::RhoMax(payload),
-            3 => MdsMsg::CandRank(payload, id),
-            4 => MdsMsg::VoteSample(id, f64::from_bits(payload)),
-            5 => MdsMsg::VoteRelay(f64::from_bits(payload)),
-            6 => MdsMsg::Joined,
-            _ => MdsMsg::CoverRelay,
         }
     }
 }
@@ -417,7 +379,7 @@ pub fn g2_mds_congest(g: &Graph, sample_factor: usize, seed: u64) -> Result<G2Md
 }
 
 /// [`g2_mds_congest`] under an explicit [`RunConfig`] (engine, thread
-/// count, scheduling policy, packed message plane).
+/// count, scheduling policy).
 ///
 /// Every configuration is bit-identical — the same `seed` yields the
 /// same dominating set under any configuration; a parallel engine simply
@@ -546,54 +508,5 @@ mod tests {
     fn empty_graph() {
         let r = g2_mds_congest(&pga_graph::Graph::empty(0), 4, 0).unwrap();
         assert_eq!(r.size(), 0);
-    }
-}
-
-#[cfg(test)]
-mod codec_roundtrip_tests {
-    use super::*;
-    use proptest::prelude::*;
-
-    /// Bit-exact projection of an [`MdsMsg`]: arm tag plus payload bit
-    /// patterns (`f64` arms compared through `to_bits`, so NaN payloads
-    /// and signed zeros are distinguished the way the packed plane must
-    /// preserve them).
-    fn key(m: &MdsMsg) -> (u8, u64, u32) {
-        match m {
-            MdsMsg::EstSample(x) => (0, x.to_bits(), 0),
-            MdsMsg::EstMin(x) => (1, x.to_bits(), 0),
-            MdsMsg::RhoMax(rho) => (2, *rho, 0),
-            MdsMsg::CandRank(rank, id) => (3, *rank, *id),
-            MdsMsg::VoteSample(cand, x) => (4, x.to_bits(), *cand),
-            MdsMsg::VoteRelay(x) => (5, x.to_bits(), 0),
-            MdsMsg::Joined => (6, 0, 0),
-            MdsMsg::CoverRelay => (7, 0, 0),
-        }
-    }
-
-    /// Every `f64` bit pattern, NaN payloads and infinities included.
-    fn arb_f64_bits() -> impl Strategy<Value = f64> {
-        any::<u64>().prop_map(f64::from_bits)
-    }
-
-    /// Every arm of [`MdsMsg`], with full-range payloads.
-    fn arb_msg() -> impl Strategy<Value = MdsMsg> {
-        prop_oneof![
-            arb_f64_bits().prop_map(MdsMsg::EstSample),
-            arb_f64_bits().prop_map(MdsMsg::EstMin),
-            any::<u64>().prop_map(MdsMsg::RhoMax),
-            (any::<u64>(), any::<u32>()).prop_map(|(r, id)| MdsMsg::CandRank(r, id)),
-            (any::<u32>(), arb_f64_bits()).prop_map(|(c, x)| MdsMsg::VoteSample(c, x)),
-            arb_f64_bits().prop_map(MdsMsg::VoteRelay),
-            Just(MdsMsg::Joined),
-            Just(MdsMsg::CoverRelay),
-        ]
-    }
-
-    proptest! {
-        #[test]
-        fn mds_msg_codec_roundtrips(m in arb_msg()) {
-            prop_assert_eq!(key(&MdsMsg::decode(m.encode())), key(&m));
-        }
     }
 }

@@ -11,7 +11,7 @@
 //! This module provides both the bare math ([`estimate_from_minima`]) and
 //! the distributed algorithm ([`TwoHopEstimator`]).
 
-use pga_congest::{Algorithm, Ctx, MsgCodec, MsgSize, RunConfig, Simulator};
+use pga_congest::{Algorithm, Ctx, MsgSize, RunConfig, Simulator};
 use pga_graph::{Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -45,20 +45,6 @@ pub struct Sample(pub f64);
 impl MsgSize for Sample {
     fn size_bits(&self, _id_bits: usize) -> usize {
         64
-    }
-}
-
-// Packed as the raw f64 bit pattern — exact for every value, NaN
-// payloads included, and no tag (single-arm message type).
-impl MsgCodec for Sample {
-    type Word = u64;
-
-    fn encode(&self) -> u64 {
-        self.0.to_bits()
-    }
-
-    fn decode(word: u64) -> Self {
-        Sample(f64::from_bits(word))
     }
 }
 
@@ -167,7 +153,7 @@ pub fn estimate_two_hop_sizes(g: &Graph, in_u: &[bool], r: usize, seed: u64) -> 
 }
 
 /// [`estimate_two_hop_sizes`] under an explicit [`RunConfig`] (engine,
-/// thread count, scheduling policy, packed message plane).
+/// thread count, scheduling policy).
 ///
 /// Every configuration is bit-identical — the same `seed` yields the
 /// same estimates under any configuration; a parallel engine simply
@@ -298,22 +284,6 @@ mod tests {
         }
         for (v, &e) in est.iter().enumerate().skip(3) {
             assert_eq!(e, 0.0, "node {v} is 3+ hops away");
-        }
-    }
-}
-
-#[cfg(test)]
-mod codec_roundtrip_tests {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        /// The single-arm [`Sample`] codec must round-trip every `f64`
-        /// bit pattern — NaN payloads and signed zeros included.
-        #[test]
-        fn sample_codec_roundtrips(bits in any::<u64>()) {
-            let s = Sample(f64::from_bits(bits));
-            prop_assert_eq!(Sample::decode(s.encode()).0.to_bits(), bits);
         }
     }
 }

@@ -84,7 +84,7 @@ pub fn g2_mvc_congest_mpc(
 
 /// [`g2_mvc_congest_mpc`] with an explicit memory budget `S` (words)
 /// under an explicit [`RunConfig`] (engine, thread count, scheduling
-/// policy, packed message plane for the cross-machine batches).
+/// policy).
 ///
 /// Every configuration is bit-identical, including the MPC resource
 /// accounting.
@@ -206,7 +206,7 @@ pub fn g2_mds_congest_mpc(
 
 /// [`g2_mds_congest_mpc`] with an explicit memory budget `S` (words)
 /// under an explicit [`RunConfig`] (engine, thread count, scheduling
-/// policy, packed message plane for the cross-machine batches).
+/// policy).
 ///
 /// Every configuration is bit-identical, including the MPC resource
 /// accounting.
@@ -328,12 +328,10 @@ mod tests {
         let budget = budget_for::<Phase1>(&g).max(budget_for::<GatherScatter<FEdge, CoverId>>(&g));
         let seq =
             g2_mvc_congest_mpc_cfg(&g, 0.5, LocalSolver::Exact, budget, &RunConfig::new()).unwrap();
-        for codec in [false, true] {
-            let cfg = RunConfig::new().parallel(3).codec(codec);
-            let par = g2_mvc_congest_mpc_cfg(&g, 0.5, LocalSolver::Exact, budget, &cfg).unwrap();
-            assert_eq!(par.result.cover, seq.result.cover, "codec={codec}");
-            assert_eq!(par.mpc_metrics, seq.mpc_metrics, "codec={codec}");
-        }
+        let cfg = RunConfig::new().parallel(3);
+        let par = g2_mvc_congest_mpc_cfg(&g, 0.5, LocalSolver::Exact, budget, &cfg).unwrap();
+        assert_eq!(par.result.cover, seq.result.cover);
+        assert_eq!(par.mpc_metrics, seq.mpc_metrics);
     }
 
     #[test]

@@ -11,9 +11,8 @@ use crate::mvc::congest::G2MvcResult;
 use crate::mvc::phase1::P1Output;
 use crate::mvc::phase1_direct::run_phase1_with_prep;
 use crate::mvc::remainder::{f_edges_for_node, solve_remainder, FEdge, LocalSolver};
-use pga_congest::primitives::GsPack;
 use pga_congest::{
-    default_cap_words, Algorithm, Ctx, Metrics, MsgCodec, MsgSize, RunConfig, SimError, Simulator,
+    default_cap_words, Algorithm, Ctx, Metrics, MsgSize, RunConfig, SimError, Simulator,
 };
 use pga_graph::{Graph, NodeId};
 use std::collections::VecDeque;
@@ -35,36 +34,6 @@ impl MsgSize for CliqueMsg {
             CliqueMsg::Edge(e) => e.size_bits(id_bits),
             CliqueMsg::Done => 0,
             CliqueMsg::Verdict(_) => 1,
-        }
-    }
-}
-
-// Packed layout ([u64; 4]): word 0 holds a 2-bit tag, the edge's
-// direction flag at bit 2 and the verdict at bit 3; words 1..4 hold the
-// edge's GsPack payload.
-impl MsgCodec for CliqueMsg {
-    type Word = [u64; 4];
-
-    fn encode(&self) -> [u64; 4] {
-        match self {
-            CliqueMsg::Edge(e) => {
-                let (w, flag) = e.pack3();
-                [u64::from(flag) << 2, w[0], w[1], w[2]]
-            }
-            CliqueMsg::Done => [1, 0, 0, 0],
-            CliqueMsg::Verdict(v) => [2 | (u64::from(*v) << 3), 0, 0, 0],
-        }
-    }
-
-    fn decode(word: [u64; 4]) -> Self {
-        match word[0] & 0x3 {
-            0 => CliqueMsg::Edge(FEdge::unpack3(
-                [word[1], word[2], word[3]],
-                word[0] & 0x4 != 0,
-            )),
-            1 => CliqueMsg::Done,
-            2 => CliqueMsg::Verdict(word[0] & 0x8 != 0),
-            tag => unreachable!("invalid CliqueMsg tag {tag}"),
         }
     }
 }
@@ -279,7 +248,7 @@ pub fn g2_mvc_clique_det(
 }
 
 /// [`g2_mvc_clique_det`] under an explicit [`RunConfig`] (engine, thread
-/// count, scheduling policy, packed message plane, `G²` preprocessing).
+/// count, scheduling policy, `G²` preprocessing).
 ///
 /// Every configuration is bit-identical; a parallel engine simply runs
 /// large instances faster. With
@@ -415,54 +384,10 @@ mod tests {
         let reference = g2_mvc_clique_det_cfg(&g, 0.5, LocalSolver::Exact, &base).unwrap();
         assert!(is_vertex_cover_on_square(&g, &reference.cover));
         for threads in [1usize, 2, 4, 8] {
-            for codec in [false, true] {
-                let cfg = base.parallel(threads).codec(codec);
-                let r = g2_mvc_clique_det_cfg(&g, 0.5, LocalSolver::Exact, &cfg).unwrap();
-                assert_eq!(
-                    reference.cover, r.cover,
-                    "threads={threads} codec={codec} diverged"
-                );
-                assert_eq!(reference.phase1_metrics, r.phase1_metrics);
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod codec_roundtrip_tests {
-    use super::*;
-    use proptest::prelude::*;
-
-    fn arb_fedge() -> impl Strategy<Value = FEdge> {
-        (
-            any::<u32>(),
-            any::<u32>(),
-            any::<bool>(),
-            any::<u64>(),
-            any::<u64>(),
-        )
-            .prop_map(|(from, to, from_in_u, from_weight, to_weight)| FEdge {
-                from: NodeId(from),
-                to: NodeId(to),
-                from_in_u,
-                from_weight,
-                to_weight,
-            })
-    }
-
-    /// Every arm of [`CliqueMsg`], with full-range edge payloads.
-    fn arb_msg() -> impl Strategy<Value = CliqueMsg> {
-        prop_oneof![
-            arb_fedge().prop_map(CliqueMsg::Edge),
-            Just(CliqueMsg::Done),
-            any::<bool>().prop_map(CliqueMsg::Verdict),
-        ]
-    }
-
-    proptest! {
-        #[test]
-        fn clique_msg_codec_roundtrips(m in arb_msg()) {
-            prop_assert_eq!(CliqueMsg::decode(m.encode()), m);
+            let cfg = base.parallel(threads);
+            let r = g2_mvc_clique_det_cfg(&g, 0.5, LocalSolver::Exact, &cfg).unwrap();
+            assert_eq!(reference.cover, r.cover, "threads={threads} diverged");
+            assert_eq!(reference.phase1_metrics, r.phase1_metrics);
         }
     }
 }

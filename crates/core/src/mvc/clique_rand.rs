@@ -22,8 +22,8 @@ use crate::mvc::phase1::P1Output;
 use crate::mvc::phase1_direct::merge_metrics;
 use crate::mvc::remainder::LocalSolver;
 use pga_congest::{
-    clique_bmm, default_cap_words, Algorithm, Ctx, G2Prep, Metrics, MsgCodec, MsgSize, RunConfig,
-    SimError, Simulator,
+    clique_bmm, default_cap_words, Algorithm, Ctx, G2Prep, Metrics, MsgSize, RunConfig, SimError,
+    Simulator,
 };
 use pga_graph::{Graph, NodeId};
 use rand::rngs::StdRng;
@@ -47,29 +47,6 @@ impl MsgSize for VoteMsg {
         2 + match self {
             VoteMsg::Cand(_) => 4 * id_bits, // a rank in [n⁴]
             _ => 0,
-        }
-    }
-}
-
-// Packed layout (u128): bits 0..2 tag, bits 2..66 the candidate rank.
-impl MsgCodec for VoteMsg {
-    type Word = u128;
-
-    fn encode(&self) -> u128 {
-        match self {
-            VoteMsg::Cand(rank) => u128::from(*rank) << 2,
-            VoteMsg::Vote => 1,
-            VoteMsg::JoinS => 2,
-            VoteMsg::LeftR => 3,
-        }
-    }
-
-    fn decode(word: u128) -> Self {
-        match word & 0x3 {
-            0 => VoteMsg::Cand((word >> 2) as u64),
-            1 => VoteMsg::Vote,
-            2 => VoteMsg::JoinS,
-            _ => VoteMsg::LeftR,
         }
     }
 }
@@ -264,8 +241,7 @@ pub fn g2_mvc_clique_rand(
 }
 
 /// [`g2_mvc_clique_rand`] under an explicit [`RunConfig`] (engine,
-/// thread count, scheduling policy, packed message plane, `G²`
-/// preprocessing).
+/// thread count, scheduling policy, `G²` preprocessing).
 ///
 /// Every configuration is bit-identical — the same `seed` yields the
 /// same cover under any configuration; a parallel engine simply runs
@@ -408,28 +384,5 @@ mod tests {
         assert!(is_vertex_cover_on_square(&g, &r.cover));
         let opt = mvc_size(&square(&g));
         assert_eq!(r.size(), opt, "exact leader solve on the whole graph");
-    }
-}
-
-#[cfg(test)]
-mod codec_roundtrip_tests {
-    use super::*;
-    use proptest::prelude::*;
-
-    /// Every arm of [`VoteMsg`], with full-range ranks.
-    fn arb_msg() -> impl Strategy<Value = VoteMsg> {
-        prop_oneof![
-            any::<u64>().prop_map(VoteMsg::Cand),
-            Just(VoteMsg::Vote),
-            Just(VoteMsg::JoinS),
-            Just(VoteMsg::LeftR),
-        ]
-    }
-
-    proptest! {
-        #[test]
-        fn vote_msg_codec_roundtrips(m in arb_msg()) {
-            prop_assert_eq!(VoteMsg::decode(m.encode()), m);
-        }
     }
 }

@@ -87,11 +87,10 @@ pub fn g2_mvc_congest(g: &Graph, eps: f64, solver: LocalSolver) -> Result<G2MvcR
 }
 
 /// [`g2_mvc_congest`] under an explicit [`RunConfig`] (engine, thread
-/// count, scheduling policy, packed message plane).
+/// count, scheduling policy).
 ///
 /// Every configuration is bit-identical: the result does not depend on
-/// the choice; a parallel engine (and, on top of it, the packed codec
-/// plane) simply runs large instances faster. The experiment binaries
+/// the choice; a parallel engine simply runs large instances faster. The experiment binaries
 /// use `RunConfig::new().parallel_auto()`.
 ///
 /// # Errors
@@ -257,13 +256,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(54);
         let g = generators::connected_gnp(24, 0.12, &mut rng);
         let seq = g2_mvc_congest(&g, 0.5, LocalSolver::Exact).unwrap();
-        for codec in [false, true] {
-            let cfg = RunConfig::new().parallel(4).codec(codec);
-            let par = g2_mvc_congest_cfg(&g, 0.5, LocalSolver::Exact, &cfg).unwrap();
-            assert_eq!(par.cover, seq.cover, "codec={codec}");
-            assert_eq!(par.phase1_metrics, seq.phase1_metrics);
-            assert_eq!(par.phase2_metrics, seq.phase2_metrics);
-        }
+        let cfg = RunConfig::new().parallel(4);
+        let par = g2_mvc_congest_cfg(&g, 0.5, LocalSolver::Exact, &cfg).unwrap();
+        assert_eq!(par.cover, seq.cover);
+        assert_eq!(par.phase1_metrics, seq.phase1_metrics);
+        assert_eq!(par.phase2_metrics, seq.phase2_metrics);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! 3. locally-maximal candidates win and tell their neighbors to join `S`,
 //! 4. nodes that joined `S` announce they left `R`.
 
-use pga_congest::{Algorithm, Ctx, MsgCodec, MsgSize};
+use pga_congest::{Algorithm, Ctx, MsgSize};
 use pga_graph::NodeId;
 
 /// Messages of Phase I.
@@ -37,29 +37,6 @@ impl MsgSize for P1Msg {
         2 + match self {
             P1Msg::MaxCand(_) => id_bits,
             _ => 0,
-        }
-    }
-}
-
-// Packed layout (u64): bits 0..2 tag, bits 2..34 the MaxCand id.
-impl MsgCodec for P1Msg {
-    type Word = u64;
-
-    fn encode(&self) -> u64 {
-        match self {
-            P1Msg::Cand => 0,
-            P1Msg::MaxCand(id) => 1 | (u64::from(*id) << 2),
-            P1Msg::JoinS => 2,
-            P1Msg::LeftR => 3,
-        }
-    }
-
-    fn decode(word: u64) -> Self {
-        match word & 0x3 {
-            0 => P1Msg::Cand,
-            1 => P1Msg::MaxCand((word >> 2) as u32),
-            2 => P1Msg::JoinS,
-            _ => P1Msg::LeftR,
         }
     }
 }
@@ -374,28 +351,5 @@ mod tests {
         let (out, _m) = run_phase1(&g, 0);
         let in_s: Vec<bool> = out.iter().map(|o| o.in_s).collect();
         assert!(pga_graph::cover::is_vertex_cover(&g, &in_s));
-    }
-}
-
-#[cfg(test)]
-mod codec_roundtrip_tests {
-    use super::*;
-    use proptest::prelude::*;
-
-    /// Every arm of [`P1Msg`], with full-range ids.
-    fn arb_msg() -> impl Strategy<Value = P1Msg> {
-        prop_oneof![
-            Just(P1Msg::Cand),
-            any::<u32>().prop_map(P1Msg::MaxCand),
-            Just(P1Msg::JoinS),
-            Just(P1Msg::LeftR),
-        ]
-    }
-
-    proptest! {
-        #[test]
-        fn p1_msg_codec_roundtrips(m in arb_msg()) {
-            prop_assert_eq!(P1Msg::decode(m.encode()), m);
-        }
     }
 }

@@ -26,7 +26,7 @@
 
 use crate::mvc::phase1::{P1Output, Phase1};
 use pga_congest::{
-    clique_bmm, Algorithm, Ctx, G2Prep, Metrics, MsgCodec, MsgSize, RunConfig, SimError, Simulator,
+    clique_bmm, Algorithm, Ctx, G2Prep, Metrics, MsgSize, RunConfig, SimError, Simulator,
 };
 use pga_graph::{Graph, NodeId};
 
@@ -46,28 +46,6 @@ pub(crate) enum DirectP1Msg {
 impl MsgSize for DirectP1Msg {
     fn size_bits(&self, _id_bits: usize) -> usize {
         2
-    }
-}
-
-// Packed layout (u64): the 2-bit tag is the whole message.
-impl MsgCodec for DirectP1Msg {
-    type Word = u64;
-
-    fn encode(&self) -> u64 {
-        match self {
-            DirectP1Msg::Cand => 0,
-            DirectP1Msg::JoinS => 1,
-            DirectP1Msg::LeftR => 2,
-        }
-    }
-
-    fn decode(word: u64) -> Self {
-        match word & 0x3 {
-            0 => DirectP1Msg::Cand,
-            1 => DirectP1Msg::JoinS,
-            2 => DirectP1Msg::LeftR,
-            tag => unreachable!("invalid DirectP1Msg tag {tag}"),
-        }
     }
 }
 
@@ -452,27 +430,5 @@ mod tests {
         // A silent main phase inherits the prep's convergence point.
         let quiet = merge_metrics(prep, Metrics::default());
         assert_eq!(quiet.convergence_round, 2);
-    }
-}
-
-#[cfg(test)]
-mod codec_roundtrip_tests {
-    use super::*;
-    use proptest::prelude::*;
-
-    /// Every arm of [`DirectP1Msg`].
-    fn arb_msg() -> impl Strategy<Value = DirectP1Msg> {
-        prop_oneof![
-            Just(DirectP1Msg::Cand),
-            Just(DirectP1Msg::JoinS),
-            Just(DirectP1Msg::LeftR),
-        ]
-    }
-
-    proptest! {
-        #[test]
-        fn direct_p1_msg_codec_roundtrips(m in arb_msg()) {
-            prop_assert_eq!(DirectP1Msg::decode(m.encode()), m);
-        }
     }
 }

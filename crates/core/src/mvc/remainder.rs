@@ -11,7 +11,6 @@
 //! and solves (weighted) vertex cover on it with unbounded local
 //! computation, exactly as the CONGEST model permits.
 
-use pga_congest::primitives::GsPack;
 use pga_congest::MsgSize;
 use pga_exact::vc::solve_mvc;
 use pga_exact::wvc::solve_mwvc;
@@ -50,42 +49,6 @@ pub(crate) struct CoverId(pub NodeId);
 impl MsgSize for CoverId {
     fn size_bits(&self, id_bits: usize) -> usize {
         id_bits
-    }
-}
-
-// Packing the Phase-II gather–scatter payloads (an FEdge is up to 193
-// declared bits — two ids, a membership flag, and two weights — so it
-// needs all three payload words plus the envelope flag bit).
-impl GsPack for FEdge {
-    fn pack3(&self) -> ([u64; 3], bool) {
-        (
-            [
-                u64::from(self.from.0) | (u64::from(self.to.0) << 32),
-                self.from_weight,
-                self.to_weight,
-            ],
-            self.from_in_u,
-        )
-    }
-
-    fn unpack3(words: [u64; 3], flag: bool) -> Self {
-        FEdge {
-            from: NodeId(words[0] as u32),
-            to: NodeId((words[0] >> 32) as u32),
-            from_in_u: flag,
-            from_weight: words[1],
-            to_weight: words[2],
-        }
-    }
-}
-
-impl GsPack for CoverId {
-    fn pack3(&self) -> ([u64; 3], bool) {
-        ([u64::from(self.0 .0), 0, 0], false)
-    }
-
-    fn unpack3(words: [u64; 3], _flag: bool) -> Self {
-        CoverId(NodeId(words[0] as u32))
     }
 }
 
@@ -368,66 +331,5 @@ mod tests {
         let chosen = solve_remainder_weighted(&edges);
         let ids: Vec<u32> = chosen.iter().map(|c| c.0 .0).collect();
         assert_eq!(ids, vec![0, 2]);
-    }
-}
-
-#[cfg(test)]
-mod codec_roundtrip_tests {
-    use super::*;
-    use pga_congest::primitives::{GsMsg, GsPack};
-    use pga_congest::MsgCodec;
-    use proptest::prelude::*;
-
-    fn arb_fedge() -> impl Strategy<Value = FEdge> {
-        (
-            any::<u32>(),
-            any::<u32>(),
-            any::<bool>(),
-            any::<u64>(),
-            any::<u64>(),
-        )
-            .prop_map(|(from, to, from_in_u, from_weight, to_weight)| FEdge {
-                from: NodeId(from),
-                to: NodeId(to),
-                from_in_u,
-                from_weight,
-                to_weight,
-            })
-    }
-
-    /// Every arm of the `GsMsg<FEdge, CoverId>` the remainder phase
-    /// actually exchanges (Phase II's gather–scatter instantiation).
-    fn arb_gs_msg() -> impl Strategy<Value = GsMsg<FEdge, CoverId>> {
-        prop_oneof![
-            Just(GsMsg::Explore { parent: None }),
-            any::<u32>().prop_map(|p| GsMsg::Explore {
-                parent: Some(NodeId(p)),
-            }),
-            arb_fedge().prop_map(GsMsg::Up),
-            Just(GsMsg::UpDone),
-            any::<u32>().prop_map(|id| GsMsg::Down(CoverId(NodeId(id)))),
-            any::<bool>().prop_map(|complete| GsMsg::DownEnd { complete }),
-        ]
-    }
-
-    proptest! {
-        #[test]
-        fn fedge_pack3_roundtrips(e in arb_fedge()) {
-            let (words, flag) = e.pack3();
-            prop_assert_eq!(FEdge::unpack3(words, flag), e);
-        }
-
-        #[test]
-        fn cover_id_pack3_roundtrips(id in any::<u32>()) {
-            let c = CoverId(NodeId(id));
-            let (words, flag) = c.pack3();
-            prop_assert_eq!(CoverId::unpack3(words, flag), c);
-        }
-
-        #[test]
-        fn remainder_gs_msg_codec_roundtrips(m in arb_gs_msg()) {
-            let word = m.encode();
-            prop_assert_eq!(GsMsg::<FEdge, CoverId>::decode(word), m);
-        }
     }
 }

@@ -19,7 +19,7 @@
 
 use crate::mvc::remainder::{f_edges_for_node, solve_remainder_weighted, CoverId, FEdge};
 use pga_congest::primitives::{GatherScatter, LeaderCompute};
-use pga_congest::{Algorithm, Ctx, Metrics, MsgCodec, MsgSize, RunConfig, SimError, Simulator};
+use pga_congest::{Algorithm, Ctx, Metrics, MsgSize, RunConfig, SimError, Simulator};
 use pga_graph::{Graph, NodeId, VertexWeights};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -73,33 +73,6 @@ impl MsgSize for WMsg {
             WMsg::Weight(w) => (64 - w.leading_zeros() as usize).max(1),
             WMsg::MaxCand(_) => id_bits,
             _ => 0,
-        }
-    }
-}
-
-// Packed layout (u128): bits 0..3 tag, payload (64-bit weight or 32-bit
-// id) starting at bit 3.
-impl MsgCodec for WMsg {
-    type Word = u128;
-
-    fn encode(&self) -> u128 {
-        match self {
-            WMsg::Weight(w) => u128::from(*w) << 3,
-            WMsg::Cand => 1,
-            WMsg::MaxCand(id) => 2 | (u128::from(*id) << 3),
-            WMsg::JoinS => 3,
-            WMsg::LeftR => 4,
-        }
-    }
-
-    fn decode(word: u128) -> Self {
-        match word & 0x7 {
-            0 => WMsg::Weight((word >> 3) as u64),
-            1 => WMsg::Cand,
-            2 => WMsg::MaxCand((word >> 3) as u32),
-            3 => WMsg::JoinS,
-            4 => WMsg::LeftR,
-            tag => unreachable!("invalid WMsg tag {tag}"),
         }
     }
 }
@@ -365,7 +338,7 @@ pub fn g2_mwvc_congest(g: &Graph, w: &VertexWeights, eps: f64) -> Result<G2MwvcR
 }
 
 /// [`g2_mwvc_congest`] under an explicit [`RunConfig`] (engine, thread
-/// count, scheduling policy, packed message plane).
+/// count, scheduling policy).
 ///
 /// Every configuration is bit-identical; a parallel engine simply runs
 /// large instances faster.
@@ -603,29 +576,5 @@ mod tests {
         let r = check(&g, &w, 0.5);
         // O(n log n / ε) with small constants; sanity-check a generous cap.
         assert!(r.total_rounds() < 24 * 64, "{} rounds", r.total_rounds());
-    }
-}
-
-#[cfg(test)]
-mod codec_roundtrip_tests {
-    use super::*;
-    use proptest::prelude::*;
-
-    /// Every arm of [`WMsg`], with full-range weights and ids.
-    fn arb_msg() -> impl Strategy<Value = WMsg> {
-        prop_oneof![
-            any::<u64>().prop_map(WMsg::Weight),
-            Just(WMsg::Cand),
-            any::<u32>().prop_map(WMsg::MaxCand),
-            Just(WMsg::JoinS),
-            Just(WMsg::LeftR),
-        ]
-    }
-
-    proptest! {
-        #[test]
-        fn w_msg_codec_roundtrips(m in arb_msg()) {
-            prop_assert_eq!(WMsg::decode(m.encode()), m);
-        }
     }
 }

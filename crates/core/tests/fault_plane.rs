@@ -52,14 +52,13 @@ fn mpc_budget(g: &Graph) -> usize {
     pga_mpc::recommended_memory_words(g, pga_congest::default_bandwidth_bits(g.num_nodes()))
 }
 
-fn hostile_cfg(seed: u64, threads: usize, codec: bool) -> RunConfig {
+fn hostile_cfg(seed: u64, threads: usize) -> RunConfig {
     let base = if threads == 0 {
         RunConfig::new().sequential()
     } else {
         RunConfig::new().parallel(threads)
     };
-    base.codec(codec)
-        .max_rounds(200_000)
+    base.max_rounds(200_000)
         .adversary(hostile(seed))
         .reliability(recovery())
 }
@@ -81,24 +80,22 @@ proptest! {
 
     /// Theorem 1's CONGEST pipeline under the full hostile schedule:
     /// the recovered cover is always feasible on `G²`, and the whole
-    /// degraded result is replay-identical across engines, thread
-    /// counts, and codec planes.
+    /// degraded result is replay-identical across engines and thread
+    /// counts.
     #[test]
     fn congest_mvc_timeout_fallback_is_always_valid(g in arb_instance(), seed in any::<u64>()) {
-        let base = g2_mvc_congest_cfg(&g, 0.4, LocalSolver::Exact, &hostile_cfg(seed, 0, false))
+        let base = g2_mvc_congest_cfg(&g, 0.4, LocalSolver::Exact, &hostile_cfg(seed, 0))
             .unwrap();
         prop_assert!(is_vertex_cover_on_square(&g, &base.cover));
         for threads in [1usize, 4] {
-            for codec in [false, true] {
-                let r = g2_mvc_congest_cfg(&g, 0.4, LocalSolver::Exact, &hostile_cfg(seed, threads, codec))
-                    .unwrap();
-                prop_assert_eq!(&r.cover, &base.cover, "threads {} codec {}", threads, codec);
-                prop_assert_eq!(
-                    r.phase2_metrics.fault.degraded,
-                    base.phase2_metrics.fault.degraded,
-                    "threads {} codec {}", threads, codec
-                );
-            }
+            let r = g2_mvc_congest_cfg(&g, 0.4, LocalSolver::Exact, &hostile_cfg(seed, threads))
+                .unwrap();
+            prop_assert_eq!(&r.cover, &base.cover, "threads {}", threads);
+            prop_assert_eq!(
+                r.phase2_metrics.fault.degraded,
+                base.phase2_metrics.fault.degraded,
+                "threads {}", threads
+            );
         }
     }
 
@@ -109,10 +106,10 @@ proptest! {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x5eed);
         let w = VertexWeights::random(g.num_nodes(), 1..100, &mut rng);
-        let base = g2_mwvc_congest_cfg(&g, &w, 0.5, &hostile_cfg(seed, 0, false)).unwrap();
+        let base = g2_mwvc_congest_cfg(&g, &w, 0.5, &hostile_cfg(seed, 0)).unwrap();
         prop_assert!(is_vertex_cover_on_square(&g, &base.cover));
         for threads in [1usize, 4] {
-            let r = g2_mwvc_congest_cfg(&g, &w, 0.5, &hostile_cfg(seed, threads, true)).unwrap();
+            let r = g2_mwvc_congest_cfg(&g, &w, 0.5, &hostile_cfg(seed, threads)).unwrap();
             prop_assert_eq!(&r.cover, &base.cover, "threads {}", threads);
         }
     }
@@ -122,17 +119,17 @@ proptest! {
     /// covers, deterministic across engines.
     #[test]
     fn clique_mvc_timeout_fallback_is_always_valid(g in arb_instance(), seed in any::<u64>()) {
-        let det = g2_mvc_clique_det_cfg(&g, 0.4, LocalSolver::Exact, &hostile_cfg(seed, 0, false))
+        let det = g2_mvc_clique_det_cfg(&g, 0.4, LocalSolver::Exact, &hostile_cfg(seed, 0))
             .unwrap();
         prop_assert!(is_vertex_cover_on_square(&g, &det.cover));
-        let rand = g2_mvc_clique_rand_cfg(&g, 0.4, LocalSolver::Exact, seed, &hostile_cfg(seed, 0, false))
+        let rand = g2_mvc_clique_rand_cfg(&g, 0.4, LocalSolver::Exact, seed, &hostile_cfg(seed, 0))
             .unwrap();
         prop_assert!(is_vertex_cover_on_square(&g, &rand.cover));
         for threads in [1usize, 4] {
-            let d = g2_mvc_clique_det_cfg(&g, 0.4, LocalSolver::Exact, &hostile_cfg(seed, threads, true))
+            let d = g2_mvc_clique_det_cfg(&g, 0.4, LocalSolver::Exact, &hostile_cfg(seed, threads))
                 .unwrap();
             prop_assert_eq!(&d.cover, &det.cover, "det threads {}", threads);
-            let r = g2_mvc_clique_rand_cfg(&g, 0.4, LocalSolver::Exact, seed, &hostile_cfg(seed, threads, true))
+            let r = g2_mvc_clique_rand_cfg(&g, 0.4, LocalSolver::Exact, seed, &hostile_cfg(seed, threads))
                 .unwrap();
             prop_assert_eq!(&r.cover, &rand.cover, "rand threads {}", threads);
         }
@@ -140,17 +137,17 @@ proptest! {
 
     /// The MPC-executed pipeline under the hostile schedule applied to
     /// the cross-machine exchange: valid cover, deterministic across
-    /// engines and batch planes. The recommended budget spreads these
+    /// engines. The recommended budget spreads these
     /// graphs over several machines, so there is an exchange to fault.
     #[test]
     fn mpc_mvc_timeout_fallback_is_always_valid(g in arb_instance(), seed in any::<u64>()) {
         let budget = mpc_budget(&g);
-        let base = g2_mvc_congest_mpc_cfg(&g, 0.4, LocalSolver::Exact, budget, &hostile_cfg(seed, 0, false))
+        let base = g2_mvc_congest_mpc_cfg(&g, 0.4, LocalSolver::Exact, budget, &hostile_cfg(seed, 0))
             .unwrap();
         prop_assert!(base.machines >= 2, "machines {}", base.machines);
         prop_assert!(is_vertex_cover_on_square(&g, &base.result.cover));
         for threads in [1usize, 4] {
-            let r = g2_mvc_congest_mpc_cfg(&g, 0.4, LocalSolver::Exact, budget, &hostile_cfg(seed, threads, true))
+            let r = g2_mvc_congest_mpc_cfg(&g, 0.4, LocalSolver::Exact, budget, &hostile_cfg(seed, threads))
                 .unwrap();
             prop_assert_eq!(&r.result.cover, &base.result.cover, "threads {}", threads);
         }
@@ -172,7 +169,7 @@ fn mpc_faults_are_inflicted_on_the_exchange() {
             0.4,
             LocalSolver::Exact,
             mpc_budget(&g),
-            &hostile_cfg(seed, 0, false),
+            &hostile_cfg(seed, 0),
         )
         .unwrap();
         assert!(run.machines >= 2, "seed {seed}: {} machines", run.machines);

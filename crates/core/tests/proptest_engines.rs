@@ -4,11 +4,9 @@
 //! The shared `pga-runtime` kernel promises that the sequential and
 //! sharded executors are bit-identical — outputs, metrics (including
 //! the per-round congestion and I/O profiles), and errors — at every
-//! thread count, and that the packed-codec message plane is
-//! bit-identical to the enum plane. These tests pin both promises at
-//! the public API level: each `*_cfg` entry point is run sequentially
-//! (the reference) and at thread counts {1, 2, 4, 8} with the codec
-//! plane both off and on, on uniform `connected_gnm` and heavy-tailed
+//! thread count. These tests pin that promise at the public API level:
+//! each `*_cfg` entry point is run sequentially (the reference) and at
+//! thread counts {1, 2, 4, 8}, on uniform `connected_gnm` and heavy-tailed
 //! Barabási–Albert instances plus a quiescent-tail lollipop and a
 //! disconnected instance (the error path: Phase II's BFS tree requires
 //! connectivity).
@@ -29,14 +27,9 @@ use rand::SeedableRng;
 /// The thread counts every entry point is checked at.
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
-/// Every non-sequential configuration under test: each thread count
-/// with the enum plane and with the packed-codec plane.
+/// Every non-sequential configuration under test: one per thread count.
 fn parallel_cfgs() -> impl Iterator<Item = RunConfig> {
-    THREADS.into_iter().flat_map(|t| {
-        [false, true]
-            .into_iter()
-            .map(move |codec| RunConfig::new().parallel(t).codec(codec))
-    })
+    THREADS.into_iter().map(|t| RunConfig::new().parallel(t))
 }
 
 /// Instance families: uniform gnm, heavy-tailed BA, a quiescent-tail
@@ -210,8 +203,7 @@ proptest! {
     }
 
     /// Lemma 29 (2-hop estimator; exact f64 equality is the point —
-    /// the engines must deliver identical samples in identical order,
-    /// and the codec must round-trip every f64 bit pattern).
+    /// the engines must deliver identical samples in identical order).
     #[test]
     fn estimator_engines_bit_identical(g in arb_instance(), seed in any::<u64>()) {
         let n = g.num_nodes();
@@ -225,8 +217,7 @@ proptest! {
 
     /// The MPC-executed Theorem 1: engine-parameterized at the MPC
     /// layer, compared on result, machine count, and full MPC metrics
-    /// (I/O profile included) — with and without packed cross-machine
-    /// batches.
+    /// (I/O profile included).
     #[test]
     fn g2_mvc_mpc_engines_bit_identical(g in arb_instance()) {
         let budget = pga_mpc::recommended_memory_words(

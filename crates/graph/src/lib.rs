@@ -45,8 +45,6 @@
 #![forbid(unsafe_code)]
 
 pub mod bmm;
-#[cfg(feature = "compact")]
-pub mod compact;
 pub mod cover;
 pub mod generators;
 mod graph;

@@ -24,8 +24,7 @@
 use crate::engine::{Machine, MachineId, MpcCtx, MpcError, MpcSimulator, WordSize};
 use crate::metrics::MpcMetrics;
 use pga_congest::{
-    check_message, id_bits, Algorithm, Ctx, Metrics, MsgCodec, NoopProbe, RunConfig, SendCheck,
-    Topology,
+    check_message, id_bits, Algorithm, Ctx, Metrics, NoopProbe, RunConfig, SendCheck, Topology,
 };
 use pga_graph::{Graph, NodeId};
 use std::sync::Arc;
@@ -38,37 +37,13 @@ const NODE_OVERHEAD_WORDS: usize = 4;
 /// one MPC round: `(from, to, payload)` triples in ascending sender
 /// order, with the total word size precomputed at send time (word
 /// accounting needs `id_bits`, which only the sender knows).
-///
-/// When the hosting shards pack ([`CongestOnMpc::run_cfg`] with
-/// [`RunConfig::codec`] on), the payloads travel as packed
-/// [`MsgCodec::Word`]s instead of cloned message enums. The charged word size is computed from the declared
-/// bit sizes *before* encoding, so both representations account
-/// identically and [`MpcMetrics`] stays bit-identical across planes.
-pub struct RoutedBatch<M: MsgCodec> {
-    repr: BatchRepr<M>,
+#[derive(Clone)]
+pub struct RoutedBatch<M> {
+    entries: Vec<(NodeId, NodeId, M)>,
     words: usize,
 }
 
-enum BatchRepr<M: MsgCodec> {
-    /// Cloned message enums — the default plane.
-    Plain(Vec<(NodeId, NodeId, M)>),
-    /// Codec-packed fixed-width words.
-    Packed(Vec<(NodeId, NodeId, M::Word)>),
-}
-
-impl<M: MsgCodec + Clone> Clone for RoutedBatch<M> {
-    fn clone(&self) -> Self {
-        RoutedBatch {
-            repr: match &self.repr {
-                BatchRepr::Plain(v) => BatchRepr::Plain(v.clone()),
-                BatchRepr::Packed(v) => BatchRepr::Packed(v.clone()),
-            },
-            words: self.words,
-        }
-    }
-}
-
-impl<M: MsgCodec> WordSize for RoutedBatch<M> {
+impl<M> WordSize for RoutedBatch<M> {
     fn size_bits(&self, _id_bits: usize) -> usize {
         64 * self.words
     }
@@ -97,18 +72,15 @@ pub struct CongestShard<'g, A: Algorithm> {
     topology: Topology,
     bandwidth_bits: usize,
     /// CONGEST messages between co-hosted vertices, carried to the next
-    /// round without touching the MPC exchange (never encoded — packing
-    /// only pays off on cross-machine traffic).
+    /// round without touching the MPC exchange.
     local_next: Vec<(NodeId, NodeId, A::Msg)>,
     /// Word size of `local_next` (counted toward machine memory).
     local_words: usize,
-    /// This machine's share of the CONGEST-level metrics.
+    /// This machine's share of the CONGEST-level metrics; its
+    /// `fault.delivered` counts the messages handed to hosted nodes.
     metrics: Metrics,
     /// Cached `Σ deg(v)` over hosted vertices.
     adjacency_words: usize,
-    /// Whether cross-machine batches carry packed words (see
-    /// [`RoutedBatch`]).
-    packs: bool,
     /// The duplicate-destination check, reused by every hosted vertex.
     send: SendCheck,
 }
@@ -139,10 +111,7 @@ impl<'g, A: Algorithm> CongestShard<'g, A> {
     }
 }
 
-impl<A: Algorithm> Machine for CongestShard<'_, A>
-where
-    A::Msg: MsgCodec,
-{
+impl<A: Algorithm> Machine for CongestShard<'_, A> {
     type Msg = RoutedBatch<A::Msg>;
     type Output = (Vec<A::Output>, Metrics);
 
@@ -156,23 +125,17 @@ where
         //    contract).
         let mut node_inboxes: Vec<Vec<(NodeId, A::Msg)>> =
             (0..self.hosted()).map(|_| Vec::new()).collect();
+        let mut handed = self.local_next.len();
         for (_, batch) in inbox {
-            match &batch.repr {
-                BatchRepr::Plain(entries) => {
-                    for (from, to, msg) in entries {
-                        node_inboxes[to.index() - self.lo].push((*from, msg.clone()));
-                    }
-                }
-                BatchRepr::Packed(entries) => {
-                    for &(from, to, w) in entries {
-                        node_inboxes[to.index() - self.lo].push((from, A::Msg::decode(w)));
-                    }
-                }
+            handed += batch.entries.len();
+            for (from, to, msg) in &batch.entries {
+                node_inboxes[to.index() - self.lo].push((*from, msg.clone()));
             }
         }
         for (from, to, msg) in self.local_next.drain(..) {
             node_inboxes[to.index() - self.lo].push((from, msg));
         }
+        self.metrics.fault.delivered += handed as u64;
         self.local_words = 0;
         for ib in &mut node_inboxes {
             ib.sort_by_key(|&(from, _)| from);
@@ -220,27 +183,7 @@ where
         Ok(buckets
             .into_sorted()
             .into_iter()
-            .map(|(j, entries, words)| {
-                let idb = id_bits(self.g.num_nodes());
-                let repr = if self.packs {
-                    BatchRepr::Packed(
-                        (entries.into_iter())
-                            .map(|(from, to, msg)| {
-                                let w = msg.encode();
-                                debug_assert_eq!(
-                                    A::Msg::encoded_bits(w, idb),
-                                    msg.size_bits(idb),
-                                    "MsgCodec::encoded_bits must agree with MsgCost::size_bits"
-                                );
-                                (from, to, w)
-                            })
-                            .collect(),
-                    )
-                } else {
-                    BatchRepr::Plain(entries)
-                };
-                (MachineId::from_index(j), RoutedBatch { repr, words })
-            })
+            .map(|(j, entries, words)| (MachineId::from_index(j), RoutedBatch { entries, words }))
             .collect())
     }
 
@@ -433,13 +376,10 @@ impl<'g> CongestOnMpc<'g> {
     ///
     /// The whole config reaches the MPC run: engine and thread count,
     /// scheduling, round budget, and the fault and reliability planes,
-    /// which then act on the cross-machine exchange. With
-    /// [`RunConfig::codec`] on, cross-machine [`RoutedBatch`]es carry
-    /// packed [`MsgCodec::Word`]s instead of cloned message enums. Word
-    /// charging happens on the declared bit sizes before encoding, so
-    /// outputs, CONGEST [`Metrics`], [`MpcMetrics`] (I/O profile
-    /// included) and errors are bit-identical to the enum plane. The
-    /// adapter never writes a trace: the MPC run always gets the
+    /// which then act on the cross-machine exchange. The CONGEST
+    /// [`Metrics`]' `fault.delivered` counts the messages that actually
+    /// reached a hosted node, so a dropped cross-machine batch shows up
+    /// there. The adapter never writes a trace: the MPC run always gets the
     /// [`NoopProbe`](pga_congest::NoopProbe).
     ///
     /// # Errors
@@ -458,7 +398,7 @@ impl<'g> CongestOnMpc<'g> {
     ) -> Result<AdapterReport<A::Output>, MpcError>
     where
         A: Algorithm + Send,
-        A::Msg: MsgCodec + Send,
+        A::Msg: Send,
     {
         let n = self.g.num_nodes();
         assert_eq!(nodes.len(), n, "one algorithm state per vertex required");
@@ -481,7 +421,6 @@ impl<'g> CongestOnMpc<'g> {
                 local_words: 0,
                 metrics: Metrics::default(),
                 adjacency_words: (lo..hi).map(|v| self.g.degree(NodeId::from_index(v))).sum(),
-                packs: cfg.codec,
                 send: SendCheck::default(),
             });
         }
@@ -514,10 +453,8 @@ impl<'g> CongestOnMpc<'g> {
             congest.convergence_round = congest
                 .convergence_round
                 .max(shard_metrics.convergence_round);
+            congest.fault.delivered += shard_metrics.fault.delivered;
         }
-        // The adapter simulates the clean CONGEST plane: every charged
-        // message is delivered, matching the native engines' tally.
-        congest.fault.delivered = congest.messages;
         Ok(AdapterReport {
             outputs,
             congest,
@@ -531,7 +468,7 @@ impl<'g> CongestOnMpc<'g> {
 mod tests {
     use super::*;
     use pga_congest::primitives::FloodMax;
-    use pga_congest::{Engine, MsgCodec, Simulator};
+    use pga_congest::{Engine, FaultSpec, Simulator};
     use pga_graph::generators;
 
     fn floodmax_states(n: usize) -> Vec<FloodMax> {
@@ -597,13 +534,6 @@ mod tests {
                 1
             }
         }
-        impl MsgCodec for Ping {
-            type Word = ();
-            fn encode(&self) {}
-            fn decode((): ()) -> Ping {
-                Ping
-            }
-        }
         struct Bad;
         impl Algorithm for Bad {
             type Msg = Ping;
@@ -645,15 +575,6 @@ mod tests {
         impl MsgSize for Val {
             fn size_bits(&self, id_bits: usize) -> usize {
                 id_bits
-            }
-        }
-        impl MsgCodec for Val {
-            type Word = u32;
-            fn encode(&self) -> u32 {
-                self.0
-            }
-            fn decode(w: u32) -> Val {
-                Val(w)
             }
         }
         struct Shout {
@@ -725,6 +646,33 @@ mod tests {
     }
 
     #[test]
+    fn delivered_counts_the_messages_that_reach_a_node() {
+        let g = generators::grid(7, 9);
+        let n = g.num_nodes();
+        let on_mpc = CongestOnMpc::congest(&g).with_memory_words(400);
+        let clean = on_mpc
+            .run_cfg(floodmax_states(n), &RunConfig::new())
+            .unwrap();
+        assert!(clean.machines >= 2, "{} machines", clean.machines);
+        assert_eq!(clean.congest.fault.delivered, clean.congest.messages);
+        // Drop-only adversary, no reliability: lost cross-machine batches
+        // never reach their nodes, so fewer messages arrive than were sent.
+        let lossy = on_mpc
+            .run_cfg(
+                floodmax_states(n),
+                &RunConfig::new().adversary(FaultSpec::seeded(3).drop(0.5)),
+            )
+            .unwrap();
+        assert!(lossy.mpc.fault.dropped > 0, "{:?}", lossy.mpc.fault);
+        assert!(
+            lossy.congest.fault.delivered < lossy.congest.messages,
+            "{} delivered of {}",
+            lossy.congest.fault.delivered,
+            lossy.congest.messages
+        );
+    }
+
+    #[test]
     fn empty_graph_trivial() {
         let g = Graph::empty(0);
         let report = CongestOnMpc::congest(&g)
@@ -756,7 +704,6 @@ mod tests {
             local_words: 0,
             metrics: Metrics::default(),
             adjacency_words: (lo..hi).map(|v| g.degree(NodeId::from_index(v))).sum(),
-            packs: false,
             send: SendCheck::default(),
         }
     }
@@ -795,13 +742,6 @@ mod tests {
         impl MsgSize for Fat {
             fn size_bits(&self, _id_bits: usize) -> usize {
                 4096
-            }
-        }
-        impl MsgCodec for Fat {
-            type Word = ();
-            fn encode(&self) {}
-            fn decode((): ()) -> Fat {
-                Fat
             }
         }
         struct Hub {

@@ -403,11 +403,6 @@ impl<A: Machine> ExecModel for MpcModel<'_, A> {
     type Error = MpcError;
     type Metrics = MpcMetrics;
     type SendScratch = usize;
-    // The MPC plane keeps the enum exchange at kernel level; the
-    // adapter's cross-machine batches pack internally instead (see
-    // `RoutedBatch`), which compresses the payload without constraining
-    // arbitrary `Machine::Msg` types to a fixed-width word.
-    type Packed = ();
 
     const TRACK_RECV: bool = true;
 
@@ -591,9 +586,8 @@ impl MpcSimulator {
     /// Runs `machines` (one program state per machine, indexed by id)
     /// to completion under a [`RunConfig`] (see
     /// [`pga_runtime::execute`]). Every configuration is bit-identical
-    /// on a clean run: outputs, [`MpcMetrics`] and errors.
-    /// [`RunConfig::codec`] has no effect: the MPC plane keeps the enum
-    /// exchange. With [`RunConfig::probe`] at its default, the run
+    /// on a clean run: outputs, [`MpcMetrics`] and errors. With
+    /// [`RunConfig::probe`] at its default, the run
     /// streams a trace to the path named by `PGA_TRACE`, if set.
     ///
     /// # Errors

@@ -71,10 +71,10 @@ pub use pga_congest::{
     Adversary, Fate, FaultEvent, FaultSpec, FaultStats, FaultTrace, ReliabilitySpec,
     SeededAdversary, TraceAdversary,
 };
-/// Runtime-level message-plane vocabulary (shared with `pga-congest`),
-/// re-exported so adapter callers can implement packed codecs and build
-/// [`RunConfig`]s without another dependency edge.
-pub use pga_congest::{Engine, MsgCodec, MsgCost, RunConfig, Scheduling};
+/// Runtime-level run vocabulary (shared with `pga-congest`), re-exported
+/// so adapter callers can charge messages and build [`RunConfig`]s
+/// without another dependency edge.
+pub use pga_congest::{Engine, MsgCost, RunConfig, Scheduling};
 /// Telemetry-plane vocabulary (shared with `pga-congest`), re-exported
 /// so benches and tests can attach probes to
 /// [`MpcSimulator::run_cfg_probed`] without another dependency edge.

@@ -1,11 +1,8 @@
 //! Model violations through the CONGEST-on-MPC adapter: every case must
 //! surface as `MpcError::Congest` wrapping exactly the `SimError` the
-//! CONGEST engines raise, under both topologies, every engine and both
-//! codec planes.
+//! CONGEST engines raise, under both topologies and every engine.
 
-use pga_congest::{
-    default_bandwidth_bits, id_bits, Algorithm, Ctx, MsgCodec, MsgSize, SimError, Simulator,
-};
+use pga_congest::{default_bandwidth_bits, id_bits, Algorithm, Ctx, MsgSize, SimError, Simulator};
 use pga_graph::{generators, NodeId};
 use pga_mpc::{CongestOnMpc, Engine, MpcError, RunConfig};
 
@@ -15,15 +12,6 @@ struct Bits(u32);
 impl MsgSize for Bits {
     fn size_bits(&self, _id_bits: usize) -> usize {
         self.0 as usize
-    }
-}
-impl MsgCodec for Bits {
-    type Word = u32;
-    fn encode(&self) -> u32 {
-        self.0
-    }
-    fn decode(w: u32) -> Bits {
-        Bits(w)
     }
 }
 
@@ -122,11 +110,9 @@ fn adapter_model_violations_match_the_congest_engines() {
             .unwrap_err();
         assert_eq!(native, want);
         for engine in [Engine::Sequential, Engine::Parallel { threads: 2 }] {
-            for codec in [false, true] {
-                let cfg = RunConfig::new().engine(engine).codec(codec).max_rounds(10);
-                let err = adapter.run_cfg(nodes(), &cfg).unwrap_err();
-                assert_eq!(err, MpcError::Congest(want.clone()), "{cfg:?}");
-            }
+            let cfg = RunConfig::new().engine(engine).max_rounds(10);
+            let err = adapter.run_cfg(nodes(), &cfg).unwrap_err();
+            assert_eq!(err, MpcError::Congest(want.clone()), "{cfg:?}");
         }
     }
 }

@@ -1,5 +1,5 @@
 //! The round kernel against its oracle on the MPC model: every engine,
-//! thread count, codec and scheduling policy of `MpcSimulator::run_cfg`
+//! thread count and scheduling policy of `MpcSimulator::run_cfg`
 //! must reproduce the deliberately naive `pga_runtime::reference::run`
 //! executor exactly — outputs, metrics, and errors.
 
@@ -105,24 +105,21 @@ proptest! {
             Engine::Parallel { threads: 2 },
             Engine::Parallel { threads: 4 },
         ] {
-            for codec in [false, true] {
-                for scheduling in [Scheduling::ActiveSet, Scheduling::FullSweep] {
-                    let cfg = RunConfig::new()
-                        .engine(engine)
-                        .codec(codec)
-                        .scheduling(scheduling)
-                        .max_rounds(budget)
-                        .probe(ProbeMode::Off);
-                    let run = sim.run_cfg(gossip(&values, width), &cfg);
-                    match (&oracle, &run) {
-                        (Ok(want), Ok(got)) => {
-                            prop_assert_eq!(&got.outputs, &want.outputs, "{:?}", cfg);
-                            prop_assert_eq!(&got.metrics, &want.metrics, "{:?}", cfg);
-                        }
-                        (Err(want), Err(got)) => prop_assert_eq!(got, want, "{:?}", cfg),
-                        _ => prop_assert!(false, "{:?}: oracle {:?} vs run {:?}", cfg,
-                            oracle.as_ref().err(), run.as_ref().err()),
+            for scheduling in [Scheduling::ActiveSet, Scheduling::FullSweep] {
+                let cfg = RunConfig::new()
+                    .engine(engine)
+                    .scheduling(scheduling)
+                    .max_rounds(budget)
+                    .probe(ProbeMode::Off);
+                let run = sim.run_cfg(gossip(&values, width), &cfg);
+                match (&oracle, &run) {
+                    (Ok(want), Ok(got)) => {
+                        prop_assert_eq!(&got.outputs, &want.outputs, "{:?}", cfg);
+                        prop_assert_eq!(&got.metrics, &want.metrics, "{:?}", cfg);
                     }
+                    (Err(want), Err(got)) => prop_assert_eq!(got, want, "{:?}", cfg),
+                    _ => prop_assert!(false, "{:?}: oracle {:?} vs run {:?}", cfg,
+                        oracle.as_ref().err(), run.as_ref().err()),
                 }
             }
         }

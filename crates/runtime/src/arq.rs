@@ -48,8 +48,8 @@
 //! order (ascending sender order, the sequential delivery order), and
 //! adversary verdicts are pure functions of `(tick, sender, transmit
 //! index)` — so outputs, metrics, and errors are bit-identical at
-//! every thread count and across both codec planes, and replay from
-//! `(seed, FaultSpec, ReliabilitySpec)` is exact.
+//! every thread count, and replay from `(seed, FaultSpec,
+//! ReliabilitySpec)` is exact.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 

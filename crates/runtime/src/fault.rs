@@ -6,10 +6,9 @@
 //! to [`execute_under`](crate::execute_under)). It routes every
 //! validated message through an [`Adversary`] that may **drop**,
 //! **duplicate**, or **delay** it, and halts actors at adversary-chosen
-//! **crash** rounds. It composes with both models (CONGEST and MPC),
-//! both inbox stores, and the packed-codec exchange, because the
-//! interception happens at the kernel's [`MsgSink`] layer — below the
-//! models, above the store and the wire representation.
+//! **crash** rounds. It composes with both models (CONGEST and MPC)
+//! and both inbox stores, because the interception happens at the
+//! kernel's [`MsgSink`] layer — below the models, above the store.
 //!
 //! # Determinism and replay
 //!

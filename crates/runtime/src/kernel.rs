@@ -5,8 +5,8 @@
 use crate::fault::{Adversary, AdversaryPlane, FaultSpec, FaultStats, SeededAdversary};
 use crate::probe::{Probe, RoundObs};
 use crate::{
-    arq::ArqPlane, balanced_partition, ActorId, Engine, ExecModel, MsgSink, PackedModel, Poll,
-    RoundProfile, Run, RunConfig, Scheduling, PARALLEL_MIN_NODES,
+    arq::ArqPlane, balanced_partition, ActorId, Engine, ExecModel, MsgSink, Poll, RoundProfile,
+    Run, RunConfig, Scheduling, PARALLEL_MIN_NODES,
 };
 
 /// The round budget of a run whose [`RunConfig::max_rounds`] is unset.
@@ -21,13 +21,11 @@ pub const DEFAULT_MAX_ROUNDS: usize = 1_000_000;
 /// ([`RunConfig::reliability`] selects ARQ, else [`RunConfig::fault`]
 /// selects the seeded adversary, else the clean plane), the round
 /// budget ([`DEFAULT_MAX_ROUNDS`] unless overridden) and the scheduling
-/// policy. [`RunConfig::codec`] takes effect through
-/// [`ExecModel::packs`]. [`RunConfig::probe`] is not read here: the
-/// caller picks `probe`.
+/// policy. [`RunConfig::probe`] is not read here: the caller picks
+/// `probe`.
 ///
 /// Every choice is bit-identical: outputs, metrics and errors depend on
-/// neither the shard count, nor the scheduling policy, nor the codec,
-/// nor the probe. With [`FaultSpec::none`] the adversary plane
+/// neither the shard count, nor the scheduling policy, nor the probe. With [`FaultSpec::none`] the adversary plane
 /// reproduces the clean plane.
 ///
 /// # Errors
@@ -99,16 +97,12 @@ where
         .filter(|_| adversary.is_none())
         .map(SeededAdversary::new);
     let adversary = adversary.or(seeded.as_ref().map(|a| a as &dyn Adversary));
-    let run = Setup {
+    Setup {
         cfg,
         adversary,
         bounds,
-    };
-    if model.packs() && bounds.len() > 2 {
-        run.plane(&PackedModel(model), nodes, probe)
-    } else {
-        run.plane(model, nodes, probe)
     }
+    .plane(model, nodes, probe)
 }
 
 /// The resolved, model-independent part of a run's setup.

@@ -34,7 +34,7 @@
 //!
 //! Every combination is **bit-identical** on the clean plane: the same
 //! outputs, the same metrics (per-round profiles included) and the same
-//! error at every thread count, scheduling policy and codec. The
+//! error at every thread count and scheduling policy. The
 //! deliberately naive [`reference::run`] executor is the test oracle
 //! for that claim.
 //!
@@ -68,25 +68,6 @@
 //! actors in id order, so that order is exactly ascending sender id then
 //! outbox order — the same order the one-shard store produces — which
 //! keeps every shard count bit-identical without any comparison sort.
-//!
-//! # Packed-word lanes ([`MsgCodec`])
-//!
-//! CONGEST messages are `O(log n)` bits by definition, yet a naive
-//! exchange moves full Rust enums through the lanes and arenas. A model
-//! may instead declare a fixed-width packed representation
-//! ([`ExecModel::Packed`], typically `u64` or `u128`) and enable it per
-//! run ([`ExecModel::packs`]): every validated message is then encoded
-//! once as it enters its lane ([`ExecModel::pack`]) and decoded once as
-//! its destination's inbox slice is materialized for
-//! [`ExecModel::step`], so the counting-sort exchange and the flat CSR
-//! inbox arenas move `Copy` words instead of cloned enums. Validation,
-//! charging, and metrics accounting all run on the *decoded* message
-//! before it is packed, and the packed word round-trips exactly
-//! ([`MsgCodec`]'s contract), so the packed plane is bit-identical to
-//! the enum plane — same outputs, same metrics (congestion and I/O
-//! profiles included), same errors — at every thread count. Models that
-//! do not pack set `Packed = ()` and keep the enum plane; one-shard
-//! runs always use the enum plane (they have no exchange to compress).
 //!
 //! # Load-balanced sharding
 //!
@@ -201,38 +182,6 @@ pub trait MsgCost {
     }
 }
 
-/// A fixed-width packed wire representation for a message type.
-///
-/// Implementing `MsgCodec` lets the sharded store move `Copy` words
-/// through its counting-sort lanes and flat CSR inbox arenas instead of
-/// cloned enums (see the crate docs). The **contract**:
-///
-/// * `decode(encode(&m))` reproduces `m` exactly (observable state,
-///   not just equality — the executors rely on bit-identity), and
-/// * [`MsgCodec::encoded_bits`] agrees with the message's declared
-///   [`MsgCost::size_bits`] for every reachable message (asserted in
-///   debug builds by the model wrappers), so packed-plane accounting
-///   cannot drift from enum-plane accounting.
-pub trait MsgCodec: MsgCost + Sized {
-    /// The packed word (`u64` for CONGEST's `O(log n)`-bit messages;
-    /// wider payloads use `u128` or small fixed arrays).
-    type Word: Copy + Send;
-
-    /// Encodes this message into its packed word.
-    fn encode(&self) -> Self::Word;
-
-    /// Decodes a packed word back into the message.
-    fn decode(word: Self::Word) -> Self;
-
-    /// The exact declared size in bits of the message `word` encodes,
-    /// used for congestion/volume accounting on the packed plane. The
-    /// default decodes and asks [`MsgCost::size_bits`]; implementations
-    /// may override with a direct bit computation.
-    fn encoded_bits(word: Self::Word, id_bits: usize) -> usize {
-        Self::decode(word).size_bits(id_bits)
-    }
-}
-
 /// Selects how many shards (worker threads) drive a run.
 ///
 /// Every choice is **bit-identical**: for the same actor states it
@@ -268,15 +217,14 @@ pub const PARALLEL_MIN_NODES: usize = 1024;
 
 /// Builder-style per-run configuration consumed by the simulators' and
 /// entry points' unified `_cfg` forms: the executor, the scheduling
-/// policy, and whether the packed message plane is enabled.
+/// policy, the delivery plane, the trace sink and the `G²` preprocessing.
 ///
 /// ```
 /// use pga_runtime::{Engine, RunConfig, Scheduling};
 ///
-/// let cfg = RunConfig::new().parallel(4).codec(true);
+/// let cfg = RunConfig::new().parallel(4);
 /// assert_eq!(cfg.engine, Engine::Parallel { threads: 4 });
 /// assert_eq!(cfg.scheduling, Scheduling::ActiveSet);
-/// assert!(cfg.codec);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct RunConfig {
@@ -285,10 +233,6 @@ pub struct RunConfig {
     /// The round-scheduling policy (default [`Scheduling::ActiveSet`];
     /// both policies are bit-identical).
     pub scheduling: Scheduling,
-    /// Whether the sharded exchange moves packed words instead of
-    /// cloned enums (default off; requires the message type to
-    /// implement [`MsgCodec`], and is bit-identical to the enum plane).
-    pub codec: bool,
     /// Seeded fault-injection plan for the run (default `None` = the
     /// clean delivery plane). `Some(spec)` routes the run through the
     /// adversary plane ([`fault`]) — even [`FaultSpec::none`], which
@@ -344,7 +288,7 @@ pub enum G2Prep {
 
 impl RunConfig {
     /// The default configuration: sequential, active-set scheduling,
-    /// enum message plane.
+    /// clean delivery.
     pub fn new() -> Self {
         Self::default()
     }
@@ -376,9 +320,10 @@ impl RunConfig {
         self
     }
 
-    /// Enables or disables the packed message plane.
-    pub fn codec(mut self, codec: bool) -> Self {
-        self.codec = codec;
+    /// A no-op kept for source compatibility: the packed message plane
+    /// it once selected is gone, and every run moves `Msg` values.
+    #[deprecated(note = "the packed message plane is gone; this call changes nothing")]
+    pub fn codec(self, _codec: bool) -> Self {
         self
     }
 
@@ -578,37 +523,10 @@ pub trait ExecModel: Sync {
     /// shard (CONGEST's generation-stamped destination table, MPC's
     /// running send volume). `step` must reset it before use.
     type SendScratch: Default + Send;
-    /// The fixed-width packed wire word the sharded exchange moves when
-    /// [`ExecModel::packs`] is enabled (see the crate docs on packed
-    /// lanes). Models that do not pack set `()` and keep the enum
-    /// plane — the [`ExecModel::pack`]/[`ExecModel::unpack`] defaults
-    /// are then never called.
-    type Packed: Copy + Send;
-
     /// Whether the kernel must tally each destination's delivered
     /// charge every round (MPC's receive-volume cap needs it; CONGEST
     /// does not, and the tally is compiled out).
     const TRACK_RECV: bool = false;
-
-    /// Whether multi-shard runs should move [`ExecModel::Packed`] words
-    /// through its lanes and arenas instead of cloned [`ExecModel::Msg`]
-    /// enums. Consulted once per run; the default keeps the enum plane.
-    fn packs(&self) -> bool {
-        false
-    }
-
-    /// Encodes a validated message into its packed word (only called
-    /// when [`ExecModel::packs`] returns `true`; the message has
-    /// already passed the model's checks and been charged).
-    fn pack(&self, _msg: &Self::Msg) -> Self::Packed {
-        unreachable!("ExecModel::pack called on a model that does not pack")
-    }
-
-    /// Decodes a packed word back into the message it encodes (only
-    /// called when [`ExecModel::packs`] returns `true`).
-    fn unpack(&self, _word: Self::Packed) -> Self::Msg {
-        unreachable!("ExecModel::unpack called on a model that does not pack")
-    }
 
     /// Hook before round 0 (MPC checks the initial memory footprints).
     ///
@@ -751,151 +669,6 @@ pub struct Run<O, M> {
 /// balance.
 pub use pga_graph::partition::balanced_partition;
 
-/// Per-worker scratch of the packed wrapper: the inner model's own
-/// validation scratch plus the decode buffer the wrapper rebuilds for
-/// each stepped actor's inbox.
-struct PackScratch<M: ExecModel> {
-    send: M::SendScratch,
-    buf: Vec<(M::Id, M::Msg)>,
-}
-
-impl<M: ExecModel> Default for PackScratch<M> {
-    fn default() -> Self {
-        PackScratch {
-            send: M::SendScratch::default(),
-            buf: Vec::new(),
-        }
-    }
-}
-
-/// The enum→packed adapter: an [`ExecModel`] whose message type is the
-/// inner model's [`ExecModel::Packed`] word. [`execute`] wraps a
-/// packing model in this once per multi-shard run, so the whole exchange — lanes,
-/// counting sort, scatter, arenas — moves `Copy` words; `step` decodes
-/// the inbox slice into a reusable scratch buffer, runs the inner
-/// model's step (validation and charging happen there, on the decoded
-/// messages), and re-encodes each validated outgoing message as it
-/// enters its lane.
-struct PackedModel<'m, M>(&'m M);
-
-/// The packing sink adapter: receives validated enum messages from the
-/// inner model's `step` and forwards their packed words to the outer
-/// (lane or direct) sink.
-struct PackSink<'a, 'm, M: ExecModel, S> {
-    pm: &'a PackedModel<'m, M>,
-    sink: &'a mut S,
-}
-
-impl<'m, M, S> MsgSink<M> for PackSink<'_, 'm, M, S>
-where
-    M: ExecModel,
-    M::Msg: Send,
-    S: MsgSink<PackedModel<'m, M>>,
-{
-    #[inline]
-    fn deliver(&mut self, model: &M, to: M::Id, from: M::Id, msg: M::Msg) -> u32 {
-        let word = model.pack(&msg);
-        self.sink.deliver(self.pm, to, from, word)
-    }
-}
-
-impl<'m, M> ExecModel for PackedModel<'m, M>
-where
-    M: ExecModel,
-    M::Msg: Send,
-{
-    type Id = M::Id;
-    type Node = M::Node;
-    type Msg = M::Packed;
-    type Output = M::Output;
-    type Error = M::Error;
-    type Metrics = M::Metrics;
-    type SendScratch = PackScratch<M>;
-    type Packed = ();
-
-    const TRACK_RECV: bool = M::TRACK_RECV;
-
-    fn pre_run(&self, nodes: &[M::Node], metrics: &mut M::Metrics) -> Result<(), M::Error> {
-        self.0.pre_run(nodes, metrics)
-    }
-
-    fn actor_cost(&self, node: &M::Node, idx: usize) -> u64 {
-        self.0.actor_cost(node, idx)
-    }
-
-    fn poll(&self, node: &M::Node, idx: usize, round: usize) -> Poll {
-        self.0.poll(node, idx, round)
-    }
-
-    fn output(&self, node: &M::Node, idx: usize, round: usize) -> M::Output {
-        self.0.output(node, idx, round)
-    }
-
-    fn round_limit_error(&self, limit: usize) -> M::Error {
-        self.0.round_limit_error(limit)
-    }
-
-    fn step<S: MsgSink<Self>>(
-        &self,
-        node: &mut M::Node,
-        idx: usize,
-        round: usize,
-        inbox: &[(M::Id, M::Packed)],
-        scratch: &mut PackScratch<M>,
-        acc: &mut RoundProfile,
-        sink: &mut S,
-    ) -> Result<(), M::Error> {
-        scratch.buf.clear();
-        scratch
-            .buf
-            .extend(inbox.iter().map(|&(from, w)| (from, self.0.unpack(w))));
-        let mut sink = PackSink { pm: self, sink };
-        self.0.step(
-            node,
-            idx,
-            round,
-            &scratch.buf,
-            &mut scratch.send,
-            acc,
-            &mut sink,
-        )
-    }
-
-    fn recv_charge(&self, msg: &M::Packed) -> usize {
-        self.0.recv_charge(&self.0.unpack(*msg))
-    }
-
-    fn wire_charge(&self, msg: &M::Packed) -> u64 {
-        self.0.wire_charge(&self.0.unpack(*msg))
-    }
-
-    fn arq_header_charge(&self) -> u64 {
-        self.0.arq_header_charge()
-    }
-
-    fn arq_ack_charge(&self) -> u64 {
-        self.0.arq_ack_charge()
-    }
-
-    fn check_recv(&self, recv: &[usize], round: usize) -> Result<(), M::Error> {
-        self.0.check_recv(recv, round)
-    }
-
-    fn end_round(
-        &self,
-        acc: &RoundProfile,
-        recv: &[usize],
-        round: usize,
-        metrics: &mut M::Metrics,
-    ) {
-        self.0.end_round(acc, recv, round, metrics)
-    }
-
-    fn finish(&self, metrics: &mut M::Metrics, fault: &FaultStats, convergence_round: usize) {
-        self.0.finish(metrics, fault, convergence_round)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -911,8 +684,6 @@ mod tests {
         /// Skewed per-actor costs for the balanced-sharding tests
         /// (uniform when false, matching the default hook).
         skewed_costs: bool,
-        /// Whether the sharded executor moves packed words.
-        packed: bool,
     }
 
     #[derive(Clone)]
@@ -952,24 +723,8 @@ mod tests {
         type Error = RingError;
         type Metrics = RingMetrics;
         type SendScratch = ();
-        type Packed = u64;
 
         const TRACK_RECV: bool = true;
-
-        fn packs(&self) -> bool {
-            self.packed
-        }
-
-        fn pack(&self, msg: &Token) -> u64 {
-            ((msg.hops_left as u64) << 32) | msg.charge as u64
-        }
-
-        fn unpack(&self, word: u64) -> Token {
-            Token {
-                hops_left: (word >> 32) as usize,
-                charge: (word & 0xFFFF_FFFF) as usize,
-            }
-        }
 
         fn actor_cost(&self, _node: &RingNode, idx: usize) -> u64 {
             if self.skewed_costs {
@@ -1085,7 +840,6 @@ mod tests {
             charge_cap: 8,
             recv_cap: 8,
             skewed_costs: false,
-            packed: false,
         }
     }
 
@@ -1124,8 +878,8 @@ mod tests {
         assert_eq!(run.outputs.iter().sum::<usize>(), 8);
     }
 
-    /// Asserts that every shard count, scheduling policy, cost skew and
-    /// wire plane, on the clean plane and under the never-interfering
+    /// Asserts that every shard count, scheduling policy and cost skew,
+    /// on the clean plane and under the never-interfering
     /// adversary, reproduces the reference executor on `base` — and
     /// that the reference ends in `error`.
     fn assert_matches_reference(
@@ -1137,17 +891,16 @@ mod tests {
         let oracle = reference::run(&base, nodes(), budget);
         assert_eq!(oracle.as_ref().err(), error.as_ref());
         let none = SeededAdversary::new(FaultSpec::none());
-        for (skewed_costs, packed) in [(false, false), (true, false), (false, true)] {
+        for skewed_costs in [false, true] {
             let m = RingModel {
                 skewed_costs,
-                packed,
                 ..base
             };
             for i in 0..20 {
                 let scheduling = [Scheduling::ActiveSet, Scheduling::FullSweep][i % 2];
                 let adversary = (i % 4 >= 2).then_some(&none as &dyn Adversary);
                 let threads = [1, 2, 3, 5, 8][i / 4];
-                let at = format!("{scheduling:?} t={threads} skew={skewed_costs} packed={packed}");
+                let at = format!("{scheduling:?} t={threads} skew={skewed_costs}");
                 let cfg = cfg(scheduling).max_rounds(budget).parallel(threads);
                 match (
                     &oracle,
@@ -1199,14 +952,15 @@ mod tests {
         let cfg = RunConfig::new();
         assert_eq!(cfg.engine, Engine::Sequential);
         assert_eq!(cfg.scheduling, Scheduling::ActiveSet);
-        assert!(!cfg.codec);
         let cfg = RunConfig::new()
             .parallel_auto()
-            .scheduling(Scheduling::FullSweep)
-            .codec(true);
+            .scheduling(Scheduling::FullSweep);
         assert_eq!(cfg.engine, Engine::Parallel { threads: 0 });
         assert_eq!(cfg.scheduling, Scheduling::FullSweep);
-        assert!(cfg.codec);
+        // The deprecated codec switch leaves the configuration untouched.
+        #[allow(deprecated)]
+        let shim = RunConfig::new().parallel(2).codec(true);
+        assert_eq!(shim, RunConfig::new().parallel(2));
         assert_eq!(
             RunConfig::new().sequential().parallel(3).engine,
             Engine::Parallel { threads: 3 }
@@ -1307,16 +1061,10 @@ mod tests {
             f.dropped + f.duplicated + f.delayed + f.crashed > 0,
             "{f:?}"
         );
-        for packed in [false, true] {
-            for threads in [1, 2, 4, 8] {
-                let m = RingModel {
-                    packed,
-                    ..model(16)
-                };
-                let run = run_faulty(&m, ring_nodes(16, 40, 3), threads, &adversary).unwrap();
-                assert_eq!(run.outputs, baseline.outputs, "packed={packed} t={threads}");
-                assert_eq!(run.metrics, baseline.metrics, "packed={packed} t={threads}");
-            }
+        for threads in [1, 2, 4, 8] {
+            let run = run_faulty(&model(16), ring_nodes(16, 40, 3), threads, &adversary).unwrap();
+            assert_eq!(run.outputs, baseline.outputs, "t={threads}");
+            assert_eq!(run.metrics, baseline.metrics, "t={threads}");
         }
     }
 

@@ -54,8 +54,8 @@ pub use pga_runtime as runtime;
 /// Commonly used items, re-exported for examples and quick experiments.
 pub mod prelude {
     pub use pga_congest::{
-        Engine, FaultSpec, FaultStats, FaultTrace, Metrics, MsgCodec, ReliabilitySpec, RunConfig,
-        Scheduling, Simulator, Topology,
+        Engine, FaultSpec, FaultStats, FaultTrace, Metrics, ReliabilitySpec, RunConfig, Scheduling,
+        Simulator, Topology,
     };
     pub use pga_core::mds::cd18::cd18_mds;
     pub use pga_core::mds::congest_g2::{g2_mds_congest, g2_mds_congest_cfg};

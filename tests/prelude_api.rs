@@ -79,13 +79,13 @@ fn prelude_exposes_documented_api() {
 }
 
 /// The unified `RunConfig` builder and the `*_cfg` entry points are
-/// part of the prelude surface, and the packed-codec plane they enable
-/// is bit-identical to the defaults.
+/// part of the prelude surface, and a sharded run is bit-identical to
+/// the defaults.
 #[test]
 fn prelude_exposes_run_config_api() {
     let g = generators::clique_chain(4, 5);
     let w = VertexWeights::uniform(g.num_nodes());
-    let cfg = RunConfig::new().parallel(2).codec(true);
+    let cfg = RunConfig::new().parallel(2);
 
     let seq = g2_mvc_congest(&g, 0.5, LocalSolver::Exact).unwrap();
     let par = g2_mvc_congest_cfg(&g, 0.5, LocalSolver::Exact, &cfg).unwrap();
@@ -109,13 +109,10 @@ fn prelude_exposes_run_config_api() {
     let mds_mpc = g2_mds_congest_mpc_cfg(&g, 16, 3, budget, &mpc_cfg).unwrap();
     assert_eq!(mds_mpc.result.dominating_set, mds.dominating_set);
 
-    // The builder's knobs compose and the codec plane is re-exported at
-    // the trait level too.
+    // The builder's knobs compose.
     let _tuned = RunConfig::new()
         .engine(Engine::Sequential)
         .scheduling(Scheduling::FullSweep);
-    fn assert_codec<T: MsgCodec>() {}
-    assert_codec::<power_graphs::congest::primitives::MaxId>();
 }
 
 /// The simulator types re-exported by the prelude are usable directly.
