@@ -303,3 +303,28 @@ mod tests {
         }
     }
 }
+
+#[cfg(test)]
+mod msg_size_tests {
+    use super::*;
+    use crate::sim::{default_bandwidth_bits, id_bits};
+    use proptest::prelude::*;
+
+    proptest! {
+        /// A row of `n` columns has `⌈n/64⌉ ≤ n` blocks, so the block
+        /// index is charged one identifier's worth of bits, and a block
+        /// carrying any index and bits fits the default bandwidth.
+        #[test]
+        fn block_index_fits_one_identifier(
+            n in 1usize..=u32::MAX as usize,
+            word in any::<u64>(),
+            last in any::<bool>(),
+            truncated in any::<bool>(),
+        ) {
+            let block = (n.div_ceil(64) - 1) as u32;
+            prop_assert_eq!(u64::from(block) >> id_bits(n), 0);
+            let m = BmmBlock { block, word, last, truncated };
+            prop_assert!(m.size_bits(id_bits(n)) <= default_bandwidth_bits(n));
+        }
+    }
+}

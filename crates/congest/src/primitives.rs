@@ -671,3 +671,66 @@ mod flood_tests {
         assert_eq!(report.outputs[0], NodeId(0));
     }
 }
+
+#[cfg(test)]
+mod msg_size_tests {
+    use super::*;
+    use crate::sim::{default_bandwidth_bits, id_bits};
+    use proptest::prelude::*;
+
+    fn arb_sized() -> impl Strategy<Value = SizedU64> {
+        (any::<u64>(), any::<usize>()).prop_map(|(value, bits)| SizedU64 { value, bits })
+    }
+
+    /// Every arm of [`GsMsg`], with full-range payloads.
+    fn arb_gs_msg() -> impl Strategy<Value = GsMsg<SizedU64, SizedU64>> {
+        prop_oneof![
+            Just(GsMsg::Explore { parent: None }),
+            any::<u32>().prop_map(|p| GsMsg::Explore {
+                parent: Some(NodeId(p)),
+            }),
+            arb_sized().prop_map(GsMsg::Up),
+            Just(GsMsg::UpDone),
+            arb_sized().prop_map(GsMsg::Down),
+            any::<bool>().prop_map(|complete| GsMsg::DownEnd { complete }),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn max_id_fits_default_bandwidth(id in any::<u32>()) {
+            let m = MaxId(id);
+            for b in 1..=32 {
+                let n = 1usize << b;
+                prop_assert!(m.size_bits(id_bits(n)) <= default_bandwidth_bits(n));
+            }
+            // The charge holds the id in the smallest network that has it.
+            let n = (id as usize + 1).max(2);
+            prop_assert_eq!(u64::from(id) >> m.size_bits(id_bits(n)), 0);
+        }
+
+        /// The 3-bit tag rides on top of the payload, so a payload that
+        /// leaves room for it keeps the whole message within `B`.
+        #[test]
+        fn gs_msg_fits_when_its_payload_leaves_room_for_the_tag(
+            m in arb_gs_msg(),
+            b in 1usize..=32,
+        ) {
+            let n = 1usize << b;
+            let room = default_bandwidth_bits(n) - 3;
+            let fit = |s: SizedU64| SizedU64 {
+                value: s.value,
+                bits: s.bits % (room + 1),
+            };
+            let m = match m {
+                GsMsg::Up(s) => GsMsg::Up(fit(s)),
+                GsMsg::Down(s) => GsMsg::Down(fit(s)),
+                other => other,
+            };
+            prop_assert!(m.size_bits(id_bits(n)) <= default_bandwidth_bits(n));
+            if let GsMsg::Up(s) | GsMsg::Down(s) = &m {
+                prop_assert_eq!(m.size_bits(b), 3 + s.bits);
+            }
+        }
+    }
+}

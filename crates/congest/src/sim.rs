@@ -618,4 +618,20 @@ mod tests {
         assert_eq!(g.max_degree(), 2);
         assert!(check.stamps.len() <= g.max_degree());
     }
+
+    proptest::proptest! {
+        /// `id_bits(n)` is the exact width of the largest id `n - 1`, at
+        /// every scale up to `2³³` nodes.
+        #[test]
+        fn id_bits_is_the_width_of_the_largest_id(
+            k in 1u32..=33,
+            r in proptest::prelude::any::<u64>(),
+        ) {
+            let n = ((r >> (64 - k)) as usize).max(2);
+            let largest = (n - 1) as u64;
+            let b = id_bits(n);
+            proptest::prop_assert_eq!(largest >> b, 0, "n = {}", n);
+            proptest::prop_assert_eq!(largest >> (b - 1), 1, "n = {}", n);
+        }
+    }
 }

@@ -35,3 +35,30 @@ pub mod mds;
 pub mod mpc;
 pub mod mvc;
 pub mod sequential;
+
+/// Test support: the CONGEST message bound every message type meets.
+#[cfg(test)]
+pub(crate) mod msg_budget {
+    use pga_congest::{default_bandwidth_bits, id_bits, MsgSize};
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+
+    /// Checks `m` at every id width a 32-bit node id allows: for
+    /// `n = 2^b`, `b ∈ 1..=32`, its declared size fits the default
+    /// bandwidth `B(n)` (so `check_message` accepts it), and the size
+    /// never shrinks as `n` grows.
+    pub fn fits_default_bandwidth<M: MsgSize + std::fmt::Debug>(
+        m: &M,
+    ) -> Result<(), TestCaseError> {
+        let mut smaller = 0;
+        for b in 1..=32 {
+            let n = 1usize << b;
+            let size = m.size_bits(id_bits(n));
+            let limit = default_bandwidth_bits(n);
+            prop_assert!(size <= limit, "{m:?}: {size} > {limit} bits at n = {n}");
+            prop_assert!(size >= smaller, "{m:?}: shrinks to {size} bits at n = {n}");
+            smaller = size;
+        }
+        Ok(())
+    }
+}

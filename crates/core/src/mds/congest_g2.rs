@@ -510,3 +510,35 @@ mod tests {
         assert_eq!(r.size(), 0);
     }
 }
+
+#[cfg(test)]
+mod msg_size_tests {
+    use super::*;
+    use crate::msg_budget::fits_default_bandwidth;
+    use proptest::prelude::*;
+
+    fn arb_f64_bits() -> impl Strategy<Value = f64> {
+        any::<u64>().prop_map(f64::from_bits)
+    }
+
+    /// Every arm of [`MdsMsg`], with full-range payloads.
+    fn arb_msg() -> impl Strategy<Value = MdsMsg> {
+        prop_oneof![
+            arb_f64_bits().prop_map(MdsMsg::EstSample),
+            arb_f64_bits().prop_map(MdsMsg::EstMin),
+            any::<u64>().prop_map(MdsMsg::RhoMax),
+            (any::<u64>(), any::<u32>()).prop_map(|(r, id)| MdsMsg::CandRank(r, id)),
+            (any::<u32>(), arb_f64_bits()).prop_map(|(c, x)| MdsMsg::VoteSample(c, x)),
+            arb_f64_bits().prop_map(MdsMsg::VoteRelay),
+            Just(MdsMsg::Joined),
+            Just(MdsMsg::CoverRelay),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn mds_msg_fits_default_bandwidth(m in arb_msg()) {
+            fits_default_bandwidth(&m)?;
+        }
+    }
+}

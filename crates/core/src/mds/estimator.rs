@@ -287,3 +287,20 @@ mod tests {
         }
     }
 }
+
+#[cfg(test)]
+mod msg_size_tests {
+    use super::*;
+    use crate::msg_budget::fits_default_bandwidth;
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn sample_fits_default_bandwidth(bits in any::<u64>()) {
+            let s = Sample(f64::from_bits(bits));
+            fits_default_bandwidth(&s)?;
+            // The full `f64` is charged, whatever its value.
+            prop_assert_eq!(s.size_bits(1), 64);
+        }
+    }
+}

@@ -391,3 +391,43 @@ mod tests {
         }
     }
 }
+
+#[cfg(test)]
+mod msg_size_tests {
+    use super::*;
+    use crate::msg_budget::fits_default_bandwidth;
+    use proptest::prelude::*;
+
+    /// `F`-edge reports with weights below `2³²`.
+    fn arb_fedge() -> impl Strategy<Value = FEdge> {
+        (
+            any::<u32>(),
+            any::<u32>(),
+            any::<bool>(),
+            any::<u32>(),
+            any::<u32>(),
+        )
+            .prop_map(|(from, to, from_in_u, from_weight, to_weight)| FEdge {
+                from: NodeId(from),
+                to: NodeId(to),
+                from_in_u,
+                from_weight: u64::from(from_weight),
+                to_weight: u64::from(to_weight),
+            })
+    }
+
+    fn arb_msg() -> impl Strategy<Value = CliqueMsg> {
+        prop_oneof![
+            arb_fedge().prop_map(CliqueMsg::Edge),
+            Just(CliqueMsg::Done),
+            any::<bool>().prop_map(CliqueMsg::Verdict),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn clique_msg_fits_default_bandwidth(m in arb_msg()) {
+            fits_default_bandwidth(&m)?;
+        }
+    }
+}

@@ -386,3 +386,26 @@ mod tests {
         assert_eq!(r.size(), opt, "exact leader solve on the whole graph");
     }
 }
+
+#[cfg(test)]
+mod msg_size_tests {
+    use super::*;
+    use crate::msg_budget::fits_default_bandwidth;
+    use proptest::prelude::*;
+
+    fn arb_msg() -> impl Strategy<Value = VoteMsg> {
+        prop_oneof![
+            any::<u64>().prop_map(VoteMsg::Cand),
+            Just(VoteMsg::Vote),
+            Just(VoteMsg::JoinS),
+            Just(VoteMsg::LeftR),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn vote_msg_fits_default_bandwidth(m in arb_msg()) {
+            fits_default_bandwidth(&m)?;
+        }
+    }
+}

@@ -353,3 +353,26 @@ mod tests {
         assert!(pga_graph::cover::is_vertex_cover(&g, &in_s));
     }
 }
+
+#[cfg(test)]
+mod msg_size_tests {
+    use super::*;
+    use crate::msg_budget::fits_default_bandwidth;
+    use proptest::prelude::*;
+
+    fn arb_msg() -> impl Strategy<Value = P1Msg> {
+        prop_oneof![
+            Just(P1Msg::Cand),
+            any::<u32>().prop_map(P1Msg::MaxCand),
+            Just(P1Msg::JoinS),
+            Just(P1Msg::LeftR),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn p1_msg_fits_default_bandwidth(m in arb_msg()) {
+            fits_default_bandwidth(&m)?;
+        }
+    }
+}

@@ -432,3 +432,27 @@ mod tests {
         assert_eq!(quiet.convergence_round, 2);
     }
 }
+
+#[cfg(test)]
+mod msg_size_tests {
+    use super::*;
+    use crate::msg_budget::fits_default_bandwidth;
+    use proptest::prelude::*;
+
+    fn arb_msg() -> impl Strategy<Value = DirectP1Msg> {
+        prop_oneof![
+            Just(DirectP1Msg::Cand),
+            Just(DirectP1Msg::JoinS),
+            Just(DirectP1Msg::LeftR),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn direct_p1_msg_fits_default_bandwidth(m in arb_msg()) {
+            fits_default_bandwidth(&m)?;
+            // Id-free: one cost at every network size.
+            prop_assert_eq!(m.size_bits(1), m.size_bits(32));
+        }
+    }
+}

@@ -333,3 +333,68 @@ mod tests {
         assert_eq!(ids, vec![0, 2]);
     }
 }
+
+#[cfg(test)]
+mod msg_size_tests {
+    use super::*;
+    use crate::msg_budget::fits_default_bandwidth;
+    use proptest::prelude::*;
+
+    use pga_congest::primitives::GsMsg;
+
+    /// `F`-edge reports with weights below `2³²`.
+    fn arb_fedge() -> impl Strategy<Value = FEdge> {
+        (
+            any::<u32>(),
+            any::<u32>(),
+            any::<bool>(),
+            any::<u32>(),
+            any::<u32>(),
+        )
+            .prop_map(|(from, to, from_in_u, from_weight, to_weight)| FEdge {
+                from: NodeId(from),
+                to: NodeId(to),
+                from_in_u,
+                from_weight: u64::from(from_weight),
+                to_weight: u64::from(to_weight),
+            })
+    }
+
+    /// Every arm of the gather–scatter message that carries `F` up and
+    /// the cover down.
+    fn arb_gs_msg() -> impl Strategy<Value = GsMsg<FEdge, CoverId>> {
+        prop_oneof![
+            Just(GsMsg::Explore { parent: None }),
+            any::<u32>().prop_map(|p| GsMsg::Explore {
+                parent: Some(NodeId(p)),
+            }),
+            arb_fedge().prop_map(GsMsg::Up),
+            Just(GsMsg::UpDone),
+            any::<u32>().prop_map(|id| GsMsg::Down(CoverId(NodeId(id)))),
+            any::<bool>().prop_map(|complete| GsMsg::DownEnd { complete }),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn fedge_fits_default_bandwidth(e in arb_fedge()) {
+            fits_default_bandwidth(&e)?;
+            // Two ids, the `U` flag, and each weight at its own width.
+            let b = 20;
+            let weights = weight_bits(e.from_weight) + weight_bits(e.to_weight);
+            prop_assert_eq!(e.size_bits(b), 2 * b + 1 + weights);
+        }
+
+        #[test]
+        fn cover_id_fits_default_bandwidth(id in any::<u32>()) {
+            let c = CoverId(NodeId(id));
+            fits_default_bandwidth(&c)?;
+            prop_assert_eq!(c.size_bits(17), 17);
+        }
+
+        #[test]
+        fn remainder_gs_msg_fits_default_bandwidth(m in arb_gs_msg()) {
+            fits_default_bandwidth(&m)?;
+        }
+    }
+}

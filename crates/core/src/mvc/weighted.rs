@@ -578,3 +578,33 @@ mod tests {
         assert!(r.total_rounds() < 24 * 64, "{} rounds", r.total_rounds());
     }
 }
+
+#[cfg(test)]
+mod msg_size_tests {
+    use super::*;
+    use crate::msg_budget::fits_default_bandwidth;
+    use proptest::prelude::*;
+
+    fn arb_msg() -> impl Strategy<Value = WMsg> {
+        prop_oneof![
+            any::<u64>().prop_map(WMsg::Weight),
+            Just(WMsg::Cand),
+            any::<u32>().prop_map(WMsg::MaxCand),
+            Just(WMsg::JoinS),
+            Just(WMsg::LeftR),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn w_msg_fits_default_bandwidth(m in arb_msg()) {
+            fits_default_bandwidth(&m)?;
+            if let WMsg::Weight(w) = m {
+                // A weight is charged exactly the bits that hold it.
+                let bits = m.size_bits(8) - 3;
+                prop_assert!(bits == 64 || w >> bits == 0, "{w} in {bits} bits");
+                prop_assert!(bits == 1 || w >> (bits - 1) == 1, "{w} in {bits} bits");
+            }
+        }
+    }
+}

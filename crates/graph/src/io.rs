@@ -518,4 +518,97 @@ mod tests {
         ));
         std::fs::remove_file(&bad).unwrap();
     }
+
+    #[test]
+    fn crlf_line_endings_parse_like_lf() {
+        let lf = "# c\n3 2\n0 1\n1 2\n";
+        let crlf = lf.replace('\n', "\r\n");
+        assert_eq!(
+            parse_edge_list(&crlf).unwrap(),
+            parse_edge_list(lf).unwrap()
+        );
+        // The carriage return is not part of a reported bad line.
+        assert!(matches!(
+            parse_edge_list("2 1\r\n0 x\r\n"),
+            Err(ParseError::BadEdge { line: 2, content }) if content == "0 x"
+        ));
+    }
+
+    #[test]
+    fn comments_only_input_is_a_bad_header() {
+        assert!(matches!(
+            parse_edge_list("# only a comment\n\n   \n# another\n"),
+            Err(ParseError::BadHeader(h)) if h.is_empty()
+        ));
+        assert!(matches!(
+            parse_edge_list("5\n"),
+            Err(ParseError::BadHeader(h)) if h == "5"
+        ));
+    }
+
+    #[test]
+    fn edge_line_missing_an_endpoint_is_bad_edge() {
+        for (text, line) in [("3 1\n\n2\n", 3), ("3 1\n-1 0\n", 2), ("3 1\n0 3\n", 2)] {
+            assert!(
+                matches!(parse_edge_list(text), Err(ParseError::BadEdge { line: l, .. }) if l == line),
+                "{text:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn source_error_mid_stream_is_typed_and_fuses() {
+        struct Broken;
+        impl std::io::Read for Broken {
+            fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+                Err(std::io::Error::other("disk gone"))
+            }
+        }
+        use std::io::Read;
+        let source = BufReader::new("3 2\n0 1\n".as_bytes().chain(Broken));
+        let mut r = EdgeListReader::new(source).unwrap();
+        assert_eq!(r.next().unwrap().unwrap(), (NodeId(0), NodeId(1)));
+        match r.next().unwrap() {
+            Err(EdgeListError::Io(e)) => assert_eq!(e.to_string(), "disk gone"),
+            other => panic!("expected an I/O error, got {other:?}"),
+        }
+        assert!(r.next().is_none());
+    }
+
+    #[test]
+    fn into_graph_feeds_the_builder_across_chunks() {
+        // More edges than one builder chunk (2^16).
+        let g = generators::path(70_001);
+        let text = to_edge_list(&g);
+        let parsed = EdgeListReader::new(text.as_bytes())
+            .unwrap()
+            .into_graph()
+            .unwrap();
+        assert_eq!(parsed.num_edges(), 70_000);
+        assert_eq!(parsed, g);
+    }
+
+    #[test]
+    fn small_families_roundtrip() {
+        for g in [
+            Graph::empty(0),
+            Graph::empty(7),
+            generators::path(9),
+            generators::star(12),
+            generators::clique_chain(3, 5),
+            generators::grid(4, 6),
+        ] {
+            assert_eq!(parse_edge_list(&to_edge_list(&g)).unwrap(), g);
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn random_graphs_roundtrip(n in 2usize..60, p in 0.0f64..0.5, seed in proptest::prelude::any::<u64>()) {
+            use rand::SeedableRng;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let g = generators::gnp(n, p, &mut rng);
+            proptest::prop_assert_eq!(parse_edge_list(&to_edge_list(&g)).unwrap(), g);
+        }
+    }
 }
