@@ -14,10 +14,11 @@
 //!   cost-balanced per-shard load statistics of the gate thread count,
 //! * with `--assert-speedup`, additionally enforces per-workload
 //!   speedup floors at the gate thread count (4 by default): ≥ 1.05×
-//!   on `floodmax`, ≥ 1.5× on `aggregate8`, and ≥ 1.2× on the
-//!   heavy-tailed `floodmax_ba` (exit code 2 otherwise; skipped with a
-//!   notice when the host has fewer CPUs than gate threads, as speedup
-//!   is physically impossible there).
+//!   on `floodmax`, ≥ 1.5× on `aggregate8`, ≥ 1.2× on the
+//!   heavy-tailed `floodmax_ba`, and ≥ 1.0× on the `thm28_ba` paper
+//!   pipeline (exit code 2 otherwise; skipped with a notice when the
+//!   host has fewer CPUs than gate threads, as speedup is physically
+//!   impossible there).
 //!
 //! The quiescent-tail workload (`floodmax_tail`) runs FloodMax to full
 //! termination on the lollipop instance (gnm blob + long path) under
@@ -25,6 +26,12 @@
 //! bit-identical, and — with `--assert-speedup` on a multi-CPU host —
 //! requires active-set scheduling to be at least 1.3× faster than the
 //! full sweep (exit code 2 otherwise).
+//!
+//! The paper-pipeline workload (`thm28_ba`) runs Theorem 28's
+//! `G²`-MDS pipeline (`g2_mds_congest_cfg`, sample factor 8) on a
+//! pinned `barabasi_albert(5000, 4)` sequentially and over the parallel
+//! sweep; the dominating sets and metrics of every run feed the
+//! bit-identity gate.
 //!
 //! Two `G²`-materialization workloads ride along:
 //!
@@ -54,6 +61,7 @@ use pga_congest::primitives::FloodMax;
 use pga_congest::{
     Algorithm, Ctx, Metrics, MsgSize, ProbeMode, Report, RunConfig, Scheduling, Simulator,
 };
+use pga_core::mds::congest_g2::g2_mds_congest_cfg;
 use pga_core::mvc::clique_det::g2_mvc_clique_det_cfg;
 use pga_core::mvc::congest::LocalSolver;
 use pga_graph::bmm::{square_bmm, square_bmm_sharded};
@@ -145,6 +153,43 @@ fn shard_load(g: &Graph, threads: usize) -> Vec<ShardLoad> {
     ShardLoad::from_partition(&costs, &sim.shard_boundaries(threads))
 }
 
+/// Times the parallel engine at every swept thread count (and the gate
+/// count) next to the sequential time `seq_ms`. `par(threads)` runs at
+/// one count and returns whether it reproduced the sequential run, and
+/// its wall time. Returns the engine timings, whether every run was
+/// identical, and the gate count's wall time.
+fn parallel_sweep(
+    seq_ms: f64,
+    gate_threads: usize,
+    par: impl Fn(usize) -> (bool, f64),
+) -> (Vec<EngineTiming>, bool, f64) {
+    let mut engines = vec![EngineTiming {
+        engine: "sequential".into(),
+        threads: 1,
+        wall_ms: seq_ms,
+    }];
+    let mut identical = true;
+    let mut gate_ms = f64::NAN;
+    let mut sweep: Vec<usize> = THREAD_SWEEP.to_vec();
+    if !sweep.contains(&gate_threads) {
+        sweep.push(gate_threads);
+        sweep.sort_unstable();
+    }
+    for threads in sweep {
+        let (same, par_ms) = par(threads);
+        identical &= same;
+        if threads == gate_threads {
+            gate_ms = par_ms;
+        }
+        engines.push(EngineTiming {
+            engine: "parallel".into(),
+            threads,
+            wall_ms: par_ms,
+        });
+    }
+    (engines, identical, gate_ms)
+}
+
 /// Runs one workload on the sequential engine and on the parallel
 /// engine at every swept thread count, and assembles the record.
 fn bench_workload<A, F>(
@@ -168,19 +213,7 @@ where
             .expect("sequential run")
     });
 
-    let mut engines = vec![EngineTiming {
-        engine: "sequential".into(),
-        threads: 1,
-        wall_ms: seq_ms,
-    }];
-    let mut identical = true;
-    let mut gate_ms = f64::NAN;
-    let mut sweep: Vec<usize> = THREAD_SWEEP.to_vec();
-    if !sweep.contains(&gate_threads) {
-        sweep.push(gate_threads);
-        sweep.sort_unstable();
-    }
-    for threads in sweep {
+    let (engines, identical, gate_ms) = parallel_sweep(seq_ms, gate_threads, |threads| {
         let (par, par_ms) = best_of(reps, &mk, |nodes| {
             Simulator::congest(g)
                 .run_cfg(nodes, &cfg.parallel(threads))
@@ -195,16 +228,8 @@ where
                 eprintln!("  outputs differ");
             }
         }
-        identical &= same;
-        if threads == gate_threads {
-            gate_ms = par_ms;
-        }
-        engines.push(EngineTiming {
-            engine: "parallel".into(),
-            threads,
-            wall_ms: par_ms,
-        });
-    }
+        (same, par_ms)
+    });
 
     let Metrics {
         rounds,
@@ -361,6 +386,47 @@ fn bench_square_workload(g: &Graph, threads: usize, reps: usize) -> WorkloadReco
     }
 }
 
+/// Theorem 28's `G²`-MDS pipeline on a pinned
+/// `barabasi_albert(5000, 4, seed)`: sequential, then every thread
+/// count of the parallel sweep. `identical` requires every parallel run
+/// to reproduce the sequential dominating set and metrics exactly;
+/// `speedup` is sequential over the gate thread count.
+fn bench_thm28_workload(seed: u64, gate_threads: usize, reps: usize) -> WorkloadRecord {
+    let g = generators::barabasi_albert(5000, 4, seed);
+    let run = |cfg: &RunConfig| g2_mds_congest_cfg(&g, 8, seed, cfg).expect("Theorem 28 run");
+    let cfg = RunConfig::new().probe(ProbeMode::Off);
+    let (seq, seq_ms) = best_wall(reps, || run(&cfg));
+    let (engines, identical, gate_ms) = parallel_sweep(seq_ms, gate_threads, |threads| {
+        let (par, par_ms) = best_wall(reps, || run(&cfg.parallel(threads)));
+        let same = par.dominating_set == seq.dominating_set && par.metrics == seq.metrics;
+        if !same {
+            eprintln!("DIVERGENCE in workload 'thm28_ba' at {threads} threads");
+        }
+        (same, par_ms)
+    });
+    let Metrics {
+        rounds,
+        messages,
+        bits,
+        ..
+    } = seq.metrics;
+    WorkloadRecord {
+        name: "thm28_ba".into(),
+        graph: "barabasi_albert".into(),
+        n: g.num_nodes(),
+        m: g.num_edges(),
+        rounds,
+        messages,
+        bits,
+        peak_edge_bits: seq.metrics.peak_edge_bits(),
+        congestion_p95: seq.metrics.congestion_percentile(0.95),
+        engines,
+        shard_load: shard_load(&g, gate_threads),
+        speedup: seq_ms / gate_ms,
+        identical,
+    }
+}
+
 /// The clustered-workload pipeline comparison on the pinned SBM
 /// instance: the relay clique-MVC pipeline against the BMM-prep one
 /// (`RunConfig::bmm_prep`), sequential and at the gate thread count.
@@ -506,6 +572,7 @@ fn main() {
                 .collect()
         }),
         bench_tail_workload(&lolli, threads, reps),
+        bench_thm28_workload(seed, threads, reps),
         bench_square_workload(&g, threads, reps),
         bench_bmm_sbm_workload(&sbm, threads, reps),
     ];
@@ -569,6 +636,7 @@ fn main() {
                 ("floodmax", 1.05),
                 ("aggregate8", 1.5),
                 ("floodmax_ba", 1.2),
+                ("thm28_ba", 1.0),
             ];
             let mut failed = false;
             for (name, floor) in floors {

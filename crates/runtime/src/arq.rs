@@ -374,10 +374,6 @@ where
     type Route = Capture;
     const HOLDS: bool = true;
 
-    fn route(&self) -> &Capture {
-        &Capture
-    }
-
     fn begin<S: Store<M>>(
         &mut self,
         model: &M,
@@ -391,6 +387,7 @@ where
         halt_due(&self.crash, &mut self.crashed, tick, |i| {
             fired = true;
             stats.crashed += 1;
+            store.halt(i);
             let v = i as u32;
             for (&(a, b), link) in links.iter_mut() {
                 if (a == v || b == v) && !link.dead {
@@ -470,10 +467,6 @@ where
             store.load(model, mail);
         }
         open
-    }
-
-    fn halted(&self, i: usize) -> bool {
-        self.crashed[i]
     }
 
     fn idle(&self) -> bool {

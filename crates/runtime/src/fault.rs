@@ -511,7 +511,15 @@ pub(crate) struct FaultRoute<'a> {
     crash: Vec<Option<u32>>,
 }
 
-impl FaultRoute<'_> {
+impl<'a> FaultRoute<'a> {
+    /// The fault sink of a run over `n` actors, with its crash table.
+    pub(crate) fn new(adversary: &'a dyn Adversary, n: usize) -> Self {
+        FaultRoute {
+            adversary,
+            crash: crash_table(adversary, n),
+        }
+    }
+
     /// Whether `to` is crashed at (the start of) `round` — mail
     /// consumed then is dropped in flight.
     #[inline]
@@ -585,20 +593,18 @@ where
 /// shard, then sender, then outbox position). Termination additionally
 /// requires an empty delay queue.
 pub(crate) struct AdversaryPlane<'a, M: ExecModel> {
-    route: FaultRoute<'a>,
+    /// The route's crash table.
+    crash: &'a [Option<u32>],
     halted: Vec<bool>,
     delay: Vec<Parked<M>>,
     stats: FaultStats,
 }
 
 impl<'a, M: ExecModel> AdversaryPlane<'a, M> {
-    pub(crate) fn new(adversary: &'a dyn Adversary, n: usize) -> Self {
+    pub(crate) fn new(route: &'a FaultRoute<'_>) -> Self {
         AdversaryPlane {
-            route: FaultRoute {
-                adversary,
-                crash: crash_table(adversary, n),
-            },
-            halted: vec![false; n],
+            crash: &route.crash,
+            halted: vec![false; route.crash.len()],
             delay: Vec::new(),
             stats: FaultStats::default(),
         }
@@ -611,20 +617,15 @@ where
 {
     type Route = FaultRoute<'a>;
 
-    fn route(&self) -> &FaultRoute<'a> {
-        &self.route
-    }
-
-    fn begin<S: Store<M>>(&mut self, _: &M, tick: usize, _: &mut S, _: &mut [usize]) -> bool {
+    fn begin<S: Store<M>>(&mut self, _: &M, tick: usize, store: &mut S, _: &mut [usize]) -> bool {
         // Crashes activate before the sweep, so fresh victims already
         // count as terminated.
         let crashed = &mut self.stats.crashed;
-        halt_due(&self.route.crash, &mut self.halted, tick, |_| *crashed += 1);
+        halt_due(self.crash, &mut self.halted, tick, |i| {
+            *crashed += 1;
+            store.halt(i);
+        });
         true
-    }
-
-    fn halted(&self, i: usize) -> bool {
-        self.halted[i]
     }
 
     fn idle(&self) -> bool {

@@ -2,11 +2,15 @@
 //! and [`Sharded`]), its delivery planes ([`Plane`]), and the dispatcher
 //! that picks them ([`execute`]); see the crate docs for the design.
 
-use crate::fault::{Adversary, AdversaryPlane, FaultSpec, FaultStats, SeededAdversary};
-use crate::probe::{Probe, RoundObs};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::thread::{Scope, ScopedJoinHandle};
+
+use crate::arq::{ArqPlane, Capture};
+use crate::fault::{Adversary, AdversaryPlane, FaultRoute, FaultSpec, FaultStats, SeededAdversary};
+use crate::probe::{NoopProbe, Probe, RoundObs};
 use crate::{
-    arq::ArqPlane, balanced_partition, ActorId, Engine, ExecModel, MsgSink, Poll, RoundProfile,
-    Run, RunConfig, Scheduling, PARALLEL_MIN_NODES,
+    balanced_partition, ActorId, Engine, ExecModel, MsgSink, Poll, RoundProfile, Run, RunConfig,
+    Scheduling, PARALLEL_MIN_NODES,
 };
 
 /// The round budget of a run whose [`RunConfig::max_rounds`] is unset.
@@ -113,7 +117,7 @@ struct Setup<'a> {
 }
 
 impl Setup<'_> {
-    /// Picks the delivery plane.
+    /// Picks the delivery plane and its routing half.
     fn plane<M, P>(
         &self,
         model: &M,
@@ -130,18 +134,24 @@ impl Setup<'_> {
         let n = nodes.len();
         match (self.cfg.reliability, self.adversary) {
             (Some(spec), Some(adv)) => {
-                self.store(model, nodes, ArqPlane::new(model, n, spec, adv), probe)
+                let plane = ArqPlane::new(model, n, spec, adv);
+                self.store(model, nodes, &Capture, plane, probe)
             }
-            (_, Some(adv)) => self.store(model, nodes, AdversaryPlane::new(adv, n), probe),
-            (_, None) => self.store(model, nodes, Clean, probe),
+            (_, Some(adv)) => {
+                let route = FaultRoute::new(adv, n);
+                self.store(model, nodes, &route, AdversaryPlane::new(&route), probe)
+            }
+            (_, None) => self.store(model, nodes, &Clean, Clean, probe),
         }
     }
 
-    /// Picks the inbox store by shard count.
+    /// Picks the inbox store by shard count. A sharded run spawns its
+    /// workers here, once, in one thread scope that lasts the run.
     fn store<M, D, P>(
         &self,
         model: &M,
         nodes: Vec<M::Node>,
+        route: &D::Route,
         plane: D,
         probe: &P,
     ) -> Result<Run<M::Output, M::Metrics>, M::Error>
@@ -153,18 +163,25 @@ impl Setup<'_> {
         D: Plane<M>,
         P: Probe,
     {
+        let mut metrics = M::Metrics::default();
+        model.pre_run(&nodes, &mut metrics)?;
         if self.bounds.len() > 2 {
-            let store = Sharded::new(self.bounds.to_vec());
-            self.run(model, nodes, store, plane, probe)
+            let meta = ShardMeta::new(self.bounds);
+            std::thread::scope(|sc| {
+                let scheduling = self.cfg.scheduling;
+                let store = Sharded::spawn::<P>(sc, model, route, &meta, scheduling, nodes);
+                self.run(model, store, plane, metrics, probe)
+            })
         } else {
-            let store = Inline::new(nodes.len());
-            self.run(model, nodes, store, plane, probe)
+            let store = Inline::new(route, self.cfg.scheduling, nodes);
+            self.run(model, store, plane, metrics, probe)
         }
     }
 }
 
 /// The routing half of a delivery plane: what happens to each validated
-/// message during the step phase. Shared by every worker thread.
+/// message during the step phase. Read-only, and borrowed by every
+/// shard's thread for the whole run.
 pub(crate) trait Route<M: ExecModel>: Sync {
     /// Per-shard routing state, reused across rounds.
     type Shard: Default + Send;
@@ -191,9 +208,9 @@ pub(crate) trait Route<M: ExecModel>: Sync {
 /// The per-shard routing state of plane `D`.
 pub(crate) type RouteShard<M, D> = <<D as Plane<M>>::Route as Route<M>>::Shard;
 
-/// A delivery plane: its [`Route`] plus the driving-thread hooks the
-/// loop calls around the step phase. Every hook has the clean plane's
-/// behavior as its default.
+/// A delivery plane: the driving-thread hooks the loop calls around the
+/// step phase, over a read-only [`Route`] that the shards borrow for the
+/// whole run. Every hook has the clean plane's behavior as its default.
 pub(crate) trait Plane<M: ExecModel> {
     /// The routing half.
     type Route: Route<M>;
@@ -203,12 +220,10 @@ pub(crate) trait Plane<M: ExecModel> {
     /// (the ARQ barrier waits for the network instead).
     const HOLDS: bool = false;
 
-    /// The routing half.
-    fn route(&self) -> &Self::Route;
-
     /// Start of kernel round `tick`, before the sweep: activates
-    /// crashes and may place mail in the current inboxes. Returns
-    /// whether the application clock may advance this round.
+    /// crashes ([`Store::halt`]) and may place mail in the current
+    /// inboxes. Returns whether the application clock may advance this
+    /// round.
     fn begin<S: Store<M>>(
         &mut self,
         _model: &M,
@@ -217,11 +232,6 @@ pub(crate) trait Plane<M: ExecModel> {
         _recv: &mut [usize],
     ) -> bool {
         true
-    }
-
-    /// Whether actor `i` has crashed: never stepped, counted as done.
-    fn halted(&self, _i: usize) -> bool {
-        false
     }
 
     /// Whether the network holds nothing, so a quiescent round may end
@@ -279,10 +289,6 @@ impl<M: ExecModel> Plane<M> for Clean {
     type Route = Clean;
     const FAULTY: bool = false;
 
-    fn route(&self) -> &Clean {
-        self
-    }
-
     fn settle<S: Store<M>>(
         &mut self,
         _model: &M,
@@ -313,22 +319,32 @@ impl<M: ExecModel, R: Route<M>, S: MsgSink<M>> MsgSink<M> for Routed<'_, R, R::S
     }
 }
 
-/// An inbox store: where staged mail waits for the next round.
+/// An inbox store: the actors' states and where staged mail waits for
+/// the next round.
 pub(crate) trait Store<M: ExecModel> {
-    /// Whether actor `i`'s current inbox is non-empty.
-    fn has_mail(&self, i: usize) -> bool;
+    /// The routing half of the run's delivery plane.
+    type Route: Route<M>;
+
+    /// The per-round sweep (see [`Actors::sweep`]) over every actor at
+    /// application round `round`: refreshes the activity mask and
+    /// reports quiescence.
+    fn sweep(&mut self, model: &M, round: usize) -> bool;
+
+    /// Halts actor `i` (a crash): it is never stepped again and counts
+    /// as done.
+    fn halt(&mut self, i: usize);
+
+    /// How many actors the last sweep activated.
+    fn active(&self) -> usize;
 
     /// Steps every active actor at application round `round` (kernel
-    /// round `tick`), routing sends through `route`. Returns the merged
-    /// round accounting, or the lowest-indexed actor's error.
-    #[allow(clippy::too_many_arguments)]
-    fn step<R: Route<M>, P: Probe>(
+    /// round `tick`), routing sends with the shards' routing state
+    /// `shards`. Returns the merged round accounting, or the
+    /// lowest-indexed actor's error.
+    fn step<P: Probe>(
         &mut self,
         model: &M,
-        nodes: &mut [M::Node],
-        active: &[bool],
-        route: &R,
-        shards: &mut [R::Shard],
+        shards: &mut [<Self::Route as Route<M>>::Shard],
         round: usize,
         tick: usize,
         recv: &mut [usize],
@@ -341,22 +357,33 @@ pub(crate) trait Store<M: ExecModel> {
     /// Places `mail`, sorted by destination, in the current inboxes.
     fn load(&mut self, model: &M, mail: Vec<(u32, M::Id, M::Msg)>);
 
-    /// Makes the staged mail current, tallying receive charges.
-    fn exchange(&mut self, model: &M, recv: &mut [usize]);
+    /// Makes the staged mail current, tallying receive charges. The
+    /// next sweep polls at application round `round`.
+    fn exchange(&mut self, model: &M, recv: &mut [usize], round: usize);
+
+    /// Hands back every actor's state, in id order.
+    fn into_nodes(self) -> Vec<M::Node>;
 }
 
 /// The one-shard store: per-actor `Vec` inboxes, stepped inline on the
 /// driving thread. Staged mail goes straight into next round's buffers,
 /// which swap with the consumed ones at the exchange.
-pub(crate) struct Inline<M: ExecModel> {
+pub(crate) struct Inline<'r, M: ExecModel, R> {
+    route: &'r R,
+    scheduling: Scheduling,
+    actors: Actors<M>,
     cur: Vec<Vec<(M::Id, M::Msg)>>,
     next: Vec<Vec<(M::Id, M::Msg)>>,
     scratch: M::SendScratch,
 }
 
-impl<M: ExecModel> Inline<M> {
-    fn new(n: usize) -> Self {
+impl<'r, M: ExecModel, R> Inline<'r, M, R> {
+    fn new(route: &'r R, scheduling: Scheduling, nodes: Vec<M::Node>) -> Self {
+        let n = nodes.len();
         Inline {
+            route,
+            scheduling,
+            actors: Actors::new(0, nodes),
             cur: (0..n).map(|_| Vec::new()).collect(),
             next: (0..n).map(|_| Vec::new()).collect(),
             scratch: M::SendScratch::default(),
@@ -382,18 +409,26 @@ impl<M: ExecModel> MsgSink<M> for DirectSink<'_, M> {
     }
 }
 
-impl<M: ExecModel> Store<M> for Inline<M> {
-    #[inline]
-    fn has_mail(&self, i: usize) -> bool {
-        !self.cur[i].is_empty()
+impl<M: ExecModel, R: Route<M>> Store<M> for Inline<'_, M, R> {
+    type Route = R;
+
+    fn sweep(&mut self, model: &M, round: usize) -> bool {
+        let cur = &self.cur;
+        (self.actors).sweep(model, round, self.scheduling, |i| !cur[i].is_empty());
+        self.actors.swept.quiescent
     }
 
-    fn step<R: Route<M>, P: Probe>(
+    fn halt(&mut self, i: usize) {
+        self.actors.halted[i] = true;
+    }
+
+    fn active(&self) -> usize {
+        self.actors.swept.stepping
+    }
+
+    fn step<P: Probe>(
         &mut self,
         model: &M,
-        nodes: &mut [M::Node],
-        active: &[bool],
-        route: &R,
         shards: &mut [R::Shard],
         round: usize,
         _tick: usize,
@@ -402,7 +437,7 @@ impl<M: ExecModel> Store<M> for Inline<M> {
     ) -> Result<RoundProfile, M::Error> {
         let mut acc = RoundProfile::for_probe::<P>();
         let mut sink = Routed {
-            route,
+            route: self.route,
             st: &mut shards[0],
             base: DirectSink::<M> {
                 next: &mut self.next,
@@ -410,8 +445,8 @@ impl<M: ExecModel> Store<M> for Inline<M> {
             },
             round: round as u32,
         };
-        for (i, node) in nodes.iter_mut().enumerate() {
-            if !active[i] {
+        for (i, node) in self.actors.nodes.iter_mut().enumerate() {
+            if !self.actors.active[i] {
                 continue;
             }
             R::next_actor(sink.st);
@@ -444,8 +479,12 @@ impl<M: ExecModel> Store<M> for Inline<M> {
         }
     }
 
-    fn exchange(&mut self, _model: &M, _recv: &mut [usize]) {
+    fn exchange(&mut self, _model: &M, _recv: &mut [usize], _round: usize) {
         std::mem::swap(&mut self.cur, &mut self.next);
+    }
+
+    fn into_nodes(self) -> Vec<M::Node> {
+        self.actors.nodes
     }
 }
 
@@ -460,6 +499,18 @@ struct ShardMeta {
 }
 
 impl ShardMeta {
+    fn new(starts: &[usize]) -> Self {
+        let n = *starts.last().unwrap();
+        let mut shard_of = vec![0u32; n];
+        for (j, w) in starts.windows(2).enumerate() {
+            shard_of[w[0]..w[1]].fill(j as u32);
+        }
+        ShardMeta {
+            starts: starts.to_vec(),
+            shard_of,
+        }
+    }
+
     fn num_shards(&self) -> usize {
         self.starts.len() - 1
     }
@@ -516,6 +567,11 @@ impl<M: ExecModel> Arena<M> {
         &self.data[self.offs[local]..self.offs[local + 1]]
     }
 
+    #[inline]
+    fn has_mail(&self, local: usize) -> bool {
+        self.offs[local + 1] > self.offs[local]
+    }
+
     fn clear(&mut self) {
         self.data.clear();
         self.offs.fill(0);
@@ -539,7 +595,7 @@ impl<M: ExecModel> MsgSink<M> for LaneSink<'_, M> {
     }
 }
 
-/// Reusable per-worker scratch: the model's validation scratch plus the
+/// Reusable per-shard scratch: the model's validation scratch plus the
 /// counting-sort arrays of the lane-grouping pass.
 struct WorkerScratch<M: ExecModel> {
     send: M::SendScratch,
@@ -550,71 +606,118 @@ struct WorkerScratch<M: ExecModel> {
     pos: Vec<u32>,
 }
 
-/// The multi-shard store: each round every shard with an active actor
-/// steps on its own worker thread, staging sends into columnar lanes
-/// per destination shard and counting-sorting them by destination; the
-/// exchange then scatters each destination shard's lanes into its flat
-/// inbox arena (see the crate docs).
-pub(crate) struct Sharded<M: ExecModel> {
-    meta: ShardMeta,
-    arenas: Vec<Arena<M>>,
-    /// One row of outgoing lanes per sending shard.
-    lanes: Vec<Vec<Lane<M>>>,
-    /// Mail injected by the driving thread, one lane per destination
-    /// shard, drained after the sender shards' lanes.
-    late: Vec<Lane<M>>,
-    scratch: Vec<WorkerScratch<M>>,
+/// One shard of the sharded store: its actors and everything a phase
+/// touches. Between phases the driving thread owns every cell (the
+/// sweep and the plane hooks reach them there); during a phase a busy
+/// shard's cell is moved to the thread that runs it and back.
+struct Cell<M: ExecModel> {
+    actors: Actors<M>,
+    arena: Arena<M>,
+    /// Outgoing lanes, one per destination shard, filled by the step.
+    out: Vec<Lane<M>>,
+    /// Incoming lanes, one per sender shard and then the lane of mail a
+    /// plane injects from the driving thread; drained by the scatter.
+    inc: Vec<Lane<M>>,
+    scratch: WorkerScratch<M>,
+    /// The shard's receive tally (empty unless [`ExecModel::TRACK_RECV`]).
+    recv: Vec<usize>,
 }
 
-impl<M: ExecModel> Sharded<M> {
-    fn new(starts: Vec<usize>) -> Self {
-        let n = *starts.last().unwrap();
-        let mut shard_of = vec![0u32; n];
-        for (j, w) in starts.windows(2).enumerate() {
-            shard_of[w[0]..w[1]].fill(j as u32);
-        }
-        let meta = ShardMeta { starts, shard_of };
-        let s = meta.num_shards();
-        Sharded {
-            arenas: (0..s)
-                .map(|j| Arena {
-                    data: Vec::new(),
-                    offs: vec![0; meta.len_of(j) + 1],
-                    dirty: false,
-                })
-                .collect(),
-            lanes: (0..s)
-                .map(|_| (0..s).map(|_| Lane::new()).collect())
-                .collect(),
-            late: (0..s).map(|_| Lane::new()).collect(),
-            scratch: (0..s)
-                .map(|_| WorkerScratch {
-                    send: M::SendScratch::default(),
-                    counts: Vec::new(),
-                    pos: Vec::new(),
-                })
-                .collect(),
-            meta,
+impl<M: ExecModel> Cell<M> {
+    fn new(meta: &ShardMeta, j: usize, nodes: Vec<M::Node>) -> Self {
+        let (len, s) = (nodes.len(), meta.num_shards());
+        Cell {
+            actors: Actors::new(meta.starts[j], nodes),
+            arena: Arena {
+                data: Vec::new(),
+                offs: vec![0; len + 1],
+                dirty: false,
+            },
+            out: (0..s).map(|_| Lane::new()).collect(),
+            inc: (0..=s).map(|_| Lane::new()).collect(),
+            scratch: WorkerScratch {
+                send: M::SendScratch::default(),
+                counts: Vec::new(),
+                pos: Vec::new(),
+            },
+            recv: vec![0; if M::TRACK_RECV { len } else { 0 }],
         }
     }
 
-    /// Counting-sorts the injected lanes and reports which destination
-    /// shards have mail waiting in any lane.
-    fn incoming(&mut self) -> Vec<bool> {
-        let mut incoming = vec![false; self.meta.num_shards()];
-        for row in &self.lanes {
-            for (j, lane) in row.iter().enumerate() {
-                incoming[j] |= !lane.pay.is_empty();
+    /// The step phase for this shard: steps every active actor against
+    /// its arena inbox slice, routes its sends into the out lanes, and
+    /// counting-sorts each lane by destination so the scatter can drain
+    /// it sequentially.
+    fn step<R: Route<M>, P: Probe>(
+        &mut self,
+        model: &M,
+        route: &R,
+        st: &mut R::Shard,
+        meta: &ShardMeta,
+        round: usize,
+    ) -> Result<RoundProfile, M::Error> {
+        let mut acc = RoundProfile::for_probe::<P>();
+        let mut sink = Routed {
+            route,
+            st,
+            base: LaneSink::<M> {
+                lanes: &mut self.out,
+                meta,
+            },
+            round: round as u32,
+        };
+        let actors = &mut self.actors;
+        for (k, node) in actors.nodes.iter_mut().enumerate() {
+            if !actors.active[k] {
+                continue;
             }
+            R::next_actor(sink.st);
+            model.step(
+                node,
+                actors.base + k,
+                round,
+                self.arena.slice(k),
+                &mut self.scratch.send,
+                &mut acc,
+                &mut sink,
+            )?;
         }
-        let s = &mut self.scratch[0];
-        for (j, lane) in self.late.iter_mut().enumerate() {
+        let s = &mut self.scratch;
+        for (j, lane) in self.out.iter_mut().enumerate() {
             if !lane.pay.is_empty() {
-                incoming[j] = true;
-                group_lane_by_destination(lane, self.meta.len_of(j), &mut s.counts, &mut s.pos);
+                group_lane_by_destination(lane, meta.len_of(j), &mut s.counts, &mut s.pos);
             }
         }
-        incoming
+        Ok(acc)
+    }
+
+    /// Sweeps the shard's actors at application round `round`.
+    fn sweep(&mut self, model: &M, round: usize, scheduling: Scheduling) {
+        let arena = &self.arena;
+        (self.actors).sweep(model, round, scheduling, |k| arena.has_mail(k));
+    }
+
+    /// Whether any incoming lane holds mail.
+    fn has_incoming(&self) -> bool {
+        self.inc.iter().any(|lane| !lane.pay.is_empty())
+    }
+
+    /// The scatter phase for this shard: groups the injected lane,
+    /// rebuilds the inbox arena from the incoming lanes (see
+    /// [`merge_shard`]), tallying receive charges when `tally` is set.
+    /// A shard with no incoming mail only clears leftover content.
+    fn scatter(&mut self, model: &M, tally: bool) {
+        let s = &mut self.scratch;
+        let late = self.inc.last_mut().expect("the injected lane");
+        if !late.pay.is_empty() {
+            group_lane_by_destination(late, self.actors.nodes.len(), &mut s.counts, &mut s.pos);
+        }
+        if self.has_incoming() {
+            let recv = tally.then_some(&mut self.recv[..]);
+            merge_shard(model, &mut self.arena, &mut self.inc, recv);
+        } else if self.arena.dirty {
+            self.arena.clear();
+        }
     }
 }
 
@@ -667,90 +770,30 @@ fn group_lane_by_destination<M: ExecModel>(
     lane.to.clear();
 }
 
-/// Splits `slice` into the contiguous chunks delimited by `bounds`.
-fn split_by_bounds<'a, T>(mut slice: &'a mut [T], bounds: &[usize]) -> Vec<&'a mut [T]> {
-    let mut out = Vec::with_capacity(bounds.len().saturating_sub(1));
-    for w in bounds.windows(2) {
-        let (head, tail) = slice.split_at_mut(w[1] - w[0]);
-        out.push(head);
-        slice = tail;
-    }
-    out
-}
-
 /// Wall nanoseconds since `start` (0 when unprobed).
 fn elapsed(start: Option<std::time::Instant>) -> u64 {
     start.map_or(0, |t| t.elapsed().as_nanos() as u64)
 }
 
-/// Executes one round for the shard whose first actor is `base`: steps
-/// every active actor against its arena inbox slice, routes its sends
-/// into the shard's lanes, and counting-sorts each lane by destination
-/// so the scatter can drain it sequentially.
-#[allow(clippy::too_many_arguments)]
-fn step_shard<M: ExecModel, R: Route<M>, P: Probe>(
-    model: &M,
-    route: &R,
-    st: &mut R::Shard,
-    base: usize,
-    shard_nodes: &mut [M::Node],
-    arena: &Arena<M>,
-    active: &[bool],
-    lanes: &mut [Lane<M>],
-    meta: &ShardMeta,
-    scratch: &mut WorkerScratch<M>,
-    round: usize,
-) -> Result<RoundProfile, M::Error> {
-    let mut acc = RoundProfile::for_probe::<P>();
-    let mut sink = Routed {
-        route,
-        st,
-        base: LaneSink::<M> { lanes, meta },
-        round: round as u32,
-    };
-    for (k, node) in shard_nodes.iter_mut().enumerate() {
-        if !active[k] {
-            continue;
-        }
-        R::next_actor(sink.st);
-        model.step(
-            node,
-            base + k,
-            round,
-            arena.slice(k),
-            &mut scratch.send,
-            &mut acc,
-            &mut sink,
-        )?;
-    }
-    for (j, lane) in sink.base.lanes.iter_mut().enumerate() {
-        if !lane.pay.is_empty() {
-            group_lane_by_destination(lane, meta.len_of(j), &mut scratch.counts, &mut scratch.pos);
-        }
-    }
-    Ok(acc)
-}
-
-/// Scatter for one destination shard: rebuilds its flat inbox arena
-/// from the incoming pre-grouped lanes. For every destination actor the
-/// lanes are drained in column order (sender shards ascending, then the
-/// injected lane), so each inbox lists its senders in ascending id
-/// order, then injected mail. Also tallies the receive charges when
-/// `recv` is given.
+/// Rebuilds one destination shard's flat inbox arena from its incoming
+/// pre-grouped lanes. For every destination actor the lanes are drained
+/// in column order (sender shards ascending, then the injected lane),
+/// so each inbox lists its senders in ascending id order, then injected
+/// mail. Also tallies the receive charges when `recv` is given.
 fn merge_shard<M: ExecModel>(
     model: &M,
     arena: &mut Arena<M>,
-    column: Vec<&mut Lane<M>>,
-    shard_len: usize,
+    column: &mut [Lane<M>],
     mut recv: Option<&mut [usize]>,
 ) {
+    let shard_len = arena.offs.len() - 1;
     arena.data.clear();
     // Each incoming lane splits into its CSR offsets and a draining
     // cursor over the pre-grouped payloads (disjoint fields of the same
     // lane, so the borrows coexist).
     #[allow(clippy::type_complexity)]
     let mut parts: Vec<(&[u32], std::vec::Drain<'_, (M::Id, M::Msg)>)> = column
-        .into_iter()
+        .iter_mut()
         .filter(|lane| !lane.pay.is_empty())
         .map(|lane| (&lane.offs[..], lane.pay.drain(..)))
         .collect();
@@ -771,80 +814,291 @@ fn merge_shard<M: ExecModel>(
     arena.dirty = true;
 }
 
-impl<M> Store<M> for Sharded<M>
+/// What one shard's step phase returns: its accounting and its wall
+/// nanoseconds (0 when unprobed).
+type StepOut<M> = (Result<RoundProfile, <M as ExecModel>::Error>, u64);
+
+/// The phase a [`Job`] runs.
+#[derive(Clone, Copy)]
+enum Phase {
+    /// Step the shard at this application round.
+    Step(usize),
+    /// Scatter the shard's incoming lanes, then sweep its actors for
+    /// this application round.
+    Scatter(usize, Scheduling),
+}
+
+/// One shard's work for one phase, moved to the thread that runs it and
+/// back.
+struct Job<M: ExecModel, Rs> {
+    cell: Cell<M>,
+    /// The shard's routing state (a default one in the scatter phase).
+    st: Rs,
+    phase: Phase,
+    /// The step phase's result.
+    out: Option<StepOut<M>>,
+}
+
+impl<M: ExecModel, Rs> Job<M, Rs> {
+    fn run<R: Route<M, Shard = Rs>, P: Probe>(&mut self, model: &M, route: &R, meta: &ShardMeta) {
+        match self.phase {
+            Phase::Step(round) => {
+                let start = P::ENABLED.then(std::time::Instant::now);
+                let r = (self.cell).step::<R, P>(model, route, &mut self.st, meta, round);
+                self.out = Some((r, elapsed(start)));
+            }
+            Phase::Scatter(round, scheduling) => {
+                self.cell.scatter(model, M::TRACK_RECV);
+                self.cell.sweep(model, round, scheduling);
+            }
+        }
+    }
+}
+
+/// A worker thread: runs each job it is handed and hands it back, until
+/// the driving thread hangs up (the run ended or is unwinding).
+fn work<M: ExecModel, R: Route<M>, P: Probe>(
+    model: &M,
+    route: &R,
+    meta: &ShardMeta,
+    jobs: Receiver<Job<M, R::Shard>>,
+    done: Sender<Job<M, R::Shard>>,
+) {
+    for mut job in jobs {
+        job.run::<R, P>(model, route, meta);
+        if done.send(job).is_err() {
+            break;
+        }
+    }
+}
+
+/// The driving thread's end of one worker: its job queue, its return
+/// queue, and its handle.
+struct Worker<'s, M: ExecModel, Rs> {
+    jobs: Sender<Job<M, Rs>>,
+    done: Receiver<Job<M, Rs>>,
+    handle: Option<ScopedJoinHandle<'s, ()>>,
+}
+
+impl<M: ExecModel, Rs> Worker<'_, M, Rs> {
+    /// Re-raises the panic that made this worker hang up.
+    fn died(&mut self) -> ! {
+        match self.handle.take().map(ScopedJoinHandle::join) {
+            Some(Err(payload)) => std::panic::resume_unwind(payload),
+            _ => panic!("a shard worker hung up without panicking"),
+        }
+    }
+}
+
+/// The multi-shard store. Its workers live for the run: shard 0 runs on
+/// the caller's thread, and every other shard on a worker spawned once
+/// and parked on its job queue between phases. Each round is a step
+/// phase (every shard with an active actor steps into its columnar out
+/// lanes and counting-sorts them by destination) then a scatter phase
+/// (the lanes move to their destination shards, which rebuild their
+/// flat inbox arenas and sweep their actors for the next round); see
+/// the crate docs. A phase hands work only to the shards that have
+/// some.
+pub(crate) struct Sharded<'s, 'e, M: ExecModel, R: Route<M>> {
+    route: &'e R,
+    meta: &'e ShardMeta,
+    scheduling: Scheduling,
+    /// The application round the scatter phase swept every cell for,
+    /// while nothing has touched a cell since.
+    swept: Option<usize>,
+    /// Every shard's cell; `None` only while a worker holds it.
+    cells: Vec<Option<Cell<M>>>,
+    /// Worker `j - 1` runs shard `j`.
+    workers: Vec<Worker<'s, M, R::Shard>>,
+    /// Which shards the current phase hands work to.
+    busy: Vec<bool>,
+    /// Each stepped shard's result this round.
+    outs: Vec<Option<StepOut<M>>>,
+}
+
+/// A cell that is home, as every cell is between phases.
+fn home<M: ExecModel>(cell: &mut Option<Cell<M>>) -> &mut Cell<M> {
+    cell.as_mut().expect("cells are home between phases")
+}
+
+impl<'s, 'e, M, R> Sharded<'s, 'e, M, R>
 where
     M: ExecModel,
     M::Node: Send,
     M::Msg: Send,
     M::Error: Send,
+    R: Route<M>,
 {
-    #[inline]
-    fn has_mail(&self, i: usize) -> bool {
-        let j = self.meta.shard_of[i] as usize;
-        let local = i - self.meta.starts[j];
-        let offs = &self.arenas[j].offs;
-        offs[local + 1] > offs[local]
+    /// Splits `nodes` along `meta` and spawns one worker per shard
+    /// after the first, in `sc`.
+    fn spawn<P: Probe>(
+        sc: &'s Scope<'s, 'e>,
+        model: &'e M,
+        route: &'e R,
+        meta: &'e ShardMeta,
+        scheduling: Scheduling,
+        nodes: Vec<M::Node>,
+    ) -> Self {
+        let s = meta.num_shards();
+        let mut nodes = nodes.into_iter();
+        let cells = (0..s)
+            .map(|j| {
+                let shard = nodes.by_ref().take(meta.len_of(j)).collect();
+                Some(Cell::new(meta, j, shard))
+            })
+            .collect();
+        let workers = (1..s)
+            .map(|_| {
+                let (jobs, queue) = channel();
+                let (back, done) = channel();
+                let handle = sc.spawn(move || work::<M, R, P>(model, route, meta, queue, back));
+                Worker {
+                    jobs,
+                    done,
+                    handle: Some(handle),
+                }
+            })
+            .collect();
+        Sharded {
+            route,
+            meta,
+            scheduling,
+            swept: None,
+            cells,
+            workers,
+            busy: vec![false; s],
+            outs: (0..s).map(|_| None).collect(),
+        }
     }
 
-    fn step<R: Route<M>, P: Probe>(
+    /// Shard `j`'s work for `phase`.
+    fn lend(&mut self, j: usize, shards: &mut [R::Shard], phase: Phase) -> Job<M, R::Shard> {
+        Job {
+            cell: self.cells[j].take().expect("cells are home between phases"),
+            st: match phase {
+                Phase::Step(_) => std::mem::take(&mut shards[j]),
+                Phase::Scatter(..) => R::Shard::default(),
+            },
+            phase,
+            out: None,
+        }
+    }
+
+    /// Takes shard `j`'s cell, routing state and result back.
+    fn settle_job(&mut self, j: usize, job: Job<M, R::Shard>, shards: &mut [R::Shard]) {
+        if let Phase::Step(_) = job.phase {
+            shards[j] = job.st;
+        }
+        self.cells[j] = Some(job.cell);
+        self.outs[j] = job.out;
+    }
+
+    /// Runs one phase over the `busy` shards: hands each busy worker
+    /// its cell, runs shard 0 on the driving thread meanwhile, and takes
+    /// every cell back, in shard order, before returning. The step
+    /// phase lends each shard its routing state from `shards`. A worker
+    /// that hung up re-raises its panic here.
+    fn phase<P: Probe>(&mut self, model: &M, shards: &mut [R::Shard], phase: Phase) {
+        for j in 1..self.cells.len() {
+            if self.busy[j] {
+                let job = self.lend(j, shards, phase);
+                if self.workers[j - 1].jobs.send(job).is_err() {
+                    self.workers[j - 1].died();
+                }
+            }
+        }
+        if self.busy[0] {
+            let mut job = self.lend(0, shards, phase);
+            job.run::<R, P>(model, self.route, self.meta);
+            self.settle_job(0, job, shards);
+        }
+        for j in 1..self.cells.len() {
+            if self.busy[j] {
+                let job = match self.workers[j - 1].done.recv() {
+                    Ok(job) => job,
+                    Err(_) => self.workers[j - 1].died(),
+                };
+                self.settle_job(j, job, shards);
+            }
+        }
+    }
+}
+
+impl<M: ExecModel, R: Route<M>> Drop for Sharded<'_, '_, M, R> {
+    /// Hangs up every job queue, so each parked worker wakes and exits,
+    /// then waits for all of them: no worker outlives its run.
+    fn drop(&mut self) {
+        let handles: Vec<_> = (std::mem::take(&mut self.workers).into_iter())
+            .filter_map(|w| w.handle)
+            .collect();
+        for handle in handles {
+            if let Err(payload) = handle.join() {
+                if !std::thread::panicking() {
+                    std::panic::resume_unwind(payload);
+                }
+            }
+        }
+    }
+}
+
+impl<M, R> Store<M> for Sharded<'_, '_, M, R>
+where
+    M: ExecModel,
+    M::Node: Send,
+    M::Msg: Send,
+    M::Error: Send,
+    R: Route<M>,
+{
+    type Route = R;
+
+    fn sweep(&mut self, model: &M, round: usize) -> bool {
+        // The scatter phase swept every cell already unless a plane hook
+        // has since halted an actor or placed mail; then sweep again
+        // here, which the sweep's contract makes equivalent.
+        if self.swept.take() != Some(round) {
+            for c in self.cells.iter_mut().map(home) {
+                c.sweep(model, round, self.scheduling);
+            }
+        }
+        self.cells
+            .iter()
+            .flatten()
+            .all(|c| c.actors.swept.quiescent)
+    }
+
+    fn halt(&mut self, i: usize) {
+        let j = self.meta.shard_of[i] as usize;
+        let c = home(&mut self.cells[j]);
+        c.actors.halted[i - c.actors.base] = true;
+        self.swept = None;
+    }
+
+    fn active(&self) -> usize {
+        self.cells
+            .iter()
+            .flatten()
+            .map(|c| c.actors.swept.stepping)
+            .sum()
+    }
+
+    fn step<P: Probe>(
         &mut self,
         model: &M,
-        nodes: &mut [M::Node],
-        active: &[bool],
-        route: &R,
         shards: &mut [R::Shard],
         round: usize,
         tick: usize,
         _recv: &mut [usize],
         probe: &P,
     ) -> Result<RoundProfile, M::Error> {
-        // Every shard with an active actor steps on a worker thread;
-        // workers time their own shard (probed runs only), callbacks
-        // stay on the driving thread.
-        type ShardOut<M> = (Result<RoundProfile, <M as ExecModel>::Error>, u64);
-        let meta = &self.meta;
-        let results: Vec<Option<ShardOut<M>>> = std::thread::scope(|s| {
-            let handles: Vec<_> = split_by_bounds(nodes, &meta.starts)
-                .into_iter()
-                .zip(&mut self.arenas)
-                .zip(&mut self.lanes)
-                .zip(&mut self.scratch)
-                .zip(shards.iter_mut())
-                .enumerate()
-                .map(|(si, ((((shard_nodes, arena), lanes), scratch), st))| {
-                    let base = meta.starts[si];
-                    let act = &active[base..meta.starts[si + 1]];
-                    act.iter().any(|&a| a).then(|| {
-                        s.spawn(move || {
-                            let start = P::ENABLED.then(std::time::Instant::now);
-                            let r = step_shard::<M, R, P>(
-                                model,
-                                route,
-                                st,
-                                base,
-                                shard_nodes,
-                                arena,
-                                act,
-                                lanes,
-                                meta,
-                                scratch,
-                                round,
-                            );
-                            (r, elapsed(start))
-                        })
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))))
-                .collect()
-        });
+        for (busy, c) in self.busy.iter_mut().zip(&mut self.cells) {
+            *busy = home(c).actors.swept.stepping > 0;
+        }
+        self.phase::<P>(model, shards, Phase::Step(round));
         // The lowest-indexed shard's error is the lowest-indexed actor's
         // error, exactly like the inline store.
         let mut acc = RoundProfile::for_probe::<P>();
-        for (si, r) in results.into_iter().enumerate() {
-            let Some((r, ns)) = r else { continue };
+        for (si, out) in self.outs.iter_mut().enumerate() {
+            let Some((r, ns)) = out.take() else { continue };
             let p = r?;
             if P::ENABLED {
                 probe.on_shard(tick, si, ns, p.messages, p.volume);
@@ -856,137 +1110,191 @@ where
 
     fn inject(&mut self, _model: &M, to: usize, from: M::Id, msg: M::Msg, _recv: &mut [usize]) {
         let j = self.meta.shard_of[to] as usize;
-        self.late[j].push(to - self.meta.starts[j], from, msg);
+        let c = home(&mut self.cells[j]);
+        let late = c.inc.last_mut().expect("the injected lane");
+        late.push(to - c.actors.base, from, msg);
     }
 
     fn load(&mut self, model: &M, mail: Vec<(u32, M::Id, M::Msg)>) {
+        self.swept = None;
         for (to, from, msg) in mail {
             self.inject(model, to as usize, from, msg, &mut []);
         }
-        let incoming = self.incoming();
-        for (j, (arena, late)) in self.arenas.iter_mut().zip(&mut self.late).enumerate() {
-            if incoming[j] {
-                merge_shard(model, arena, vec![late], self.meta.len_of(j), None);
+        for c in self.cells.iter_mut().map(home) {
+            if c.has_incoming() {
+                c.scatter(model, false);
             }
         }
     }
 
-    fn exchange(&mut self, model: &M, recv: &mut [usize]) {
-        // One worker per destination shard with incoming mail; quiet
-        // shards only clear leftover content. The gate is lane
+    fn exchange(&mut self, model: &M, recv: &mut [usize], round: usize) {
+        // Each sender's out lane for shard `j` becomes `j`'s incoming
+        // lane from that sender; the drained incoming lane goes back to
+        // be refilled.
+        let s = self.cells.len();
+        for i in 0..s {
+            for j in 0..s {
+                let lane = std::mem::replace(&mut home(&mut self.cells[i]).out[j], Lane::new());
+                let drained = std::mem::replace(&mut home(&mut self.cells[j]).inc[i], lane);
+                home(&mut self.cells[i]).out[j] = drained;
+            }
+        }
+        // A shard with no incoming mail, no leftover content and every
+        // actor asleep is idle: its last sweep stands. The gate is lane
         // emptiness, so it cannot drift from what the model charged.
-        let incoming = self.incoming();
-        if !incoming.iter().any(|&b| b) && !self.arenas.iter().any(|a| a.dirty) {
-            return;
+        for (busy, c) in self.busy.iter_mut().zip(&mut self.cells) {
+            let c = home(c);
+            let idle = c.actors.swept.asleep == c.actors.nodes.len();
+            *busy = c.has_incoming() || c.arena.dirty || !idle;
         }
-        let s = self.meta.num_shards();
-        let mut columns: Vec<Vec<&mut Lane<M>>> =
-            (0..s).map(|_| Vec::with_capacity(s + 1)).collect();
-        for row in self.lanes.iter_mut().chain(std::iter::once(&mut self.late)) {
-            for (j, lane) in row.iter_mut().enumerate() {
-                columns[j].push(lane);
-            }
-        }
-        let mut recv = (if M::TRACK_RECV {
-            split_by_bounds(recv, &self.meta.starts)
-        } else {
-            Vec::new()
-        })
-        .into_iter();
-        let meta = &self.meta;
-        std::thread::scope(|sc| {
-            for (j, (arena, column)) in self.arenas.iter_mut().zip(columns).enumerate() {
-                let recv_dst = recv.next();
-                if !incoming[j] {
-                    if arena.dirty {
-                        arena.clear();
-                    }
-                    continue;
+        self.phase::<NoopProbe>(model, &mut [], Phase::Scatter(round, self.scheduling));
+        self.swept = Some(round);
+        if M::TRACK_RECV {
+            for c in self.cells.iter_mut().map(home) {
+                for (r, t) in recv[c.actors.base..].iter_mut().zip(&mut c.recv) {
+                    *r += std::mem::take(t);
                 }
-                sc.spawn(move || merge_shard(model, arena, column, meta.len_of(j), recv_dst));
             }
-        });
+        }
+    }
+
+    fn into_nodes(mut self) -> Vec<M::Node> {
+        let mut nodes = Vec::with_capacity(self.meta.shard_of.len());
+        for c in self.cells.iter_mut().map(home) {
+            nodes.append(&mut c.actors.nodes);
+        }
+        nodes
     }
 }
 
-/// The per-round sweep: polls every actor, refreshes the activity mask,
-/// and reports quiescence (every actor done, no mail in any current
-/// inbox). Runs on the driving thread.
-///
-/// Halted (crashed) actors count as done and are never stepped. Under
-/// [`Scheduling::ActiveSet`] the sweep also keeps a *dormancy* cache: an
-/// actor observed done **and** skippable with an empty inbox is not
-/// re-polled until mail arrives. That is sound because a skipped actor's
-/// state is frozen (the no-op contract), so its verdicts cannot change
-/// until it is woken; the quiescent tail of a run then costs two flag
-/// reads per actor per round instead of a model poll.
-#[allow(clippy::too_many_arguments)]
-fn sweep<M: ExecModel, S: Store<M>, D: Plane<M>>(
-    model: &M,
-    nodes: &[M::Node],
-    store: &S,
-    plane: &D,
-    round: usize,
-    scheduling: Scheduling,
-    active: &mut [bool],
-    dormant: &mut [bool],
-) -> bool {
-    let mut all_done = true;
-    let mut in_flight = false;
-    for (i, node) in nodes.iter().enumerate() {
-        if plane.halted(i) {
-            active[i] = false;
-            continue;
-        }
-        let has_mail = store.has_mail(i);
-        if dormant[i] && !has_mail {
-            // Frozen, done, and still unmailed: counts as done without
-            // a fresh poll.
-            active[i] = false;
-            continue;
-        }
-        let Poll { done, skippable } = model.poll(node, i, round);
-        all_done &= done;
-        in_flight |= has_mail;
-        match scheduling {
-            Scheduling::ActiveSet => {
-                active[i] = has_mail || !skippable;
-                dormant[i] = done && skippable && !has_mail;
-            }
-            Scheduling::FullSweep => active[i] = true,
+/// What a sweep over a run of actors found.
+#[derive(Default)]
+struct Swept {
+    /// Every actor done and no mail in any current inbox.
+    quiescent: bool,
+    /// Actors activated for the step.
+    stepping: usize,
+    /// Actors that the next sweep skips unless mail arrives: halted or
+    /// dormant.
+    asleep: usize,
+}
+
+/// A contiguous run of actors (a shard, or all of them) with their
+/// scheduling state.
+struct Actors<M: ExecModel> {
+    /// Index of the first actor.
+    base: usize,
+    nodes: Vec<M::Node>,
+    halted: Vec<bool>,
+    active: Vec<bool>,
+    dormant: Vec<bool>,
+    /// What the last sweep found.
+    swept: Swept,
+}
+
+impl<M: ExecModel> Actors<M> {
+    fn new(base: usize, nodes: Vec<M::Node>) -> Self {
+        let n = nodes.len();
+        Actors {
+            base,
+            nodes,
+            halted: vec![false; n],
+            active: vec![true; n],
+            dormant: vec![false; n],
+            swept: Swept::default(),
         }
     }
-    all_done && !in_flight
+
+    /// The per-round sweep at application round `round` (`has_mail`
+    /// takes a local index): polls every actor and refreshes the
+    /// activity mask.
+    ///
+    /// Halted (crashed) actors count as done and are never stepped.
+    /// Under [`Scheduling::ActiveSet`] the sweep also keeps a *dormancy*
+    /// cache: an actor observed done **and** skippable with an empty
+    /// inbox is not re-polled until mail arrives. That is sound because
+    /// a skipped actor's state is frozen (the no-op contract), so its
+    /// verdicts cannot change until it is woken; the quiescent tail of a
+    /// run then costs two flag reads per actor per round instead of a
+    /// model poll. The same contract makes a repeated sweep at the same
+    /// round, over unchanged inboxes, reproduce the first.
+    fn sweep(
+        &mut self,
+        model: &M,
+        round: usize,
+        scheduling: Scheduling,
+        has_mail: impl Fn(usize) -> bool,
+    ) {
+        let mut all_done = true;
+        let mut in_flight = false;
+        let (mut stepping, mut asleep) = (0, 0);
+        let (active, dormant) = (&mut self.active, &mut self.dormant);
+        for (k, node) in self.nodes.iter().enumerate() {
+            if self.halted[k] {
+                active[k] = false;
+                asleep += 1;
+                continue;
+            }
+            let has_mail = has_mail(k);
+            if dormant[k] && !has_mail {
+                // Frozen, done, and still unmailed: counts as done
+                // without a fresh poll.
+                active[k] = false;
+                asleep += 1;
+                continue;
+            }
+            let Poll { done, skippable } = model.poll(node, self.base + k, round);
+            all_done &= done;
+            in_flight |= has_mail;
+            active[k] = match scheduling {
+                Scheduling::ActiveSet => {
+                    dormant[k] = done && skippable && !has_mail;
+                    asleep += usize::from(dormant[k]);
+                    has_mail || !skippable
+                }
+                Scheduling::FullSweep => true,
+            };
+            stepping += usize::from(active[k]);
+        }
+        self.swept = Swept {
+            quiescent: all_done && !in_flight,
+            stepping,
+            asleep,
+        };
+    }
 }
 
 impl Setup<'_> {
     /// The round loop. Each kernel round (*tick*): the plane's `begin`
     /// hook; the sweep and the termination check (skipped while the
     /// plane holds the application clock); the round-budget check; the
-    /// step phase; the plane's `settle` hook; the exchange; the receive
-    /// check and the model's accounting; the probe's round events. The
+    /// step phase; the plane's `settle` hook; the exchange (which, on the
+    /// sharded store, also sweeps for the next round); the receive check
+    /// and the model's accounting; the probe's round events. The
     /// application round the actors observe advances with every step
     /// phase, so it equals the tick on every plane but ARQ.
-    fn run<M: ExecModel, S: Store<M>, D: Plane<M>, P: Probe>(
+    fn run<M, S, D, P>(
         &self,
         model: &M,
-        mut nodes: Vec<M::Node>,
         mut store: S,
         mut plane: D,
+        mut metrics: M::Metrics,
         probe: &P,
-    ) -> Result<Run<M::Output, M::Metrics>, M::Error> {
-        let n = nodes.len();
+    ) -> Result<Run<M::Output, M::Metrics>, M::Error>
+    where
+        M: ExecModel,
+        S: Store<M, Route = D::Route>,
+        D: Plane<M>,
+        P: Probe,
+    {
+        let n = *self.bounds.last().expect("bounds end at the actor count");
         let budget = self.cfg.max_rounds.unwrap_or(DEFAULT_MAX_ROUNDS);
-        let mut metrics = M::Metrics::default();
-        model.pre_run(&nodes, &mut metrics)?;
         let run_start = P::ENABLED.then(std::time::Instant::now);
         if P::ENABLED {
             probe.on_run_start(n, self.bounds);
         }
 
         let mut recv = vec![0usize; if M::TRACK_RECV { n } else { 0 }];
-        let mut active = vec![true; n];
-        let mut dormant = vec![false; n];
         let mut shards: Vec<RouteShard<M, D>> =
             (1..self.bounds.len()).map(|_| Default::default()).collect();
         let (mut tick, mut round) = (0, 0);
@@ -1000,16 +1308,7 @@ impl Setup<'_> {
             let open = plane.begin(model, tick, &mut store, &mut recv);
             let mut quiescent = false;
             if open {
-                quiescent = sweep(
-                    model,
-                    &nodes,
-                    &store,
-                    &plane,
-                    round,
-                    self.cfg.scheduling,
-                    &mut active,
-                    &mut dormant,
-                );
+                quiescent = store.sweep(model, round);
                 if quiescent && plane.idle() {
                     break;
                 }
@@ -1024,18 +1323,14 @@ impl Setup<'_> {
             }
             // A closed barrier, or a held quiescent tick, steps no actor.
             let stepped = open && !(D::HOLDS && quiescent);
+            // Read before the exchange, which may sweep for next round.
+            let active = if P::ENABLED && stepped {
+                store.active()
+            } else {
+                0
+            };
             let mut acc = if stepped {
-                let acc = store.step(
-                    model,
-                    &mut nodes,
-                    &active,
-                    plane.route(),
-                    &mut shards,
-                    round,
-                    tick,
-                    &mut recv,
-                    probe,
-                )?;
+                let acc = store.step(model, &mut shards, round, tick, &mut recv, probe)?;
                 round += 1;
                 acc
             } else {
@@ -1045,7 +1340,7 @@ impl Setup<'_> {
             let exchange_start = P::ENABLED.then(std::time::Instant::now);
             let delivered_now =
                 plane.settle(model, tick, &mut shards, &mut store, &mut recv, &mut acc);
-            store.exchange(model, &mut recv);
+            store.exchange(model, &mut recv, round);
             if P::ENABLED && self.bounds.len() > 2 {
                 probe.on_exchange(tick, elapsed(exchange_start));
             }
@@ -1079,11 +1374,7 @@ impl Setup<'_> {
                     messages: acc.messages,
                     volume: acc.volume,
                     peak_link: acc.peak_link,
-                    active: if stepped {
-                        active.iter().filter(|&&a| a).count()
-                    } else {
-                        0
-                    },
+                    active,
                     sizes: acc.sizes.as_deref(),
                 });
             }
@@ -1109,7 +1400,7 @@ impl Setup<'_> {
             }
             probe.on_run_end(tick, elapsed(run_start));
         }
-        let outputs = (nodes.iter().enumerate())
+        let outputs = (store.into_nodes().iter().enumerate())
             .map(|(i, node)| model.output(node, i, round))
             .collect();
         Ok(Run { outputs, metrics })

@@ -21,9 +21,11 @@
 //! * **The inbox store, by shard count.** The engine and thread count
 //!   give a cost-balanced contiguous partition of the actors. With one
 //!   shard the actors keep per-actor `Vec` inboxes and step inline on
-//!   the driving thread. With two or more, each shard steps on its own
-//!   worker thread and mail moves through the counting-sort exchange
-//!   below.
+//!   the driving thread. With two or more, the workers live for the
+//!   run: shard 0 runs on the caller's thread and every other shard on
+//!   a worker spawned once, inside one thread scope, and parked between
+//!   phases. Each round is a step phase, then a scatter phase that
+//!   moves mail through the counting-sort exchange below.
 //! * **The delivery plane, by configuration.** The clean plane is a
 //!   zero-sized pass-through that compiles away. The adversary plane
 //!   ([`fault`]) drops, duplicates and delays messages and crashes
@@ -43,28 +45,29 @@
 //! With two or more shards the exchange is a two-pass counting sort, in
 //! the flat-array/prefix-sum style of bulk-synchronous graph engines:
 //!
-//! 1. **Stage (columnar lanes)** — while a worker steps its shard's
+//! 1. **Stage (columnar lanes)** — while a shard's thread steps its
 //!    actors, every validated outgoing message is appended to the *lane*
 //!    for its destination shard: destination indices in one array,
 //!    `(sender, payload)` pairs in a parallel array. Appends are strictly
 //!    sequential, so staging never touches per-actor buffers.
-//! 2. **Group (per-lane counting sort)** — still on the sending worker,
+//! 2. **Group (per-lane counting sort)** — still on the sending thread,
 //!    each lane is stable-sorted by destination actor: count messages
 //!    per destination, prefix-sum the counts into CSR offsets, and apply
 //!    the resulting permutation in place (cycle-walking swaps — moves
 //!    only, no clones, no unsafe).
-//! 3. **Scatter (flat inbox arena)** — one worker per *destination*
-//!    shard concatenates its incoming lanes into the shard's reusable
-//!    flat inbox arena: for every destination actor, in ascending
-//!    sender-shard order, the lane's pre-grouped range is drained into
-//!    the arena, and the actor's inbox becomes a CSR slice
-//!    `arena[offs[v]..offs[v + 1]]`. Mail a plane hands over from the
+//! 3. **Scatter (flat inbox arena)** — in the scatter phase each lane
+//!    moves to its *destination* shard, whose thread concatenates its
+//!    incoming lanes into the shard's reusable flat inbox arena: for
+//!    every destination actor, in ascending sender-shard order, the
+//!    lane's pre-grouped range is drained into the arena, and the
+//!    actor's inbox becomes a CSR slice `arena[offs[v]..offs[v + 1]]`. Mail a plane hands over from the
 //!    driving thread (released delays) rides one more lane, drained
-//!    last.
+//!    last. The same thread then sweeps the shard's actors for the next
+//!    round, so actor state stays with the thread that steps it.
 //!
 //! **Determinism.** Within one destination's inbox the delivery order is
 //! (sender shard ascending, then outbox order within the shard). Shards
-//! cover ascending contiguous id ranges and each worker visits its
+//! cover ascending contiguous id ranges and each shard visits its
 //! actors in id order, so that order is exactly ascending sender id then
 //! outbox order — the same order the one-shard store produces — which
 //! keeps every shard count bit-identical without any comparison sort.
@@ -182,7 +185,7 @@ pub trait MsgCost {
     }
 }
 
-/// Selects how many shards (worker threads) drive a run.
+/// Selects how many shards (threads) drive a run.
 ///
 /// Every choice is **bit-identical**: for the same actor states it
 /// produces the same outputs, the same metrics (per-round profiles
@@ -193,9 +196,9 @@ pub enum Engine {
     /// One shard, stepped on the driving thread.
     #[default]
     Sequential,
-    /// Up to `threads` cost-balanced shards, each stepped on its own
-    /// worker thread (one shard when there are fewer than two actors
-    /// per shard).
+    /// Up to `threads` cost-balanced shards (one shard when there are
+    /// fewer than two actors per shard). Shard 0 runs on the caller's
+    /// thread and each other shard on a worker that lives for the run.
     Parallel {
         /// Number of worker shards; `0` means one per available CPU.
         threads: usize,
@@ -210,9 +213,10 @@ impl Engine {
 }
 
 /// Below this actor count, [`Engine::parallel_auto`] (threads = 0)
-/// falls back to one shard, for every model: worker threads are spawned
-/// per round, and on small instances that fixed cost exceeds the
-/// per-round compute. Explicit thread counts are always honored.
+/// falls back to one shard, for every model: every round hands each
+/// busy worker its shard twice (step, then scatter), and on small
+/// instances that fixed cost exceeds the per-round compute. Explicit
+/// thread counts are always honored.
 pub const PARALLEL_MIN_NODES: usize = 1024;
 
 /// Builder-style per-run configuration consumed by the simulators' and
@@ -684,6 +688,58 @@ mod tests {
         /// Skewed per-actor costs for the balanced-sharding tests
         /// (uniform when false, matching the default hook).
         skewed_costs: bool,
+        /// An actor whose step panics.
+        panic_at: Option<usize>,
+        /// Where steps record the thread they ran on.
+        log: Option<&'static ThreadLog>,
+    }
+
+    /// The threads that stepped actors, and how many of them exited.
+    #[derive(Default)]
+    struct ThreadLog {
+        ids: std::sync::Mutex<Vec<std::thread::ThreadId>>,
+        exited: std::sync::atomic::AtomicUsize,
+    }
+
+    /// Counts its thread's exit in a [`ThreadLog`].
+    struct ExitGuard(&'static ThreadLog);
+
+    impl Drop for ExitGuard {
+        fn drop(&mut self) {
+            self.0
+                .exited
+                .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        }
+    }
+
+    thread_local! {
+        static EXIT: std::cell::RefCell<Option<ExitGuard>> = const { std::cell::RefCell::new(None) };
+    }
+
+    impl ThreadLog {
+        /// A log that lives for the test binary.
+        fn leak() -> &'static ThreadLog {
+            Box::leak(Box::default())
+        }
+
+        /// Records the current thread; a thread's first record arms its
+        /// exit count.
+        fn enter(&'static self) {
+            let id = std::thread::current().id();
+            let mut ids = self.ids.lock().unwrap();
+            if !ids.contains(&id) {
+                ids.push(id);
+                EXIT.with(|g| *g.borrow_mut() = Some(ExitGuard(self)));
+            }
+        }
+
+        fn threads(&self) -> Vec<std::thread::ThreadId> {
+            self.ids.lock().unwrap().clone()
+        }
+
+        fn exited(&self) -> usize {
+            self.exited.load(std::sync::atomic::Ordering::SeqCst)
+        }
     }
 
     #[derive(Clone)]
@@ -765,6 +821,12 @@ mod tests {
             acc: &mut RoundProfile,
             sink: &mut S,
         ) -> Result<(), RingError> {
+            if let Some(log) = self.log {
+                log.enter();
+            }
+            if self.panic_at == Some(idx) {
+                panic!("actor {idx} panics");
+            }
             node.started = true;
             for (_, t) in inbox {
                 node.seen += 1;
@@ -822,11 +884,16 @@ mod tests {
     }
 
     fn ring_nodes(n: usize, hops: usize, charge: usize) -> Vec<RingNode> {
+        ring_nodes_from(n, 0, hops, charge)
+    }
+
+    /// A ring whose token starts at actor `origin`.
+    fn ring_nodes_from(n: usize, origin: usize, hops: usize, charge: usize) -> Vec<RingNode> {
         (0..n)
             .map(|i| RingNode {
                 started: false,
                 seen: 0,
-                outbound: (i == 0).then_some(Token {
+                outbound: (i == origin).then_some(Token {
                     hops_left: hops,
                     charge,
                 }),
@@ -840,6 +907,8 @@ mod tests {
             charge_cap: 8,
             recv_cap: 8,
             skewed_costs: false,
+            panic_at: None,
+            log: None,
         }
     }
 
@@ -945,6 +1014,78 @@ mod tests {
     fn round_limit_errors_match() {
         let error = RingError::RoundLimit { limit: 3 };
         assert_matches_reference(model(8), || ring_nodes(8, 100, 1), 3, Some(error));
+    }
+
+    /// Runs `m` over `nodes` at `threads` on a helper thread and returns
+    /// what that caller saw, failing if it saw nothing within 30 s.
+    fn run_watched(
+        m: RingModel,
+        nodes: Vec<RingNode>,
+        threads: usize,
+    ) -> std::thread::Result<RingRun> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let seen = std::panic::catch_unwind(|| run(&m, nodes, threads));
+            tx.send(seen).ok();
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(30))
+            .expect("the run neither returned nor panicked within 30 s")
+    }
+
+    #[test]
+    fn panics_reach_the_caller_from_every_shard() {
+        // Actor 0 steps on the caller's thread (shard 0), actor 15 on
+        // the last shard's worker.
+        for threads in [2, 4] {
+            for actor in [0, 15] {
+                let m = RingModel {
+                    panic_at: Some(actor),
+                    ..model(16)
+                };
+                let payload = run_watched(m, ring_nodes(16, 40, 3), threads).unwrap_err();
+                let msg = payload.downcast_ref::<String>().map(String::as_str);
+                let want = format!("actor {actor} panics");
+                assert_eq!(msg, Some(want.as_str()), "t={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn step_error_above_shard_zero_matches_reference_and_joins_workers() {
+        // The token starts at the last actor, whose charge breaks the
+        // cap in round 0: only the last shard errs.
+        let error = RingError::TooBig { at: 15, round: 0 };
+        let oracle = reference::run(&model(16), ring_nodes_from(16, 15, 3, 99), 1_000);
+        assert_eq!(oracle.err(), Some(error.clone()));
+        for threads in [2, 4] {
+            let log = ThreadLog::leak();
+            let m = RingModel {
+                log: Some(log),
+                ..model(16)
+            };
+            let err = run(&m, ring_nodes_from(16, 15, 3, 99), threads).unwrap_err();
+            assert_eq!(err, error, "t={threads}");
+            // Every thread but the caller's is a worker, and has exited.
+            assert_eq!(log.threads().len(), threads, "t={threads}");
+            assert_eq!(log.exited(), threads - 1, "t={threads}");
+        }
+    }
+
+    #[test]
+    fn workers_are_spawned_once_per_run() {
+        // A full sweep steps every shard in every one of 200 rounds.
+        let log = ThreadLog::leak();
+        let m = RingModel {
+            log: Some(log),
+            ..model(16)
+        };
+        let cfg = cfg(Scheduling::FullSweep).parallel(4);
+        let run = execute(&m, ring_nodes(16, 199, 1), &cfg, &NoopProbe).unwrap();
+        assert_eq!(run.metrics.rounds, 201);
+        let threads = log.threads();
+        assert!(threads.len() <= 4, "{} stepping threads", threads.len());
+        assert!(threads.contains(&std::thread::current().id()));
+        assert_eq!(log.exited(), threads.len() - 1);
     }
 
     #[test]
@@ -1065,6 +1206,27 @@ mod tests {
             let run = run_faulty(&model(16), ring_nodes(16, 40, 3), threads, &adversary).unwrap();
             assert_eq!(run.outputs, baseline.outputs, "t={threads}");
             assert_eq!(run.metrics, baseline.metrics, "t={threads}");
+        }
+    }
+
+    #[test]
+    fn crashed_actors_are_never_stepped_at_any_shard_count() {
+        // A full sweep steps every live actor every round, so the
+        // per-round active counts show each crash taking effect in its
+        // round.
+        let adversary = SeededAdversary::new(FaultSpec::seeded(7).crash(0.3, 4));
+        let active = |threads| {
+            let probe = RecordingProbe::new("ring");
+            let cfg = cfg(Scheduling::FullSweep).parallel(threads);
+            let nodes = ring_nodes(16, 40, 3);
+            execute_under(&model(16), nodes, &cfg, Some(&adversary), &probe).unwrap();
+            let run = probe.into_runs().remove(0);
+            run.rounds.iter().map(|r| r.active).collect::<Vec<_>>()
+        };
+        let want = active(1);
+        assert!(want.windows(2).any(|w| w[1] < w[0]), "{want:?}");
+        for threads in [2, 4] {
+            assert_eq!(active(threads), want, "t={threads}");
         }
     }
 
