@@ -262,12 +262,12 @@ proptest! {
         prop_assert_eq!(covered, n);
     }
 
-    /// Under the counting-sort exchange, `parallel(t)` stays
-    /// bit-identical to the sequential run across thread counts {1, 2, 3, 5, 8} on
-    /// uniform gnm, heavy-tailed Barabási–Albert, and quiescent-tail
-    /// lollipop instances.
+    /// Under the lane exchange into per-actor inboxes, `parallel(t)`
+    /// stays bit-identical to the sequential run across thread counts
+    /// {1, 2, 3, 5, 8} on uniform gnm, heavy-tailed Barabási–Albert, and
+    /// quiescent-tail lollipop instances.
     #[test]
-    fn counting_sort_exchange_bit_identical(g in arb_exchange_instance()) {
+    fn lane_exchange_bit_identical(g in arb_exchange_instance()) {
         let n = g.num_nodes();
         let mk = || (0..n).map(|i| FloodMax::new(NodeId::from_index(i))).collect::<Vec<_>>();
         let seq = Simulator::congest(&g).run_cfg(mk(), &RunConfig::new()).unwrap();

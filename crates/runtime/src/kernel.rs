@@ -330,8 +330,8 @@ pub(crate) trait Store<M: ExecModel> {
     /// reports quiescence.
     fn sweep(&mut self, model: &M, round: usize) -> bool;
 
-    /// Halts actor `i` (a crash): it is never stepped again and counts
-    /// as done.
+    /// Halts actor `i` (a crash): it is never stepped again, counts as
+    /// done, and its waiting mail is dropped.
     fn halt(&mut self, i: usize);
 
     /// How many actors the last sweep activated.
@@ -365,15 +365,14 @@ pub(crate) trait Store<M: ExecModel> {
     fn into_nodes(self) -> Vec<M::Node>;
 }
 
-/// The one-shard store: per-actor `Vec` inboxes, stepped inline on the
-/// driving thread. Staged mail goes straight into next round's buffers,
-/// which swap with the consumed ones at the exchange.
+/// The one-shard store, stepped inline on the driving thread. Staged
+/// mail goes straight into next round's inboxes, which swap with the
+/// consumed current ones at the exchange.
 pub(crate) struct Inline<'r, M: ExecModel, R> {
     route: &'r R,
     scheduling: Scheduling,
     actors: Actors<M>,
-    cur: Vec<Vec<(M::Id, M::Msg)>>,
-    next: Vec<Vec<(M::Id, M::Msg)>>,
+    next: Vec<Inbox<M>>,
     scratch: M::SendScratch,
 }
 
@@ -384,7 +383,6 @@ impl<'r, M: ExecModel, R> Inline<'r, M, R> {
             route,
             scheduling,
             actors: Actors::new(0, nodes),
-            cur: (0..n).map(|_| Vec::new()).collect(),
             next: (0..n).map(|_| Vec::new()).collect(),
             scratch: M::SendScratch::default(),
         }
@@ -394,7 +392,7 @@ impl<'r, M: ExecModel, R> Inline<'r, M, R> {
 /// The inline store's sink: straight into the staging inboxes (and the
 /// receive tally).
 struct DirectSink<'a, M: ExecModel> {
-    next: &'a mut [Vec<(M::Id, M::Msg)>],
+    next: &'a mut [Inbox<M>],
     recv: &'a mut [usize],
 }
 
@@ -413,13 +411,12 @@ impl<M: ExecModel, R: Route<M>> Store<M> for Inline<'_, M, R> {
     type Route = R;
 
     fn sweep(&mut self, model: &M, round: usize) -> bool {
-        let cur = &self.cur;
-        (self.actors).sweep(model, round, self.scheduling, |i| !cur[i].is_empty());
+        self.actors.sweep(model, round, self.scheduling);
         self.actors.swept.quiescent
     }
 
     fn halt(&mut self, i: usize) {
-        self.actors.halted[i] = true;
+        self.actors.halt(i);
     }
 
     fn active(&self) -> usize {
@@ -435,7 +432,6 @@ impl<M: ExecModel, R: Route<M>> Store<M> for Inline<'_, M, R> {
         recv: &mut [usize],
         _probe: &P,
     ) -> Result<RoundProfile, M::Error> {
-        let mut acc = RoundProfile::for_probe::<P>();
         let mut sink = Routed {
             route: self.route,
             st: &mut shards[0],
@@ -445,25 +441,7 @@ impl<M: ExecModel, R: Route<M>> Store<M> for Inline<'_, M, R> {
             },
             round: round as u32,
         };
-        for (i, node) in self.actors.nodes.iter_mut().enumerate() {
-            if !self.actors.active[i] {
-                continue;
-            }
-            R::next_actor(sink.st);
-            model.step(
-                node,
-                i,
-                round,
-                &self.cur[i],
-                &mut self.scratch,
-                &mut acc,
-                &mut sink,
-            )?;
-            // Consumed in place; the cleared buffer keeps its capacity
-            // and becomes next round's staging after the swap.
-            self.cur[i].clear();
-        }
-        Ok(acc)
+        (self.actors).step::<R, _, P>(model, &mut sink, &mut self.scratch, round)
     }
 
     fn inject(&mut self, model: &M, to: usize, from: M::Id, msg: M::Msg, recv: &mut [usize]) {
@@ -475,12 +453,12 @@ impl<M: ExecModel, R: Route<M>> Store<M> for Inline<'_, M, R> {
 
     fn load(&mut self, _model: &M, mail: Vec<(u32, M::Id, M::Msg)>) {
         for (to, from, msg) in mail {
-            self.cur[to as usize].push((from, msg));
+            self.actors.inbox[to as usize].push((from, msg));
         }
     }
 
     fn exchange(&mut self, _model: &M, _recv: &mut [usize], _round: usize) {
-        std::mem::swap(&mut self.cur, &mut self.next);
+        std::mem::swap(&mut self.actors.inbox, &mut self.next);
     }
 
     fn into_nodes(self) -> Vec<M::Node> {
@@ -520,67 +498,13 @@ impl ShardMeta {
     }
 }
 
-/// One sender shard's columnar staging for one destination shard:
-/// destination indices and `(sender, payload)` pairs in parallel
-/// arrays, appended in outbox order and counting-sorted by destination
-/// before the scatter. All three buffers are reused across rounds.
-struct Lane<M: ExecModel> {
-    /// Shard-local destination index of each staged message.
-    to: Vec<u32>,
-    /// `(sender, payload)` of each staged message, parallel to `to`.
-    pay: Vec<(M::Id, M::Msg)>,
-    /// After grouping: CSR offsets into `pay` per local destination
-    /// (`dest_len + 1` entries). Only meaningful while `pay` is
-    /// non-empty.
-    offs: Vec<u32>,
-}
-
-impl<M: ExecModel> Lane<M> {
-    fn new() -> Self {
-        Lane {
-            to: Vec::new(),
-            pay: Vec::new(),
-            offs: Vec::new(),
-        }
-    }
-
-    fn push(&mut self, local: usize, from: M::Id, msg: M::Msg) {
-        self.to.push(local as u32);
-        self.pay.push((from, msg));
-    }
-}
-
-/// One destination shard's flat inbox arena: every message delivered to
-/// the shard, grouped by destination actor, plus CSR offsets — actor
-/// `local` reads `data[offs[local]..offs[local + 1]]`. Reused across
-/// rounds; `dirty` tracks whether a previous round left content that a
-/// quiet round must clear.
-struct Arena<M: ExecModel> {
-    data: Vec<(M::Id, M::Msg)>,
-    offs: Vec<usize>,
-    dirty: bool,
-}
-
-impl<M: ExecModel> Arena<M> {
-    #[inline]
-    fn slice(&self, local: usize) -> &[(M::Id, M::Msg)] {
-        &self.data[self.offs[local]..self.offs[local + 1]]
-    }
-
-    #[inline]
-    fn has_mail(&self, local: usize) -> bool {
-        self.offs[local + 1] > self.offs[local]
-    }
-
-    fn clear(&mut self) {
-        self.data.clear();
-        self.offs.fill(0);
-        self.dirty = false;
-    }
-}
+/// One sender shard's staging for one destination shard:
+/// `(shard-local destination, sender, payload)` triples in outbox order,
+/// reused across rounds.
+type Lane<M> = Vec<(u32, <M as ExecModel>::Id, <M as ExecModel>::Msg)>;
 
 /// The lane-staging sink of the sharded store: messages are appended to
-/// the columnar lane of their destination shard.
+/// the lane of their destination shard.
 struct LaneSink<'a, M: ExecModel> {
     lanes: &'a mut [Lane<M>],
     meta: &'a ShardMeta,
@@ -590,35 +514,26 @@ impl<M: ExecModel> MsgSink<M> for LaneSink<'_, M> {
     #[inline]
     fn deliver(&mut self, _model: &M, to: M::Id, from: M::Id, msg: M::Msg) -> u32 {
         let j = self.meta.shard_of[to.index()] as usize;
-        self.lanes[j].push(to.index() - self.meta.starts[j], from, msg);
+        let local = (to.index() - self.meta.starts[j]) as u32;
+        self.lanes[j].push((local, from, msg));
         1
     }
-}
-
-/// Reusable per-shard scratch: the model's validation scratch plus the
-/// counting-sort arrays of the lane-grouping pass.
-struct WorkerScratch<M: ExecModel> {
-    send: M::SendScratch,
-    /// Per-destination counters, then running cursors (counting sort
-    /// pass 1); sized to the largest destination shard.
-    counts: Vec<u32>,
-    /// Final position of each staged message (counting sort pass 2).
-    pos: Vec<u32>,
 }
 
 /// One shard of the sharded store: its actors and everything a phase
 /// touches. Between phases the driving thread owns every cell (the
 /// sweep and the plane hooks reach them there); during a phase a busy
-/// shard's cell is moved to the thread that runs it and back.
+/// shard's cell is moved to the thread that runs it and back. The cell
+/// needs no staging inboxes: its mail lands only in the scatter phase,
+/// after the step has consumed the current inboxes.
 struct Cell<M: ExecModel> {
     actors: Actors<M>,
-    arena: Arena<M>,
     /// Outgoing lanes, one per destination shard, filled by the step.
     out: Vec<Lane<M>>,
     /// Incoming lanes, one per sender shard and then the lane of mail a
     /// plane injects from the driving thread; drained by the scatter.
     inc: Vec<Lane<M>>,
-    scratch: WorkerScratch<M>,
+    send: M::SendScratch,
     /// The shard's receive tally (empty unless [`ExecModel::TRACK_RECV`]).
     recv: Vec<usize>,
 }
@@ -628,26 +543,15 @@ impl<M: ExecModel> Cell<M> {
         let (len, s) = (nodes.len(), meta.num_shards());
         Cell {
             actors: Actors::new(meta.starts[j], nodes),
-            arena: Arena {
-                data: Vec::new(),
-                offs: vec![0; len + 1],
-                dirty: false,
-            },
-            out: (0..s).map(|_| Lane::new()).collect(),
-            inc: (0..=s).map(|_| Lane::new()).collect(),
-            scratch: WorkerScratch {
-                send: M::SendScratch::default(),
-                counts: Vec::new(),
-                pos: Vec::new(),
-            },
+            out: (0..s).map(|_| Vec::new()).collect(),
+            inc: (0..=s).map(|_| Vec::new()).collect(),
+            send: M::SendScratch::default(),
             recv: vec![0; if M::TRACK_RECV { len } else { 0 }],
         }
     }
 
     /// The step phase for this shard: steps every active actor against
-    /// its arena inbox slice, routes its sends into the out lanes, and
-    /// counting-sorts each lane by destination so the scatter can drain
-    /// it sequentially.
+    /// its inbox and routes its sends into the out lanes.
     fn step<R: Route<M>, P: Probe>(
         &mut self,
         model: &M,
@@ -656,7 +560,6 @@ impl<M: ExecModel> Cell<M> {
         meta: &ShardMeta,
         round: usize,
     ) -> Result<RoundProfile, M::Error> {
-        let mut acc = RoundProfile::for_probe::<P>();
         let mut sink = Routed {
             route,
             st,
@@ -666,152 +569,33 @@ impl<M: ExecModel> Cell<M> {
             },
             round: round as u32,
         };
-        let actors = &mut self.actors;
-        for (k, node) in actors.nodes.iter_mut().enumerate() {
-            if !actors.active[k] {
-                continue;
-            }
-            R::next_actor(sink.st);
-            model.step(
-                node,
-                actors.base + k,
-                round,
-                self.arena.slice(k),
-                &mut self.scratch.send,
-                &mut acc,
-                &mut sink,
-            )?;
-        }
-        let s = &mut self.scratch;
-        for (j, lane) in self.out.iter_mut().enumerate() {
-            if !lane.pay.is_empty() {
-                group_lane_by_destination(lane, meta.len_of(j), &mut s.counts, &mut s.pos);
-            }
-        }
-        Ok(acc)
-    }
-
-    /// Sweeps the shard's actors at application round `round`.
-    fn sweep(&mut self, model: &M, round: usize, scheduling: Scheduling) {
-        let arena = &self.arena;
-        (self.actors).sweep(model, round, scheduling, |k| arena.has_mail(k));
+        (self.actors).step::<R, _, P>(model, &mut sink, &mut self.send, round)
     }
 
     /// Whether any incoming lane holds mail.
     fn has_incoming(&self) -> bool {
-        self.inc.iter().any(|lane| !lane.pay.is_empty())
+        self.inc.iter().any(|lane| !lane.is_empty())
     }
 
-    /// The scatter phase for this shard: groups the injected lane,
-    /// rebuilds the inbox arena from the incoming lanes (see
-    /// [`merge_shard`]), tallying receive charges when `tally` is set.
-    /// A shard with no incoming mail only clears leftover content.
-    fn scatter(&mut self, model: &M, tally: bool) {
-        let s = &mut self.scratch;
-        let late = self.inc.last_mut().expect("the injected lane");
-        if !late.pay.is_empty() {
-            group_lane_by_destination(late, self.actors.nodes.len(), &mut s.counts, &mut s.pos);
-        }
-        if self.has_incoming() {
-            let recv = tally.then_some(&mut self.recv[..]);
-            merge_shard(model, &mut self.arena, &mut self.inc, recv);
-        } else if self.arena.dirty {
-            self.arena.clear();
+    /// The scatter phase for this shard: drains the incoming lanes in
+    /// column order (sender shards ascending, then the injected lane)
+    /// into the actors' inboxes, tallying receive charges.
+    fn scatter(&mut self, model: &M) {
+        for lane in &mut self.inc {
+            for (local, from, msg) in lane.drain(..) {
+                let k = local as usize;
+                if M::TRACK_RECV {
+                    self.recv[k] += model.recv_charge(&msg);
+                }
+                self.actors.inbox[k].push((from, msg));
+            }
         }
     }
-}
-
-/// Stable counting sort of one lane by destination: fills `lane.offs`
-/// with the per-destination CSR offsets and permutes `lane.pay` into
-/// destination-grouped order in place (cycle-walking swaps; stability
-/// follows from assigning positions in scan order).
-fn group_lane_by_destination<M: ExecModel>(
-    lane: &mut Lane<M>,
-    dest_len: usize,
-    counts: &mut Vec<u32>,
-    pos: &mut Vec<u32>,
-) {
-    if counts.len() < dest_len {
-        counts.resize(dest_len, 0);
-    }
-    let counts = &mut counts[..dest_len];
-    counts.fill(0);
-    for &t in &lane.to {
-        counts[t as usize] += 1;
-    }
-    // Prefix-sum the counts into CSR offsets, leaving `counts` holding
-    // each destination's running write cursor.
-    lane.offs.clear();
-    lane.offs.reserve(dest_len + 1);
-    lane.offs.push(0);
-    let mut run = 0u32;
-    for c in counts.iter_mut() {
-        let start = run;
-        run += *c;
-        *c = start;
-        lane.offs.push(run);
-    }
-    // Final slot of each message, assigned in scan order (stable).
-    pos.clear();
-    pos.extend(lane.to.iter().map(|&t| {
-        let p = counts[t as usize];
-        counts[t as usize] += 1;
-        p
-    }));
-    // Apply the permutation in place: ≤ len swaps, moves only.
-    let pay = &mut lane.pay[..];
-    for i in 0..pay.len() {
-        while pos[i] as usize != i {
-            let j = pos[i] as usize;
-            pay.swap(i, j);
-            pos.swap(i, j);
-        }
-    }
-    lane.to.clear();
 }
 
 /// Wall nanoseconds since `start` (0 when unprobed).
 fn elapsed(start: Option<std::time::Instant>) -> u64 {
     start.map_or(0, |t| t.elapsed().as_nanos() as u64)
-}
-
-/// Rebuilds one destination shard's flat inbox arena from its incoming
-/// pre-grouped lanes. For every destination actor the lanes are drained
-/// in column order (sender shards ascending, then the injected lane),
-/// so each inbox lists its senders in ascending id order, then injected
-/// mail. Also tallies the receive charges when `recv` is given.
-fn merge_shard<M: ExecModel>(
-    model: &M,
-    arena: &mut Arena<M>,
-    column: &mut [Lane<M>],
-    mut recv: Option<&mut [usize]>,
-) {
-    let shard_len = arena.offs.len() - 1;
-    arena.data.clear();
-    // Each incoming lane splits into its CSR offsets and a draining
-    // cursor over the pre-grouped payloads (disjoint fields of the same
-    // lane, so the borrows coexist).
-    #[allow(clippy::type_complexity)]
-    let mut parts: Vec<(&[u32], std::vec::Drain<'_, (M::Id, M::Msg)>)> = column
-        .iter_mut()
-        .filter(|lane| !lane.pay.is_empty())
-        .map(|lane| (&lane.offs[..], lane.pay.drain(..)))
-        .collect();
-    for local in 0..shard_len {
-        arena.offs[local] = arena.data.len();
-        for (offs, drain) in parts.iter_mut() {
-            let cnt = (offs[local + 1] - offs[local]) as usize;
-            for _ in 0..cnt {
-                let (from, msg) = drain.next().expect("lane CSR covers its payloads");
-                if let Some(recv) = recv.as_deref_mut() {
-                    recv[local] += model.recv_charge(&msg);
-                }
-                arena.data.push((from, msg));
-            }
-        }
-    }
-    arena.offs[shard_len] = arena.data.len();
-    arena.dirty = true;
 }
 
 /// What one shard's step phase returns: its accounting and its wall
@@ -848,8 +632,8 @@ impl<M: ExecModel, Rs> Job<M, Rs> {
                 self.out = Some((r, elapsed(start)));
             }
             Phase::Scatter(round, scheduling) => {
-                self.cell.scatter(model, M::TRACK_RECV);
-                self.cell.sweep(model, round, scheduling);
+                self.cell.scatter(model);
+                self.cell.actors.sweep(model, round, scheduling);
             }
         }
     }
@@ -893,12 +677,11 @@ impl<M: ExecModel, Rs> Worker<'_, M, Rs> {
 /// The multi-shard store. Its workers live for the run: shard 0 runs on
 /// the caller's thread, and every other shard on a worker spawned once
 /// and parked on its job queue between phases. Each round is a step
-/// phase (every shard with an active actor steps into its columnar out
-/// lanes and counting-sorts them by destination) then a scatter phase
-/// (the lanes move to their destination shards, which rebuild their
-/// flat inbox arenas and sweep their actors for the next round); see
-/// the crate docs. A phase hands work only to the shards that have
-/// some.
+/// phase (every shard with an active actor steps against its inboxes
+/// into one out lane per destination shard) then a scatter phase (the
+/// lanes move to their destination shards, which drain them into their
+/// actors' inboxes and sweep their actors for the next round); see the
+/// crate docs. A phase hands work only to the shards that have some.
 pub(crate) struct Sharded<'s, 'e, M: ExecModel, R: Route<M>> {
     route: &'e R,
     meta: &'e ShardMeta,
@@ -984,6 +767,13 @@ where
         }
     }
 
+    /// The cell holding actor `i`, and `i`'s index within it.
+    fn locate(&mut self, i: usize) -> (&mut Cell<M>, usize) {
+        let c = home(&mut self.cells[self.meta.shard_of[i] as usize]);
+        let k = i - c.actors.base;
+        (c, k)
+    }
+
     /// Takes shard `j`'s cell, routing state and result back.
     fn settle_job(&mut self, j: usize, job: Job<M, R::Shard>, shards: &mut [R::Shard]) {
         if let Phase::Step(_) = job.phase {
@@ -1057,7 +847,7 @@ where
         // here, which the sweep's contract makes equivalent.
         if self.swept.take() != Some(round) {
             for c in self.cells.iter_mut().map(home) {
-                c.sweep(model, round, self.scheduling);
+                c.actors.sweep(model, round, self.scheduling);
             }
         }
         self.cells
@@ -1067,9 +857,8 @@ where
     }
 
     fn halt(&mut self, i: usize) {
-        let j = self.meta.shard_of[i] as usize;
-        let c = home(&mut self.cells[j]);
-        c.actors.halted[i - c.actors.base] = true;
+        let (c, k) = self.locate(i);
+        c.actors.halt(k);
         self.swept = None;
     }
 
@@ -1109,21 +898,16 @@ where
     }
 
     fn inject(&mut self, _model: &M, to: usize, from: M::Id, msg: M::Msg, _recv: &mut [usize]) {
-        let j = self.meta.shard_of[to] as usize;
-        let c = home(&mut self.cells[j]);
+        let (c, k) = self.locate(to);
         let late = c.inc.last_mut().expect("the injected lane");
-        late.push(to - c.actors.base, from, msg);
+        late.push((k as u32, from, msg));
     }
 
-    fn load(&mut self, model: &M, mail: Vec<(u32, M::Id, M::Msg)>) {
+    fn load(&mut self, _model: &M, mail: Vec<(u32, M::Id, M::Msg)>) {
         self.swept = None;
         for (to, from, msg) in mail {
-            self.inject(model, to as usize, from, msg, &mut []);
-        }
-        for c in self.cells.iter_mut().map(home) {
-            if c.has_incoming() {
-                c.scatter(model, false);
-            }
+            let (c, k) = self.locate(to as usize);
+            c.actors.inbox[k].push((from, msg));
         }
     }
 
@@ -1134,18 +918,19 @@ where
         let s = self.cells.len();
         for i in 0..s {
             for j in 0..s {
-                let lane = std::mem::replace(&mut home(&mut self.cells[i]).out[j], Lane::new());
+                let lane = std::mem::take(&mut home(&mut self.cells[i]).out[j]);
                 let drained = std::mem::replace(&mut home(&mut self.cells[j]).inc[i], lane);
                 home(&mut self.cells[i]).out[j] = drained;
             }
         }
-        // A shard with no incoming mail, no leftover content and every
-        // actor asleep is idle: its last sweep stands. The gate is lane
-        // emptiness, so it cannot drift from what the model charged.
+        // A shard with no incoming mail and every actor asleep is idle:
+        // nothing stepped it, so its inboxes are still empty and its last
+        // sweep stands. The gate is lane emptiness, so it cannot drift
+        // from what the model charged.
         for (busy, c) in self.busy.iter_mut().zip(&mut self.cells) {
             let c = home(c);
             let idle = c.actors.swept.asleep == c.actors.nodes.len();
-            *busy = c.has_incoming() || c.arena.dirty || !idle;
+            *busy = c.has_incoming() || !idle;
         }
         self.phase::<NoopProbe>(model, &mut [], Phase::Scatter(round, self.scheduling));
         self.swept = Some(round);
@@ -1179,8 +964,11 @@ struct Swept {
     asleep: usize,
 }
 
+/// One actor's inbox: `(sender, payload)` pairs in delivery order.
+type Inbox<M> = Vec<(<M as ExecModel>::Id, <M as ExecModel>::Msg)>;
+
 /// A contiguous run of actors (a shard, or all of them) with their
-/// scheduling state.
+/// scheduling state and current inboxes.
 struct Actors<M: ExecModel> {
     /// Index of the first actor.
     base: usize,
@@ -1188,6 +976,8 @@ struct Actors<M: ExecModel> {
     halted: Vec<bool>,
     active: Vec<bool>,
     dormant: Vec<bool>,
+    /// Each actor's mail for the coming step; the step consumes it.
+    inbox: Vec<Inbox<M>>,
     /// What the last sweep found.
     swept: Swept,
 }
@@ -1201,13 +991,20 @@ impl<M: ExecModel> Actors<M> {
             halted: vec![false; n],
             active: vec![true; n],
             dormant: vec![false; n],
+            inbox: (0..n).map(|_| Vec::new()).collect(),
             swept: Swept::default(),
         }
     }
 
-    /// The per-round sweep at application round `round` (`has_mail`
-    /// takes a local index): polls every actor and refreshes the
-    /// activity mask.
+    /// Halts actor `k` (a local index): it is never stepped again, so
+    /// its waiting mail is dropped here.
+    fn halt(&mut self, k: usize) {
+        self.halted[k] = true;
+        self.inbox[k].clear();
+    }
+
+    /// The per-round sweep at application round `round`: polls every
+    /// actor and refreshes the activity mask.
     ///
     /// Halted (crashed) actors count as done and are never stepped.
     /// Under [`Scheduling::ActiveSet`] the sweep also keeps a *dormancy*
@@ -1218,13 +1015,7 @@ impl<M: ExecModel> Actors<M> {
     /// run then costs two flag reads per actor per round instead of a
     /// model poll. The same contract makes a repeated sweep at the same
     /// round, over unchanged inboxes, reproduce the first.
-    fn sweep(
-        &mut self,
-        model: &M,
-        round: usize,
-        scheduling: Scheduling,
-        has_mail: impl Fn(usize) -> bool,
-    ) {
+    fn sweep(&mut self, model: &M, round: usize, scheduling: Scheduling) {
         let mut all_done = true;
         let mut in_flight = false;
         let (mut stepping, mut asleep) = (0, 0);
@@ -1235,7 +1026,7 @@ impl<M: ExecModel> Actors<M> {
                 asleep += 1;
                 continue;
             }
-            let has_mail = has_mail(k);
+            let has_mail = !self.inbox[k].is_empty();
             if dormant[k] && !has_mail {
                 // Frozen, done, and still unmailed: counts as done
                 // without a fresh poll.
@@ -1261,6 +1052,31 @@ impl<M: ExecModel> Actors<M> {
             stepping,
             asleep,
         };
+    }
+
+    /// Steps every active actor at application round `round` against
+    /// its inbox, sending into `sink`, and empties each consumed inbox
+    /// (the buffer keeps its capacity). Returns the round accounting,
+    /// or the lowest-indexed actor's error. Both stores step through
+    /// here; only their sinks differ.
+    fn step<R: Route<M>, S: MsgSink<M>, P: Probe>(
+        &mut self,
+        model: &M,
+        sink: &mut Routed<'_, R, R::Shard, S>,
+        scratch: &mut M::SendScratch,
+        round: usize,
+    ) -> Result<RoundProfile, M::Error> {
+        let mut acc = RoundProfile::for_probe::<P>();
+        for (k, node) in self.nodes.iter_mut().enumerate() {
+            if !self.active[k] {
+                continue;
+            }
+            R::next_actor(sink.st);
+            let inbox = &self.inbox[k];
+            model.step(node, self.base + k, round, inbox, scratch, &mut acc, sink)?;
+            self.inbox[k].clear();
+        }
+        Ok(acc)
     }
 }
 

@@ -25,7 +25,10 @@
 //!   run: shard 0 runs on the caller's thread and every other shard on
 //!   a worker spawned once, inside one thread scope, and parked between
 //!   phases. Each round is a step phase, then a scatter phase that
-//!   moves mail through the counting-sort exchange below.
+//!   moves mail through the lane exchange below. Both stores hold the
+//!   current round's mail the same way, in per-actor `Vec` inboxes, and
+//!   step their actors through one loop; only where a send lands
+//!   differs.
 //! * **The delivery plane, by configuration.** The clean plane is a
 //!   zero-sized pass-through that compiles away. The adversary plane
 //!   ([`fault`]) drops, duplicates and delays messages and crashes
@@ -40,37 +43,38 @@
 //! deliberately naive [`reference::run`] executor is the test oracle
 //! for that claim.
 //!
-//! # The message plane: counting-sort exchange and flat inbox arenas
+//! # The message plane: lanes scattered into per-actor inboxes
 //!
-//! With two or more shards the exchange is a two-pass counting sort, in
-//! the flat-array/prefix-sum style of bulk-synchronous graph engines:
+//! Every actor's mail for the coming step waits in its own `Vec` inbox;
+//! the step reads it and then clears it, so the buffer keeps its
+//! capacity for the next round. The one-shard store pushes each send
+//! straight into a second set of per-actor inboxes and swaps the two
+//! sets at the exchange. With two or more shards a send crosses threads
+//! in two phases:
 //!
-//! 1. **Stage (columnar lanes)** — while a shard's thread steps its
-//!    actors, every validated outgoing message is appended to the *lane*
-//!    for its destination shard: destination indices in one array,
-//!    `(sender, payload)` pairs in a parallel array. Appends are strictly
-//!    sequential, so staging never touches per-actor buffers.
-//! 2. **Group (per-lane counting sort)** — still on the sending thread,
-//!    each lane is stable-sorted by destination actor: count messages
-//!    per destination, prefix-sum the counts into CSR offsets, and apply
-//!    the resulting permutation in place (cycle-walking swaps — moves
-//!    only, no clones, no unsafe).
-//! 3. **Scatter (flat inbox arena)** — in the scatter phase each lane
-//!    moves to its *destination* shard, whose thread concatenates its
-//!    incoming lanes into the shard's reusable flat inbox arena: for
-//!    every destination actor, in ascending sender-shard order, the
-//!    lane's pre-grouped range is drained into the arena, and the
-//!    actor's inbox becomes a CSR slice `arena[offs[v]..offs[v + 1]]`. Mail a plane hands over from the
-//!    driving thread (released delays) rides one more lane, drained
-//!    last. The same thread then sweeps the shard's actors for the next
-//!    round, so actor state stays with the thread that steps it.
+//! 1. **Stage (lanes)** — while a shard's thread steps its actors,
+//!    every validated outgoing message is appended to the *lane* for
+//!    its destination shard as a `(local destination, sender, payload)`
+//!    triple. Appends are strictly sequential, so staging never touches
+//!    another shard's state.
+//! 2. **Scatter (per-actor inboxes)** — in the scatter phase each lane
+//!    moves to its *destination* shard, whose thread drains its
+//!    incoming lanes in column order — sender shards ascending, then the
+//!    lane of mail a plane hands over from the driving thread (released
+//!    delays) — pushing each message onto its destination actor's
+//!    inbox. The step has already emptied those inboxes, so a shard
+//!    needs no second set. The same thread then sweeps the shard's
+//!    actors for the next round, so actor state stays with the thread
+//!    that steps it.
 //!
-//! **Determinism.** Within one destination's inbox the delivery order is
-//! (sender shard ascending, then outbox order within the shard). Shards
-//! cover ascending contiguous id ranges and each shard visits its
-//! actors in id order, so that order is exactly ascending sender id then
-//! outbox order — the same order the one-shard store produces — which
-//! keeps every shard count bit-identical without any comparison sort.
+//! **Determinism.** Draining lanes in column order makes each inbox
+//! read (sender shard ascending, then outbox order within the shard,
+//! then injected mail). Shards cover ascending contiguous id ranges and
+//! each shard steps its actors in id order, so that is exactly
+//! ascending sender id, then outbox order, then injected mail — the
+//! order in which the one-shard store's sequential step and the plane's
+//! later injections push onto each inbox. Every shard count is
+//! therefore bit-identical without any sort.
 //!
 //! # Load-balanced sharding
 //!
@@ -87,8 +91,9 @@
 //!
 //! # Performance
 //!
-//! Both stores reuse their buffers across rounds (per-actor buffers
-//! swap; lanes and arenas clear in place), each shard folds one
+//! Both stores reuse their buffers across rounds (consumed inboxes and
+//! drained lanes clear in place and keep their capacity; the one-shard
+//! store's two inbox sets swap), each shard folds one
 //! [`RoundProfile`] per round instead of touching shared metrics per
 //! message, and the default [`Scheduling::ActiveSet`] policy skips
 //! quiescent actors (see below), collapsing the long quiet tails of
@@ -482,8 +487,8 @@ pub struct Poll {
 /// Where [`ExecModel::step`] stages validated outgoing messages.
 ///
 /// The kernel provides the implementations: a direct-delivery sink for
-/// the one-shard store and a columnar lane-staging sink for the
-/// sharded one, each behind the run's delivery plane. `step` must call [`MsgSink::deliver`] once per validated
+/// the one-shard store and a lane-staging sink for the sharded one,
+/// each behind the run's delivery plane. `step` must call [`MsgSink::deliver`] once per validated
 /// message, in outbox order, *after* the message passed the model's
 /// checks.
 pub trait MsgSink<M: ExecModel + ?Sized> {
@@ -690,6 +695,10 @@ mod tests {
         skewed_costs: bool,
         /// An actor whose step panics.
         panic_at: Option<usize>,
+        /// For this many rounds every actor also sends to actors 0 and
+        /// n − 1, and the output becomes an order-sensitive fold of the
+        /// senders of every message each actor received.
+        fan_in: usize,
         /// Where steps record the thread they ran on.
         log: Option<&'static ThreadLog>,
     }
@@ -751,6 +760,8 @@ mod tests {
     struct RingNode {
         started: bool,
         seen: usize,
+        /// The fold of every received message's sender, in inbox order.
+        senders: usize,
         outbound: Option<Token>,
     }
 
@@ -795,8 +806,8 @@ mod tests {
             }
         }
 
-        fn poll(&self, node: &Self::Node, _idx: usize, _round: usize) -> Poll {
-            let done = node.started && node.outbound.is_none();
+        fn poll(&self, node: &Self::Node, _idx: usize, round: usize) -> Poll {
+            let done = node.started && node.outbound.is_none() && round >= self.fan_in;
             Poll {
                 done,
                 skippable: done,
@@ -804,7 +815,11 @@ mod tests {
         }
 
         fn output(&self, node: &Self::Node, _idx: usize, _round: usize) -> usize {
-            node.seen
+            if self.fan_in > 0 {
+                node.senders
+            } else {
+                node.seen
+            }
         }
 
         fn round_limit_error(&self, limit: usize) -> RingError {
@@ -828,8 +843,9 @@ mod tests {
                 panic!("actor {idx} panics");
             }
             node.started = true;
-            for (_, t) in inbox {
+            for (from, t) in inbox {
                 node.seen += 1;
+                node.senders = node.senders.wrapping_mul(31).wrapping_add(from.index() + 1);
                 if t.hops_left > 0 {
                     node.outbound = Some(Token {
                         hops_left: t.hops_left - 1,
@@ -847,6 +863,19 @@ mod tests {
                 acc.messages += u64::from(copies);
                 acc.volume += u64::from(copies) * charge as u64;
                 acc.peak_link = acc.peak_link.max(charge * copies as usize);
+            }
+            if round < self.fan_in {
+                for to in [0, self.n - 1] {
+                    let t = Token {
+                        hops_left: 0,
+                        charge: 1,
+                    };
+                    let to = NodeId::from_index(to);
+                    let copies = sink.deliver(self, to, NodeId::from_index(idx), t);
+                    acc.messages += u64::from(copies);
+                    acc.volume += u64::from(copies);
+                    acc.peak_link = acc.peak_link.max(copies as usize);
+                }
             }
             Ok(())
         }
@@ -893,6 +922,7 @@ mod tests {
             .map(|i| RingNode {
                 started: false,
                 seen: 0,
+                senders: 0,
                 outbound: (i == origin).then_some(Token {
                     hops_left: hops,
                     charge,
@@ -908,6 +938,7 @@ mod tests {
             recv_cap: 8,
             skewed_costs: false,
             panic_at: None,
+            fan_in: 0,
             log: None,
         }
     }
@@ -988,7 +1019,20 @@ mod tests {
 
     #[test]
     fn schedulings_and_executors_are_bit_identical() {
-        assert_matches_reference(model(16), || ring_nodes(16, 40, 3), 1_000, None);
+        for m in [model(16), fan_in(16)] {
+            assert_matches_reference(m, || ring_nodes(16, 40, 3), 1_000, None);
+        }
+    }
+
+    /// Actors 0 and n − 1 each hear from every actor for a few rounds,
+    /// so their inboxes join senders from every shard, and the outputs
+    /// fold the order in which they heard them.
+    fn fan_in(n: usize) -> RingModel {
+        RingModel {
+            fan_in: 4,
+            recv_cap: usize::MAX,
+            ..model(n)
+        }
     }
 
     #[test]
@@ -1194,18 +1238,23 @@ mod tests {
             .delay(0.1, 3)
             .crash(0.1, 6);
         let adversary = SeededAdversary::new(spec);
-        let baseline = run_faulty(&model(16), ring_nodes(16, 40, 3), 1, &adversary).unwrap();
-        // The adversary must have actually interfered for this test to
-        // mean anything.
-        let f = &baseline.metrics.fault;
-        assert!(
-            f.dropped + f.duplicated + f.delayed + f.crashed > 0,
-            "{f:?}"
-        );
-        for threads in [1, 2, 4, 8] {
-            let run = run_faulty(&model(16), ring_nodes(16, 40, 3), threads, &adversary).unwrap();
-            assert_eq!(run.outputs, baseline.outputs, "t={threads}");
-            assert_eq!(run.metrics, baseline.metrics, "t={threads}");
+        // On the fan-in ring, released delays ride the injected lane into
+        // inboxes that also hold fresh mail from every shard.
+        for m in [model(16), fan_in(16)] {
+            let baseline = run_faulty(&m, ring_nodes(16, 40, 3), 1, &adversary).unwrap();
+            // The adversary must have actually interfered for this test
+            // to mean anything, and delayed some of the fan-in mail.
+            let f = &baseline.metrics.fault;
+            assert!(
+                f.dropped + f.duplicated + f.delayed + f.crashed > 0,
+                "{f:?}"
+            );
+            assert!(m.fan_in == 0 || f.delayed > 0, "{f:?}");
+            for threads in [1, 2, 4, 8] {
+                let run = run_faulty(&m, ring_nodes(16, 40, 3), threads, &adversary).unwrap();
+                assert_eq!(run.outputs, baseline.outputs, "t={threads}");
+                assert_eq!(run.metrics, baseline.metrics, "t={threads}");
+            }
         }
     }
 
@@ -1272,11 +1321,16 @@ mod tests {
         // dropped and the ring goes quiet instead of wrapping forever.
         let mut adv = deliver_all(8);
         adv.crash[3] = Some(2);
-        let run = run_faulty(&model(8), ring_nodes(8, 40, 2), 2, &adv).unwrap();
-        assert_eq!(run.metrics.fault.crashed, 1);
-        assert_eq!(run.metrics.fault.dropped, 1);
-        assert_eq!(run.outputs[3], 0, "the victim never saw the token");
-        assert!(run.metrics.rounds <= 4, "{:?}", run.metrics);
+        for threads in [1, 2, 4] {
+            let run = run_faulty(&model(8), ring_nodes(8, 40, 2), threads, &adv).unwrap();
+            assert_eq!(run.metrics.fault.crashed, 1, "t={threads}");
+            assert_eq!(run.metrics.fault.dropped, 1, "t={threads}");
+            assert_eq!(
+                run.outputs[3], 0,
+                "t={threads}: the victim never saw the token"
+            );
+            assert!(run.metrics.rounds <= 4, "t={threads}: {:?}", run.metrics);
+        }
     }
 
     #[test]

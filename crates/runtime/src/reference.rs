@@ -4,7 +4,7 @@
 //! [`run`] implements the synchronous round semantics in the most
 //! direct way available: per-actor `Vec` inboxes, every actor stepped
 //! every round, and a fresh set of buffers each round. It has no
-//! shards, arenas, probes, delivery planes, dormancy cache or
+//! shards, lanes, probes, delivery planes, dormancy cache or
 //! scheduling policy, and it shares no code with the kernel's loop —
 //! only the [`ExecModel`] interface. On the clean plane every
 //! configuration of [`execute`](crate::execute) must match it exactly:

@@ -9,9 +9,9 @@
 //! contributes:
 //!
 //! * [`graph`] — the graph substrate (generators, powers `G^r`, checks);
-//! * [`runtime`] — the shared synchronous round-execution kernel (arena
-//!   staging, quiescence-aware scheduling, sequential + sharded
-//!   executors) that both simulators instantiate;
+//! * [`runtime`] — the shared synchronous round-execution kernel
+//!   (per-actor inboxes, quiescence-aware scheduling, sequential +
+//!   sharded executors) that both simulators instantiate;
 //! * [`congest`] — a model-enforcing CONGEST / CONGESTED CLIQUE simulator;
 //! * [`mpc`] — a resource-accounted low-space MPC simulator with a
 //!   CONGEST-to-MPC adapter and a native `G²` 2-ruling-set algorithm;
