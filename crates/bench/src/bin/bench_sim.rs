@@ -18,7 +18,9 @@
 //!   heavy-tailed `floodmax_ba`, and ≥ 1.0× on the `thm28_ba` paper
 //!   pipeline (exit code 2 otherwise; skipped with a notice when the
 //!   host has fewer CPUs than gate threads, as speedup is physically
-//!   impossible there).
+//!   impossible there). A gated record alternates its two timed sides
+//!   rep by rep (sequential, gate count, sequential, …), so a burst of
+//!   host noise hits both sides of the ratio rather than one.
 //!
 //! The quiescent-tail workload (`floodmax_tail`) runs FloodMax to full
 //! termination on the lollipop instance (gnm blob + long path) under
@@ -61,7 +63,7 @@ use pga_congest::primitives::FloodMax;
 use pga_congest::{
     Algorithm, Ctx, Metrics, MsgSize, ProbeMode, Report, RunConfig, Scheduling, Simulator,
 };
-use pga_core::mds::congest_g2::g2_mds_congest_cfg;
+use pga_core::mds::congest_g2::{g2_mds_congest_cfg, G2MdsResult};
 use pga_core::mvc::clique_det::g2_mvc_clique_det_cfg;
 use pga_core::mvc::congest::LocalSolver;
 use pga_graph::bmm::{square_bmm, square_bmm_sharded};
@@ -125,26 +127,6 @@ impl Algorithm for Aggregate {
 /// sequential reference, which is the `threads = 1` point).
 const THREAD_SWEEP: [usize; 3] = [2, 4, 8];
 
-/// Best-of-`reps` wall time for a run, plus the (rep-invariant) report.
-fn best_of<A, F>(
-    reps: usize,
-    mk: F,
-    run: impl Fn(Vec<A>) -> Report<A::Output>,
-) -> (Report<A::Output>, f64)
-where
-    A: Algorithm,
-    F: Fn() -> Vec<A>,
-{
-    let mut best_ms = f64::INFINITY;
-    let mut report = None;
-    for _ in 0..reps.max(1) {
-        let (r, ms) = time_ms(|| run(mk()));
-        best_ms = best_ms.min(ms);
-        report = Some(r);
-    }
-    (report.unwrap(), best_ms)
-}
-
 /// The per-shard load statistics of the cost-balanced partition the
 /// parallel engine uses on `g` at `threads`.
 fn shard_load(g: &Graph, threads: usize) -> Vec<ShardLoad> {
@@ -154,40 +136,42 @@ fn shard_load(g: &Graph, threads: usize) -> Vec<ShardLoad> {
 }
 
 /// Times the parallel engine at every swept thread count (and the gate
-/// count) next to the sequential time `seq_ms`. `par(threads)` runs at
-/// one count and returns whether it reproduced the sequential run, and
-/// its wall time. Returns the engine timings, whether every run was
-/// identical, and the gate count's wall time.
+/// count) next to the sequential time `seq_ms`. The gate count's run is
+/// given as `gate`: its thread count, whether it reproduced the
+/// sequential run, and its wall time (timed alternately with the
+/// sequential reps). `par(threads)` runs at one other count and returns
+/// the same pair. Returns the engine timings and whether every run was
+/// identical.
 fn parallel_sweep(
     seq_ms: f64,
-    gate_threads: usize,
+    gate: (usize, bool, f64),
     par: impl Fn(usize) -> (bool, f64),
-) -> (Vec<EngineTiming>, bool, f64) {
+) -> (Vec<EngineTiming>, bool) {
     let mut engines = vec![EngineTiming {
         engine: "sequential".into(),
         threads: 1,
         wall_ms: seq_ms,
     }];
     let mut identical = true;
-    let mut gate_ms = f64::NAN;
     let mut sweep: Vec<usize> = THREAD_SWEEP.to_vec();
-    if !sweep.contains(&gate_threads) {
-        sweep.push(gate_threads);
+    if !sweep.contains(&gate.0) {
+        sweep.push(gate.0);
         sweep.sort_unstable();
     }
     for threads in sweep {
-        let (same, par_ms) = par(threads);
+        let (same, par_ms) = if threads == gate.0 {
+            (gate.1, gate.2)
+        } else {
+            par(threads)
+        };
         identical &= same;
-        if threads == gate_threads {
-            gate_ms = par_ms;
-        }
         engines.push(EngineTiming {
             engine: "parallel".into(),
             threads,
             wall_ms: par_ms,
         });
     }
-    (engines, identical, gate_ms)
+    (engines, identical)
 }
 
 /// Runs one workload on the sequential engine and on the parallel
@@ -207,18 +191,14 @@ where
     F: Fn() -> Vec<A>,
 {
     let cfg = RunConfig::new().probe(ProbeMode::Off);
-    let (seq, seq_ms) = best_of(reps, &mk, |nodes| {
+    let run = |cfg: &RunConfig| {
         Simulator::congest(g)
-            .run_cfg(nodes, &cfg)
-            .expect("sequential run")
-    });
-
-    let (engines, identical, gate_ms) = parallel_sweep(seq_ms, gate_threads, |threads| {
-        let (par, par_ms) = best_of(reps, &mk, |nodes| {
-            Simulator::congest(g)
-                .run_cfg(nodes, &cfg.parallel(threads))
-                .expect("parallel run")
-        });
+            .run_cfg(mk(), cfg)
+            .expect("engine run")
+    };
+    let ((seq, seq_ms), (gate, gate_ms)) =
+        best_wall_pair(reps, || run(&cfg), || run(&cfg.parallel(gate_threads)));
+    let same = |par: &Report<A::Output>, threads: usize| {
         let same = par.outputs == seq.outputs && par.metrics == seq.metrics;
         if !same {
             eprintln!("DIVERGENCE in workload '{name}' at {threads} threads:");
@@ -228,7 +208,12 @@ where
                 eprintln!("  outputs differ");
             }
         }
-        (same, par_ms)
+        same
+    };
+    let gate_run = (gate_threads, same(&gate, gate_threads), gate_ms);
+    let (engines, identical) = parallel_sweep(seq_ms, gate_run, |threads| {
+        let (par, par_ms) = best_wall(reps, || run(&cfg.parallel(threads)));
+        (same(&par, threads), par_ms)
     });
 
     let Metrics {
@@ -266,20 +251,21 @@ fn bench_tail_workload(g: &Graph, threads: usize, reps: usize) -> WorkloadRecord
             .collect::<Vec<_>>()
     };
     let run = |scheduling: Scheduling, par: bool| {
-        best_of(reps, &mk, |nodes| {
-            let cfg = RunConfig::new()
-                .probe(ProbeMode::Off)
-                .scheduling(scheduling);
-            let cfg = if par { cfg.parallel(threads) } else { cfg };
-            Simulator::congest(g)
-                .run_cfg(nodes, &cfg)
-                .expect("tail run")
-        })
+        let cfg = RunConfig::new()
+            .probe(ProbeMode::Off)
+            .scheduling(scheduling);
+        let cfg = if par { cfg.parallel(threads) } else { cfg };
+        Simulator::congest(g).run_cfg(mk(), &cfg).expect("tail run")
     };
-    let (full, full_ms) = run(Scheduling::FullSweep, false);
-    let (active, active_ms) = run(Scheduling::ActiveSet, false);
-    let (par_full, par_full_ms) = run(Scheduling::FullSweep, true);
-    let (par_active, par_active_ms) = run(Scheduling::ActiveSet, true);
+    // The gated pair (full sweep against active set, sequential)
+    // alternates rep by rep.
+    let ((full, full_ms), (active, active_ms)) = best_wall_pair(
+        reps,
+        || run(Scheduling::FullSweep, false),
+        || run(Scheduling::ActiveSet, false),
+    );
+    let (par_full, par_full_ms) = best_wall(reps, || run(Scheduling::FullSweep, true));
+    let (par_active, par_active_ms) = best_wall(reps, || run(Scheduling::ActiveSet, true));
 
     let identical = [&active, &par_full, &par_active]
         .iter()
@@ -339,6 +325,23 @@ fn best_wall<T>(reps: usize, f: impl Fn() -> T) -> (T, f64) {
     (out.unwrap(), best_ms)
 }
 
+/// Best-of-`reps` wall times of `a` and `b`, run alternately (a, b, a,
+/// b, …) so that a burst of host noise lands on both sides of a gated
+/// ratio instead of on one.
+fn best_wall_pair<T, U>(reps: usize, a: impl Fn() -> T, b: impl Fn() -> U) -> ((T, f64), (U, f64)) {
+    let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
+    let (mut out_a, mut out_b) = (None, None);
+    for _ in 0..reps.max(1) {
+        let (r, ms) = time_ms(&a);
+        best_a = best_a.min(ms);
+        out_a = Some(r);
+        let (r, ms) = time_ms(&b);
+        best_b = best_b.min(ms);
+        out_b = Some(r);
+    }
+    ((out_a.unwrap(), best_a), (out_b.unwrap(), best_b))
+}
+
 /// `G²` materialization on the pinned gnm instance: the scalar
 /// mark-array loop against the bitset-blocked BMM kernel (sequential
 /// and sharded). Not a message workload — rounds/messages/bits are 0 —
@@ -395,14 +398,19 @@ fn bench_thm28_workload(seed: u64, gate_threads: usize, reps: usize) -> Workload
     let g = generators::barabasi_albert(5000, 4, seed);
     let run = |cfg: &RunConfig| g2_mds_congest_cfg(&g, 8, seed, cfg).expect("Theorem 28 run");
     let cfg = RunConfig::new().probe(ProbeMode::Off);
-    let (seq, seq_ms) = best_wall(reps, || run(&cfg));
-    let (engines, identical, gate_ms) = parallel_sweep(seq_ms, gate_threads, |threads| {
-        let (par, par_ms) = best_wall(reps, || run(&cfg.parallel(threads)));
+    let ((seq, seq_ms), (gate, gate_ms)) =
+        best_wall_pair(reps, || run(&cfg), || run(&cfg.parallel(gate_threads)));
+    let same = |par: &G2MdsResult, threads: usize| {
         let same = par.dominating_set == seq.dominating_set && par.metrics == seq.metrics;
         if !same {
             eprintln!("DIVERGENCE in workload 'thm28_ba' at {threads} threads");
         }
-        (same, par_ms)
+        same
+    };
+    let gate_run = (gate_threads, same(&gate, gate_threads), gate_ms);
+    let (engines, identical) = parallel_sweep(seq_ms, gate_run, |threads| {
+        let (par, par_ms) = best_wall(reps, || run(&cfg.parallel(threads)));
+        (same(&par, threads), par_ms)
     });
     let Metrics {
         rounds,

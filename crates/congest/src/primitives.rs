@@ -103,6 +103,22 @@ pub struct GsOutput<D> {
 /// broadcast so every node's output is the full response vector.
 ///
 /// Requires a connected input graph.
+///
+/// Most nodes spend most of the `O(k + D)` rounds waiting for mail, and
+/// a waiting node reports [`Algorithm::can_skip`], so the active-set
+/// kernel lets it sleep until its next message. With no deadline armed
+/// the waiting states are:
+///
+/// - a non-root node still joining the tree (the root acts at round 0);
+/// - an upcasting node that has not heard from every neighbor yet;
+/// - the root while some child's subtree has not reported `UpDone`;
+/// - a non-root upcasting node with nothing to forward while some child
+///   has not reported `UpDone`;
+/// - a downcasting node with an empty response queue and no `DownEnd`
+///   to pass on.
+///
+/// With a deadline armed ([`GatherScatter::with_deadline`]) the clock
+/// may act on any unfinished node, so only a finished node sleeps.
 pub struct GatherScatter<I, D> {
     items: VecDeque<I>,
     compute: LeaderCompute<I, D>,
@@ -325,6 +341,27 @@ impl<I: Clone + MsgSize, D: Clone + MsgSize> Algorithm for GatherScatter<I, D> {
 
     fn is_done(&self, _ctx: &Ctx) -> bool {
         matches!(self.phase, Phase::Done)
+    }
+
+    fn can_skip(&self, ctx: &Ctx) -> bool {
+        if self.deadline.is_some() {
+            // Deadlines are clock-driven: an armed node must be stepped
+            // each round to notice one fire, so only `Done` may sleep.
+            return matches!(self.phase, Phase::Done);
+        }
+        // The waiting states (see the type's docs). None reads
+        // `ctx.round`, so the verdict holds while the state is frozen.
+        match self.phase {
+            Phase::Done => true,
+            Phase::Joining => !self.is_root(ctx),
+            Phase::Announce => false,
+            Phase::Upcast if !self.tree_known(ctx) => true,
+            Phase::Upcast if self.is_root(ctx) => !self.upcast_complete(),
+            Phase::Upcast => {
+                self.gathered.is_empty() && self.items.is_empty() && !self.upcast_complete()
+            }
+            Phase::Downcast => self.down_queue.is_empty() && !self.down_end_pending,
+        }
     }
 
     fn output(&self, _ctx: &Ctx) -> GsOutput<D> {

@@ -106,15 +106,23 @@ pub trait Algorithm {
     ///
     /// **Contract:** if `can_skip` returns `true` and the node's inbox
     /// is empty, `round` must be a pure no-op — no state mutation and an
-    /// empty outbox — and both `is_done` and `can_skip` must remain
-    /// `true` for the unchanged state until a message arrives (the
-    /// engine may stop re-polling a skippable quiet node). Skipping a
-    /// call that would have done nothing is unobservable, so both
-    /// scheduling policies stay bit-identical. The default (`is_done`)
-    /// satisfies this for plain state machines that go quiet once
-    /// finished; algorithms whose `round` has residual side effects
-    /// after `is_done` (stale-flag clearing, per-cycle resets) override
-    /// this to exclude those states and are then simply never skipped.
+    /// empty outbox — and `can_skip` must stay `true`, and `is_done`
+    /// unchanged, for the unchanged state until a message arrives: the
+    /// engine stops re-polling a skippable node with an empty inbox, so
+    /// neither verdict may depend on `ctx.round`. Skipping a call that
+    /// would have done nothing is unobservable, so both scheduling
+    /// policies stay bit-identical.
+    ///
+    /// A node that is not done may report `true` while it only waits
+    /// for mail: it sleeps until a message arrives and keeps the run
+    /// open meanwhile ([`GatherScatter`](crate::primitives::GatherScatter)
+    /// does this in its waiting states). A node that must act on the
+    /// clock alone, such as a deadline, must report `false` until done.
+    /// The default (`is_done`) satisfies the contract for plain state
+    /// machines that go quiet once finished; algorithms whose `round`
+    /// has residual side effects after `is_done` (stale-flag clearing,
+    /// per-cycle resets) override this to exclude those states and are
+    /// then simply never skipped.
     fn can_skip(&self, ctx: &Ctx) -> bool {
         self.is_done(ctx)
     }

@@ -6,6 +6,7 @@ use pga_congest::{Algorithm, Ctx, MsgSize, RunConfig, Simulator};
 use pga_graph::traversal::{bfs_distances, diameter};
 use pga_graph::{generators, Graph, NodeId};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 fn arb_connected() -> impl Strategy<Value = Graph> {
@@ -74,6 +75,66 @@ impl Algorithm for Layer {
     }
     fn output(&self, _ctx: &Ctx) -> Option<usize> {
         self.dist
+    }
+}
+
+/// Checks the skip contract on every `round` call of the wrapped node:
+/// whenever it reported `can_skip` with an empty inbox, the call must
+/// send nothing and leave `is_done`, `can_skip` and `output` as they
+/// were, at this round and the next (a sleeping node's verdicts may not
+/// depend on the clock). `checked` counts the calls it checked.
+struct SkipContract<A> {
+    inner: A,
+    checked: Arc<AtomicUsize>,
+}
+
+impl<A: Algorithm> Algorithm for SkipContract<A>
+where
+    A::Output: PartialEq + std::fmt::Debug,
+{
+    type Msg = A::Msg;
+    type Output = A::Output;
+
+    fn round(&mut self, ctx: &Ctx, inbox: &[(NodeId, A::Msg)]) -> Vec<(NodeId, A::Msg)> {
+        let next = Ctx {
+            round: ctx.round + 1,
+            ..*ctx
+        };
+        let verdicts = |a: &A| {
+            (
+                a.is_done(ctx),
+                a.can_skip(ctx),
+                a.is_done(&next),
+                a.can_skip(&next),
+                a.output(ctx),
+            )
+        };
+        let quiet = inbox.is_empty() && self.inner.can_skip(ctx);
+        let before = quiet.then(|| verdicts(&self.inner));
+        let out = self.inner.round(ctx, inbox);
+        if let Some(before) = before {
+            let id = ctx.id;
+            assert!(out.is_empty(), "skippable node {id:?} sent mail");
+            assert_eq!(
+                verdicts(&self.inner),
+                before,
+                "skippable node {id:?} changed"
+            );
+            self.checked.fetch_add(1, Ordering::Relaxed);
+        }
+        out
+    }
+
+    fn is_done(&self, ctx: &Ctx) -> bool {
+        self.inner.is_done(ctx)
+    }
+
+    fn can_skip(&self, ctx: &Ctx) -> bool {
+        self.inner.can_skip(ctx)
+    }
+
+    fn output(&self, ctx: &Ctx) -> A::Output {
+        self.inner.output(ctx)
     }
 }
 
@@ -239,6 +300,41 @@ proptest! {
             .unwrap();
         prop_assert_eq!(&active.outputs, &full.outputs, "GS outputs, t={}", threads);
         prop_assert_eq!(&active.metrics, &full.metrics, "GS metrics, t={}", threads);
+    }
+
+    /// `GatherScatter`'s `can_skip` keeps the skip contract in every
+    /// state it reaches, checked call by call under the full sweep (which
+    /// steps every node, skippable or not), with and without a phase
+    /// deadline; a tight deadline fires mid-gather.
+    #[test]
+    fn gather_scatter_keeps_the_skip_contract(
+        g in arb_connected(),
+        per_node in 0usize..3,
+        deadline in prop_oneof![Just(None), (1usize..40).prop_map(Some)],
+    ) {
+        use pga_congest::Scheduling;
+        let n = g.num_nodes();
+        let checked = Arc::new(AtomicUsize::new(0));
+        let compute: LeaderCompute<SizedU64, SizedU64> = Arc::new(|items| items);
+        let nodes = (0..n)
+            .map(|i| SkipContract {
+                inner: GatherScatter::new(
+                    (0..per_node)
+                        .map(|j| SizedU64 { value: (i * 3 + j) as u64, bits: 32 })
+                        .collect(),
+                    Arc::clone(&compute),
+                )
+                .with_deadline(deadline),
+                checked: Arc::clone(&checked),
+            })
+            .collect();
+        let cfg = RunConfig::new().scheduling(Scheduling::FullSweep);
+        Simulator::congest(&g).run_cfg(nodes, &cfg).unwrap();
+        // Without a deadline every run steps waiting nodes with empty
+        // inboxes, so the contract was exercised.
+        if deadline.is_none() {
+            prop_assert!(checked.load(Ordering::Relaxed) > 0);
+        }
     }
 
     /// The cost-balanced shard boundaries are always a valid partition:

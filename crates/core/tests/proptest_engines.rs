@@ -9,9 +9,11 @@
 //! thread counts {1, 2, 4, 8}, on uniform `connected_gnm` and heavy-tailed
 //! Barabási–Albert instances plus a quiescent-tail lollipop and a
 //! disconnected instance (the error path: Phase II's BFS tree requires
-//! connectivity).
+//! connectivity). The entry points that run `GatherScatter` are also
+//! checked across both scheduling policies on the clean, adversary and
+//! ARQ planes, since its nodes sleep while they wait for mail.
 
-use pga_congest::RunConfig;
+use pga_congest::{FaultSpec, ReliabilitySpec, RunConfig, Scheduling};
 use pga_core::mds::congest_g2::g2_mds_congest_cfg;
 use pga_core::mds::estimator::estimate_two_hop_sizes_cfg;
 use pga_core::mpc::{g2_mds_congest_mpc_cfg, g2_mvc_congest_mpc_cfg};
@@ -90,6 +92,99 @@ fn mvc_key(
             r.phase2_metrics,
         )
     })
+}
+
+/// The delivery planes of the scheduling-parity tests: clean, a
+/// drop-and-delay adversary (no recovery, so a run may end at its round
+/// budget), and ARQ with phase deadlines over a lossy adversary whose
+/// one-retry budget kills links, so deadlines fire.
+fn parity_planes(seed: u64) -> [RunConfig; 3] {
+    let lossy = |p| FaultSpec::seeded(seed).drop(p).delay(0.1, 3);
+    let arq = ReliabilitySpec::arq()
+        .with_max_retries(1)
+        .with_phase_timeouts(2);
+    [
+        RunConfig::new(),
+        RunConfig::new().max_rounds(3_000).adversary(lossy(0.05)),
+        RunConfig::new().adversary(lossy(0.4)).reliability(arq),
+    ]
+}
+
+/// Runs `run` on `plane` in every cell of {full sweep, active set} ×
+/// {sequential, `parallel(2)`, `parallel(4)`} and asserts each cell
+/// reproduces the sequential full sweep.
+fn scheduling_parity<K: PartialEq + std::fmt::Debug>(
+    plane: &RunConfig,
+    run: impl Fn(&RunConfig) -> K,
+) -> Result<(), TestCaseError> {
+    let full = plane.scheduling(Scheduling::FullSweep);
+    let reference = run(&full.sequential());
+    for scheduling in [Scheduling::FullSweep, Scheduling::ActiveSet] {
+        let base = plane.scheduling(scheduling);
+        let cells = [base.sequential(), base.parallel(2), base.parallel(4)];
+        for cfg in cells.iter().filter(|&&c| c != full.sequential()) {
+            prop_assert_eq!(&run(cfg), &reference, "{:?}", cfg);
+        }
+    }
+    Ok(())
+}
+
+/// The ARQ plane of the parity tests reaches the deadline fallback, so
+/// the parity below covers deadline-armed `GatherScatter` runs.
+#[test]
+fn parity_arq_plane_degrades() {
+    let mut total = 0;
+    for seed in 0..4u64 {
+        let g = generators::connected_gnm(12, 20, &mut StdRng::seed_from_u64(seed));
+        let arq = &parity_planes(seed)[2];
+        if let Ok(r) = g2_mvc_congest_cfg(&g, 0.4, LocalSolver::Exact, arq) {
+            total += r.phase1_metrics.fault.degraded + r.phase2_metrics.fault.degraded;
+        }
+    }
+    assert!(total > 0, "no ARQ run hit a phase deadline");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Every entry point that runs `GatherScatter` returns the same
+    /// cover and both phases' metrics (or the same error) under both
+    /// scheduling policies, at every shard count, on every plane.
+    #[test]
+    fn g2_mvc_scheduling_parity(g in arb_instance(), seed in any::<u64>()) {
+        for plane in parity_planes(seed) {
+            scheduling_parity(&plane, |cfg| {
+                mvc_key(g2_mvc_congest_cfg(&g, 0.4, LocalSolver::Exact, cfg))
+            })?;
+        }
+    }
+
+    /// Theorem 7's weighted pipeline: scheduling parity on every plane.
+    #[test]
+    fn g2_mwvc_scheduling_parity(g in arb_instance(), seed in any::<u64>()) {
+        let n = g.num_nodes();
+        let weights: Vec<u64> = (0..n).map(|i| 1 + (seed.wrapping_mul(i as u64 + 7) % 9)).collect();
+        let w = VertexWeights::from_vec(weights);
+        for plane in parity_planes(seed) {
+            scheduling_parity(&plane, |cfg| {
+                g2_mwvc_congest_cfg(&g, &w, 0.4, cfg)
+                    .map(|r| (r.cover, r.s_weight, r.r_star_weight, r.phase1_metrics, r.phase2_metrics))
+            })?;
+        }
+    }
+
+    /// Corollary 10, relay and BMM prep: scheduling parity on every
+    /// plane.
+    #[test]
+    fn g2_mvc_clique_det_scheduling_parity(g in arb_instance(), seed in any::<u64>()) {
+        for plane in parity_planes(seed) {
+            for plane in [plane, plane.bmm_prep()] {
+                scheduling_parity(&plane, |cfg| {
+                    mvc_key(g2_mvc_clique_det_cfg(&g, 0.4, LocalSolver::FiveThirds, cfg))
+                })?;
+            }
+        }
+    }
 }
 
 proptest! {

@@ -6,40 +6,40 @@
 //! and the Bar-Yehuda–Even local-ratio 2-approximation for weighted vertex
 //! cover \[BE83\].
 
-use pga_graph::{Graph, VertexWeights};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+use pga_graph::{Graph, NodeId, VertexWeights};
 
 /// Greedy minimum dominating set: repeatedly pick the vertex that
-/// dominates the most still-uncovered vertices.
+/// dominates the most still-uncovered vertices, ties to the smallest id.
 ///
 /// Guarantees an `(H_{Δ+1} ≤ ln Δ + 2)`-approximation.
+///
+/// Lazy evaluation: a vertex's gain only falls as vertices get covered,
+/// so a max-heap keyed by (stored gain, smallest id) whose top is
+/// re-checked before it is picked yields the same picks, in the same
+/// order, as rescanning every vertex per pick.
 pub fn greedy_mds(g: &Graph) -> Vec<bool> {
     let n = g.num_nodes();
     let mut covered = vec![false; n];
     let mut chosen = vec![false; n];
-    let mut num_covered = 0;
-    while num_covered < n {
-        // Pick the vertex covering the most uncovered vertices; ties to
-        // the smallest id for determinism.
-        let mut best = usize::MAX;
-        let mut best_gain = 0usize;
-        for v in g.nodes() {
-            let gain = std::iter::once(v)
-                .chain(g.neighbors(v).iter().copied())
-                .filter(|u| !covered[u.index()])
-                .count();
-            if gain > best_gain {
-                best_gain = gain;
-                best = v.index();
+    let closed = |v: NodeId| std::iter::once(v).chain(g.neighbors(v).iter().copied());
+    let mut heap: BinaryHeap<(usize, Reverse<NodeId>)> =
+        g.nodes().map(|v| (g.degree(v) + 1, Reverse(v))).collect();
+    while let Some((stored, Reverse(v))) = heap.pop() {
+        let gain = closed(v).filter(|u| !covered[u.index()]).count();
+        if gain < stored {
+            // Stale: re-queue at its true gain (a vertex that covers
+            // nothing new never becomes useful again).
+            if gain > 0 {
+                heap.push((gain, Reverse(v)));
             }
+            continue;
         }
-        debug_assert!(best != usize::MAX, "some vertex must cover something");
-        chosen[best] = true;
-        let v = pga_graph::NodeId::from_index(best);
-        for u in std::iter::once(v).chain(g.neighbors(v).iter().copied()) {
-            if !covered[u.index()] {
-                covered[u.index()] = true;
-                num_covered += 1;
-            }
+        chosen[v.index()] = true;
+        for u in closed(v) {
+            covered[u.index()] = true;
         }
     }
     chosen

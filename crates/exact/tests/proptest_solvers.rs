@@ -10,8 +10,9 @@ use pga_exact::vc::{mvc_size, solve_mvc, solve_mvc_bruteforce, solve_mvc_with_bu
 use pga_exact::wvc::{mwvc_weight, solve_mwvc, solve_mwvc_bruteforce};
 use pga_graph::cover::{is_dominating_set, is_vertex_cover, set_size, set_weight};
 use pga_graph::power::square;
-use pga_graph::{Graph, VertexWeights};
+use pga_graph::{generators, Graph, NodeId, VertexWeights};
 use proptest::prelude::*;
+use rand::SeedableRng;
 
 fn arb_graph() -> impl Strategy<Value = Graph> {
     (
@@ -25,6 +26,46 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
                 .collect();
             Graph::from_edges(n, &edges)
         })
+}
+
+/// Sparse and heavy-tailed graphs larger than brute force can handle:
+/// `gnm` at up to three edges per vertex, or Barabási–Albert.
+fn arb_sparse_graph() -> impl Strategy<Value = Graph> {
+    (2usize..120, any::<u64>(), any::<bool>()).prop_map(|(n, seed, ba)| {
+        if ba {
+            generators::barabasi_albert(n, 1 + seed as usize % 4, seed)
+        } else {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let m = (seed as usize % (3 * n + 1)).min(n * (n - 1) / 2);
+            generators::gnm(n, m, &mut rng)
+        }
+    })
+}
+
+/// The eager greedy MDS: rescan every vertex for the largest gain per
+/// pick, ties to the smallest id. The oracle for the lazy `greedy_mds`.
+fn greedy_mds_eager(g: &Graph) -> Vec<bool> {
+    let n = g.num_nodes();
+    let mut covered = vec![false; n];
+    let mut chosen = vec![false; n];
+    let closed = |v: NodeId| std::iter::once(v).chain(g.neighbors(v).iter().copied());
+    while covered.iter().any(|&c| !c) {
+        let mut best = None;
+        let mut best_gain = 0;
+        for v in g.nodes() {
+            let gain = closed(v).filter(|u| !covered[u.index()]).count();
+            if gain > best_gain {
+                best_gain = gain;
+                best = Some(v);
+            }
+        }
+        let v = best.expect("an uncovered vertex covers itself");
+        chosen[v.index()] = true;
+        for u in closed(v) {
+            covered[u.index()] = true;
+        }
+    }
+    chosen
 }
 
 fn arb_weights(n: usize) -> impl Strategy<Value = VertexWeights> {
@@ -100,6 +141,15 @@ proptest! {
         let lr = local_ratio_mwvc(&g, &w);
         prop_assert!(is_vertex_cover(&g, &lr));
         prop_assert!(set_weight(&lr, w.as_slice()) <= 2 * mwvc_weight(&g, &w));
+    }
+
+    /// The lazy greedy MDS picks exactly the eager scan's set, on
+    /// random graphs and on their squares.
+    #[test]
+    fn lazy_greedy_mds_matches_eager(g in arb_sparse_graph()) {
+        prop_assert_eq!(greedy_mds(&g), greedy_mds_eager(&g));
+        let g2 = square(&g);
+        prop_assert_eq!(greedy_mds(&g2), greedy_mds_eager(&g2));
     }
 
     /// The cheap square bounds never exceed the exact square optima.

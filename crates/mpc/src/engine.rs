@@ -154,15 +154,21 @@ pub trait Machine {
     /// **Contract:** if `can_skip` returns `true` and the machine's
     /// inbox is empty, `round` must be a pure no-op — no state mutation
     /// (including the declared [`Machine::memory_words`] footprint), an
-    /// empty outbox, and `Ok` — and both `is_done` and `can_skip` must
-    /// remain `true` for the unchanged state until a message arrives
-    /// (the engine may stop re-polling a skippable quiet machine).
+    /// empty outbox, and `Ok` — and `can_skip` must stay `true`, and
+    /// `is_done` unchanged, for the unchanged state until a message
+    /// arrives: the engine stops re-polling a skippable machine with an
+    /// empty inbox, so neither verdict may depend on `ctx.round`.
     /// Skipping a call that would have done nothing is unobservable, so
-    /// both scheduling policies stay bit-identical. The default
-    /// (`is_done`) satisfies this for plain state machines that go quiet
-    /// once finished; programs whose `round` has residual per-cycle side
-    /// effects (ghost-table resets, internal clocks) override this to
-    /// return `false` and are then simply never skipped.
+    /// both scheduling policies stay bit-identical.
+    ///
+    /// A machine that is not done may report `true` while it only waits
+    /// for mail: it sleeps until a message arrives and keeps the run
+    /// open meanwhile. One that must act on the clock alone must report
+    /// `false` until done. The default (`is_done`) satisfies the
+    /// contract for plain state machines that go quiet once finished;
+    /// programs whose `round` has residual per-cycle side effects
+    /// (ghost-table resets, internal clocks) override this to return
+    /// `false` and are then simply never skipped.
     fn can_skip(&self, ctx: &MpcCtx) -> bool {
         self.is_done(ctx)
     }

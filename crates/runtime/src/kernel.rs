@@ -964,6 +964,20 @@ struct Swept {
     asleep: usize,
 }
 
+/// An actor's scheduling state: what the last sweep decided for it.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Sched {
+    /// Stepped in the coming step, and polled again by the next sweep.
+    Awake,
+    /// Dormant and done: counts as done until mail arrives.
+    Done,
+    /// Dormant and waiting for mail: counts as not done until it
+    /// arrives.
+    Waiting,
+    /// Crashed: never polled or stepped again, and counts as done.
+    Halted,
+}
+
 /// One actor's inbox: `(sender, payload)` pairs in delivery order.
 type Inbox<M> = Vec<(<M as ExecModel>::Id, <M as ExecModel>::Msg)>;
 
@@ -973,9 +987,7 @@ struct Actors<M: ExecModel> {
     /// Index of the first actor.
     base: usize,
     nodes: Vec<M::Node>,
-    halted: Vec<bool>,
-    active: Vec<bool>,
-    dormant: Vec<bool>,
+    sched: Vec<Sched>,
     /// Each actor's mail for the coming step; the step consumes it.
     inbox: Vec<Inbox<M>>,
     /// What the last sweep found.
@@ -988,9 +1000,7 @@ impl<M: ExecModel> Actors<M> {
         Actors {
             base,
             nodes,
-            halted: vec![false; n],
-            active: vec![true; n],
-            dormant: vec![false; n],
+            sched: vec![Sched::Awake; n],
             inbox: (0..n).map(|_| Vec::new()).collect(),
             swept: Swept::default(),
         }
@@ -999,53 +1009,63 @@ impl<M: ExecModel> Actors<M> {
     /// Halts actor `k` (a local index): it is never stepped again, so
     /// its waiting mail is dropped here.
     fn halt(&mut self, k: usize) {
-        self.halted[k] = true;
+        self.sched[k] = Sched::Halted;
         self.inbox[k].clear();
     }
 
     /// The per-round sweep at application round `round`: polls every
-    /// actor and refreshes the activity mask.
+    /// actor and decides which ones the coming step runs.
     ///
     /// Halted (crashed) actors count as done and are never stepped.
     /// Under [`Scheduling::ActiveSet`] the sweep also keeps a *dormancy*
-    /// cache: an actor observed done **and** skippable with an empty
-    /// inbox is not re-polled until mail arrives. That is sound because
-    /// a skipped actor's state is frozen (the no-op contract), so its
-    /// verdicts cannot change until it is woken; the quiescent tail of a
-    /// run then costs two flag reads per actor per round instead of a
-    /// model poll. The same contract makes a repeated sweep at the same
-    /// round, over unchanged inboxes, reproduce the first.
+    /// cache: an actor polled skippable with an empty inbox is not
+    /// re-polled until mail arrives. The cache remembers whether it was
+    /// done ([`Sched::Done`]) or waiting for mail ([`Sched::Waiting`]),
+    /// and the sweep folds that verdict into quiescence, so a waiting
+    /// actor still holds the run open. That is sound because a skipped
+    /// actor's state is frozen (the no-op contract), so its verdicts
+    /// cannot change until it is woken; a round then costs a tag read
+    /// per sleeping actor instead of a model poll. The same contract
+    /// makes a repeated sweep at the same round, over unchanged inboxes,
+    /// reproduce the first.
     fn sweep(&mut self, model: &M, round: usize, scheduling: Scheduling) {
         let mut all_done = true;
         let mut in_flight = false;
         let (mut stepping, mut asleep) = (0, 0);
-        let (active, dormant) = (&mut self.active, &mut self.dormant);
         for (k, node) in self.nodes.iter().enumerate() {
-            if self.halted[k] {
-                active[k] = false;
-                asleep += 1;
-                continue;
-            }
             let has_mail = !self.inbox[k].is_empty();
-            if dormant[k] && !has_mail {
-                // Frozen, done, and still unmailed: counts as done
+            let sched = &mut self.sched[k];
+            match *sched {
+                Sched::Halted => {
+                    asleep += 1;
+                    continue;
+                }
+                // Frozen and still unmailed: its last verdict stands
                 // without a fresh poll.
-                active[k] = false;
-                asleep += 1;
-                continue;
+                Sched::Done | Sched::Waiting if !has_mail => {
+                    all_done &= *sched == Sched::Done;
+                    asleep += 1;
+                    continue;
+                }
+                _ => {}
             }
             let Poll { done, skippable } = model.poll(node, self.base + k, round);
             all_done &= done;
             in_flight |= has_mail;
-            active[k] = match scheduling {
-                Scheduling::ActiveSet => {
-                    dormant[k] = done && skippable && !has_mail;
-                    asleep += usize::from(dormant[k]);
-                    has_mail || !skippable
+            *sched = match scheduling {
+                Scheduling::ActiveSet if skippable && !has_mail => {
+                    asleep += 1;
+                    if done {
+                        Sched::Done
+                    } else {
+                        Sched::Waiting
+                    }
                 }
-                Scheduling::FullSweep => true,
+                _ => {
+                    stepping += 1;
+                    Sched::Awake
+                }
             };
-            stepping += usize::from(active[k]);
         }
         self.swept = Swept {
             quiescent: all_done && !in_flight,
@@ -1054,7 +1074,7 @@ impl<M: ExecModel> Actors<M> {
         };
     }
 
-    /// Steps every active actor at application round `round` against
+    /// Steps every awake actor at application round `round` against
     /// its inbox, sending into `sink`, and empties each consumed inbox
     /// (the buffer keeps its capacity). Returns the round accounting,
     /// or the lowest-indexed actor's error. Both stores step through
@@ -1068,7 +1088,7 @@ impl<M: ExecModel> Actors<M> {
     ) -> Result<RoundProfile, M::Error> {
         let mut acc = RoundProfile::for_probe::<P>();
         for (k, node) in self.nodes.iter_mut().enumerate() {
-            if !self.active[k] {
+            if self.sched[k] != Sched::Awake {
                 continue;
             }
             R::next_actor(sink.st);

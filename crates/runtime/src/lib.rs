@@ -96,8 +96,9 @@
 //! store's two inbox sets swap), each shard folds one
 //! [`RoundProfile`] per round instead of touching shared metrics per
 //! message, and the default [`Scheduling::ActiveSet`] policy skips
-//! quiescent actors (see below), collapsing the long quiet tails of
-//! flooding-style runs.
+//! actors that are done or waiting for mail (see below), collapsing the
+//! long quiet tails of flooding-style runs and the waits of pipelined
+//! ones.
 //!
 //! # The scheduling rule
 //!
@@ -122,12 +123,20 @@
 //!
 //! Termination is *not* affected by scheduling: the kernel stops when
 //! all actors are done and no message is in flight — exactly the
-//! classic loop. Under the active-set policy an actor observed done and
-//! skippable with an empty inbox becomes *dormant*: its state is frozen
-//! (nothing may mutate it until a message arrives), so the kernel
-//! counts it as done without re-polling and wakes it on delivery. The
-//! contract above therefore also requires that a skippable actor's
-//! `is_done`/`can_skip` verdicts stay `true` while its state is frozen.
+//! classic loop. Under the active-set policy an actor polled skippable
+//! with an empty inbox becomes *dormant*: its state is frozen (nothing
+//! may mutate it until a message arrives), so the kernel stops
+//! re-polling it and wakes it on delivery. A dormant actor that was
+//! done counts as done; one that was not is *waiting for mail* and
+//! keeps the run open exactly as a polled one would. An actor waiting
+//! for a child's or a parent's next message (Phase II's pipelined
+//! gather–scatter) costs no model call until the message comes: a round
+//! costs a poll and a step per awake actor plus a tag read per sleeping
+//! one. Because a sleeping actor is not polled, the contract also
+//! requires that a skippable actor's `is_done`/`can_skip` verdicts stay
+//! fixed while its state is frozen: they may not depend on the round
+//! number. An actor that must act on the clock alone (a deadline) must
+//! not report itself skippable before it is done.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -480,7 +489,10 @@ pub struct Poll {
     /// are done and no message is in flight).
     pub done: bool,
     /// Whether the actor's `round` callback is a guaranteed no-op while
-    /// its inbox is empty (the [`Scheduling::ActiveSet`] skip rule).
+    /// its inbox is empty (the [`Scheduling::ActiveSet`] skip rule). A
+    /// skippable actor with an empty inbox sleeps until mail arrives,
+    /// done or not, so both verdicts must stay fixed while its state
+    /// is frozen (see the crate docs).
     pub skippable: bool,
 }
 
