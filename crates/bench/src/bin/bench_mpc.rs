@@ -2,13 +2,15 @@
 //!
 //! Runs the CONGEST-to-MPC adapter and the native ruling set on two
 //! pinned seeded instances (a uniform `connected_gnm` and a heavy-tailed
-//! `barabasi_albert`), sweeping the MPC engine over thread counts
-//! {1, 2, 4, 8}, then:
+//! `barabasi_albert`), and Theorem 1's full pipeline through the adapter
+//! on a half-size `connected_gnm`, sweeping the MPC engine over thread
+//! counts {1, 2, 4, 8}, then:
 //!
 //! * verifies every engine run of the adapter reproduced the sequential
-//!   CONGEST engine **bit-identically** (outputs and metrics) and every
-//!   engine run of the native ruling set matched its sequential oracle —
-//!   exit code 1 on any divergence (this is CI's correctness gate),
+//!   CONGEST engine **bit-identically** (outputs and metrics; for
+//!   Theorem 1 the cover and both phases' metrics) and every engine run
+//!   of the native ruling set matched its sequential oracle — exit code
+//!   1 on any divergence (this is CI's correctness gate),
 //! * verifies the enforced budgets were respected (`peak_memory_words`
 //!   and `peak_round_io_words` at most `S` — the engine would have
 //!   errored otherwise),
@@ -25,6 +27,8 @@ use pga_bench::harness::{
 };
 use pga_congest::primitives::FloodMax;
 use pga_congest::{ProbeMode, RunConfig, Simulator};
+use pga_core::mpc::g2_mvc_congest_mpc_cfg;
+use pga_core::mvc::congest::{g2_mvc_congest_cfg, LocalSolver};
 use pga_graph::{generators, Graph, NodeId};
 use pga_mpc::{
     g2_ruling_set_mpc, lex_first_g2_mis, recommended_memory_words,
@@ -44,6 +48,33 @@ fn floodmax_states(n: usize) -> Vec<FloodMax> {
         .collect()
 }
 
+/// Runs `run` on the sequential engine and at every swept thread count,
+/// timing each. Returns the sequential result, the per-engine timings
+/// (`mpc_sequential` first), and whether every parallel result is
+/// `same` as the sequential one.
+fn engine_sweep<R>(
+    run: impl Fn(Engine) -> R,
+    same: impl Fn(&R, &R) -> bool,
+) -> (R, Vec<EngineTiming>, bool) {
+    let (seq, seq_ms) = time_ms(|| run(Engine::Sequential));
+    let mut engines = vec![EngineTiming {
+        engine: "mpc_sequential".into(),
+        threads: 1,
+        wall_ms: seq_ms,
+    }];
+    let mut identical = true;
+    for threads in THREAD_SWEEP {
+        let (par, par_ms) = time_ms(|| run(Engine::Parallel { threads }));
+        identical &= same(&par, &seq);
+        engines.push(EngineTiming {
+            engine: "mpc_parallel".into(),
+            threads,
+            wall_ms: par_ms,
+        });
+    }
+    (seq, engines, identical)
+}
+
 /// FloodMax through the adapter (at every swept thread count) vs the
 /// sequential CONGEST engine.
 fn adapter_workload(name: &str, graph: &str, g: &Graph, seed: u64) -> MpcWorkloadRecord {
@@ -54,36 +85,22 @@ fn adapter_workload(name: &str, graph: &str, g: &Graph, seed: u64) -> MpcWorkloa
             .run_cfg(floodmax_states(n), &RunConfig::new().probe(ProbeMode::Off))
             .expect("congest reference run")
     });
-    let (adapter, mpc_ms) = time_ms(|| {
-        CongestOnMpc::congest(g)
-            .with_memory_words(memory_words)
-            .run_cfg(floodmax_states(n), &RunConfig::new())
-            .expect("adapter run")
-    });
-    let mut identical =
-        adapter.outputs == reference.outputs && adapter.congest == reference.metrics;
-    let mut engines = vec![EngineTiming {
-        engine: "mpc_sequential".into(),
-        threads: 1,
-        wall_ms: mpc_ms,
-    }];
-    for threads in THREAD_SWEEP {
-        let (par, par_ms) = time_ms(|| {
+    let (adapter, engines, sweep_same) = engine_sweep(
+        |engine| {
             CongestOnMpc::congest(g)
                 .with_memory_words(memory_words)
-                .run_cfg(floodmax_states(n), &RunConfig::new().parallel(threads))
-                .expect("parallel adapter run")
-        });
-        identical &= par.outputs == reference.outputs
-            && par.congest == reference.metrics
-            && par.mpc == adapter.mpc
-            && par.machines == adapter.machines;
-        engines.push(EngineTiming {
-            engine: "mpc_parallel".into(),
-            threads,
-            wall_ms: par_ms,
-        });
-    }
+                .run_cfg(floodmax_states(n), &RunConfig::new().engine(engine))
+                .expect("adapter run")
+        },
+        |par, seq| {
+            par.outputs == seq.outputs
+                && par.congest == seq.congest
+                && par.mpc == seq.mpc
+                && par.machines == seq.machines
+        },
+    );
+    let identical =
+        sweep_same && adapter.outputs == reference.outputs && adapter.congest == reference.metrics;
     if !identical {
         eprintln!("DIVERGENCE in workload '{name}':");
         eprintln!("  congest metrics: {}", reference.metrics);
@@ -104,7 +121,61 @@ fn adapter_workload(name: &str, graph: &str, g: &Graph, seed: u64) -> MpcWorkloa
         peak_memory_words: adapter.mpc.peak_memory_words,
         peak_round_io_words: adapter.mpc.peak_round_io_words,
         wall_ms_reference: ref_ms,
-        wall_ms_mpc: mpc_ms,
+        wall_ms_mpc: engines[0].wall_ms,
+        engines,
+        identical,
+    }
+}
+
+/// Theorem 1 (`ε = 0.5`, the 5/3 local solver) through the adapter (at
+/// every swept thread count) vs the same pipeline on the sequential
+/// CONGEST engine: the cover and both phases' metrics must match.
+fn thm1_workload(name: &str, graph: &str, g: &Graph, seed: u64) -> MpcWorkloadRecord {
+    const EPS: f64 = 0.5;
+    let solver = LocalSolver::FiveThirds;
+    let memory_words =
+        recommended_memory_words(g, pga_congest::default_bandwidth_bits(g.num_nodes()));
+    let (reference, ref_ms) = time_ms(|| {
+        g2_mvc_congest_cfg(g, EPS, solver, &RunConfig::new().probe(ProbeMode::Off))
+            .expect("congest reference run")
+    });
+    let (adapter, engines, sweep_same) = engine_sweep(
+        |engine| {
+            let cfg = RunConfig::new().engine(engine);
+            g2_mvc_congest_mpc_cfg(g, EPS, solver, memory_words, &cfg).expect("adapter run")
+        },
+        |par, seq| {
+            par.result.cover == seq.result.cover
+                && par.result.phase1_metrics == seq.result.phase1_metrics
+                && par.result.phase2_metrics == seq.result.phase2_metrics
+                && par.mpc_metrics == seq.mpc_metrics
+                && par.machines == seq.machines
+        },
+    );
+    let identical = sweep_same
+        && adapter.result.cover == reference.cover
+        && adapter.result.phase1_metrics == reference.phase1_metrics
+        && adapter.result.phase2_metrics == reference.phase2_metrics;
+    if !identical {
+        eprintln!("DIVERGENCE in workload '{name}': Theorem 1 through the adapter != CONGEST");
+    }
+    let mpc = &adapter.mpc_metrics;
+    MpcWorkloadRecord {
+        name: name.to_string(),
+        graph: graph.to_string(),
+        n: g.num_nodes(),
+        m: g.num_edges(),
+        seed,
+        memory_words,
+        machines: adapter.machines,
+        congest_rounds: reference.total_rounds(),
+        mpc_rounds: mpc.rounds,
+        mpc_messages: mpc.messages,
+        mpc_words: mpc.words,
+        peak_memory_words: mpc.peak_memory_words,
+        peak_round_io_words: mpc.peak_round_io_words,
+        wall_ms_reference: ref_ms,
+        wall_ms_mpc: engines[0].wall_ms,
         engines,
         identical,
     }
@@ -115,26 +186,11 @@ fn adapter_workload(name: &str, graph: &str, g: &Graph, seed: u64) -> MpcWorkloa
 fn ruling_set_workload(name: &str, graph: &str, g: &Graph, seed: u64) -> MpcWorkloadRecord {
     let memory_words = recommended_ruling_set_memory_words(g);
     let (oracle, ref_ms) = time_ms(|| lex_first_g2_mis(g));
-    let (result, mpc_ms) =
-        time_ms(|| g2_ruling_set_mpc(g, memory_words, Engine::Sequential).expect("ruling set run"));
-    let mut identical = result.in_r == oracle;
-    let mut engines = vec![EngineTiming {
-        engine: "mpc_sequential".into(),
-        threads: 1,
-        wall_ms: mpc_ms,
-    }];
-    for threads in THREAD_SWEEP {
-        let (par, par_ms) = time_ms(|| {
-            g2_ruling_set_mpc(g, memory_words, Engine::Parallel { threads })
-                .expect("parallel ruling set run")
-        });
-        identical &= par.in_r == oracle && par.mpc == result.mpc && par.machines == result.machines;
-        engines.push(EngineTiming {
-            engine: "mpc_parallel".into(),
-            threads,
-            wall_ms: par_ms,
-        });
-    }
+    let (result, engines, sweep_same) = engine_sweep(
+        |engine| g2_ruling_set_mpc(g, memory_words, engine).expect("ruling set run"),
+        |par, seq| par.in_r == seq.in_r && par.mpc == seq.mpc && par.machines == seq.machines,
+    );
+    let identical = sweep_same && result.in_r == oracle;
     if !identical {
         eprintln!("DIVERGENCE in workload '{name}': ruling set != sequential oracle");
     }
@@ -153,7 +209,7 @@ fn ruling_set_workload(name: &str, graph: &str, g: &Graph, seed: u64) -> MpcWork
         peak_memory_words: result.mpc.peak_memory_words,
         peak_round_io_words: result.mpc.peak_round_io_words,
         wall_ms_reference: ref_ms,
-        wall_ms_mpc: mpc_ms,
+        wall_ms_mpc: engines[0].wall_ms,
         engines,
         identical,
     }
@@ -171,19 +227,23 @@ fn main() {
     let m = (n * avg_deg / 2).max(n.saturating_sub(1));
 
     println!(
-        "bench_mpc: pinned instances gnm(n={n}, m={m}) and ba(n={ba_n}, k={ba_k}), seed={seed}, \
-         engine sweep {THREAD_SWEEP:?}"
+        "bench_mpc: pinned instances gnm(n={n}, m={m}), ba(n={ba_n}, k={ba_k}) and \
+         gnm(n={}, m={}), seed={seed}, engine sweep {THREAD_SWEEP:?}",
+        n / 2,
+        m / 2
     );
     let mut rng = StdRng::seed_from_u64(seed);
     let (gnm, gnm_ms) = time_ms(|| generators::connected_gnm(n, m, &mut rng));
     let (ba, ba_ms) = time_ms(|| generators::barabasi_albert(ba_n, ba_k, seed));
-    println!("  graphs generated in {gnm_ms:.0} + {ba_ms:.0} ms");
+    let (half, half_ms) = time_ms(|| generators::connected_gnm(n / 2, m / 2, &mut rng));
+    println!("  graphs generated in {gnm_ms:.0} + {ba_ms:.0} + {half_ms:.0} ms");
 
     let workloads = vec![
         adapter_workload("floodmax_adapter", "connected_gnm", &gnm, seed),
         adapter_workload("floodmax_adapter_ba", "barabasi_albert", &ba, seed),
         ruling_set_workload("ruling_set", "connected_gnm", &gnm, seed),
         ruling_set_workload("ruling_set_ba", "barabasi_albert", &ba, seed),
+        thm1_workload("thm1_adapter", "connected_gnm", &half, seed),
     ];
 
     for w in &workloads {

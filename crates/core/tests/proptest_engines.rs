@@ -11,7 +11,9 @@
 //! disconnected instance (the error path: Phase II's BFS tree requires
 //! connectivity). The entry points that run `GatherScatter` are also
 //! checked across both scheduling policies on the clean, adversary and
-//! ARQ planes, since its nodes sleep while they wait for mail.
+//! ARQ planes, since its nodes sleep while they wait for mail; so are
+//! the MPC-executed pipelines, whose machines sleep while every node
+//! they host waits.
 
 use pga_congest::{FaultSpec, ReliabilitySpec, RunConfig, Scheduling};
 use pga_core::mds::congest_g2::g2_mds_congest_cfg;
@@ -94,6 +96,12 @@ fn mvc_key(
     })
 }
 
+/// The adapter's recommended budget `S` for `g`: small enough on these
+/// instances that the MPC pipelines spread over several machines.
+fn tight_mpc_budget(g: &Graph) -> usize {
+    pga_mpc::recommended_memory_words(g, pga_congest::default_bandwidth_bits(g.num_nodes()))
+}
+
 /// The delivery planes of the scheduling-parity tests: clean, a
 /// drop-and-delay adversary (no recovery, so a run may end at its round
 /// budget), and ARQ with phase deadlines over a lossy adversary whose
@@ -171,6 +179,43 @@ proptest! {
                     .map(|r| (r.cover, r.s_weight, r.r_star_weight, r.phase1_metrics, r.phase2_metrics))
             })?;
         }
+    }
+
+    /// The MPC-executed Theorem 1: scheduling parity of the result, the
+    /// machine count and the full MPC metrics on every plane, and on the
+    /// clean plane the cover and both phases' metrics of the CONGEST
+    /// entry point.
+    #[test]
+    fn g2_mvc_mpc_scheduling_parity(g in arb_instance(), seed in any::<u64>()) {
+        let budget = tight_mpc_budget(&g);
+        let run = |cfg: &RunConfig| {
+            g2_mvc_congest_mpc_cfg(&g, 0.4, LocalSolver::Exact, budget, cfg)
+                .map(|e| (mvc_key(Ok(e.result)).unwrap(), e.machines, e.mpc_metrics))
+        };
+        for plane in parity_planes(seed) {
+            scheduling_parity(&plane, run)?;
+        }
+        let congest = mvc_key(g2_mvc_congest_cfg(&g, 0.4, LocalSolver::Exact, &RunConfig::new()));
+        let on_mpc = run(&RunConfig::new()).map(|(key, _, _)| key);
+        prop_assert_eq!(on_mpc, congest.map_err(pga_mpc::MpcError::Congest));
+    }
+
+    /// The MPC-executed Theorem 28: scheduling parity on every plane,
+    /// and the CONGEST entry point's set and metrics on the clean plane.
+    #[test]
+    fn g2_mds_mpc_scheduling_parity(g in arb_instance(), seed in any::<u64>()) {
+        let budget = tight_mpc_budget(&g);
+        let run = |cfg: &RunConfig| {
+            g2_mds_congest_mpc_cfg(&g, 2, seed, budget, cfg)
+                .map(|e| ((e.result.dominating_set, e.result.metrics), e.machines, e.mpc_metrics))
+        };
+        for plane in parity_planes(seed) {
+            scheduling_parity(&plane, run)?;
+        }
+        let congest = g2_mds_congest_cfg(&g, 2, seed, &RunConfig::new())
+            .map(|r| (r.dominating_set, r.metrics));
+        let on_mpc = run(&RunConfig::new()).map(|(key, _, _)| key);
+        prop_assert_eq!(on_mpc, congest.map_err(pga_mpc::MpcError::Congest));
     }
 
     /// Corollary 10, relay and BMM prep: scheduling parity on every

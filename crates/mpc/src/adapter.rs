@@ -4,14 +4,25 @@
 //! Each machine hosts a contiguous range of vertices together with their
 //! adjacency lists (the standard vertex-partitioned input distribution of
 //! the low-space MPC literature). One MPC round simulates exactly one
-//! CONGEST round: a machine drives every hosted node's
-//! [`Algorithm::round`] callback, validates each outgoing message with
+//! CONGEST round: a machine drives its hosted nodes'
+//! [`Algorithm::round`] callbacks, validates each outgoing message with
 //! the *same* [`pga_congest::check_message`] the CONGEST engines use
 //! (so model violations raise the identical `SimError`, wrapped in
 //! [`MpcError::Congest`]), and routes messages whose destination lives
 //! on another machine through the MPC exchange, batched per destination
 //! machine. Messages between co-hosted vertices stay machine-local and
 //! cost no MPC communication.
+//!
+//! Scheduling follows the run's [`Scheduling`] policy at both levels.
+//! Under [`Scheduling::ActiveSet`] a stepped machine skips each hosted
+//! node with an empty inbox that reports [`Algorithm::can_skip`], so it
+//! steps exactly the nodes the CONGEST active set would. A machine with
+//! no machine-local mail in flight whose hosted nodes all report
+//! `can_skip` reports [`Machine::can_skip`] itself, and the MPC kernel
+//! lets it sleep until a batch arrives. A shard keeps its congestion
+//! profile by round number, so the rounds it sleeps through read 0.
+//! [`Scheduling::FullSweep`] steps every machine and every hosted node
+//! every round.
 //!
 //! The adapter is **bit-identical** to `Simulator::run_cfg`: same per-node
 //! outputs, same CONGEST [`Metrics`] (messages, bits, per-round
@@ -24,7 +35,8 @@
 use crate::engine::{Machine, MachineId, MpcCtx, MpcError, MpcSimulator, WordSize};
 use crate::metrics::MpcMetrics;
 use pga_congest::{
-    check_message, id_bits, Algorithm, Ctx, Metrics, NoopProbe, RunConfig, SendCheck, Topology,
+    check_message, id_bits, Algorithm, Ctx, Metrics, NoopProbe, RunConfig, Scheduling, SendCheck,
+    Topology,
 };
 use pga_graph::{Graph, NodeId};
 use std::sync::Arc;
@@ -83,6 +95,11 @@ pub struct CongestShard<'g, A: Algorithm> {
     adjacency_words: usize,
     /// The duplicate-destination check, reused by every hosted vertex.
     send: SendCheck,
+    /// Each hosted node's mail for the coming CONGEST round; the
+    /// buffers keep their capacity across rounds.
+    inboxes: Vec<Vec<(NodeId, A::Msg)>>,
+    /// The run's policy: whether idle hosted nodes are skipped.
+    scheduling: Scheduling,
 }
 
 impl<'g, A: Algorithm> CongestShard<'g, A> {
@@ -123,35 +140,39 @@ impl<A: Algorithm> Machine for CongestShard<'_, A> {
         // 1. Deliver: remote batches plus carried-over local messages
         //    into per-node inboxes, sorted by sender (the CONGEST
         //    contract).
-        let mut node_inboxes: Vec<Vec<(NodeId, A::Msg)>> =
-            (0..self.hosted()).map(|_| Vec::new()).collect();
         let mut handed = self.local_next.len();
         for (_, batch) in inbox {
             handed += batch.entries.len();
             for (from, to, msg) in &batch.entries {
-                node_inboxes[to.index() - self.lo].push((*from, msg.clone()));
+                self.inboxes[to.index() - self.lo].push((*from, msg.clone()));
             }
         }
         for (from, to, msg) in self.local_next.drain(..) {
-            node_inboxes[to.index() - self.lo].push((from, msg));
+            self.inboxes[to.index() - self.lo].push((from, msg));
         }
         self.metrics.fault.delivered += handed as u64;
         self.local_words = 0;
-        for ib in &mut node_inboxes {
-            ib.sort_by_key(|&(from, _)| from);
-        }
 
-        // 2. Execute one CONGEST round for every hosted node, in id
-        //    order, enforcing the CONGEST model with the engines' own
-        //    check and bucketing cross-machine messages by destination.
+        // 2. Execute one CONGEST round for every hosted node the policy
+        //    steps, in id order, enforcing the CONGEST model with the
+        //    engines' own check and bucketing cross-machine messages by
+        //    destination. Under the active set a node with no mail that
+        //    may skip is left alone, exactly as the CONGEST kernel
+        //    leaves it.
+        let skip_idle = self.scheduling == Scheduling::ActiveSet;
         let mut buckets: crate::util::SparseBuckets<(NodeId, NodeId, A::Msg)> =
             crate::util::SparseBuckets::new();
         let mut round_peak = 0usize;
         let msgs_before = self.metrics.messages;
-        for (k, node_inbox) in node_inboxes.iter_mut().enumerate() {
+        for k in 0..self.hosted() {
             let cctx = self.congest_ctx(k, ctx.round);
-            let inbox = std::mem::take(node_inbox);
-            let outbox = self.nodes[k].round(&cctx, &inbox);
+            let node_inbox = &mut self.inboxes[k];
+            if skip_idle && node_inbox.is_empty() && self.nodes[k].can_skip(&cctx) {
+                continue;
+            }
+            node_inbox.sort_by_key(|&(from, _)| from);
+            let outbox = self.nodes[k].round(&cctx, node_inbox);
+            node_inbox.clear();
             if !outbox.is_empty() {
                 self.send.begin();
             }
@@ -171,8 +192,11 @@ impl<A: Algorithm> Machine for CongestShard<'_, A> {
                 }
             }
         }
-        self.metrics.rounds += 1;
-        self.metrics.congestion_profile.push(round_peak);
+        // The profile is indexed by round: rounds this machine slept
+        // through carried no message of its own.
+        let profile = &mut self.metrics.congestion_profile;
+        profile.resize(ctx.round, 0);
+        profile.push(round_peak);
         if self.metrics.messages > msgs_before {
             // Mirrors the kernel's quiescence detector: mail staged in
             // CONGEST round r is consumed in round r + 1, so the plane
@@ -202,22 +226,36 @@ impl<A: Algorithm> Machine for CongestShard<'_, A> {
                 .all(|(k, node)| node.is_done(&self.congest_ctx(k, ctx.round)))
     }
 
-    fn can_skip(&self, _ctx: &MpcCtx) -> bool {
-        // Every invocation advances the simulated CONGEST round for the
-        // hosted nodes and accounts it in the shard's `Metrics`, so a
-        // skipped call would desynchronize this shard's round count from
-        // machines that kept running. Never skippable.
-        false
+    fn can_skip(&self, ctx: &MpcCtx) -> bool {
+        // With no machine-local mail in flight and every hosted node
+        // waiting, a call with an empty inbox would step no node: the
+        // shard's accounting is by round number, so skipping it changes
+        // nothing. Each node's verdict ignores `ctx.round` by its own
+        // contract, so this one does too.
+        self.local_next.is_empty()
+            && self
+                .nodes
+                .iter()
+                .enumerate()
+                .all(|(k, node)| node.can_skip(&self.congest_ctx(k, ctx.round)))
     }
 
     fn output(&self, ctx: &MpcCtx) -> (Vec<A::Output>, Metrics) {
+        // `ctx.round` is the number of rounds the run stepped, whether
+        // or not this machine was stepped in the last of them. The
+        // profile stops at the last round it was stepped in; the merge
+        // pads it.
+        let metrics = Metrics {
+            rounds: ctx.round,
+            ..self.metrics.clone()
+        };
         (
             self.nodes
                 .iter()
                 .enumerate()
                 .map(|(k, node)| node.output(&self.congest_ctx(k, ctx.round)))
                 .collect(),
-            self.metrics.clone(),
+            metrics,
         )
     }
 }
@@ -410,6 +448,7 @@ impl<'g> CongestOnMpc<'g> {
         for k in (0..num_machines).rev() {
             let (lo, hi) = (starts[k], starts[k + 1]);
             let hosted: Vec<A> = nodes.split_off(lo);
+            let inboxes = (lo..hi).map(|_| Vec::new()).collect();
             machines.push(CongestShard {
                 g: self.g,
                 lo,
@@ -422,6 +461,8 @@ impl<'g> CongestOnMpc<'g> {
                 metrics: Metrics::default(),
                 adjacency_words: (lo..hi).map(|v| self.g.degree(NodeId::from_index(v))).sum(),
                 send: SendCheck::default(),
+                inboxes,
+                scheduling: cfg.scheduling,
             });
         }
         machines.reverse();
@@ -437,12 +478,9 @@ impl<'g> CongestOnMpc<'g> {
             congest.messages += shard_metrics.messages;
             congest.bits += shard_metrics.bits;
             congest.max_message_bits = congest.max_message_bits.max(shard_metrics.max_message_bits);
-            congest.rounds = congest.rounds.max(shard_metrics.rounds);
-            if congest.congestion_profile.len() < shard_metrics.congestion_profile.len() {
-                congest
-                    .congestion_profile
-                    .resize(shard_metrics.congestion_profile.len(), 0);
-            }
+            // Every shard reports the run's round count.
+            congest.rounds = shard_metrics.rounds;
+            congest.congestion_profile.resize(shard_metrics.rounds, 0);
             for (slot, &peak) in congest
                 .congestion_profile
                 .iter_mut()
@@ -705,7 +743,55 @@ mod tests {
             metrics: Metrics::default(),
             adjacency_words: (lo..hi).map(|v| g.degree(NodeId::from_index(v))).sum(),
             send: SendCheck::default(),
+            inboxes: (lo..hi).map(|_| Vec::new()).collect(),
+            scheduling: Scheduling::ActiveSet,
         }
+    }
+
+    #[test]
+    fn shard_sleeps_only_when_every_node_waits_and_no_local_mail_is_in_flight() {
+        use pga_congest::MsgSize;
+        #[derive(Clone)]
+        struct Ping;
+        impl MsgSize for Ping {
+            fn size_bits(&self, _id_bits: usize) -> usize {
+                1
+            }
+        }
+        /// Never done; waits for mail unless `busy`.
+        struct Waiter {
+            busy: bool,
+        }
+        impl Algorithm for Waiter {
+            type Msg = Ping;
+            type Output = ();
+            fn round(&mut self, _ctx: &Ctx, _inbox: &[(NodeId, Ping)]) -> Vec<(NodeId, Ping)> {
+                Vec::new()
+            }
+            fn is_done(&self, _ctx: &Ctx) -> bool {
+                false
+            }
+            fn can_skip(&self, _ctx: &Ctx) -> bool {
+                !self.busy
+            }
+            fn output(&self, _ctx: &Ctx) {}
+        }
+        let g = generators::path(4);
+        let starts = Arc::new(vec![0, 4]);
+        let waiters = |busy: [bool; 4]| busy.map(|busy| Waiter { busy }).into();
+        let ctx = MpcCtx {
+            id: MachineId(0),
+            machines: 1,
+            round: 3,
+            memory_words: 512,
+        };
+        let mut shard = raw_shard(&g, 0, waiters([false; 4]), &starts, 64);
+        assert!(shard.can_skip(&ctx));
+        assert!(!shard.is_done(&ctx));
+        shard.local_next.push((NodeId(1), NodeId(2), Ping));
+        assert!(!shard.can_skip(&ctx), "machine-local mail is in flight");
+        let busy = raw_shard(&g, 0, waiters([false, false, true, false]), &starts, 64);
+        assert!(!busy.can_skip(&ctx), "one hosted node must be stepped");
     }
 
     #[test]

@@ -164,11 +164,15 @@ pub trait Machine {
     /// A machine that is not done may report `true` while it only waits
     /// for mail: it sleeps until a message arrives and keeps the run
     /// open meanwhile. One that must act on the clock alone must report
-    /// `false` until done. The default (`is_done`) satisfies the
-    /// contract for plain state machines that go quiet once finished;
-    /// programs whose `round` has residual per-cycle side effects
-    /// (ghost-table resets, internal clocks) override this to return
-    /// `false` and are then simply never skipped.
+    /// `false` until done. A machine that hosts other state machines
+    /// (the CONGEST adapter's shard) may report `true` when none of them
+    /// would act; it must then keep any per-round accounting by
+    /// `ctx.round` rather than by counting its own calls. The default
+    /// (`is_done`) satisfies the contract for plain state machines that
+    /// go quiet once finished; programs whose `round` has residual
+    /// per-cycle side effects (the ruling set's ghost-table resets)
+    /// override this to return `false` and are then simply never
+    /// skipped.
     fn can_skip(&self, ctx: &MpcCtx) -> bool {
         self.is_done(ctx)
     }
