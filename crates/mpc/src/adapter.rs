@@ -13,14 +13,24 @@
 //! machine. Messages between co-hosted vertices stay machine-local and
 //! cost no MPC communication.
 //!
+//! Routing costs one cheap hop per message. A `vertex → machine` owner
+//! table, built once per run and shared by every machine, names a
+//! destination's machine with one read. Cross-machine messages go to a
+//! per-machine staging buffer, reused across rounds, which is
+//! stable-sorted by destination after the hosted nodes step and cut into
+//! ascending-destination [`RoutedBatch`]es. A batch keeps its first entry
+//! inline, so the usual one-entry batch costs no heap allocation.
+//!
 //! Scheduling follows the run's [`Scheduling`] policy at both levels.
 //! Under [`Scheduling::ActiveSet`] a stepped machine skips each hosted
 //! node with an empty inbox that reports [`Algorithm::can_skip`], so it
 //! steps exactly the nodes the CONGEST active set would. A machine with
 //! no machine-local mail in flight whose hosted nodes all report
 //! `can_skip` reports [`Machine::can_skip`] itself, and the MPC kernel
-//! lets it sleep until a batch arrives. A shard keeps its congestion
-//! profile by round number, so the rounds it sleeps through read 0.
+//! lets it sleep until a batch arrives. A shard records its congestion
+//! profile as sparse `(round, peak)` pairs, one for each round in which
+//! it sent, and the driver merges them into the dense per-round profile
+//! once; the rounds a shard sleeps through cost it nothing.
 //! [`Scheduling::FullSweep`] steps every machine and every hosted node
 //! every round.
 //!
@@ -34,6 +44,7 @@
 
 use crate::engine::{Machine, MachineId, MpcCtx, MpcError, MpcSimulator, WordSize};
 use crate::metrics::MpcMetrics;
+use crate::util::{cut_batches, owner_table};
 use pga_congest::{
     check_message, id_bits, Algorithm, Ctx, Metrics, NoopProbe, RunConfig, Scheduling, SendCheck,
     Topology,
@@ -45,14 +56,39 @@ use std::sync::Arc;
 /// algorithm state itself (inbox cursors, done flags, ...).
 const NODE_OVERHEAD_WORDS: usize = 4;
 
+/// One routed CONGEST message: `(from, to, payload)`.
+type Routed<M> = (NodeId, NodeId, M);
+
+/// A cross-machine message awaiting batching: `(destination machine,
+/// (words, message))`.
+type Staged<M> = (MachineId, (usize, Routed<M>));
+
+/// What a [`CongestShard`] reports: its hosted nodes' outputs, its
+/// share of the metrics (with an empty congestion profile) and its
+/// sparse `(round, peak)` congestion profile.
+type ShardOutput<O> = (Vec<O>, Metrics, Vec<(usize, usize)>);
+
 /// A batch of routed CONGEST messages traveling between two machines in
 /// one MPC round: `(from, to, payload)` triples in ascending sender
 /// order, with the total word size precomputed at send time (word
 /// accounting needs `id_bits`, which only the sender knows).
+///
+/// The first entry is stored inline and the others in `rest`, which
+/// stays unallocated for a one-entry batch: with a vertex or two per
+/// machine most batches carry a single message, and such a batch costs
+/// no heap allocation to build and no pointer chase to deliver.
 #[derive(Clone)]
 pub struct RoutedBatch<M> {
-    entries: Vec<(NodeId, NodeId, M)>,
+    first: Routed<M>,
+    rest: Vec<Routed<M>>,
     words: usize,
+}
+
+impl<M> RoutedBatch<M> {
+    /// The entries in sender order.
+    fn entries(&self) -> impl Iterator<Item = &Routed<M>> {
+        std::iter::once(&self.first).chain(&self.rest)
+    }
 }
 
 impl<M> WordSize for RoutedBatch<M> {
@@ -78,19 +114,26 @@ pub struct CongestShard<'g, A: Algorithm> {
     /// First hosted vertex index.
     lo: usize,
     nodes: Vec<A>,
-    /// Machine `k` hosts vertices `starts[k]..starts[k + 1]`; shared so
-    /// every machine routes by destination with one binary search.
-    starts: Arc<Vec<usize>>,
+    /// The machine hosting each vertex, indexed by vertex; one table per
+    /// run, shared by every machine.
+    owner: Arc<[MachineId]>,
     topology: Topology,
     bandwidth_bits: usize,
     /// CONGEST messages between co-hosted vertices, carried to the next
     /// round without touching the MPC exchange.
-    local_next: Vec<(NodeId, NodeId, A::Msg)>,
+    local_next: Vec<Routed<A::Msg>>,
     /// Word size of `local_next` (counted toward machine memory).
     local_words: usize,
-    /// This machine's share of the CONGEST-level metrics; its
-    /// `fault.delivered` counts the messages handed to hosted nodes.
+    /// This round's cross-machine messages in send order; emptied into
+    /// batches at the end of every round and reused.
+    staged: Vec<Staged<A::Msg>>,
+    /// This machine's share of the CONGEST-level metrics, without the
+    /// congestion profile; its `fault.delivered` counts the messages
+    /// handed to hosted nodes.
     metrics: Metrics,
+    /// The congestion profile as `(round, peak bits)`, one pair for each
+    /// round in which a hosted node sent.
+    profile: Vec<(usize, usize)>,
     /// Cached `Σ deg(v)` over hosted vertices.
     adjacency_words: usize,
     /// The duplicate-destination check, reused by every hosted vertex.
@@ -103,6 +146,34 @@ pub struct CongestShard<'g, A: Algorithm> {
 }
 
 impl<'g, A: Algorithm> CongestShard<'g, A> {
+    /// A machine hosting `nodes` as vertices `lo..lo + nodes.len()`.
+    fn new(
+        on: &CongestOnMpc<'g>,
+        lo: usize,
+        nodes: Vec<A>,
+        owner: &Arc<[MachineId]>,
+        scheduling: Scheduling,
+    ) -> Self {
+        let hi = lo + nodes.len();
+        CongestShard {
+            g: on.g,
+            lo,
+            inboxes: nodes.iter().map(|_| Vec::new()).collect(),
+            nodes,
+            owner: Arc::clone(owner),
+            topology: on.topology,
+            bandwidth_bits: on.bandwidth_bits,
+            local_next: Vec::new(),
+            local_words: 0,
+            staged: Vec::new(),
+            metrics: Metrics::default(),
+            profile: Vec::new(),
+            adjacency_words: (lo..hi).map(|v| on.g.degree(NodeId::from_index(v))).sum(),
+            send: SendCheck::default(),
+            scheduling,
+        }
+    }
+
     fn hosted(&self) -> usize {
         self.nodes.len()
     }
@@ -119,18 +190,11 @@ impl<'g, A: Algorithm> CongestShard<'g, A> {
             bandwidth_bits: self.bandwidth_bits,
         }
     }
-
-    /// The machine hosting vertex `v`.
-    fn machine_of(&self, v: NodeId) -> usize {
-        // starts is sorted; the owner is the last range starting at or
-        // before v.
-        self.starts.partition_point(|&s| s <= v.index()) - 1
-    }
 }
 
 impl<A: Algorithm> Machine for CongestShard<'_, A> {
     type Msg = RoutedBatch<A::Msg>;
-    type Output = (Vec<A::Output>, Metrics);
+    type Output = ShardOutput<A::Output>;
 
     fn round(
         &mut self,
@@ -142,8 +206,8 @@ impl<A: Algorithm> Machine for CongestShard<'_, A> {
         //    contract).
         let mut handed = self.local_next.len();
         for (_, batch) in inbox {
-            handed += batch.entries.len();
-            for (from, to, msg) in &batch.entries {
+            handed += 1 + batch.rest.len();
+            for (from, to, msg) in batch.entries() {
                 self.inboxes[to.index() - self.lo].push((*from, msg.clone()));
             }
         }
@@ -155,13 +219,10 @@ impl<A: Algorithm> Machine for CongestShard<'_, A> {
 
         // 2. Execute one CONGEST round for every hosted node the policy
         //    steps, in id order, enforcing the CONGEST model with the
-        //    engines' own check and bucketing cross-machine messages by
-        //    destination. Under the active set a node with no mail that
-        //    may skip is left alone, exactly as the CONGEST kernel
-        //    leaves it.
+        //    engines' own check and staging cross-machine messages. Under
+        //    the active set a node with no mail that may skip is left
+        //    alone, exactly as the CONGEST kernel leaves it.
         let skip_idle = self.scheduling == Scheduling::ActiveSet;
-        let mut buckets: crate::util::SparseBuckets<(NodeId, NodeId, A::Msg)> =
-            crate::util::SparseBuckets::new();
         let mut round_peak = 0usize;
         let msgs_before = self.metrics.messages;
         for k in 0..self.hosted() {
@@ -183,32 +244,39 @@ impl<A: Algorithm> Machine for CongestShard<'_, A> {
                 self.metrics.bits += bits as u64;
                 self.metrics.max_message_bits = self.metrics.max_message_bits.max(bits);
                 round_peak = round_peak.max(bits);
-                let dest = self.machine_of(to);
-                if dest == ctx.id.index() {
-                    self.local_words += entry_words(bits);
+                let words = entry_words(bits);
+                let dest = self.owner[to.index()];
+                if dest == ctx.id {
+                    self.local_words += words;
                     self.local_next.push((cctx.id, to, msg));
                 } else {
-                    buckets.add(dest, (cctx.id, to, msg), entry_words(bits));
+                    self.staged.push((dest, (words, (cctx.id, to, msg))));
                 }
             }
         }
-        // The profile is indexed by round: rounds this machine slept
-        // through carried no message of its own.
-        let profile = &mut self.metrics.congestion_profile;
-        profile.resize(ctx.round, 0);
-        profile.push(round_peak);
         if self.metrics.messages > msgs_before {
+            // A round without sends peaks at 0, which the merged
+            // profile's padding already reads.
+            self.profile.push((ctx.round, round_peak));
             // Mirrors the kernel's quiescence detector: mail staged in
             // CONGEST round r is consumed in round r + 1, so the plane
             // can only be quiet from r + 2 on.
             self.metrics.convergence_round = ctx.round + 2;
         }
 
-        Ok(buckets
-            .into_sorted()
-            .into_iter()
-            .map(|(j, entries, words)| (MachineId::from_index(j), RoutedBatch { entries, words }))
-            .collect())
+        // 3. Batch: the stable sort keeps each batch in sender order.
+        Ok(cut_batches(
+            &mut self.staged,
+            |(words, first)| RoutedBatch {
+                first,
+                rest: Vec::new(),
+                words,
+            },
+            |batch, (words, entry)| {
+                batch.rest.push(entry);
+                batch.words += words;
+            },
+        ))
     }
 
     fn memory_words(&self) -> usize {
@@ -240,11 +308,9 @@ impl<A: Algorithm> Machine for CongestShard<'_, A> {
                 .all(|(k, node)| node.can_skip(&self.congest_ctx(k, ctx.round)))
     }
 
-    fn output(&self, ctx: &MpcCtx) -> (Vec<A::Output>, Metrics) {
+    fn output(&self, ctx: &MpcCtx) -> Self::Output {
         // `ctx.round` is the number of rounds the run stepped, whether
-        // or not this machine was stepped in the last of them. The
-        // profile stops at the last round it was stepped in; the merge
-        // pads it.
+        // or not this machine was stepped in the last of them.
         let metrics = Metrics {
             rounds: ctx.round,
             ..self.metrics.clone()
@@ -256,6 +322,7 @@ impl<A: Algorithm> Machine for CongestShard<'_, A> {
                 .map(|(k, node)| node.output(&self.congest_ctx(k, ctx.round)))
                 .collect(),
             metrics,
+            self.profile.clone(),
         )
     }
 }
@@ -440,59 +507,12 @@ impl<'g> CongestOnMpc<'g> {
     {
         let n = self.g.num_nodes();
         assert_eq!(nodes.len(), n, "one algorithm state per vertex required");
-        let starts = Arc::new(self.partition(std::mem::size_of::<A>().div_ceil(8))?);
-        let num_machines = starts.len() - 1;
-
-        let mut nodes = nodes;
-        let mut machines: Vec<CongestShard<'_, A>> = Vec::with_capacity(num_machines);
-        for k in (0..num_machines).rev() {
-            let (lo, hi) = (starts[k], starts[k + 1]);
-            let hosted: Vec<A> = nodes.split_off(lo);
-            let inboxes = (lo..hi).map(|_| Vec::new()).collect();
-            machines.push(CongestShard {
-                g: self.g,
-                lo,
-                nodes: hosted,
-                starts: Arc::clone(&starts),
-                topology: self.topology,
-                bandwidth_bits: self.bandwidth_bits,
-                local_next: Vec::new(),
-                local_words: 0,
-                metrics: Metrics::default(),
-                adjacency_words: (lo..hi).map(|v| self.g.degree(NodeId::from_index(v))).sum(),
-                send: SendCheck::default(),
-                inboxes,
-                scheduling: cfg.scheduling,
-            });
-        }
-        machines.reverse();
-
+        let machines = self.shards(nodes, cfg.scheduling)?;
+        let num_machines = machines.len();
         let report = MpcSimulator::new(self.memory_words)
             .with_max_rounds(self.max_rounds)
             .run_cfg_probed(machines, cfg, &NoopProbe)?;
-
-        let mut outputs = Vec::with_capacity(n);
-        let mut congest = Metrics::default();
-        for (shard_outputs, shard_metrics) in report.outputs {
-            outputs.extend(shard_outputs);
-            congest.messages += shard_metrics.messages;
-            congest.bits += shard_metrics.bits;
-            congest.max_message_bits = congest.max_message_bits.max(shard_metrics.max_message_bits);
-            // Every shard reports the run's round count.
-            congest.rounds = shard_metrics.rounds;
-            congest.congestion_profile.resize(shard_metrics.rounds, 0);
-            for (slot, &peak) in congest
-                .congestion_profile
-                .iter_mut()
-                .zip(&shard_metrics.congestion_profile)
-            {
-                *slot = (*slot).max(peak);
-            }
-            congest.convergence_round = congest
-                .convergence_round
-                .max(shard_metrics.convergence_round);
-            congest.fault.delivered += shard_metrics.fault.delivered;
-        }
+        let (outputs, congest) = merge_shards(report.outputs);
         Ok(AdapterReport {
             outputs,
             congest,
@@ -500,6 +520,54 @@ impl<'g> CongestOnMpc<'g> {
             machines: num_machines,
         })
     }
+
+    /// One [`CongestShard`] per machine of the partition, hosting
+    /// `nodes` in id order.
+    fn shards<A: Algorithm>(
+        &self,
+        mut nodes: Vec<A>,
+        scheduling: Scheduling,
+    ) -> Result<Vec<CongestShard<'g, A>>, MpcError> {
+        let starts = self.partition(std::mem::size_of::<A>().div_ceil(8))?;
+        let owner = owner_table(&starts);
+        let mut machines: Vec<CongestShard<'g, A>> = starts
+            .windows(2)
+            .rev()
+            .map(|w| {
+                let hosted = nodes.split_off(w[0]);
+                CongestShard::new(self, w[0], hosted, &owner, scheduling)
+            })
+            .collect();
+        machines.reverse();
+        Ok(machines)
+    }
+}
+
+/// Merges the shards' outputs, in machine order, into per-node outputs
+/// and the run's CONGEST [`Metrics`]: counters add, maxima take the
+/// maximum, and the sparse `(round, peak)` profiles fold into the dense
+/// per-round congestion profile.
+fn merge_shards<O>(shards: Vec<ShardOutput<O>>) -> (Vec<O>, Metrics) {
+    let mut outputs = Vec::new();
+    let mut congest = Metrics::default();
+    for (shard_outputs, shard_metrics, profile) in shards {
+        outputs.extend(shard_outputs);
+        congest.messages += shard_metrics.messages;
+        congest.bits += shard_metrics.bits;
+        congest.max_message_bits = congest.max_message_bits.max(shard_metrics.max_message_bits);
+        // Every shard reports the run's round count.
+        congest.rounds = shard_metrics.rounds;
+        congest.congestion_profile.resize(shard_metrics.rounds, 0);
+        for (round, peak) in profile {
+            let slot = &mut congest.congestion_profile[round];
+            *slot = (*slot).max(peak);
+        }
+        congest.convergence_round = congest
+            .convergence_round
+            .max(shard_metrics.convergence_round);
+        congest.fault.delivered += shard_metrics.fault.delivered;
+    }
+    (outputs, congest)
 }
 
 #[cfg(test)]
@@ -722,30 +790,23 @@ mod tests {
     }
 
     /// Builds a shard by hand (bypassing the partitioner, whose headroom
-    /// reservation exists precisely to keep honest runs within budget).
+    /// reservation exists precisely to keep honest runs within budget):
+    /// machine `k` hosts `starts[k]..starts[k + 1]`.
     fn raw_shard<'a, A: Algorithm>(
         g: &'a Graph,
         lo: usize,
         nodes: Vec<A>,
-        starts: &Arc<Vec<usize>>,
+        starts: &[usize],
         bandwidth_bits: usize,
     ) -> CongestShard<'a, A> {
-        let hi = lo + nodes.len();
-        CongestShard {
-            g,
+        let on_mpc = CongestOnMpc::congest(g).with_bandwidth_bits(bandwidth_bits);
+        CongestShard::new(
+            &on_mpc,
             lo,
             nodes,
-            starts: Arc::clone(starts),
-            topology: Topology::Congest,
-            bandwidth_bits,
-            local_next: Vec::new(),
-            local_words: 0,
-            metrics: Metrics::default(),
-            adjacency_words: (lo..hi).map(|v| g.degree(NodeId::from_index(v))).sum(),
-            send: SendCheck::default(),
-            inboxes: (lo..hi).map(|_| Vec::new()).collect(),
-            scheduling: Scheduling::ActiveSet,
-        }
+            &owner_table(starts),
+            Scheduling::ActiveSet,
+        )
     }
 
     #[test]
@@ -777,7 +838,7 @@ mod tests {
             fn output(&self, _ctx: &Ctx) {}
         }
         let g = generators::path(4);
-        let starts = Arc::new(vec![0, 4]);
+        let starts = [0, 4];
         let waiters = |busy: [bool; 4]| busy.map(|busy| Waiter { busy }).into();
         let ctx = MpcCtx {
             id: MachineId(0),
@@ -794,12 +855,156 @@ mod tests {
         assert!(!busy.can_skip(&ctx), "one hosted node must be stepped");
     }
 
+    /// A one-bit message.
+    #[derive(Clone)]
+    struct Bit;
+    impl pga_congest::MsgSize for Bit {
+        fn size_bits(&self, _id_bits: usize) -> usize {
+            1
+        }
+    }
+
+    /// Sends a [`Bit`] to each of `to`, in that order, in round `at`;
+    /// never done, so never skipped.
+    struct Scripted {
+        at: usize,
+        to: Vec<NodeId>,
+    }
+    impl Scripted {
+        fn new(at: usize, to: &[u32]) -> Self {
+            let to = to.iter().map(|&v| NodeId(v)).collect();
+            Scripted { at, to }
+        }
+    }
+    impl Algorithm for Scripted {
+        type Msg = Bit;
+        type Output = ();
+        fn round(&mut self, ctx: &Ctx, _inbox: &[(NodeId, Bit)]) -> Vec<(NodeId, Bit)> {
+            if ctx.round == self.at {
+                self.to.iter().map(|&v| (v, Bit)).collect()
+            } else {
+                Vec::new()
+            }
+        }
+        fn is_done(&self, _ctx: &Ctx) -> bool {
+            false
+        }
+        fn output(&self, _ctx: &Ctx) {}
+    }
+
+    fn machine_ctx(id: u32, machines: usize, round: usize) -> MpcCtx {
+        MpcCtx {
+            id: MachineId(id),
+            machines,
+            round,
+            memory_words: 512,
+        }
+    }
+
+    #[test]
+    fn batches_ascend_by_destination_in_sender_order() {
+        // Machine 0 hosts {0, 1}, machine 1 hosts {2, 3}, machine 2 {4}.
+        // Node 0 sends to machine 2, machine 1 (twice) and co-hosted 1,
+        // out of destination order; node 1 then sends to machine 1.
+        let g = Graph::from_edges(5, &[(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)]);
+        let nodes = vec![Scripted::new(0, &[4, 3, 1, 2]), Scripted::new(0, &[2])];
+        let mut shard = raw_shard(&g, 0, nodes, &[0, 2, 4, 5], 64);
+        let batches = shard.round(&machine_ctx(0, 3, 0), &[]).unwrap();
+        let dests: Vec<MachineId> = batches.iter().map(|&(m, _)| m).collect();
+        assert_eq!(dests, [MachineId(1), MachineId(2)]);
+        let pairs = |b: &RoutedBatch<Bit>| -> Vec<(u32, u32)> {
+            b.entries().map(|&(from, to, _)| (from.0, to.0)).collect()
+        };
+        let (multi, single) = (&batches[0].1, &batches[1].1);
+        assert_eq!(pairs(multi), [(0, 3), (0, 2), (1, 2)]);
+        assert_eq!(pairs(single), [(0, 4)]);
+        assert_eq!(multi.words, 3 * entry_words(1));
+        assert_eq!(single.words, entry_words(1));
+        // The two shapes: a multi-entry batch spills into `rest`, a
+        // one-entry batch leaves it unallocated.
+        assert_eq!(multi.rest.len(), 2);
+        assert_eq!(single.rest.capacity(), 0);
+        // The co-hosted message stays on the machine.
+        let local: Vec<(u32, u32)> = shard
+            .local_next
+            .iter()
+            .map(|&(from, to, _)| (from.0, to.0))
+            .collect();
+        assert_eq!(local, [(0, 1)]);
+        assert_eq!(shard.local_words, entry_words(1));
+        assert!(shard.staged.is_empty());
+    }
+
+    #[test]
+    fn sparse_profile_grows_only_in_rounds_the_shard_sent_in() {
+        let g = generators::path(2);
+        let nodes = vec![Scripted::new(5, &[1]), Scripted::new(5, &[])];
+        let mut shard = raw_shard(&g, 0, nodes, &[0, 2], 64);
+        for round in [0, 5, 9] {
+            let sent = shard.round(&machine_ctx(0, 1, round), &[]).unwrap();
+            assert!(sent.is_empty(), "the only message is machine-local");
+        }
+        assert_eq!(shard.profile, [(5, 1)]);
+        let (_, metrics, profile) = shard.output(&machine_ctx(0, 1, 10));
+        assert_eq!(profile, [(5, 1)]);
+        assert!(metrics.congestion_profile.is_empty());
+        assert_eq!((metrics.messages, metrics.fault.delivered), (1, 1));
+    }
+
+    #[test]
+    fn merged_profile_equals_the_congest_engine_while_machines_sleep() {
+        use pga_congest::primitives::{GatherScatter, LeaderCompute, SizedU64};
+        type Gs = GatherScatter<SizedU64, SizedU64>;
+        // One item travels from the far end of a path to the root and
+        // back: a few vertices are busy at a time, so most machines sleep
+        // through most rounds.
+        let n = 48;
+        let g = generators::path(n);
+        let compute: LeaderCompute<SizedU64, SizedU64> = Arc::new(|items| items);
+        let states = || -> Vec<Gs> {
+            (0..n)
+                .map(|i| {
+                    let items = if i == n - 1 {
+                        vec![SizedU64 { value: 7, bits: 16 }]
+                    } else {
+                        Vec::new()
+                    };
+                    GatherScatter::new(items, Arc::clone(&compute))
+                })
+                .collect()
+        };
+        let cfg = RunConfig::new();
+        let reference = Simulator::congest(&g).run_cfg(states(), &cfg).unwrap();
+        let bandwidth = pga_congest::default_bandwidth_bits(n);
+        let state_words = std::mem::size_of::<Gs>().div_ceil(8);
+        let on_mpc = CongestOnMpc::congest(&g)
+            .with_memory_words(2 * adapter_vertex_cost(2, bandwidth, state_words));
+
+        let shards = on_mpc.shards(states(), cfg.scheduling).unwrap();
+        let machines = shards.len();
+        let report = MpcSimulator::new(on_mpc.memory_words())
+            .run_cfg(shards, &cfg)
+            .unwrap();
+        let rounds = reference.metrics.rounds;
+        let records: usize = report.outputs.iter().map(|(_, _, p)| p.len()).sum();
+        assert!(machines >= 16, "{machines} machines");
+        assert!(
+            4 * records < machines * rounds,
+            "{records} profile records over {machines} machines and {rounds} rounds"
+        );
+        let (outputs, congest) = merge_shards(report.outputs);
+        assert_eq!(outputs, reference.outputs);
+        assert_eq!(congest, reference.metrics);
+        let adapter = on_mpc.run_cfg(states(), &cfg).unwrap();
+        assert_eq!(adapter.congest, reference.metrics);
+    }
+
     #[test]
     fn memory_budget_enforced_on_overpacked_shard() {
         // Everything on one machine: the initial memory check rejects the
         // partition with a typed violation before any round runs.
         let g = generators::path(40);
-        let starts = Arc::new(vec![0, 40]);
+        let starts = [0, 40];
         let shard = raw_shard(&g, 0, floodmax_states(40), &starts, 64);
         let err = MpcSimulator::new(64)
             .run_cfg(vec![shard], &RunConfig::new())
@@ -850,7 +1055,7 @@ mod tests {
             fn output(&self, _ctx: &Ctx) {}
         }
         let g = generators::star(20);
-        let starts = Arc::new(vec![0, 1, 20]);
+        let starts = [0, 1, 20];
         let hub = raw_shard(&g, 0, vec![Hub { sent: false }], &starts, 4096);
         let leaves = raw_shard(
             &g,

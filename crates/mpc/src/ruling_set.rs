@@ -34,7 +34,7 @@
 
 use crate::engine::{Machine, MachineId, MpcCtx, MpcError, MpcSimulator, WordSize};
 use crate::metrics::MpcMetrics;
-use crate::util::{greedy_partition, SparseBuckets};
+use crate::util::{cut_batches, greedy_partition, owner_table};
 use crate::RunConfig;
 use pga_congest::Engine;
 use pga_graph::{Graph, NodeId};
@@ -90,7 +90,11 @@ struct RsMachine<'g> {
     ghost_m1: HashMap<u32, u32>,
     /// Boundary neighbors with a true `r1` this iteration.
     ghost_r1: HashSet<u32>,
-    starts: Arc<Vec<usize>>,
+    /// The machine hosting each vertex (shared by every machine).
+    owner: Arc<[MachineId]>,
+    /// This round's outgoing `(vertex, value)` entries by destination
+    /// machine; reused across rounds.
+    staged: Vec<(MachineId, (u32, RsVal))>,
     adjacency_words: usize,
     /// Phase deadline in rounds. At the deadline every hosted vertex
     /// still undecided joins `R`: `RULED` is truthful (only ever set
@@ -104,10 +108,6 @@ struct RsMachine<'g> {
 impl RsMachine<'_> {
     fn hosted(&self) -> usize {
         self.status.len()
-    }
-
-    fn machine_of(&self, v: NodeId) -> usize {
-        self.starts.partition_point(|&s| s <= v.index()) - 1
     }
 
     fn is_hosted(&self, v: NodeId) -> bool {
@@ -130,21 +130,15 @@ impl RsMachine<'_> {
         self.status.contains(&UNDECIDED) || self.ghost_status.values().any(|&s| s == UNDECIDED)
     }
 
-    /// Appends `(v, val)` to the bucket of every *other* machine hosting
-    /// a neighbor of `v`. Neighbor lists are sorted, so owning machines
-    /// appear in nondecreasing order and deduplicate for free.
-    fn send_to_peers(
-        &self,
-        v: NodeId,
-        val: RsVal,
-        my_id: usize,
-        buckets: &mut SparseBuckets<(u32, RsVal)>,
-    ) {
-        let mut last: Option<usize> = None;
+    /// Stages `(v, val)` for every *other* machine hosting a neighbor of
+    /// `v`. Neighbor lists are sorted, so owning machines appear in
+    /// nondecreasing order and deduplicate for free.
+    fn send_to_peers(&mut self, v: NodeId, val: RsVal, my_id: MachineId) {
+        let mut last: Option<MachineId> = None;
         for &u in self.g.neighbors(v) {
-            let m = self.machine_of(u);
+            let m = self.owner[u.index()];
             if m != my_id && last != Some(m) {
-                buckets.add(m, (v.0, val.clone()), 1);
+                self.staged.push((m, (v.0, val.clone())));
             }
             last = Some(m);
         }
@@ -217,8 +211,7 @@ impl Machine for RsMachine<'_> {
             }
         }
 
-        let mut buckets: SparseBuckets<(u32, RsVal)> = SparseBuckets::new();
-        let my_id = ctx.id.index();
+        let my_id = ctx.id;
         match ctx.round % 4 {
             // Phase A: 1-hop undecided minima.
             0 => {
@@ -236,7 +229,7 @@ impl Machine for RsMachine<'_> {
                             }
                         }
                         self.m1[k] = m1;
-                        self.send_to_peers(v, RsVal::M1(m1), my_id, &mut buckets);
+                        self.send_to_peers(v, RsVal::M1(m1), my_id);
                     }
                 }
             }
@@ -260,7 +253,7 @@ impl Machine for RsMachine<'_> {
                     for k in joined {
                         self.status[k] = IN_R;
                         let v = NodeId::from_index(self.lo + k);
-                        self.send_to_peers(v, RsVal::Status(IN_R), my_id, &mut buckets);
+                        self.send_to_peers(v, RsVal::Status(IN_R), my_id);
                     }
                 }
             }
@@ -275,7 +268,7 @@ impl Machine for RsMachine<'_> {
                         }
                         self.r1[k] = r1;
                         if r1 {
-                            self.send_to_peers(v, RsVal::R1, my_id, &mut buckets);
+                            self.send_to_peers(v, RsVal::R1, my_id);
                         }
                     }
                 }
@@ -300,7 +293,7 @@ impl Machine for RsMachine<'_> {
                     for k in ruled {
                         self.status[k] = RULED;
                         let v = NodeId::from_index(self.lo + k);
-                        self.send_to_peers(v, RsVal::Status(RULED), my_id, &mut buckets);
+                        self.send_to_peers(v, RsVal::Status(RULED), my_id);
                     }
                 }
                 // Iteration boundary: per-iteration ghosts reset.
@@ -309,11 +302,13 @@ impl Machine for RsMachine<'_> {
             }
         }
 
-        Ok(buckets
-            .into_sorted()
-            .into_iter()
-            .map(|(j, entries, _)| (MachineId::from_index(j), RsMsg { entries }))
-            .collect())
+        Ok(cut_batches(
+            &mut self.staged,
+            |entry| RsMsg {
+                entries: vec![entry],
+            },
+            |msg, entry| msg.entries.push(entry),
+        ))
     }
 
     fn memory_words(&self) -> usize {
@@ -422,12 +417,13 @@ pub fn g2_ruling_set_mpc_cfg(
     cfg: &RunConfig,
 ) -> Result<RulingSetResult, MpcError> {
     let n = g.num_nodes();
-    let starts = Arc::new(greedy_partition(
+    let starts = greedy_partition(
         (0..n).map(|v| ruling_set_vertex_cost(g.degree(NodeId::from_index(v)))),
         memory_words / 2,
         "memory budget S cannot host the busiest vertex; the ruling set needs \
          S ≥ 2·(4·Δ + 4) words",
-    )?);
+    )?;
+    let owner = owner_table(&starts);
     let num_machines = starts.len().saturating_sub(1);
 
     let mut machines = Vec::with_capacity(num_machines);
@@ -450,7 +446,8 @@ pub fn g2_ruling_set_mpc_cfg(
             ghost_status,
             ghost_m1: HashMap::new(),
             ghost_r1: HashSet::new(),
-            starts: Arc::clone(&starts),
+            owner: Arc::clone(&owner),
+            staged: Vec::new(),
             adjacency_words: (lo..hi).map(|v| g.degree(NodeId::from_index(v))).sum(),
             // Clean bound: ≤ n+1 four-round iterations (the globally
             // minimal undecided id joins R every iteration).

@@ -1,7 +1,8 @@
-//! Partitioning and bucketing helpers shared by the CONGEST adapter and
+//! Partitioning and batching helpers shared by the CONGEST adapter and
 //! the native MPC algorithms.
 
-use crate::engine::MpcError;
+use crate::engine::{MachineId, MpcError};
+use std::sync::Arc;
 
 /// Greedy contiguous packing of per-vertex costs into machines: returns
 /// `starts` with machine `k` hosting vertices `starts[k]..starts[k + 1]`,
@@ -39,38 +40,41 @@ pub(crate) fn greedy_partition(
     Ok(starts)
 }
 
-/// Sparse per-destination-machine buckets: a machine's outbox usually
-/// spans only its few boundary-neighbor machines, so collecting into a
-/// dense `Vec` of length `M` would make every round `O(M)` per machine
-/// (`O(M²)` total) regardless of traffic. Linear scan on insert is fine
-/// — the distinct-destination count per machine is small — and
-/// [`SparseBuckets::into_sorted`] restores the deterministic
-/// ascending-destination order the engines rely on.
-pub(crate) struct SparseBuckets<T> {
-    /// `(destination machine, entries, total words)` in first-touch order.
-    buckets: Vec<(usize, Vec<T>, usize)>,
+/// The machine hosting each vertex under the partition `starts`
+/// (machine `k` hosts `starts[k]..starts[k + 1]`), indexed by vertex:
+/// built once per run and shared by every machine, so routing a message
+/// is one table read.
+pub(crate) fn owner_table(starts: &[usize]) -> Arc<[MachineId]> {
+    starts
+        .windows(2)
+        .enumerate()
+        .flat_map(|(k, w)| std::iter::repeat_n(MachineId::from_index(k), w[1] - w[0]))
+        .collect()
 }
 
-impl<T> SparseBuckets<T> {
-    pub(crate) fn new() -> Self {
-        SparseBuckets {
-            buckets: Vec::new(),
+/// Cuts a machine's staged outbox into one batch per destination
+/// machine, in ascending destination order (the order the engines
+/// deliver in).
+///
+/// `staged` holds `(destination, item)` pairs in send order; the sort is
+/// stable, so each batch keeps its items in that order. `open` starts a
+/// batch from its first item and `push` appends the others. `staged` is
+/// left empty with its capacity, for reuse in the next round. A
+/// machine's outbox usually spans only its few boundary-neighbour
+/// machines, so this costs `O(k log k)` in the `k` staged items, never
+/// `O(M)` in the machine count.
+pub(crate) fn cut_batches<T, B>(
+    staged: &mut Vec<(MachineId, T)>,
+    open: impl Fn(T) -> B,
+    push: impl Fn(&mut B, T),
+) -> Vec<(MachineId, B)> {
+    staged.sort_by_key(|&(dest, _)| dest);
+    let mut batches: Vec<(MachineId, B)> = Vec::new();
+    for (dest, item) in staged.drain(..) {
+        match batches.last_mut() {
+            Some((to, batch)) if *to == dest => push(batch, item),
+            _ => batches.push((dest, open(item))),
         }
     }
-
-    /// Appends `item` (of `words` words) to `dest`'s bucket.
-    pub(crate) fn add(&mut self, dest: usize, item: T, words: usize) {
-        if let Some((_, entries, w)) = self.buckets.iter_mut().find(|(d, _, _)| *d == dest) {
-            entries.push(item);
-            *w += words;
-        } else {
-            self.buckets.push((dest, vec![item], words));
-        }
-    }
-
-    /// The buckets in ascending destination order.
-    pub(crate) fn into_sorted(mut self) -> Vec<(usize, Vec<T>, usize)> {
-        self.buckets.sort_by_key(|&(d, _, _)| d);
-        self.buckets
-    }
+    batches
 }
