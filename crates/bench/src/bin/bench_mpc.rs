@@ -23,7 +23,7 @@
 //! (the Barabási–Albert instance), `BENCH_MPC_OUT` (artifact path).
 
 use pga_bench::harness::{
-    env_u64, env_usize, time_ms, write_json, EngineTiming, MpcBench, MpcWorkloadRecord,
+    env_u64, env_usize, median_ms, time_ms, write_json, EngineTiming, MpcBench, MpcWorkloadRecord,
 };
 use pga_congest::primitives::FloodMax;
 use pga_congest::{ProbeMode, RunConfig, Simulator};
@@ -42,6 +42,9 @@ use std::path::PathBuf;
 /// sequential engine, which is the `threads = 1` point).
 const THREAD_SWEEP: [usize; 3] = [2, 4, 8];
 
+/// Runs behind every timed figure: each is the median of `REPS` runs.
+const REPS: usize = 3;
+
 fn floodmax_states(n: usize) -> Vec<FloodMax> {
     (0..n)
         .map(|i| FloodMax::new(NodeId::from_index(i)))
@@ -49,19 +52,17 @@ fn floodmax_states(n: usize) -> Vec<FloodMax> {
 }
 
 /// Runs `run` on the sequential engine and at every swept thread count,
-/// timing each. Returns the sequential result, the per-engine timings
-/// (`mpc_sequential` first), and whether every parallel result is
-/// `same` as the sequential one.
+/// timing each as the median of [`REPS`] runs. Returns the sequential
+/// result, the per-engine timings (`mpc_sequential` first), and whether
+/// every parallel result is `same` as the sequential one.
 ///
-/// One untimed sequential run goes first, so the timed sequential entry,
-/// the one `bench_regress` gates, pays no first-run cost that the later
-/// entries skip.
+/// The median keeps a first-run cost, or one run slowed by the host, out
+/// of the sequential entry that `bench_regress` gates.
 fn engine_sweep<R>(
     run: impl Fn(Engine) -> R,
     same: impl Fn(&R, &R) -> bool,
 ) -> (R, Vec<EngineTiming>, bool) {
-    drop(run(Engine::Sequential));
-    let (seq, seq_ms) = time_ms(|| run(Engine::Sequential));
+    let (seq, seq_ms) = median_ms(REPS, || run(Engine::Sequential));
     let mut engines = vec![EngineTiming {
         engine: "mpc_sequential".into(),
         threads: 1,
@@ -69,7 +70,7 @@ fn engine_sweep<R>(
     }];
     let mut identical = true;
     for threads in THREAD_SWEEP {
-        let (par, par_ms) = time_ms(|| run(Engine::Parallel { threads }));
+        let (par, par_ms) = median_ms(REPS, || run(Engine::Parallel { threads }));
         identical &= same(&par, &seq);
         engines.push(EngineTiming {
             engine: "mpc_parallel".into(),
@@ -85,7 +86,7 @@ fn engine_sweep<R>(
 fn adapter_workload(name: &str, graph: &str, g: &Graph, seed: u64) -> MpcWorkloadRecord {
     let n = g.num_nodes();
     let memory_words = recommended_memory_words(g, pga_congest::default_bandwidth_bits(n));
-    let (reference, ref_ms) = time_ms(|| {
+    let (reference, ref_ms) = median_ms(REPS, || {
         Simulator::congest(g)
             .run_cfg(floodmax_states(n), &RunConfig::new().probe(ProbeMode::Off))
             .expect("congest reference run")
@@ -140,7 +141,7 @@ fn thm1_workload(name: &str, graph: &str, g: &Graph, seed: u64) -> MpcWorkloadRe
     let solver = LocalSolver::FiveThirds;
     let memory_words =
         recommended_memory_words(g, pga_congest::default_bandwidth_bits(g.num_nodes()));
-    let (reference, ref_ms) = time_ms(|| {
+    let (reference, ref_ms) = median_ms(REPS, || {
         g2_mvc_congest_cfg(g, EPS, solver, &RunConfig::new().probe(ProbeMode::Off))
             .expect("congest reference run")
     });
@@ -190,7 +191,7 @@ fn thm1_workload(name: &str, graph: &str, g: &Graph, seed: u64) -> MpcWorkloadRe
 /// sequential oracle.
 fn ruling_set_workload(name: &str, graph: &str, g: &Graph, seed: u64) -> MpcWorkloadRecord {
     let memory_words = recommended_ruling_set_memory_words(g);
-    let (oracle, ref_ms) = time_ms(|| lex_first_g2_mis(g));
+    let (oracle, ref_ms) = median_ms(REPS, || lex_first_g2_mis(g));
     let (result, engines, sweep_same) = engine_sweep(
         |engine| g2_ruling_set_mpc(g, memory_words, engine).expect("ruling set run"),
         |par, seq| par.in_r == seq.in_r && par.mpc == seq.mpc && par.machines == seq.machines,

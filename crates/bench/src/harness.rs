@@ -25,6 +25,21 @@ pub fn time_ms<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, start.elapsed().as_secs_f64() * 1e3)
 }
 
+/// Runs `f` `reps` times (at least once) and returns the last result
+/// together with the median wall time in milliseconds, so one slow run
+/// (a cold start, a noisy neighbour) does not set the figure.
+pub fn median_ms<T>(reps: usize, f: impl Fn() -> T) -> (T, f64) {
+    let mut walls = Vec::with_capacity(reps.max(1));
+    let mut out = None;
+    for _ in 0..reps.max(1) {
+        let (r, ms) = time_ms(&f);
+        walls.push(ms);
+        out = Some(r);
+    }
+    walls.sort_by(f64::total_cmp);
+    (out.expect("at least one rep"), walls[walls.len() / 2])
+}
+
 /// The exit code of a bad command line or override (`EX_USAGE`).
 const EXIT_USAGE: i32 = 64;
 

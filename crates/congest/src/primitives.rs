@@ -4,10 +4,12 @@
 //! phase is built from (Lemma 2 of the paper): build a BFS tree rooted at a
 //! leader, *pipeline* every node's items up the tree to the leader
 //! (convergecast), let the leader compute a response locally, and pipeline
-//! the response back down to every node (broadcast). With `k` total items
-//! and diameter `D`, the whole pattern costs `O(k + D)` rounds — the
-//! pipelining argument the paper invokes for "the leader can learn `c`
-//! pieces of information per node in `O(c · n)` rounds".
+//! the response back down to every node (broadcast). Each message carries
+//! a [`Batch`] of items filled greedily up to the bandwidth `B`, so with
+//! diameter `D` the whole pattern costs `O(⌈total item bits / B⌉ + D)`
+//! rounds (at most `O(k + D)` for `k` items) — the pipelining argument
+//! the paper invokes for "the leader can learn `c` pieces of information
+//! per node in `O(c · n)` rounds".
 //!
 //! The leader is fixed to node 0. The paper elects a leader by id; with the
 //! globally-known dense id space `0..n` this election is free, and it does
@@ -19,6 +21,81 @@ use pga_graph::NodeId;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+/// Bits of the [`GsMsg`] tag: five arms plus the one-item forms of `Up`
+/// and `Down` fit in eight values.
+const TAG_BITS: usize = 3;
+
+/// `⌈log₂(B + 1)⌉`: the width of a [`Batch`]'s count field, which
+/// holds any count up to `B`.
+fn count_bits(bandwidth_bits: usize) -> usize {
+    (usize::BITS - bandwidth_bits.leading_zeros()) as usize
+}
+
+/// Pipelined items that travel together in one [`GsMsg::Up`] or
+/// [`GsMsg::Down`].
+///
+/// A batch of two or more items carries a count field of
+/// `⌈log₂(B + 1)⌉` bits for the bandwidth `B` it was packed against. A
+/// one-item batch has a tag value of its own and no count field, so it
+/// costs exactly what a bare item costs.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Batch<T> {
+    items: Vec<T>,
+    count_bits: usize,
+}
+
+impl<T> Batch<T> {
+    /// Wraps `items` as one message packed against bandwidth
+    /// `bandwidth_bits` (which sizes the count field). See
+    /// [`batch_len`] for how many items fit.
+    pub fn new(items: Vec<T>, bandwidth_bits: usize) -> Self {
+        Batch {
+            items,
+            count_bits: count_bits(bandwidth_bits),
+        }
+    }
+
+    /// The items, in send order.
+    pub fn items(&self) -> &[T] {
+        &self.items
+    }
+}
+
+impl<T: MsgSize> MsgSize for Batch<T> {
+    fn size_bits(&self, id_bits: usize) -> usize {
+        let items: usize = self.items.iter().map(|i| i.size_bits(id_bits)).sum();
+        match self.items.len() {
+            1 => items,
+            _ => self.count_bits + items,
+        }
+    }
+}
+
+/// How many items, taken in order with the given `sizes`, go into one
+/// [`Batch`] whose message (tag included) stays within `bandwidth_bits`.
+///
+/// The first item is always taken, so an item too large on its own
+/// still travels and fails with the kernel's bandwidth error instead of
+/// stalling its sender. Further items are taken while the next one fits
+/// and the count field (which holds up to `B`) can still count it.
+/// Returns 0 only for no items.
+pub fn batch_len(sizes: impl IntoIterator<Item = usize>, bandwidth_bits: usize) -> usize {
+    let mut sizes = sizes.into_iter();
+    let Some(first) = sizes.next() else {
+        return 0;
+    };
+    let mut used = TAG_BITS + count_bits(bandwidth_bits) + first;
+    let mut len = 1;
+    for size in sizes {
+        used += size;
+        if used > bandwidth_bits || len == bandwidth_bits {
+            break;
+        }
+        len += 1;
+    }
+    len
+}
+
 /// Messages exchanged by [`GatherScatter`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum GsMsg<I, D> {
@@ -29,12 +106,12 @@ pub enum GsMsg<I, D> {
         /// The sender's chosen parent in the BFS tree.
         parent: Option<NodeId>,
     },
-    /// One pipelined item traveling toward the root.
-    Up(I),
+    /// Pipelined items traveling toward the root.
+    Up(Batch<I>),
     /// The sender's subtree has no more items to send.
     UpDone,
-    /// One pipelined response item traveling from the root to everyone.
-    Down(D),
+    /// Pipelined response items traveling from the root to everyone.
+    Down(Batch<D>),
     /// No more response items. `complete` tells the subtree whether the
     /// response was computed from the *full* gather (`true` on every
     /// clean run) or from a partial aggregate after the root's phase
@@ -48,14 +125,14 @@ pub enum GsMsg<I, D> {
 
 impl<I: MsgSize, D: MsgSize> MsgSize for GsMsg<I, D> {
     fn size_bits(&self, id_bits: usize) -> usize {
-        // 3 tag bits plus the payload.
-        3 + match self {
-            GsMsg::Explore { parent } => 1 + parent.map_or(0, |_| id_bits),
-            GsMsg::Up(i) => i.size_bits(id_bits),
-            GsMsg::UpDone => 0,
-            GsMsg::Down(d) => d.size_bits(id_bits),
-            GsMsg::DownEnd { .. } => 1,
-        }
+        TAG_BITS
+            + match self {
+                GsMsg::Explore { parent } => 1 + parent.map_or(0, |_| id_bits),
+                GsMsg::Up(b) => b.size_bits(id_bits),
+                GsMsg::UpDone => 0,
+                GsMsg::Down(b) => b.size_bits(id_bits),
+                GsMsg::DownEnd { .. } => 1,
+            }
     }
 }
 
@@ -104,7 +181,14 @@ pub struct GsOutput<D> {
 ///
 /// Requires a connected input graph.
 ///
-/// Most nodes spend most of the `O(k + D)` rounds waiting for mail, and
+/// Items travel in [`Batch`]es: each round a node sends its parent one
+/// batch, filled greedily by [`batch_len`] from the items it relays
+/// (most recently received first) and then its own, and the downcast
+/// sends each child one batch of the response in order. A batch holds
+/// `O(1)` identifiers, and the run takes
+/// `O(⌈total item bits / B⌉ + D)` rounds.
+///
+/// Most nodes spend most of these rounds waiting for mail, and
 /// a waiting node reports [`Algorithm::can_skip`], so the active-set
 /// kernel lets it sleep until its next message. With no deadline armed
 /// the waiting states are:
@@ -114,8 +198,8 @@ pub struct GsOutput<D> {
 /// - the root while some child's subtree has not reported `UpDone`;
 /// - a non-root upcasting node with nothing to forward while some child
 ///   has not reported `UpDone`;
-/// - a downcasting node with an empty response queue and no `DownEnd`
-///   to pass on.
+/// - a downcasting node that has passed on every response item it holds
+///   and has no `DownEnd` to pass on.
 ///
 /// With a deadline armed ([`GatherScatter::with_deadline`]) the clock
 /// may act on any unfinished node, so only a finished node sleeps.
@@ -130,7 +214,8 @@ pub struct GatherScatter<I, D> {
     children_done: usize,
     gathered: Vec<I>,
     response: Vec<D>,
-    down_queue: VecDeque<D>,
+    /// How many of `response` this node has passed on to its children.
+    forwarded: usize,
     down_end_pending: bool,
     sent_up_done: bool,
     /// Phase deadline in rounds (see [`GatherScatter::with_deadline`]).
@@ -156,7 +241,7 @@ impl<I, D> GatherScatter<I, D> {
             children_done: 0,
             gathered: Vec::new(),
             response: Vec::new(),
-            down_queue: VecDeque::new(),
+            forwarded: 0,
             down_end_pending: false,
             sent_up_done: false,
             deadline: None,
@@ -193,15 +278,12 @@ impl<I, D> GatherScatter<I, D> {
     fn upcast_complete(&self) -> bool {
         self.children_done == self.children.len()
     }
-}
 
-impl<I, D: Clone> GatherScatter<I, D> {
     fn start_downcast(&mut self, ctx: &Ctx, complete: bool) {
         let gathered = std::mem::take(&mut self.gathered);
         let mut items: Vec<I> = gathered;
         items.extend(std::mem::take(&mut self.items));
         self.response = (self.compute)(items);
-        self.down_queue = self.response.iter().cloned().collect::<VecDeque<D>>();
         self.down_end_pending = true;
         self.complete = complete;
         self.phase = Phase::Downcast;
@@ -234,12 +316,9 @@ impl<I: Clone + MsgSize, D: Clone + MsgSize> Algorithm for GatherScatter<I, D> {
                         self.phase = Phase::Announce;
                     }
                 }
-                GsMsg::Up(item) => self.gathered.push(item.clone()),
+                GsMsg::Up(b) => self.gathered.extend_from_slice(b.items()),
                 GsMsg::UpDone => self.children_done += 1,
-                GsMsg::Down(d) => {
-                    self.response.push(d.clone());
-                    self.down_queue.push_back(d.clone());
-                }
+                GsMsg::Down(b) => self.response.extend_from_slice(b.items()),
                 GsMsg::DownEnd { complete } => {
                     self.down_end_pending = true;
                     self.complete = *complete;
@@ -298,11 +377,16 @@ impl<I: Clone + MsgSize, D: Clone + MsgSize> Algorithm for GatherScatter<I, D> {
                         }
                     } else if let Some(p) = self.parent {
                         // Pipeline: forward received items first, then our
-                        // own, one per round; finish with UpDone.
-                        if let Some(item) = self.gathered.pop() {
-                            out.push((p, GsMsg::Up(item)));
-                        } else if let Some(item) = self.items.pop_front() {
-                            out.push((p, GsMsg::Up(item)));
+                        // own, one full batch per round; finish with UpDone.
+                        let sizes = self.gathered.iter().rev().chain(&self.items);
+                        let len =
+                            batch_len(sizes.map(|i| i.size_bits(ctx.id_bits)), ctx.bandwidth_bits);
+                        if len > 0 {
+                            let relayed = len.min(self.gathered.len());
+                            let from = self.gathered.len() - relayed;
+                            let mut batch: Vec<I> = self.gathered.drain(from..).rev().collect();
+                            batch.extend(self.items.drain(..len - relayed));
+                            out.push((p, GsMsg::Up(Batch::new(batch, ctx.bandwidth_bits))));
                         } else if self.children_done == self.children.len() && !self.sent_up_done {
                             out.push((p, GsMsg::UpDone));
                             self.sent_up_done = true;
@@ -315,12 +399,20 @@ impl<I: Clone + MsgSize, D: Clone + MsgSize> Algorithm for GatherScatter<I, D> {
             Phase::Done => {}
         }
 
-        // Downcast forwarding runs for every node that has a queue, even
-        // the root right after computing.
+        // Downcast forwarding runs for every node with response items
+        // not yet passed on, even the root right after computing.
         if matches!(self.phase, Phase::Downcast) {
-            if let Some(d) = self.down_queue.pop_front() {
-                for &c in &self.children {
-                    out.push((c, GsMsg::Down(d.clone())));
+            let pending = &self.response[self.forwarded..];
+            let sizes = pending.iter().map(|d| d.size_bits(ctx.id_bits));
+            let len = batch_len(sizes, ctx.bandwidth_bits);
+            if len > 0 {
+                let batch = Batch::new(pending[..len].to_vec(), ctx.bandwidth_bits);
+                self.forwarded += len;
+                if let Some((&last, rest)) = self.children.split_last() {
+                    for &c in rest {
+                        out.push((c, GsMsg::Down(batch.clone())));
+                    }
+                    out.push((last, GsMsg::Down(batch)));
                 }
             } else if self.down_end_pending {
                 for &c in &self.children {
@@ -333,6 +425,9 @@ impl<I: Clone + MsgSize, D: Clone + MsgSize> Algorithm for GatherScatter<I, D> {
                 }
                 self.down_end_pending = false;
                 self.phase = Phase::Done;
+                // `response` grew by whole batches, so it may hold spare
+                // capacity; every node keeps it until the run ends.
+                self.response.shrink_to_fit();
             }
         }
 
@@ -360,7 +455,7 @@ impl<I: Clone + MsgSize, D: Clone + MsgSize> Algorithm for GatherScatter<I, D> {
             Phase::Upcast => {
                 self.gathered.is_empty() && self.items.is_empty() && !self.upcast_complete()
             }
-            Phase::Downcast => self.down_queue.is_empty() && !self.down_end_pending,
+            Phase::Downcast => self.forwarded == self.response.len() && !self.down_end_pending,
         }
     }
 
@@ -499,20 +594,94 @@ mod tests {
         }
     }
 
+    /// Runs an echo of every node's `items` (the leader returns the
+    /// sorted multiset) and checks each node receives exactly the sorted
+    /// union of all items.
+    fn run_echo(g: &pga_graph::Graph, items: Vec<Vec<SizedU64>>) -> crate::Metrics {
+        let compute: LeaderCompute<SizedU64, SizedU64> = Arc::new(|mut items: Vec<SizedU64>| {
+            items.sort_by_key(|i| (i.value, i.bits));
+            items
+        });
+        let mut want: Vec<SizedU64> = items.iter().flatten().cloned().collect();
+        want.sort_by_key(|i| (i.value, i.bits));
+        let nodes = items
+            .into_iter()
+            .map(|items| GatherScatter::new(items, Arc::clone(&compute)))
+            .collect();
+        let report = Simulator::congest(g)
+            .run_cfg(nodes, &RunConfig::new())
+            .unwrap();
+        for o in &report.outputs {
+            assert_eq!(o.response, want);
+            assert!(o.complete);
+        }
+        report.metrics
+    }
+
     #[test]
     fn pipelining_round_bound() {
-        // k total items over diameter D must finish in O(k + D) rounds;
-        // check a generous constant.
-        let g = generators::path(20); // D = 19
-        let (outputs, metrics) = run_sum(&g);
-        assert_eq!(outputs.len(), 20);
-        let k = 20; // one item per node
-        let d = 19;
+        // Packed pipelining: with `room = B − tag − count` bits for items,
+        // every batch that stops early still carries more than
+        // `room − max item` bits, so the gather and the echo each take
+        // about ⌈Σ item bits / (room − max item)⌉ rounds on top of O(D).
+        let n = 20;
+        let g = generators::path(n); // D = 19
+        let d = n - 1;
+        let items: Vec<Vec<SizedU64>> = (0..n)
+            .map(|i| {
+                (0..8)
+                    .map(|j| SizedU64 {
+                        value: (8 * i + j) as u64,
+                        bits: 32,
+                    })
+                    .collect()
+            })
+            .collect();
+        let total_bits: usize = 32 * 8 * n;
+        let b = crate::sim::default_bandwidth_bits(n);
+        let room = b - 3 - count_bits(b);
+        let batches = total_bits.div_ceil(room - 32);
+        let metrics = run_echo(&g, items);
+        // One item per message would need 8(n − 1) rounds for the root's
+        // child to forward its subtree's items, then 8n for the echo.
+        assert!(2 * batches + 4 * d + 10 < 8 * (n - 1) + 8 * n);
         assert!(
-            metrics.rounds <= 4 * (k + d) + 10,
+            metrics.rounds <= 2 * batches + 4 * d + 10,
             "rounds {} too large",
             metrics.rounds
         );
+    }
+
+    /// Many items of mixed sizes per node, up to the largest item a
+    /// one-item message carries: the leader sees every item exactly
+    /// once, on a path, a star and a random connected graph.
+    #[test]
+    fn gather_scatter_delivers_the_multiset_of_mixed_items() {
+        let mut rng = StdRng::seed_from_u64(7);
+        for g in [
+            generators::path(12),
+            generators::star(10),
+            generators::connected_gnm(40, 80, &mut rng),
+        ] {
+            let n = g.num_nodes();
+            let largest = crate::sim::default_bandwidth_bits(n) - 3;
+            let mut next = 0u64;
+            let items: Vec<Vec<SizedU64>> = (0..n)
+                .map(|i| {
+                    (0..(i * 7) % 10)
+                        .map(|j| {
+                            next += 1;
+                            SizedU64 {
+                                value: next % 5, // repeated values
+                                bits: [1, 13, 40, largest][(i + j) % 4],
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            let metrics = run_echo(&g, items);
+            assert!(metrics.max_message_bits <= crate::sim::default_bandwidth_bits(n));
+        }
     }
 
     #[test]
@@ -719,16 +888,14 @@ mod msg_size_tests {
         (any::<u64>(), any::<usize>()).prop_map(|(value, bits)| SizedU64 { value, bits })
     }
 
-    /// Every arm of [`GsMsg`], with full-range payloads.
-    fn arb_gs_msg() -> impl Strategy<Value = GsMsg<SizedU64, SizedU64>> {
+    /// The arms of [`GsMsg`] that carry no items.
+    fn arb_control_msg() -> impl Strategy<Value = GsMsg<SizedU64, SizedU64>> {
         prop_oneof![
             Just(GsMsg::Explore { parent: None }),
             any::<u32>().prop_map(|p| GsMsg::Explore {
                 parent: Some(NodeId(p)),
             }),
-            arb_sized().prop_map(GsMsg::Up),
             Just(GsMsg::UpDone),
-            arb_sized().prop_map(GsMsg::Down),
             any::<bool>().prop_map(|complete| GsMsg::DownEnd { complete }),
         ]
     }
@@ -746,27 +913,44 @@ mod msg_size_tests {
             prop_assert_eq!(u64::from(id) >> m.size_bits(id_bits(n)), 0);
         }
 
-        /// The 3-bit tag rides on top of the payload, so a payload that
-        /// leaves room for it keeps the whole message within `B`.
+        /// At every id width, a queue of items that each fit a one-item
+        /// message (tag included) is cut by [`batch_len`] into batches
+        /// that fit `B` and are greedy: one more item would not fit, or
+        /// the count field is full. A one-item batch costs exactly the
+        /// tag plus its item, so every input that fits one item per
+        /// message still fits. The control arms fit `B` too.
         #[test]
-        fn gs_msg_fits_when_its_payload_leaves_room_for_the_tag(
-            m in arb_gs_msg(),
-            b in 1usize..=32,
+        fn gs_batches_fit_the_bandwidth(
+            control in arb_control_msg(),
+            raw in proptest::collection::vec(arb_sized(), 1..40),
         ) {
-            let n = 1usize << b;
-            let room = default_bandwidth_bits(n) - 3;
-            let fit = |s: SizedU64| SizedU64 {
-                value: s.value,
-                bits: s.bits % (room + 1),
-            };
-            let m = match m {
-                GsMsg::Up(s) => GsMsg::Up(fit(s)),
-                GsMsg::Down(s) => GsMsg::Down(fit(s)),
-                other => other,
-            };
-            prop_assert!(m.size_bits(id_bits(n)) <= default_bandwidth_bits(n));
-            if let GsMsg::Up(s) | GsMsg::Down(s) = &m {
-                prop_assert_eq!(m.size_bits(b), 3 + s.bits);
+            for b in 1..=32 {
+                let n = 1usize << b;
+                let (bits, limit) = (id_bits(n), default_bandwidth_bits(n));
+                prop_assert!(control.size_bits(bits) <= limit);
+                let items: Vec<SizedU64> = raw
+                    .iter()
+                    .map(|s| SizedU64 { value: s.value, bits: s.bits % (limit - 3 + 1) })
+                    .collect();
+                for item in &items {
+                    let one = Batch::new(vec![item.clone()], limit);
+                    prop_assert_eq!(GsMsg::<SizedU64, SizedU64>::Up(one.clone()).size_bits(bits), 3 + item.bits);
+                    prop_assert_eq!(GsMsg::<SizedU64, SizedU64>::Down(one).size_bits(bits), 3 + item.bits);
+                }
+                let mut rest = &items[..];
+                while !rest.is_empty() {
+                    let len = batch_len(rest.iter().map(|i| i.bits), limit);
+                    prop_assert!(len >= 1);
+                    let up = |k: usize| {
+                        GsMsg::<SizedU64, SizedU64>::Up(Batch::new(rest[..k].to_vec(), limit))
+                            .size_bits(bits)
+                    };
+                    prop_assert!(up(len) <= limit, "{} items: {} > {} bits", len, up(len), limit);
+                    if len < rest.len() {
+                        prop_assert!(up(len + 1) > limit || len == limit);
+                    }
+                    rest = &rest[len..];
+                }
             }
         }
     }

@@ -11,7 +11,10 @@
 //!   [`pga_congest::primitives::GatherScatter`]): a leader gathers the
 //!   `O(n/ε)` remaining edges `F` by pipelined convergecast (Lemma 2),
 //!   reconstructs `H = G²[U]` (Lemma 3), covers it locally, and broadcasts
-//!   the result.
+//!   the result. Each message carries as many `F`-edges (up) or cover
+//!   ids (down) as fit the bandwidth `B`: a constant number, so the
+//!   `O(n/ε)` bound holds with a constant about `B / log n` times
+//!   smaller than one item per message.
 //!
 //! The returned cover is `S ∪ R*` — valid by Lemma 4 and a
 //! `(1+ε)`-approximation by Lemma 5 when the local solver is exact.
@@ -139,8 +142,10 @@ pub fn g2_mvc_congest_cfg(
 
     // Phase II: gather F at the leader, solve, scatter R*. Under the
     // reliability plane the gather carries a phase deadline derived
-    // from the clean pipelined-convergecast bound O(k + D); past it the
-    // leader solves over the partial edge set it holds.
+    // from the one-item-per-message convergecast bound O(k + D); past
+    // it the leader solves over the partial edge set it holds. Every
+    // batch carries at least one item, so a clean packed run (at most
+    // O(⌈k·item bits / B⌉ + D) rounds) stays well inside it.
     let compute: LeaderCompute<FEdge, CoverId> =
         Arc::new(move |edges: Vec<FEdge>| solve_remainder(&edges, solver));
     let per_node: Vec<Vec<FEdge>> = (0..n)

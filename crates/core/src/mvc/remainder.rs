@@ -340,7 +340,8 @@ mod msg_size_tests {
     use crate::msg_budget::fits_default_bandwidth;
     use proptest::prelude::*;
 
-    use pga_congest::primitives::GsMsg;
+    use pga_congest::primitives::{batch_len, Batch, GsMsg};
+    use pga_congest::{default_bandwidth_bits, id_bits};
 
     /// `F`-edge reports with weights below `2³²`.
     fn arb_fedge() -> impl Strategy<Value = FEdge> {
@@ -360,19 +361,30 @@ mod msg_size_tests {
             })
     }
 
-    /// Every arm of the gather–scatter message that carries `F` up and
-    /// the cover down.
-    fn arb_gs_msg() -> impl Strategy<Value = GsMsg<FEdge, CoverId>> {
+    /// The arms of the gather–scatter message that carry no items.
+    fn arb_control_msg() -> impl Strategy<Value = GsMsg<FEdge, CoverId>> {
         prop_oneof![
             Just(GsMsg::Explore { parent: None }),
             any::<u32>().prop_map(|p| GsMsg::Explore {
                 parent: Some(NodeId(p)),
             }),
-            arb_fedge().prop_map(GsMsg::Up),
             Just(GsMsg::UpDone),
-            any::<u32>().prop_map(|id| GsMsg::Down(CoverId(NodeId(id)))),
             any::<bool>().prop_map(|complete| GsMsg::DownEnd { complete }),
         ]
+    }
+
+    /// Cuts `items` into batches the way `GatherScatter` packs a queue
+    /// for `n` nodes at the default bandwidth.
+    fn packed<T: MsgSize + Clone>(items: &[T], n: usize) -> Vec<Batch<T>> {
+        let limit = default_bandwidth_bits(n);
+        let mut rest = items;
+        let mut batches = Vec::new();
+        while !rest.is_empty() {
+            let len = batch_len(rest.iter().map(|i| i.size_bits(id_bits(n))), limit);
+            batches.push(Batch::new(rest[..len].to_vec(), limit));
+            rest = &rest[len..];
+        }
+        batches
     }
 
     proptest! {
@@ -392,9 +404,27 @@ mod msg_size_tests {
             prop_assert_eq!(c.size_bits(17), 17);
         }
 
+        /// Phase II's messages fit `B` at every id width: the control
+        /// arms, `F` packed into `Up` batches and the cover packed into
+        /// `Down` batches, each packed for that width.
         #[test]
-        fn remainder_gs_msg_fits_default_bandwidth(m in arb_gs_msg()) {
-            fits_default_bandwidth(&m)?;
+        fn remainder_gs_msg_fits_default_bandwidth(
+            control in arb_control_msg(),
+            edges in proptest::collection::vec(arb_fedge(), 1..24),
+            ids in proptest::collection::vec(any::<u32>(), 1..24),
+        ) {
+            fits_default_bandwidth(&control)?;
+            let cover: Vec<CoverId> = ids.into_iter().map(|id| CoverId(NodeId(id))).collect();
+            for b in 1..=32 {
+                let n = 1usize << b;
+                let up = packed(&edges, n).into_iter().map(GsMsg::Up);
+                let down = packed(&cover, n).into_iter().map(GsMsg::Down);
+                for m in up.chain(down) {
+                    let size = m.size_bits(id_bits(n));
+                    let limit = default_bandwidth_bits(n);
+                    prop_assert!(size <= limit, "{m:?}: {size} > {limit} bits at n = {n}");
+                }
+            }
         }
     }
 }

@@ -559,6 +559,29 @@ mod tests {
         }
     }
 
+    /// Weights scaled by `2³⁴` make every `F`-edge report at least
+    /// `2·4 + 1 + 2·35 = 79` bits at n = 14, so two never share a
+    /// message (`B = 128`) and Phase II sends one item per message.
+    /// Scaling every weight by a power of two changes no comparison, so
+    /// the cover equals the one from the small weights, whose batches
+    /// hold several reports.
+    #[test]
+    fn one_item_batches_return_the_same_cover() {
+        let mut rng = StdRng::seed_from_u64(5);
+        for _ in 0..4 {
+            let g = generators::connected_gnp(14, 0.15, &mut rng);
+            let small = VertexWeights::random(14, 1..32, &mut rng);
+            let large = VertexWeights::from_vec(small.as_slice().iter().map(|w| w << 34).collect());
+            let packed = check(&g, &small, 0.5);
+            let single = check(&g, &large, 0.5);
+            assert_eq!(single.cover, packed.cover);
+            // The widest one-report message: tag, two ids, flag, and two
+            // weights of at most 39 bits.
+            assert!(single.phase2_metrics.max_message_bits <= 3 + 9 + 2 * 39);
+            assert!(single.phase2_metrics.messages > packed.phase2_metrics.messages);
+        }
+    }
+
     #[test]
     fn disconnected_graph_rejected() {
         let g = generators::disjoint_union(&generators::path(3), &generators::path(3));
